@@ -68,12 +68,6 @@ class CharPoint:
     simple: bool
     fold_ok: bool
 
-    @property
-    def z_star(self) -> complex:
-        """x_star raised to the symmetry index is orbit-invariant; callers
-        that need it should use dominant_data's phi instead."""
-        raise AttributeError("use DominantData.phi; z_star needs the leaf's s")
-
 
 def _char_derivs(p: ParamPoint, x: complex, y: complex):
     """F and its partials at (x, y), plus a cancellation-free term scale."""
@@ -291,7 +285,8 @@ def _group_orbits(points: list[CharPoint], s: int) -> list[list[CharPoint]]:
 def dominant_data(p: ParamPoint, order: int, *,
                   p_values: tuple[int, ...] = (1, 2, 5),
                   sep_min: float = SEP_MIN_DEFAULT,
-                  tol_match: float = TOL_MATCH_DEFAULT) -> DominantData:
+                  tol_match: float = TOL_MATCH_DEFAULT,
+                  points: list[CharPoint] | None = None) -> DominantData:
     """Identify the dominant orbit by matching series data to characteristic moduli.
 
     Runs the coefficient-ratio radius estimate at the given truncation order,
@@ -299,7 +294,8 @@ def dominant_data(p: ParamPoint, order: int, *,
     (relative), and certifies dominance when that orbit is alone at its
     modulus with the next modulus at least ``sep_min`` (relative) above.
     The fitted coefficient exponent must also sit within 0.3 of -3/2 — the
-    signature of a square-root point on the relevant sheet.
+    signature of a square-root point on the relevant sheet.  ``points``
+    passes in ``solve_characteristic(p)`` when the caller already has it.
 
     Raises
     ------
@@ -308,7 +304,8 @@ def dominant_data(p: ParamPoint, order: int, *,
         far from -3/2, or undecidable square-root sign.
     """
     s = p.leaf.s
-    points = solve_characteristic(p)
+    if points is None:
+        points = solve_characteristic(p)
     orbits = _group_orbits(points, s)
     orbits.sort(key=lambda g: g[0].modulus)
     if (len(orbits) > 1

@@ -115,7 +115,6 @@ class RunConfig:
     command: str
     sections: dict
     values: dict
-    deterministic: bool = True
 
 
 _MISSING = object()
@@ -254,11 +253,10 @@ def _renorm_from(conf: _Conf, leaf: Leaf, default_q=(1,)) -> tuple[RenormConfig,
     J = conf.num("renorm", "J", default=70, lo=1)
     alpha = conf.flt("renorm", "alpha", default=2.0, lo=1.0, lo_open=True)
     beta = conf.flt("renorm", "beta", default=1.0, lo=0.0, lo_open=True)
-    tail_cutoff = conf.num("renorm", "tail_cutoff", default=64, lo=1)
     tail_tol = conf.flt("renorm", "tail_tol", default=1e-12, lo=0.0,
                         hi=1e-3, lo_open=True)
     return (RenormConfig(q=q_list[0], s=leaf.s, J=J, alpha=alpha, beta=beta,
-                         tail_cutoff=tail_cutoff, tail_tol=tail_tol), q_list)
+                         tail_tol=tail_tol), q_list)
 
 
 def parse_run_config(command: str, sections: dict) -> RunConfig:

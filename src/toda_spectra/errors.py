@@ -31,11 +31,7 @@ class BranchJump(TodaSpectraError):
 
 
 class TailNotConverged(TodaSpectraError):
-    """A truncated tail sum has not decayed below tolerance."""
-
-    def __init__(self, message, required_cutoff=None):
-        super().__init__(message)
-        self.required_cutoff = required_cutoff
+    """A truncated tail sum or its quadrature has not converged to tolerance."""
 
 
 class InsufficientData(TodaSpectraError):

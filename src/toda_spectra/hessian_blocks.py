@@ -6,16 +6,20 @@ kernel oracle expands
     K(x, x') = log(1 - x conj(x') U(x) conj(U(x')))
 
 directly and reads off H_{mn} = -mn [x^m][conj(x')^n] K; it is exact but
-only affordable at small sizes.  The Gram route assembles, per symmetry
-class q (indices p_j = q + j*s), the entries
+only affordable at small sizes.  The Gram route has, per symmetry class q
+(indices p_j = q + j*s), the entries
 
     G_{j1 j2} = sum_m ((p_{j2} + s m)^2 / sqrt(p_{j1} p_{j2}))
                 * conj(R_{p_{j1}}(m + j2 - j1)) * R_{p_{j2}}(m),
 
 optionally renormalized by the weights w_j = p_j^{3/2+beta} alpha^{p_j}.
-The weighted assembly fuses the weights into alpha-scaled coefficient rows
-(R_p / alpha^p), so no alpha^{p_j} is ever materialized and the block
-stays finite far beyond the overflow point of the weights themselves.
+With f_j = z^j U^{p_j}, the sum is the coefficient inner product of
+(q + s z d/dz) f_{j1} and (q + s z d/dz) f_{j2}, so on a subcritical point
+(U analytic on the closed unit circle in z) Parseval turns it into a
+trapezoid sum over samples of U on that circle (``gram_block``).  The
+weighted assembly works with V = U/alpha, so no alpha^{p_j} is ever
+materialized and the block stays finite far beyond the overflow point of
+the weights themselves.
 """
 
 from __future__ import annotations
@@ -29,12 +33,11 @@ import numpy as np
 
 from .errors import NoConvergence, TailNotConverged
 from .series_engine import (
+    CirclePowerTable,
     ParamPoint,
-    PowerSeries,
     _branch_values_on_circle,
     branch_power_rows,
-    powers_table,
-    taylor_branch,
+    taylor_branch,  # noqa: F401  (looked up here by perfbench/tracer.py)
 )
 
 __all__ = [
@@ -52,16 +55,20 @@ __all__ = [
 
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
+# circle samples per Gram accumulation step: bounds the synthesis rows held
+# at once to GRAM_CHUNK x (J+1), whatever the grid size
+GRAM_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class RenormConfig:
     """Truncation and renormalization knobs for one symmetry block.
 
     ``q`` selects the residue class (1..s); block indices are
-    p_j = q + j*s for j = 0..J.  ``tail_cutoff`` is the number of tail
-    terms summed per Gram entry.  Construction verifies q's range and
-    that every weight w_j = p_j^(3/2+beta) * alpha^p_j is finite in
-    double precision, even though assemblies never form them.
+    p_j = q + j*s for j = 0..J.  ``tail_tol`` is the relative accuracy
+    asked of Gram entries (see ``gram_block``).  Construction verifies
+    q's range and that every weight w_j = p_j^(3/2+beta) * alpha^p_j is
+    finite in double precision, even though assemblies never form them.
     """
 
     q: int
@@ -69,7 +76,6 @@ class RenormConfig:
     J: int = 70
     alpha: float = 2.0
     beta: float = 1.0
-    tail_cutoff: int = 64
     tail_tol: float = 1e-12
 
     def __post_init__(self):
@@ -77,8 +83,8 @@ class RenormConfig:
             raise ValueError("symmetry index s must be >= 1")
         if not 1 <= self.q <= self.s:
             raise ValueError(f"q must lie in 1..s, got q={self.q}, s={self.s}")
-        if self.J < 1 or self.tail_cutoff < 1:
-            raise ValueError("J and tail_cutoff must be >= 1")
+        if self.J < 1:
+            raise ValueError("J must be >= 1")
         if not self.alpha > 1:
             raise ValueError("alpha must exceed 1")
         if not self.beta > 0:
@@ -132,8 +138,7 @@ def kernel_hessian_oracle(p: ParamPoint, m_max: int) -> HermitianMatrix:
         raise ValueError("m_max must be >= 1")
     s = p.leaf.s
     order = m_max // s + 1
-    tab = powers_table(taylor_branch(p, order), m_max)
-    R = np.vstack([t.coeffs for t in tab])  # R[p-1, k] = R_p(k)
+    R = branch_power_rows(p, list(range(1, m_max + 1)), order)  # R_p(k) at [p-1, k]
     H = np.zeros((m_max, m_max), dtype=np.complex128)
     for m in range(1, m_max + 1):
         for n in range(1, m + 1):
@@ -148,10 +153,11 @@ def kernel_hessian_oracle(p: ParamPoint, m_max: int) -> HermitianMatrix:
 
 
 def tail_cutoff_for(rho_star: float, s: int, tail_tol: float = 1e-12) -> int:
-    """Tail length making the geometric entry truncation error <= tail_tol.
+    """Coefficient order past which the geometric entry tail is <= tail_tol.
 
     Entry tails decay like eta^m with eta = rho_*^(-2s); the floor of 64
     keeps shallow (large-eps) points from under-resolving the prefactor.
+    A scan point's circle table is built to this order plus J.
     """
     if not rho_star > 1:
         raise ValueError("tail cutoff needs a subcritical point (rho_* > 1)")
@@ -159,80 +165,69 @@ def tail_cutoff_for(rho_star: float, s: int, tail_tol: float = 1e-12) -> int:
     return max(64, math.ceil(math.log(tail_tol) / math.log(eta)))
 
 
-def gram_block(p: ParamPoint, cfg: RenormConfig, use_weights: bool,
-               rho_star: float | None = None) -> HermitianMatrix:
-    """Assemble one (J+1)x(J+1) symmetry block of the Gram operator.
+def gram_block(table: CirclePowerTable, cfg: RenormConfig,
+               use_weights: bool) -> HermitianMatrix:
+    """Assemble one (J+1)x(J+1) symmetry block of the Gram operator by
+    Parseval quadrature on the circle samples of ``table``.
 
-    With ``use_weights`` the returned entries are
-    G~_{j1j2} = G_{j1j2} / (w_{j1} w_{j2}), computed from alpha-scaled
-    coefficient rows and the polynomial weight parts only.
+    With V = U/alpha and p_j = q + s*j,
+    (q + s z d/dz)(z^j V^{p_j}) = p_j z^j V^{p_j} (1 + s z U'/U), so the
+    block is G = (1/N) X^H X over the N samples z_k, with
 
-    ``rho_star`` (if known) marks the point as subcritical, enabling the
-    circle-sampling coefficient path for deep tails and sharpening the
-    required-cutoff estimate in the truncation error.
+        X[k, j] = c_j |1 + s z_k U'_k/U_k| V_k^q (z_k V_k^s)^j.
+
+    With ``use_weights`` the entries are G~_{j1j2} = G_{j1j2}/(w_{j1} w_{j2}):
+    alpha = cfg.alpha and c_j = p_j^-(1+beta).  Without, alpha = 1 and
+    c_j = p_j^(1/2).  The rows are built by repeated multiplication and
+    accumulated over chunks of GRAM_CHUNK samples.
+
+    Aliasing contract: the even samples give the same block on the N/2
+    grid in the same pass, and max|G_N - G_{N/2}| must not exceed
+    sqrt(tail_tol) * max|G_N|.  The trapezoid error decays geometrically in
+    N, so the error of G_N is then about the square of that relative
+    difference, at most tail_tol * max|G_N|.
 
     Raises
     ------
     TailNotConverged
-        If for some entry the last retained term exceeds tail_tol times
-        the accumulated entry; carries an estimate of the cutoff that
-        would suffice.
+        If the half-grid block misses the aliasing contract.
     """
+    p = table.param
     if cfg.s != p.leaf.s:
         raise ValueError(f"config s={cfg.s} does not match leaf s={p.leaf.s}")
-    J, M = cfg.J, cfg.tail_cutoff
-    order = M + J
-    alpha = cfg.alpha if use_weights else 1.0
+    J, n = cfg.J, table.n_grid
     pj = cfg.p_indices.astype(np.float64)
-    subcritical = rho_star is not None and rho_star > 1
-    R = branch_power_rows(p, list(cfg.p_indices), order, alpha=alpha,
-                          subcritical=subcritical)
-
-    # Row-shifted synthesis layout B[j, i] = R_{p_j}(i - j): the tail weight
-    # becomes (p_{j2} + s m)^2 = p_i^2 on the shared row index i, so the
-    # whole block is one rank-(M+J+1) matrix product.
-    width = order + 1
-    B = np.zeros((J + 1, width), dtype=np.complex128)
-    for j in range(J + 1):
-        B[j, j:] = R[j, : width - j]
-    del R
-    p_i = cfg.q + cfg.s * np.arange(width, dtype=np.float64)
-    C = B * p_i**2
-    for j in range(1, J + 1):
-        C[j, : j] = 0.0  # (redundant: B already vanishes there)
-    for j in range(J + 1):
-        C[j, j + M + 1 :] = 0.0  # literal tail window m <= M per column
-    G_pre = B.conj() @ C.T  # G_pre[j1, j2] = entry for j1 <= j2
-
     if use_weights:
-        norm = pj ** -(2.0 + cfg.beta)
+        alpha, c = cfg.alpha, pj ** -(1.0 + cfg.beta)
     else:
-        norm = pj ** -0.5
-    G_pre *= np.outer(norm, norm)
-
-    # truncation check: last retained term vs accumulated entry, upper triangle
-    j_all = np.arange(J + 1)
-    lastC = np.abs(C[j_all, j_all + M])
-    lastB = np.abs(B[:, j_all + M])  # [j1, j2]
-    last = lastB * lastC[None, :] * np.outer(norm, norm)
-    del C
-    iu = np.triu_indices(J + 1)
-    ent_abs = np.abs(G_pre[iu])
-    bad = (ent_abs > 0) & (last[iu] > cfg.tail_tol * ent_abs)
-    if np.any(bad):
-        worst_ratio = float((last[iu][bad] / ent_abs[bad]).max())
-        if subcritical:
-            eta = rho_star ** (-2 * cfg.s)
-            extra = math.ceil(math.log(cfg.tail_tol / worst_ratio)
-                              / math.log(eta))
-        else:
-            extra = M
+        alpha, c = 1.0, np.sqrt(pj)
+    S = np.zeros((2, J + 1, J + 1), dtype=np.complex128)  # even, odd samples
+    for lo in range(0, n, GRAM_CHUNK):
+        z, u, zdlog = table.samples(lo, min(lo + GRAM_CHUNK, n))
+        v = u / alpha
+        row = np.abs(1.0 + cfg.s * zdlog)
+        for _ in range(cfg.q):
+            row = row * v
+        step = z
+        for _ in range(cfg.s):
+            step = step * v
+        # X^T of the chunk, even samples in X[0] and odd ones in X[1]
+        X = np.empty((2, J + 1, len(z) // 2), dtype=np.complex128)
+        for j in range(J + 1):
+            X[:, j] = (c[j] * row).reshape(-1, 2).T
+            row = row * step
+        for parity in (0, 1):
+            S[parity] += X[parity].conj() @ X[parity].T
+    G = (S[0] + S[1]) / n
+    alias = np.abs(S[1] - S[0]).max() / n
+    scale = np.abs(G).max()
+    if alias > math.sqrt(cfg.tail_tol) * scale:
         raise TailNotConverged(
-            f"last tail term is {worst_ratio:.2e} of its entry "
-            f"(tol {cfg.tail_tol:g}) at M_tail={M}",
-            required_cutoff=M + max(extra, 1),
+            f"half-grid Gram block differs by {alias / scale:.2e} of max|G| "
+            f"(limit sqrt(tail_tol) = {math.sqrt(cfg.tail_tol):.1e}) "
+            f"at n_grid={n}"
         )
-    return HermitianMatrix.from_lower(np.tril(G_pre.conj().T))
+    return HermitianMatrix.from_lower(np.tril(G))
 
 
 def mode_gram_vectors(p: ParamPoint, q: int, j_max: int,
@@ -246,15 +241,13 @@ def mode_gram_vectors(p: ParamPoint, q: int, j_max: int,
     s = p.leaf.s
     if not 1 <= q <= s:
         raise ValueError(f"q must lie in 1..s, got {q}")
-    u = taylor_branch(p, j_max)
-    top_power = q + p_count * s
-    tab = powers_table(u, top_power)
+    modes = [q + k * s for k in range(p_count + 1)]
+    R = branch_power_rows(p, modes, j_max)
     pj = q + s * np.arange(j_max + 1)
     out = []
-    for k in range(p_count + 1):
-        mode = q + k * s
+    for k, mode in enumerate(modes):
         v = np.zeros(j_max + 1, dtype=np.complex128)
-        v[k:] = pj[k:] / math.sqrt(mode) * tab[mode - 1].coeffs[: j_max + 1 - k]
+        v[k:] = pj[k:] / math.sqrt(mode) * R[k, : j_max + 1 - k]
         out.append(v)
     return out
 

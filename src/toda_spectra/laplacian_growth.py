@@ -444,10 +444,11 @@ def radius_excess(state: TrajectoryState, *, order: int = 200,
     point = state.param_point()
     if max(abs(z) for z in point.zeta) < 1e-12:
         return math.inf
-    rho_min = min(cp.modulus for cp in solve_characteristic(point))
+    points = solve_characteristic(point)
+    rho_min = min(cp.modulus for cp in points)
     if rho_min > validate_below:
         return rho_min - 1.0
-    return dominant_data(point, order).rho_star - 1.0
+    return dominant_data(point, order, points=points).rho_star - 1.0
 
 
 @dataclass(frozen=True)

@@ -253,13 +253,15 @@ def functional_residual(p: ParamPoint, u: PowerSeries) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Large-order coefficient rows via circle sampling
+# Circle evaluation of the branch
 #
-# Deep subcritical tails need R_p(m) for m up to ~1e5; the O(M^2)
-# convolution chain is hopeless there.  Instead U is evaluated on a uniform
-# grid of the unit circle in z (strictly inside the analyticity disk when
-# rho_* > 1), powers are formed pointwise, and one inverse FFT per p
-# recovers the coefficients with aliasing error ~ rho_*^(-s*N_grid).
+# Deep subcritical points need U's coefficients to orders ~1e5, where the
+# O(M^2) convolution chain is hopeless.  When rho_* > 1 the branch is
+# analytic on the closed unit disk in z, so it is evaluated once on a uniform
+# grid of the unit circle.  Gram blocks are Parseval sums over these samples
+# (``hessian_blocks.gram_block``); ``CirclePowerTable.rows`` instead forms
+# powers pointwise and recovers coefficient rows by one inverse FFT per p,
+# with aliasing error ~ rho_*^(-s*N_grid).
 # ---------------------------------------------------------------------------
 
 
@@ -317,11 +319,14 @@ def _int_pow_values(vals: np.ndarray, k: int) -> np.ndarray:
 
 
 class CirclePowerTable:
-    """Coefficient rows of (U/alpha)**p recovered from unit-circle samples.
+    """Samples of U on the unit circle in z, with coefficient rows of
+    (U/alpha)**p recovered from them.
 
     Build once per parameter point (the expensive part is the branch
-    evaluation), then request rows for any set of powers.  Requires the
-    Taylor branch to be analytic beyond |z| = 1, i.e. rho_*(zeta)**s > 1.
+    evaluation), then take Gram blocks or rows for any set of powers.  The
+    grid has at least 2*(order+1) points, and the first coefficients of the
+    samples are checked against the series recursion.  Requires the Taylor
+    branch to be analytic beyond |z| = 1, i.e. rho_*(zeta)**s > 1.
     """
 
     def __init__(self, p: ParamPoint, order: int, alpha: float = 1.0,
@@ -347,6 +352,25 @@ class CirclePowerTable:
                 f"circle samples disagree with the series recursion "
                 f"(relative error {err:.2e}); wrong sheet or insufficient grid"
             )
+
+    def samples(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Grid points lo..hi-1 as (z_k, U(z_k), z_k U'(z_k) / U(z_k)).
+
+        Differentiating the branch equation gives
+        z U' = sum_n sh_n zeta_n z^sh_n U^k_n
+               / (1 - sum_n k_n zeta_n z^sh_n U^(k_n - 1)),
+        whose denominator is the Newton derivative of the radius ramp.
+        """
+        z = np.exp(2j * np.pi * np.arange(lo, hi) / self.n_grid)
+        u = self.values[lo:hi]
+        num = np.zeros_like(u)
+        den = np.ones_like(u)
+        for zn, sh, k in zip(self.param.zeta, self.param.leaf.collapsed_shifts,
+                             self.param.leaf.exponents):
+            t = zn * z**sh * u ** (k - 1)
+            num += sh * t * u
+            den -= k * t
+        return z, u, num / (den * u)
 
     def rows(self, p_list: Iterable[int]) -> np.ndarray:
         """Array of shape (len(p_list), order+1): row i holds R_{p_i}(m)/alpha**p_i."""

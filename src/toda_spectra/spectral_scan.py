@@ -23,15 +23,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .branch_points import DominantData, dominant_data
-from .errors import InsufficientData, TailNotConverged, TodaSpectraError
+from .errors import InsufficientData, TodaSpectraError
 from .hessian_blocks import (
     RenormConfig,
     check_alpha_admissible,
     eigenvalues,
     gram_block,
-    hs_norm,
     tail_cutoff_for,
 )
+from .series_engine import CirclePowerTable
 
 __all__ = [
     "BlockSpectrum",
@@ -135,16 +135,19 @@ def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
               threads: int | None = None) -> list[ScanPoint]:
     """Run the block-spectrum scan over a delta grid.
 
-    ``path`` maps delta to a ParamPoint; ``cfg`` supplies J/alpha/beta/s
-    (its q and tail_cutoff are overridden per block and per point — the
-    tail length adapts to the decay rate eta = rho_*^{-2s} at each delta).
-    Grid points are independent jobs; output order follows the grid, so
-    results do not depend on scheduling.  A point that fails certification
-    or convergence is recorded with the error's name and skipped.
+    ``path`` maps delta to a ParamPoint; ``cfg`` supplies
+    J/alpha/beta/s/tail_tol (its q is overridden per block).  Each point
+    evaluates U once on a circle grid sized by the decay rate
+    eta = rho_*^{-2s} there (``tail_cutoff_for``) and shares it across the
+    q blocks.  Grid points are independent jobs; output order follows the
+    grid, so results do not depend on scheduling.  A point or block that
+    fails certification or convergence is recorded with the error's name
+    and skipped.
     """
     deltas = [float(d) for d in delta_grid]
     qs = list(q_list)
     threads = threads or default_threads()
+    deepest = deltas.index(min(deltas)) if deltas else -1
 
     def run_point(idx: int) -> list[ScanPoint]:
         delta = deltas[idx]
@@ -154,34 +157,20 @@ def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
             if not dom.rho_star > 1:
                 return [ScanPoint(delta, q, None, "supercritical",
                                   f"rho_*={dom.rho_star:.6g}") for q in qs]
-            if idx == min(range(len(deltas)), key=lambda i: deltas[i]):
+            if idx == deepest:
                 check_alpha_admissible(param, dom.rho_star, cfg.alpha)
-            eta, L = log_scale(dom.rho_star, dom.s)
+            _, L = log_scale(dom.rho_star, dom.s)
             eps = dom.rho_star - 1.0
-            M_tail = tail_cutoff_for(dom.rho_star, dom.s, cfg.tail_tol)
+            table = CirclePowerTable(
+                param, tail_cutoff_for(dom.rho_star, dom.s, cfg.tail_tol) + cfg.J)
         except TodaSpectraError as e:
             return [ScanPoint(delta, q, None, type(e).__name__, str(e))
                     for q in qs]
         out = []
         for q in qs:
             try:
-                # The eta-based cutoff under-resolves high modes (their
-                # coefficient rows peak before decaying), so honor the
-                # per-entry truncation contract by growing the tail until
-                # the last-term check passes.
-                M_q = M_tail
-                for _ in range(12):
-                    cq = replace(cfg, q=q, tail_cutoff=M_q)
-                    try:
-                        G = gram_block(param, cq, use_weights=True,
-                                       rho_star=dom.rho_star)
-                        break
-                    except TailNotConverged as e:
-                        M_q = max(e.required_cutoff or 2 * M_q,
-                                  int(1.6 * M_q))
-                else:
-                    gram_block(param, replace(cfg, q=q, tail_cutoff=M_q),
-                               use_weights=True, rho_star=dom.rho_star)
+                cq = replace(cfg, q=q)
+                G = gram_block(table, cq, use_weights=True)
                 d, gamma = spike_vector(dom, cq)
                 C = G.entries - L * np.outer(d, d.conj())
                 mu = eigenvalues(G)[:k_max]

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -202,3 +203,24 @@ def test_subcommand_needs_matching_sections(tmp_path, capsys):
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+def _readme_cli_lines():
+    """The ``toda-spectra ...`` commands of the README's *Command-line
+    usage* section, with backslash continuations joined."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("## Command-line usage", 1)[1].split("\n## ", 1)[0]
+    joined = section.replace("\\\n", " ")
+    return [line.strip() for line in joined.splitlines()
+            if line.strip().startswith("toda-spectra ")]
+
+
+def test_readme_cli_examples_parse():
+    lines = _readme_cli_lines()
+    assert len(lines) >= 6
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.config and args.config.startswith("configs/"), line
+        assert (Path(__file__).resolve().parents[1] / args.config).is_file()

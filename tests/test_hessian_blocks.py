@@ -7,8 +7,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from toda_spectra import (HermitianMatrix, Leaf, ParamPoint, RenormConfig,
-                          TailNotConverged, branch_power_rows,
+from toda_spectra import (CirclePowerTable, HermitianMatrix, Leaf, ParamPoint,
+                          RenormConfig, TailNotConverged, branch_power_rows,
                           check_alpha_admissible, eigensystem, eigenvalues,
                           gram_block, hs_norm, kernel_hessian_oracle,
                           mode_gram_vectors, tail_cutoff_for)
@@ -17,7 +17,7 @@ POINT2 = ParamPoint(Leaf((2,)), (0.2,))
 
 
 def _cfg(**kw):
-    base = dict(q=1, s=2, J=8, alpha=2.0, beta=1.0, tail_cutoff=200)
+    base = dict(q=1, s=2, J=8, alpha=2.0, beta=1.0)
     base.update(kw)
     return RenormConfig(**base)
 
@@ -28,7 +28,7 @@ def _cfg(**kw):
 
 @pytest.mark.parametrize("kw", [
     dict(q=0), dict(q=3), dict(s=0), dict(J=0), dict(alpha=1.0),
-    dict(alpha=0.5), dict(beta=0.0), dict(beta=-1.0), dict(tail_cutoff=0),
+    dict(alpha=0.5), dict(beta=0.0), dict(beta=-1.0),
 ])
 def test_renorm_config_rejects(kw):
     with pytest.raises(ValueError):
@@ -111,15 +111,15 @@ def test_mode_vectors_reject_bad_block_index():
 
 
 def test_gram_block_matches_direct_sum():
-    cfg = _cfg(J=5, tail_cutoff=250)
-    got = gram_block(POINT2, cfg, use_weights=False).entries
-    rows = branch_power_rows(POINT2, list(cfg.p_indices),
-                             cfg.tail_cutoff + cfg.J)
+    cfg, M = _cfg(J=5), 250  # eta^M = 1.118^-1000: the tail is exhausted
+    got = gram_block(CirclePowerTable(POINT2, M + cfg.J), cfg,
+                     use_weights=False).entries
+    rows = branch_power_rows(POINT2, list(cfg.p_indices), M + cfg.J)
     direct = np.zeros((6, 6), dtype=np.complex128)
     for j1 in range(6):
         for j2 in range(6):
             acc = 0.0j
-            for m in range(cfg.tail_cutoff + 1):
+            for m in range(M + 1):
                 if m + j2 - j1 < 0:
                     continue
                 p_i = cfg.q + cfg.s * (m + j2)
@@ -132,29 +132,35 @@ def test_gram_block_matches_direct_sum():
 
 
 def test_gram_block_weight_rescaling():
-    cfg = _cfg(J=5, tail_cutoff=250)
-    plain = gram_block(POINT2, cfg, use_weights=False).entries
-    weighted = gram_block(POINT2, cfg, use_weights=True).entries
+    cfg = _cfg(J=5)
+    table = CirclePowerTable(POINT2, 250)
+    plain = gram_block(table, cfg, use_weights=False).entries
+    weighted = gram_block(table, cfg, use_weights=True).entries
     pj = cfg.p_indices.astype(float)
     f = pj ** (-1.5 - cfg.beta) * cfg.alpha ** (-pj)
     npt.assert_allclose(weighted, plain * np.outer(f, f), rtol=1e-10)
 
 
 def test_gram_block_is_hermitian():
-    h = gram_block(POINT2, _cfg(J=6, tail_cutoff=220), use_weights=True)
+    h = gram_block(CirclePowerTable(POINT2, 220), _cfg(J=6), use_weights=True)
     npt.assert_array_equal(h.entries, h.entries.conj().T)
 
 
 def test_gram_block_checks_leaf_symmetry():
     with pytest.raises(ValueError):
-        gram_block(POINT2, _cfg(s=3, q=1), use_weights=False)
+        gram_block(CirclePowerTable(POINT2, 64), _cfg(s=3, q=1),
+                   use_weights=False)
 
 
-def test_gram_block_short_tail_raises():
-    cfg = _cfg(J=4, tail_cutoff=8)
-    with pytest.raises(TailNotConverged) as exc:
-        gram_block(POINT2, cfg, use_weights=True, rho_star=1.118)
-    assert exc.value.required_cutoff > cfg.tail_cutoff
+def test_gram_block_undersized_table_raises():
+    # 3e-3 below the critical zeta = 1/4, coefficients decay like 0.997^m:
+    # the 4096-point grid passes the table's own check on the first
+    # coefficients, but its half grid misses the aliasing contract
+    point = ParamPoint(Leaf((2,)), (0.25 * (1.0 - 3e-3),))
+    table = CirclePowerTable(point, 64 + 12)
+    assert table.n_grid == 4096
+    with pytest.raises(TailNotConverged):
+        gram_block(table, _cfg(J=12), use_weights=True)
 
 
 def test_tail_cutoff_for_values():

@@ -11,6 +11,7 @@ from toda_spectra import (BlockSpectrum, InsufficientData, Leaf, ParamPoint,
                           RenormConfig, ScanPoint, default_threads,
                           dominant_data, fit_log_scaling, log_scale,
                           scan_path, spike_vector)
+from toda_spectra import spectral_scan
 from toda_spectra.spectral_scan import BOUNDED_TOL
 
 LEAF2 = Leaf((2,))
@@ -146,6 +147,20 @@ def test_scan_records_supercritical_points():
                for pt in scan)
     with pytest.raises(InsufficientData):
         fit_log_scaling(scan)
+
+
+def test_scan_records_undersized_grid_as_failed_cells(monkeypatch):
+    # a 64-term cutoff gives a 4096-point grid, too coarse at delta = 3e-3
+    # (the Gram aliasing check fails) but enough at 3e-2
+    monkeypatch.setattr(spectral_scan, "tail_cutoff_for",
+                        lambda rho_star, s, tail_tol=1e-12: 64)
+    scan = scan_path(_critical_path, [3e-3, 3e-2], SCAN_CFG, (1, 2),
+                     order=250, threads=1)
+    assert [(pt.delta, pt.q) for pt in scan] == [
+        (3e-3, 1), (3e-3, 2), (3e-2, 1), (3e-2, 2)]
+    assert [pt.status for pt in scan] == [
+        "TailNotConverged", "TailNotConverged", "ok", "ok"]
+    assert "n_grid=4096" in scan[0].detail
 
 
 def test_scan_q_list_order_is_cosmetic():
