@@ -7,6 +7,7 @@ from .errors import (
     NoDominantOrbit,
     BranchJump,
     TailNotConverged,
+    GridTooLarge,
     InsufficientData,
     TrajectoryStalled,
     UnivalenceLost,

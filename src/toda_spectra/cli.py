@@ -120,9 +120,15 @@ class RunConfig:
 _MISSING = object()
 
 
+# keys main() reads itself: where and how parallel a run happens, kept out
+# of the echoed config
+_DELIVERY_KEYS = {("run", "out"), ("run", "threads")}
+
+
 def _raw(sections: dict, sec: str, key: str, default=_MISSING) -> str:
+    """Value of ``[sec] key`` from key-folded ``sections``."""
     try:
-        return sections[sec][key]
+        return sections[sec][key.lower()]
     except KeyError:
         if default is _MISSING:
             raise ConfigError(f"[{sec}] {key}: required key is missing")
@@ -176,11 +182,15 @@ class _Conf:
     """Typed view over merged string sections, tracking what was consumed.
 
     Every successful read is written back in canonical form, so after
-    validation ``canonical()`` returns exactly the effective config.
+    validation ``canonical()`` returns exactly the effective config.  Key
+    lookup ignores case; ``unknown()`` lists the given keys never read.
     """
 
     def __init__(self, sections: dict):
-        self._in = sections
+        # keys case-folded; of two spellings the later wins, so an override
+        # added after the file's keys still takes precedence
+        self._in = {sec: {key.lower(): val for key, val in kv.items()}
+                    for sec, kv in sections.items()}
         self._out: dict = {}
 
     def _note(self, sec, key, rendered):
@@ -232,7 +242,14 @@ class _Conf:
         return raw
 
     def maybe(self, sec, key) -> bool:
-        return sec in self._in and key in self._in[sec]
+        return key.lower() in self._in.get(sec, {})
+
+    def unknown(self) -> list[str]:
+        """Given keys that were never read, as ``[section] key``."""
+        read = {(sec, key.lower()) for sec, kv in self._out.items() for key in kv}
+        given = {(sec, key) for sec, kv in self._in.items() for key in kv}
+        return [f"[{sec}] {key}"
+                for sec, key in sorted(given - read - _DELIVERY_KEYS)]
 
     def canonical(self) -> dict:
         return {s: dict(sorted(kv.items())) for s, kv in sorted(self._out.items())}
@@ -263,7 +280,9 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
     """Validate merged string sections into a RunConfig for ``command``.
 
     All in-range checks mirroring module preconditions happen here,
-    before any computation starts.
+    before any computation starts.  Keys match case-insensitively, and a
+    key the command does not read (a misspelling, or a knob of another
+    command or driver) is an error, not silently dropped.
     """
     if command not in _COMMANDS:
         raise ConfigError(
@@ -391,6 +410,10 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
             gamma_c=conf.flag("leaves", "gamma_c", default=False),
             gamma_c_tol=conf.flt("leaves", "gamma_c_tol", default=1e-5, lo=1e-6),
         )
+    unknown = conf.unknown()
+    if unknown:
+        raise ConfigError(f"unknown key(s) for command {command!r}: "
+                          + ", ".join(unknown))
     return RunConfig(command=command, sections=conf.canonical(), values=values)
 
 
@@ -638,7 +661,8 @@ def _apply_overrides(sections: dict, pairs) -> None:
             raise ConfigError(
                 f"--set {pair!r}: expected SECTION.KEY=VALUE")
         sec, _, key = head.partition(".")
-        sections.setdefault(sec.strip(), {})[key.strip()] = value.strip()
+        # lowercased like the keys configparser reads from the file
+        sections.setdefault(sec.strip(), {})[key.strip().lower()] = value.strip()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,6 +34,11 @@ class TailNotConverged(TodaSpectraError):
     """A truncated tail sum or its quadrature has not converged to tolerance."""
 
 
+class GridTooLarge(TodaSpectraError):
+    """A requested sample grid exceeds the memory ceiling; refused before
+    it is allocated."""
+
+
 class InsufficientData(TodaSpectraError):
     """Not enough successful points to perform a requested fit."""
 

@@ -36,6 +36,7 @@ from .series_engine import (
     CirclePowerTable,
     ParamPoint,
     _branch_values_on_circle,
+    _int_pow_values,
     branch_power_rows,
     taylor_branch,  # noqa: F401  (looked up here by perfbench/tracer.py)
 )
@@ -181,11 +182,19 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig,
     c_j = p_j^(1/2).  The rows are built by repeated multiplication and
     accumulated over chunks of GRAM_CHUNK samples.
 
+    The product is taken in real arithmetic.  Writing X = A + iB,
+    G = (1/N) [(A^T A + B^T B) + i (A^T B - B^T A)]; the real part is one
+    real product of the interleaved (re, im) columns.  For real zeta,
+    X[N-k, j] = conj X[k, j], so the imaginary part vanishes and only
+    samples 0..N/2 are summed, with weights 1, 2, ..., 2, 1.  The
+    imaginary part is formed only for complex zeta, over all N samples.
+
     Aliasing contract: the even samples give the same block on the N/2
     grid in the same pass, and max|G_N - G_{N/2}| must not exceed
     sqrt(tail_tol) * max|G_N|.  The trapezoid error decays geometrically in
     N, so the error of G_N is then about the square of that relative
-    difference, at most tail_tol * max|G_N|.
+    difference, at most tail_tol * max|G_N|.  Samples k and N-k have the
+    same parity, so the half-sum keeps the even/odd split exact.
 
     Raises
     ------
@@ -201,25 +210,39 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig,
         alpha, c = cfg.alpha, pj ** -(1.0 + cfg.beta)
     else:
         alpha, c = 1.0, np.sqrt(pj)
-    S = np.zeros((2, J + 1, J + 1), dtype=np.complex128)  # even, odd samples
-    for lo in range(0, n, GRAM_CHUNK):
-        z, u, zdlog = table.samples(lo, min(lo + GRAM_CHUNK, n))
+    real = p.is_real()
+    # samples summed, and the factor in front of their sum
+    n_sum, norm = (n // 2 + 1, 2.0 / n) if real else (n, 1.0 / n)
+    S = np.zeros((2, J + 1, J + 1))  # real part over even, odd samples
+    T = None if real else np.zeros((2, J + 1, J + 1))  # imaginary part
+    for lo in range(0, n_sum, GRAM_CHUNK):
+        hi = min(lo + GRAM_CHUNK, n_sum)
+        z, u, zdlog = table.samples(lo, hi)
         v = u / alpha
-        row = np.abs(1.0 + cfg.s * zdlog)
-        for _ in range(cfg.q):
-            row = row * v
-        step = z
-        for _ in range(cfg.s):
-            step = step * v
-        # X^T of the chunk, even samples in X[0] and odd ones in X[1]
-        X = np.empty((2, J + 1, len(z) // 2), dtype=np.complex128)
-        for j in range(J + 1):
-            X[:, j] = (c[j] * row).reshape(-1, 2).T
-            row = row * step
-        for parity in (0, 1):
-            S[parity] += X[parity].conj() @ X[parity].T
-    G = (S[0] + S[1]) / n
-    alias = np.abs(S[1] - S[0]).max() / n
+        row = np.abs(1.0 + cfg.s * zdlog) * _int_pow_values(v, cfg.q)
+        step = z * _int_pow_values(v, cfg.s)
+        if real:  # weight 1 at z = 1 and z = -1, against 2 in norm
+            if lo == 0:
+                row[0] *= math.sqrt(0.5)
+            if hi == n_sum:
+                row[-1] *= math.sqrt(0.5)
+        for parity in (0, 1):  # lo is even: local parity is global parity
+            r, st = row[parity::2], step[parity::2]
+            X = np.empty((J + 1, len(r)), dtype=np.complex128)
+            for j in range(J + 1):
+                np.multiply(r, c[j], out=X[j])
+                r = r * st
+            Xf = X.view(np.float64)  # columns re, im interleaved
+            S[parity] += Xf @ Xf.T
+            if T is not None:
+                P = Xf[:, 0::2] @ Xf[:, 1::2].T
+                T[parity] += P - P.T
+    G = norm * (S[0] + S[1])
+    D = S[1] - S[0]
+    if T is not None:
+        G = G + 1j * (norm * (T[0] + T[1]))
+        D = D + 1j * (T[1] - T[0])
+    alias = norm * np.abs(D).max()
     scale = np.abs(G).max()
     if alias > math.sqrt(cfg.tail_tol) * scale:
         raise TailNotConverged(

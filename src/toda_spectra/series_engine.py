@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import GridTooLarge, NoConvergence
 
 __all__ = [
     "Leaf",
@@ -94,6 +94,10 @@ class ParamPoint:
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.zeta)
+
+    def is_real(self) -> bool:
+        """True when every zeta_n is real, so that U(conj z) = conj U(z)."""
+        return all(v.imag == 0 for v in self.zeta)
 
 
 @dataclass
@@ -262,7 +266,36 @@ def functional_residual(p: ParamPoint, u: PowerSeries) -> float:
 # (``hessian_blocks.gram_block``); ``CirclePowerTable.rows`` instead forms
 # powers pointwise and recovers coefficient rows by one inverse FFT per p,
 # with aliasing error ~ rho_*^(-s*N_grid).
+#
+# The evaluation is a Newton continuation in the radius, and its cost is
+# kept down three ways.  For real zeta, U(conj z) = conj U(z): Newton runs
+# on samples 0..N/2 only and the rest are their mirror images.  Within a
+# radius stage a sample leaves the Newton iteration once its own step is
+# below the stage's tolerance, so the slow samples near the dominant
+# singularity no longer drag the converged ones along.  Integer powers are
+# formed by multiplication (``_int_pow_values``), not by complex ``**``.
 # ---------------------------------------------------------------------------
+
+# above this many points a circle grid is refused before it is allocated:
+# at 2**21 points the table, its FFT check and the Newton work arrays take
+# a few hundred MB per scan thread
+MAX_CIRCLE_GRID = 2**21
+
+
+def _int_pow_values(vals: np.ndarray, k: int) -> np.ndarray:
+    """vals**k for integer k >= 0 by binary powering (deterministic rounding).
+
+    For k = 1 the input array itself is returned, not a copy.
+    """
+    out = None
+    base = vals
+    while k:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return np.ones_like(vals) if out is None else out
 
 
 def _branch_values_on_circle(p: ParamPoint, n_points: int, radius: float = 1.0,
@@ -270,31 +303,55 @@ def _branch_values_on_circle(p: ParamPoint, n_points: int, radius: float = 1.0,
     """Values of the Taylor branch at z = radius * exp(2*pi*i*k/n_points).
 
     Continues the solution of y = 1 + sum zeta_n z^shift_n y^k_n from the
-    center (y = 1 at radius 0) outward, shrinking the radius step near the
-    target so Newton always stays on the Taylor sheet.
+    center (y = 1 at radius 0) outward in 36 radius stages, shrinking the
+    radius step near the target so Newton always stays on the Taylor
+    sheet.  For real zeta only samples 0..n_points//2 are solved and the
+    others are filled as U(z_k) = conj U(z_(n-k)).
+
+    In each stage, the first Newton iteration runs on every sample and
+    fixes the stage tolerance tol * (1 + max|y|); after each iteration the
+    samples whose step is below it keep their value and drop out.
+
+    Raises
+    ------
+    NoConvergence
+        If some sample is still moving after 60 iterations of a stage.
     """
-    zetas = np.asarray(p.zeta, dtype=np.complex128)
     shifts = p.leaf.collapsed_shifts
     kexps = p.leaf.exponents
-    z_unit = np.exp(2j * np.pi * np.arange(n_points) / n_points)
+    n_solve = n_points // 2 + 1 if p.is_real() else n_points
+    z_unit = np.exp(2j * np.pi * np.arange(n_solve) / n_points)
+    zsh = [_int_pow_values(z_unit, sh) for sh in shifts]
 
     def newton_at(rad, y):
-        zz = (rad * radius) * z_unit
-        zpow = [zz**sh for sh in shifts]
+        # zeta_n (rad z)^sh_n, restricted with y to the samples still moving
+        coef = [(zn * (rad * radius) ** sh) * zp
+                for zn, sh, zp in zip(p.zeta, shifts, zsh)]
+        live = None  # indices of the samples still moving; None: all
+        ya = y
         for _ in range(60):
-            f = y - 1.0
-            fy = np.ones_like(y)
-            for zn, zp, k in zip(zetas, zpow, kexps):
-                yk1 = y ** (k - 1)
-                f -= zn * zp * yk1 * y
-                fy -= k * zn * zp * yk1
+            f = ya - 1.0
+            fy = np.ones_like(ya)
+            for a, k in zip(coef, kexps):
+                t = a * _int_pow_values(ya, k - 1)
+                f -= t * ya
+                fy -= k * t
             step = f / fy
-            y = y - step
-            if np.abs(step).max() < tol * (1.0 + np.abs(y).max()):
+            ya = ya - step
+            if live is None:
+                thr = tol * (1.0 + np.abs(ya).max())
+                y, live = ya, np.arange(len(ya))
+            else:
+                y[live] = ya
+            moving = ~(np.abs(step) < thr)
+            if not moving.any():
                 return y
+            if not moving.all():
+                live, ya = live[moving], ya[moving]
+                coef = [a[moving] for a in coef]
         raise NoConvergence("circle evaluation: Newton stalled on the radius ramp")
 
-    y = np.ones(n_points, dtype=np.complex128)
+    y = np.ones(n_solve, dtype=np.complex128)
     # coarse march to half radius, then geometric approach to the rim
     for rad in np.linspace(0.125, 0.5, 4):
         y = newton_at(rad, y)
@@ -302,19 +359,12 @@ def _branch_values_on_circle(p: ParamPoint, n_points: int, radius: float = 1.0,
     while gap > 1e-7:
         gap *= 0.6
         y = newton_at(1.0 - gap, y)
-    return newton_at(1.0, y)
-
-
-def _int_pow_values(vals: np.ndarray, k: int) -> np.ndarray:
-    """vals**k for integer k >= 0 by binary powering (deterministic rounding)."""
-    out = np.ones_like(vals)
-    base = vals
-    e = k
-    while e:
-        if e & 1:
-            out = out * base
-        base = base * base if e > 1 else base
-        e >>= 1
+    y = newton_at(1.0, y)
+    if n_solve == n_points:
+        return y
+    out = np.empty(n_points, dtype=np.complex128)
+    out[:n_solve] = y
+    out[n_solve:] = np.conj(y[n_points - n_solve:0:-1])
     return out
 
 
@@ -327,6 +377,14 @@ class CirclePowerTable:
     grid has at least 2*(order+1) points, and the first coefficients of the
     samples are checked against the series recursion.  Requires the Taylor
     branch to be analytic beyond |z| = 1, i.e. rho_*(zeta)**s > 1.
+
+    Raises
+    ------
+    GridTooLarge
+        If the grid would exceed MAX_CIRCLE_GRID points; nothing is
+        allocated then.
+    NoConvergence
+        If the radius ramp stalls or the samples fail the series check.
     """
 
     def __init__(self, p: ParamPoint, order: int, alpha: float = 1.0,
@@ -338,6 +396,10 @@ class CirclePowerTable:
         while n < 2 * (order + 1):
             n *= 2
         self.n_grid = n
+        if n > MAX_CIRCLE_GRID:
+            raise GridTooLarge(
+                f"circle grid of {n} points for order {order} exceeds "
+                f"MAX_CIRCLE_GRID = {MAX_CIRCLE_GRID}")
         self.values = _branch_values_on_circle(p, n)
         if validate_orders:
             self._validate(min(validate_orders, order))
@@ -367,7 +429,7 @@ class CirclePowerTable:
         den = np.ones_like(u)
         for zn, sh, k in zip(self.param.zeta, self.param.leaf.collapsed_shifts,
                              self.param.leaf.exponents):
-            t = zn * z**sh * u ** (k - 1)
+            t = zn * _int_pow_values(z, sh) * _int_pow_values(u, k - 1)
             num += sh * t * u
             den -= k * t
         return z, u, num / (den * u)

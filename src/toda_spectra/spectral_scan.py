@@ -139,10 +139,12 @@ def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
     J/alpha/beta/s/tail_tol (its q is overridden per block).  Each point
     evaluates U once on a circle grid sized by the decay rate
     eta = rho_*^{-2s} there (``tail_cutoff_for``) and shares it across the
-    q blocks.  Grid points are independent jobs; output order follows the
-    grid, so results do not depend on scheduling.  A point or block that
-    fails certification or convergence is recorded with the error's name
-    and skipped.
+    q blocks.  Grid points are independent jobs; with more than one thread
+    they are submitted deepest (smallest delta) first, since a point's cost
+    grows like 1/eps, and output order follows the grid either way, so
+    results do not depend on scheduling.  A point or block that fails
+    certification, convergence or the grid ceiling is recorded with the
+    error's name and skipped.
     """
     deltas = [float(d) for d in delta_grid]
     qs = list(q_list)
@@ -187,7 +189,9 @@ def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
 
     if threads > 1 and len(deltas) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            chunks = list(ex.map(run_point, range(len(deltas))))
+            futures = {i: ex.submit(run_point, i)
+                       for i in sorted(range(len(deltas)), key=deltas.__getitem__)}
+            chunks = [futures[i].result() for i in range(len(deltas))]
     else:
         chunks = [run_point(i) for i in range(len(deltas))]
     return [pt for chunk in chunks for pt in chunk]

@@ -200,6 +200,86 @@ def test_subcommand_needs_matching_sections(tmp_path, capsys):
     assert "[char] zeta" in err
 
 
+SCAN_J12_INI = """\
+[leaf]
+exponents = 3 6
+
+[renorm]
+J = 12
+
+[scan]
+zeta_fixed = 0.01
+zeta_critical = 0.1
+"""
+
+
+def test_config_file_keys_match_case_insensitively(tmp_path):
+    # configparser reads `J = 12` as the key `j`; it must still set J
+    sections = cli._load_sections(_write(tmp_path, "scan.ini", SCAN_J12_INI))
+    rc = cli.parse_run_config("scan", sections)
+    assert rc.values["renorm"].J == 12
+    assert rc.sections["renorm"]["J"] == "12"
+    # an override given later wins over the file, in either spelling
+    for key in ("J", "j"):
+        sections = cli._load_sections(tmp_path / "scan.ini")
+        cli._apply_overrides(sections, [f"renorm.{key}=9"])
+        assert cli.parse_run_config("scan", sections).values["renorm"].J == 9
+
+
+def test_misspelt_override_is_rejected(tmp_path, capsys):
+    cfgfile = _write(tmp_path, "series.ini", SERIES_INI)
+    out = tmp_path / "out"
+    assert cli.main(["series", "--config", str(cfgfile), "--out", str(out),
+                     "--set", "series.ordr=40"]) == 1
+    assert "[series] ordr" in capsys.readouterr().err
+    assert not (out / "series_summary.json").exists()
+
+
+def test_stray_config_key_is_rejected(tmp_path):
+    text = SCAN_J12_INI.replace("J = 12", "J = 12\ntail_cutoff = 500")
+    sections = cli._load_sections(_write(tmp_path, "scan.ini", text))
+    with pytest.raises(cli.ConfigError, match=r"\[renorm\] tail_cutoff"):
+        cli.parse_run_config("scan", sections)
+
+
+def test_delivery_keys_are_known(tmp_path):
+    text = SERIES_INI.replace("command = series",
+                              "command = series\nthreads = 1\nout = x")
+    sections = cli._load_sections(_write(tmp_path, "series.ini", text))
+    rc = cli.parse_run_config("series", sections)
+    assert "threads" not in rc.sections["run"]
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in (Path(__file__).resolve().parents[1] / "configs").glob("*.ini")))
+def test_shipped_configs_parse(name):
+    path = Path(__file__).resolve().parents[1] / "configs" / name
+    sections = cli._load_sections(str(path))
+    rc = cli.parse_run_config(sections["run"]["command"], sections)
+    # the canonical echo parses back to itself
+    again = cli.parse_run_config(rc.command, rc.sections)
+    assert again.sections == rc.sections
+
+
+def test_scan_grid_over_ceiling_exits_two(tmp_path, monkeypatch):
+    from toda_spectra import series_engine
+    monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 4096)
+    cfgfile = _write(tmp_path, "spectrum.ini", """\
+[leaf]
+exponents = 2
+
+[renorm]
+J = 12
+
+[spectrum]
+zeta = 0.24975
+""")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", str(cfgfile),
+                     "--out", str(out), "--threads", "1"]) == 2
+    assert set(read_csv(out / "spectra.csv")["status"]) == {"GridTooLarge"}
+
+
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])

@@ -110,14 +110,14 @@ def test_mode_vectors_reject_bad_block_index():
 # Gram blocks
 
 
-def test_gram_block_matches_direct_sum():
-    cfg, M = _cfg(J=5), 250  # eta^M = 1.118^-1000: the tail is exhausted
-    got = gram_block(CirclePowerTable(POINT2, M + cfg.J), cfg,
-                     use_weights=False).entries
-    rows = branch_power_rows(POINT2, list(cfg.p_indices), M + cfg.J)
-    direct = np.zeros((6, 6), dtype=np.complex128)
-    for j1 in range(6):
-        for j2 in range(6):
+def _direct_gram(point, cfg, M):
+    """Unweighted block as the coefficient sum over m <= M, from the
+    series rows."""
+    rows = branch_power_rows(point, list(cfg.p_indices), M + cfg.J)
+    n = cfg.J + 1
+    direct = np.zeros((n, n), dtype=np.complex128)
+    for j1 in range(n):
+        for j2 in range(n):
             acc = 0.0j
             for m in range(M + 1):
                 if m + j2 - j1 < 0:
@@ -128,6 +128,24 @@ def test_gram_block_matches_direct_sum():
             pj1 = cfg.q + cfg.s * j1
             pj2 = cfg.q + cfg.s * j2
             direct[j1, j2] = acc / math.sqrt(pj1 * pj2)
+    return direct
+
+
+def test_gram_block_matches_direct_sum():
+    cfg, M = _cfg(J=5), 250  # eta^M = 1.118^-1000: the tail is exhausted
+    got = gram_block(CirclePowerTable(POINT2, M + cfg.J), cfg,
+                     use_weights=False).entries
+    npt.assert_allclose(got, _direct_gram(POINT2, cfg, M), rtol=1e-12)
+
+
+def test_gram_block_matches_direct_sum_complex_zeta():
+    # complex zeta: all N samples, and the imaginary part of the product
+    point = ParamPoint(Leaf((2,)), (0.2 * np.exp(0.3j),))
+    cfg, M = _cfg(J=5), 250
+    got = gram_block(CirclePowerTable(point, M + cfg.J), cfg,
+                     use_weights=False).entries
+    direct = _direct_gram(point, cfg, M)
+    assert np.abs(direct.imag).max() > 0.1 * np.abs(direct).max()
     npt.assert_allclose(got, direct, rtol=1e-12)
 
 

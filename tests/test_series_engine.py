@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toda_spectra import (CirclePowerTable, Leaf, ParamPoint, PowerSeries,
-                          branch_power_rows, functional_residual, powers_table,
-                          raney_oracle, taylor_branch, taylor_branch_x_grid)
+from toda_spectra import (CirclePowerTable, GridTooLarge, Leaf, ParamPoint,
+                          PowerSeries, branch_power_rows, functional_residual,
+                          powers_table, raney_oracle, taylor_branch,
+                          taylor_branch_x_grid)
+from toda_spectra import series_engine
+from toda_spectra.series_engine import _branch_values_on_circle
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 
@@ -158,6 +161,29 @@ def test_powers_table_is_multiplicative():
 
 # ---------------------------------------------------------------------------
 # circle-sampled rows
+
+
+@pytest.mark.parametrize("zeta", [0.2, 0.2 * np.exp(0.3j)],
+                         ids=["real_mirrored", "complex_full"])
+@pytest.mark.parametrize("n", [4096, 513])
+def test_circle_values_match_one_mode_closed_form(zeta, n):
+    # U = 1 + zeta z U^2 on the leaf {2}: U = (1 - sqrt(1 - 4 zeta z))/(2 zeta z)
+    point = ParamPoint(Leaf((2,)), (zeta,))
+    assert point.is_real() == (np.imag(zeta) == 0)
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    want = (1.0 - np.sqrt(1.0 - 4.0 * zeta * z)) / (2.0 * zeta * z)
+    got = _branch_values_on_circle(point, n)
+    npt.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_circle_table_refuses_grid_over_ceiling(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("grid evaluated past the ceiling")
+
+    monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 4096)
+    monkeypatch.setattr(series_engine, "_branch_values_on_circle", never)
+    with pytest.raises(GridTooLarge, match="8192"):
+        CirclePowerTable(ParamPoint(Leaf((2,)), (0.2,)), 2048)
 
 
 def test_circle_table_agrees_with_convolution():

@@ -11,7 +11,7 @@ from toda_spectra import (BlockSpectrum, InsufficientData, Leaf, ParamPoint,
                           RenormConfig, ScanPoint, default_threads,
                           dominant_data, fit_log_scaling, log_scale,
                           scan_path, spike_vector)
-from toda_spectra import spectral_scan
+from toda_spectra import series_engine, spectral_scan
 from toda_spectra.spectral_scan import BOUNDED_TOL
 
 LEAF2 = Leaf((2,))
@@ -137,6 +137,36 @@ def test_scan_is_deterministic_and_thread_invariant():
         assert a.spectrum.c_norm == b.spectrum.c_norm
 
 
+def _assert_same_points(one, two):
+    assert [(pt.delta, pt.q, pt.status, pt.detail) for pt in one] == [
+        (pt.delta, pt.q, pt.status, pt.detail) for pt in two]
+    for a, b in zip(one, two):
+        assert (a.spectrum is None) == (b.spectrum is None)
+        if a.spectrum is None:
+            continue
+        for name in ("q", "delta", "epsilon", "L", "gamma", "c_norm", "c_hs"):
+            assert getattr(a.spectrum, name) == getattr(b.spectrum, name)
+        npt.assert_array_equal(a.spectrum.mu, b.spectrum.mu)
+        npt.assert_array_equal(a.spectrum.spike, b.spectrum.spike)
+
+
+def test_scan_runs_deepest_first_in_grid_order():
+    grid = [3e-2, 1e-3, 1e-1, 3e-3]
+    calls = []
+
+    def path(delta):
+        calls.append(delta)
+        return _critical_path(delta)
+
+    one = scan_path(_critical_path, grid, SCAN_CFG, (1, 2), order=250,
+                    threads=1)
+    two = scan_path(path, grid, SCAN_CFG, (1, 2), order=250, threads=2)
+    _assert_same_points(one, two)
+    assert [pt.delta for pt in two] == [d for d in grid for _ in (1, 2)]
+    # the two deepest points start first, one per thread
+    assert sorted(calls[:2]) == [1e-3, 3e-3]
+
+
 def test_scan_records_supercritical_points():
     def path(delta):
         return ParamPoint(LEAF2, (0.25 * (1.0 + float(delta)),))
@@ -161,6 +191,16 @@ def test_scan_records_undersized_grid_as_failed_cells(monkeypatch):
     assert [pt.status for pt in scan] == [
         "TailNotConverged", "TailNotConverged", "ok", "ok"]
     assert "n_grid=4096" in scan[0].detail
+
+
+def test_scan_records_grid_over_ceiling_as_failed_cells(monkeypatch):
+    # delta = 1e-3 needs an 8192-point grid; 3e-2 fits in 4096
+    monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 4096)
+    scan = scan_path(_critical_path, [1e-3, 3e-2], SCAN_CFG, (1, 2),
+                     order=250, threads=1)
+    assert [pt.status for pt in scan] == [
+        "GridTooLarge", "GridTooLarge", "ok", "ok"]
+    assert "MAX_CIRCLE_GRID = 4096" in scan[0].detail
 
 
 def test_scan_q_list_order_is_cosmetic():
