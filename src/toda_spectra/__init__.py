@@ -23,7 +23,6 @@ from .series_engine import (
     CirclePowerTable,
     taylor_branch,
     taylor_branch_x_grid,
-    powers_table,
     raney_oracle,
     functional_residual,
     branch_power_rows,
@@ -40,14 +39,11 @@ from .branch_points import (
 )
 from .hessian_blocks import (
     RenormConfig,
-    HermitianMatrix,
     kernel_hessian_oracle,
     tail_cutoff_for,
     gram_block,
     mode_gram_vectors,
-    eigensystem,
     eigenvalues,
-    hs_norm,
     check_alpha_admissible,
 )
 from .spectral_scan import (
@@ -68,7 +64,6 @@ from .laplacian_growth import (
     harmonic_moments,
     univalence_margin,
     initial_state,
-    evolve,
     radius_excess,
     detect_thresholds,
     approach_path,

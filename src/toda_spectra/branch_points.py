@@ -51,6 +51,11 @@ CLUSTER_RADIUS = 1e-8
 SEP_MIN_DEFAULT = 1e-6
 TOL_MATCH_DEFAULT = 5e-3
 EXPONENT_WINDOW = 0.3
+# continuation step accepted when x_* moves by at most this fraction of |x_*|
+JUMP_MAX = 0.1
+# bracketing grid and Brent tolerance of critical_parameter
+CRIT_COARSE = 17
+CRIT_XTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -407,14 +412,14 @@ def _newton_char(p: ParamPoint, x: complex, y: complex,
     return None
 
 
-def continue_critical(path, t_grid, *, order: int = 200,
-                      jump_max: float = 0.1) -> list[tuple[float, CharPoint, float]]:
+def continue_critical(path, t_grid, *,
+                      order: int = 200) -> list[tuple[float, CharPoint, float]]:
     """Continue the dominant characteristic point along zeta(t).
 
     ``path`` maps t to a ParamPoint.  The dominant orbit is identified at the
     first grid point; after that each step reuses the previous (x_*, lambda)
     as the Newton seed.  A step whose solution moves by more than
-    ``jump_max * |x_*|`` is bisected until continuity is restored.
+    ``JUMP_MAX * |x_*|`` is bisected until continuity is restored.
 
     Returns a list of (t, CharPoint, rho_star) in grid order.
 
@@ -436,7 +441,7 @@ def continue_critical(path, t_grid, *, order: int = 200,
         sol = _newton_char(path(t1), cp.x_star, cp.lam)
         if sol is not None:
             x, y = sol
-            if abs(x - cp.x_star) <= jump_max * abs(cp.x_star):
+            if abs(x - cp.x_star) <= JUMP_MAX * abs(cp.x_star):
                 return _char_point_at(path(t1), x, y)
         if depth >= 48:
             raise BranchJump(
@@ -454,19 +459,19 @@ def continue_critical(path, t_grid, *, order: int = 200,
 
 
 def critical_parameter(path, t_lo: float, t_hi: float, *,
-                       order: int = 200, coarse: int = 17,
-                       xtol: float = 1e-12) -> float:
+                       order: int = 200) -> float:
     """Solve rho_*(zeta(t)) = 1 on [t_lo, t_hi] by continuation plus Brent.
 
-    Marches the dominant point over a coarse grid to bracket a sign change
-    of rho_*(t) - 1, then refines with a seeded Newton inside brentq.
+    Marches the dominant point over a CRIT_COARSE-point grid to bracket a
+    sign change of rho_*(t) - 1, then refines with a seeded Newton inside
+    brentq to CRIT_XTOL.
 
     Raises
     ------
     NotBracketed
         rho_* - 1 does not change sign on the interval.
     """
-    grid = np.linspace(t_lo, t_hi, coarse)
+    grid = np.linspace(t_lo, t_hi, CRIT_COARSE)
     track = continue_critical(path, grid, order=order)
     vals = [rho - 1.0 for _, _, rho in track]
     bracket = None
@@ -493,4 +498,4 @@ def critical_parameter(path, t_lo: float, t_hi: float, *,
         seed["cp"] = _char_point_at(path(t), x, y)
         return abs(x) - 1.0
 
-    return float(brentq(g, grid[bracket], grid[bracket + 1], xtol=xtol))
+    return float(brentq(g, grid[bracket], grid[bracket + 1], xtol=CRIT_XTOL))

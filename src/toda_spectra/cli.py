@@ -9,7 +9,10 @@ digits, columns have a fixed order, and no timestamps enter the data
 files, so identical configs produce byte-identical CSV bodies.
 
 Exit status: 0 on a clean run, 1 on configuration errors, 2 when some
-points failed (partial data is still written).
+points failed (partial data is still written).  A run whose start fails
+(the initial growth state, the critical-parameter solve of a scan, or the
+characteristic solve of ``char``) writes the header-only CSV and a summary
+naming the failure, and also exits 2.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ _COMMANDS = ("series", "char", "spectrum", "scan", "lg", "leaves")
 
 SPECTRA_HEADER = ("delta", "epsilon", "L", "q", "k", "mu", "mu_over_L",
                   "gamma", "c_norm", "c_hs", "status")
+CHAR_HEADER = ("index", "x_re", "x_im", "lambda_re", "lambda_im", "kappa_re",
+               "kappa_im", "modulus", "simple", "fold_ok")
 TRAJECTORY_HEADER_FIXED = ("T", "r")  # then a_n..., t_0, t_k..., rho_star, margin
 PHASE_HEADER = ("b", "c_or_gamma", "rho_char", "abs_x_plus", "abs_x_minus",
                 "conjugate_pair", "error_code")
@@ -263,6 +268,16 @@ def _leaf_from(conf: _Conf) -> Leaf:
         raise ConfigError(f"[leaf] exponents: {exc}")
 
 
+def _zeta_from(conf: _Conf, sec: str, leaf: Leaf, nonzero: bool) -> list:
+    zeta = conf.floats(sec, "zeta")
+    if len(zeta) != len(leaf.exponents):
+        raise ConfigError(f"[{sec}] zeta: expected one value per leaf exponent")
+    if nonzero and not any(zeta):
+        raise ConfigError(
+            f"[{sec}] zeta: the characteristic system needs some zeta_n != 0")
+    return zeta
+
+
 def _renorm_from(conf: _Conf, leaf: Leaf, default_q=(1,)) -> tuple[RenormConfig, list]:
     q_list = conf.ints("renorm", "q", default=list(default_q))
     for q in q_list:
@@ -294,9 +309,7 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
 
     if command == "series":
         leaf = _leaf_from(conf)
-        zeta = conf.floats("series", "zeta")
-        if len(zeta) != len(leaf.exponents):
-            raise ConfigError("[series] zeta: expected one value per leaf exponent")
+        zeta = _zeta_from(conf, "series", leaf, nonzero=False)
         values.update(
             leaf=leaf, zeta=zeta,
             order=conf.num("series", "order", default=60, lo=1),
@@ -306,9 +319,7 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
         )
     elif command == "char":
         leaf = _leaf_from(conf)
-        zeta = conf.floats("char", "zeta")
-        if len(zeta) != len(leaf.exponents):
-            raise ConfigError("[char] zeta: expected one value per leaf exponent")
+        zeta = _zeta_from(conf, "char", leaf, nonzero=True)
         values.update(
             leaf=leaf, zeta=zeta,
             order=conf.num("char", "order", default=250, lo=50),
@@ -316,9 +327,7 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
         )
     elif command == "spectrum":
         leaf = _leaf_from(conf)
-        zeta = conf.floats("spectrum", "zeta")
-        if len(zeta) != len(leaf.exponents):
-            raise ConfigError("[spectrum] zeta: expected one value per leaf exponent")
+        zeta = _zeta_from(conf, "spectrum", leaf, nonzero=True)
         cfg, q_list = _renorm_from(conf, leaf)
         values.update(
             leaf=leaf, zeta=zeta, renorm=cfg, q_list=q_list,
@@ -429,6 +438,10 @@ def config_sha256(sections: dict) -> str:
 # command runners: each returns (csv files written, extra summary, failures)
 
 
+def _failure(ident: str, exc: Exception) -> dict:
+    return {"id": ident, "status": type(exc).__name__, "detail": str(exc)}
+
+
 def _spectra_rows(points) -> tuple[list, list]:
     rows, failures = [], []
     for pt in points:
@@ -454,12 +467,9 @@ def _run_series(rc: RunConfig, out: Path, threads):
     try:
         table = branch_power_rows(point, v["p_list"], v["order"], v["alpha"])
         for p, coeffs in zip(v["p_list"], table):
-            for m, val in enumerate(coeffs):
-                rows.append((p, m, float(val.real) if np.iscomplexobj(coeffs)
-                             else float(val)))
+            rows.extend((p, m, float(val.real)) for m, val in enumerate(coeffs))
     except TodaSpectraError as exc:
-        failures.append({"id": "series", "status": type(exc).__name__,
-                         "detail": str(exc)})
+        failures.append(_failure("series", exc))
     write_csv(out / "series.csv", ("p", "m", "value"), rows)
     return ["series.csv"], {"n_rows": len(rows)}, failures, len(v["p_list"])
 
@@ -468,23 +478,24 @@ def _run_char(rc: RunConfig, out: Path, threads):
     v = rc.values
     point = ParamPoint(v["leaf"], tuple(v["zeta"]))
     rows, failures, extra = [], [], {}
-    cps = solve_characteristic(point)
+    try:
+        cps = solve_characteristic(point)
+    except TodaSpectraError as exc:
+        cps = []
+        failures.append(_failure("char", exc))
     for i, cp in enumerate(cps):
         rows.append((i, cp.x_star.real, cp.x_star.imag, cp.lam.real,
                      cp.lam.imag, cp.kappa.real, cp.kappa.imag, cp.modulus,
                      cp.simple, cp.fold_ok))
-    if v["dominant"]:
+    if v["dominant"] and cps:
         try:
-            dom = dominant_data(point, v["order"])
+            dom = dominant_data(point, v["order"], points=cps)
             extra["dominant"] = {"rho_star": _jf(dom.rho_star),
                                  "epsilon": _jf(dom.rho_star - 1.0),
                                  "phi": _jf(dom.phi)}
         except TodaSpectraError as exc:
-            failures.append({"id": "dominant", "status": type(exc).__name__,
-                             "detail": str(exc)})
-    write_csv(out / "char_points.csv",
-              ("index", "x_re", "x_im", "lambda_re", "lambda_im", "kappa_re",
-               "kappa_im", "modulus", "simple", "fold_ok"), rows)
+            failures.append(_failure("dominant", exc))
+    write_csv(out / "char_points.csv", CHAR_HEADER, rows)
     return ["char_points.csv"], extra, failures, max(1, len(cps))
 
 
@@ -507,7 +518,11 @@ def _run_scan(rc: RunConfig, out: Path, threads):
     else:
         lo, hi = v["crit_bracket"]
         ray = lambda t: ParamPoint(leaf, (t,) + tuple(fixed))
-        zc = critical_parameter(ray, lo, hi, order=v["order"])
+        try:
+            zc = critical_parameter(ray, lo, hi, order=v["order"])
+        except TodaSpectraError as exc:
+            write_csv(out / "spectra.csv", SPECTRA_HEADER, [])
+            return ["spectra.csv"], extra, [_failure("zeta_critical", exc)], 1
         extra["zeta_critical_solved"] = _jf(zc)
 
     def path(delta):
@@ -532,12 +547,11 @@ def _run_scan(rc: RunConfig, out: Path, threads):
                      "bounded": {str(k): bool(b) for k, b in sorted(f.bounded.items())}}
             for q, f in sorted(fits.items())}
     except InsufficientData as exc:
-        failures.append({"id": "fit", "status": type(exc).__name__,
-                         "detail": str(exc)})
+        failures.append(_failure("fit", exc))
     return ["spectra.csv"], extra, failures, len(points)
 
 
-def _trajectory_rows(states, leaf: Leaf, order: int):
+def _trajectory_rows(states, order: int):
     rows = []
     for st in states:
         excess = radius_excess(st, order=order)
@@ -554,11 +568,20 @@ def _run_lg(rc: RunConfig, out: Path, threads):
     v = rc.values
     leaf = v["leaf"]
     failures, extra = [], {}
+    header = list(TRAJECTORY_HEADER_FIXED)
+    header.extend(f"a_{n}" for n in leaf.exponents)
+    header.append("t_0")
+    header.extend(f"t_{n}" for n in leaf.exponents)
+    header.extend(("rho_star", "univalence_margin"))
     if v["driver"] == "moments":
         zeta0 = tuple(a / v["r0"] for a in v["a0"])
-        init = initial_state(ParamPoint(leaf, zeta0, r=v["r0"]),
-                             n_quad=v["n_quad"])
-        driver = MomentDriver(init, n_quad=v["n_quad"])
+        try:
+            init = initial_state(ParamPoint(leaf, zeta0, r=v["r0"]),
+                                 n_quad=v["n_quad"])
+            driver = MomentDriver(init, n_quad=v["n_quad"])
+        except TodaSpectraError as exc:
+            write_csv(out / "trajectory.csv", header, [])
+            return ["trajectory.csv"], extra, [_failure("initial", exc)], 1
     else:
         zeta0, rate = v["zeta0"], v["rate"]
         zfun = lambda t: tuple(z + r * t for z, r in zip(zeta0, rate))
@@ -570,21 +593,10 @@ def _run_lg(rc: RunConfig, out: Path, threads):
         try:
             states.append(driver.state(float(t)))
         except TodaSpectraError as exc:
-            failures.append({"id": f"T={_g17(t)}",
-                             "status": type(exc).__name__, "detail": str(exc)})
-            got = getattr(exc, "states", None)
-            if got:
-                states.extend(s for s in got if s.t > (states[-1].t if states
-                                                       else -1.0))
+            failures.append(_failure(f"T={_g17(t)}", exc))
             break
-
-    header = list(TRAJECTORY_HEADER_FIXED)
-    header.extend(f"a_{n}" for n in leaf.exponents)
-    header.append("t_0")
-    header.extend(f"t_{n}" for n in leaf.exponents)
-    header.extend(("rho_star", "univalence_margin"))
     write_csv(out / "trajectory.csv", header,
-              _trajectory_rows(states, leaf, v["detect_order"]))
+              _trajectory_rows(states, v["detect_order"]))
 
     if v["detect"]:
         try:
@@ -597,8 +609,7 @@ def _run_lg(rc: RunConfig, out: Path, threads):
                                        else bool(rep.separated)),
             }
         except TodaSpectraError as exc:
-            failures.append({"id": "thresholds", "status": type(exc).__name__,
-                             "detail": str(exc)})
+            failures.append(_failure("thresholds", exc))
     return ["trajectory.csv"], extra, failures, len(times)
 
 

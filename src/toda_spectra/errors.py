@@ -48,15 +48,7 @@ class TrajectoryStalled(TodaSpectraError):
 
 
 class UnivalenceLost(TodaSpectraError):
-    """The conformal map lost univalence (boundary cusp) during evolution.
-
-    ``states`` holds the trajectory accepted so far, ending with the
-    offending (non-univalent) state, so callers can inspect the run.
-    """
-
-    def __init__(self, message, states=None):
-        super().__init__(message)
-        self.states = states
+    """The conformal map is not univalent (boundary cusp)."""
 
 
 class QuadratureNotConverged(TodaSpectraError):

@@ -1,4 +1,4 @@
-"""Mode-indexed Hessian blocks, tail-indexed Gram blocks, and their spectra.
+"""Mode-indexed Hessian blocks, tail-indexed Gram blocks, and their eigenvalues.
 
 Two equivalent constructions of the same operator family live here.  The
 kernel oracle expands
@@ -20,6 +20,10 @@ trapezoid sum over samples of U on that circle (``gram_block``).  The
 weighted assembly works with V = U/alpha, so no alpha^{p_j} is ever
 materialized and the block stays finite far beyond the overflow point of
 the weights themselves.
+
+Blocks are plain complex128 arrays, made exactly Hermitian by mirroring
+their lower triangle; ``eigenvalues`` returns a block's spectrum in
+descending order.
 """
 
 from __future__ import annotations
@@ -43,13 +47,10 @@ from .series_engine import (
 
 __all__ = [
     "RenormConfig",
-    "HermitianMatrix",
     "kernel_hessian_oracle",
     "gram_block",
     "mode_gram_vectors",
     "eigenvalues",
-    "eigensystem",
-    "hs_norm",
     "tail_cutoff_for",
     "check_alpha_admissible",
 ]
@@ -103,31 +104,21 @@ class RenormConfig:
         return self.q + self.s * np.arange(self.J + 1)
 
 
-@dataclass
-class HermitianMatrix:
-    """Dense Hermitian matrix; hermiticity holds exactly by mirroring."""
-
-    dim: int
-    entries: np.ndarray
-
-    @classmethod
-    def from_lower(cls, lower: np.ndarray) -> "HermitianMatrix":
-        """Build from an array with only the lower triangle (incl. diagonal)
-        filled; the strict upper triangle is overwritten by the mirror and
-        the diagonal's imaginary part is dropped."""
-        a = np.array(lower, dtype=np.complex128)
-        n = a.shape[0]
-        i, j = np.triu_indices(n, k=1)
-        a[i, j] = np.conj(a[j, i])
-        di = np.diag_indices(n)
-        a[di] = a[di].real
-        return cls(dim=n, entries=a)
-
-    def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix(self.dim, self.entries - other.entries)
+def _mirror_lower(lower: np.ndarray) -> np.ndarray:
+    """Hermitian matrix from the lower triangle (diagonal included) of
+    ``lower``: the strict upper triangle is overwritten by the conjugate
+    mirror and the imaginary part of the diagonal is dropped, so
+    hermiticity holds exactly."""
+    a = np.array(lower, dtype=np.complex128)
+    n = a.shape[0]
+    i, j = np.triu_indices(n, k=1)
+    a[i, j] = np.conj(a[j, i])
+    di = np.diag_indices(n)
+    a[di] = a[di].real
+    return a
 
 
-def kernel_hessian_oracle(p: ParamPoint, m_max: int) -> HermitianMatrix:
+def kernel_hessian_oracle(p: ParamPoint, m_max: int) -> np.ndarray:
     """Direct expansion of the log-kernel; entry (m-1, n-1) holds H_{mn}.
 
     H_{mn} = m n sum_{p <= min(m,n), p == m == n (mod s)}
@@ -150,7 +141,7 @@ def kernel_hessian_oracle(p: ParamPoint, m_max: int) -> HermitianMatrix:
                 acc += (R[pw - 1, (m - pw) // s]
                         * np.conj(R[pw - 1, (n - pw) // s]) / pw)
             H[m - 1, n - 1] = m * n * acc
-    return HermitianMatrix.from_lower(H)
+    return _mirror_lower(H)
 
 
 def tail_cutoff_for(rho_star: float, s: int, tail_tol: float = 1e-12) -> int:
@@ -167,7 +158,7 @@ def tail_cutoff_for(rho_star: float, s: int, tail_tol: float = 1e-12) -> int:
 
 
 def gram_block(table: CirclePowerTable, cfg: RenormConfig,
-               use_weights: bool) -> HermitianMatrix:
+               use_weights: bool) -> np.ndarray:
     """Assemble one (J+1)x(J+1) symmetry block of the Gram operator by
     Parseval quadrature on the circle samples of ``table``.
 
@@ -250,7 +241,7 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig,
             f"(limit sqrt(tail_tol) = {math.sqrt(cfg.tail_tol):.1e}) "
             f"at n_grid={n}"
         )
-    return HermitianMatrix.from_lower(np.tril(G))
+    return _mirror_lower(G)
 
 
 def mode_gram_vectors(p: ParamPoint, q: int, j_max: int,
@@ -275,28 +266,19 @@ def mode_gram_vectors(p: ParamPoint, q: int, j_max: int,
     return out
 
 
-def eigensystem(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvector columns."""
-    try:
-        vals, vecs = np.linalg.eigh(h.entries)
-    except np.linalg.LinAlgError as e:
-        raise NoConvergence(f"Hermitian eigensolve failed: {e}") from e
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
+def eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, sorted descending.
 
-
-def eigenvalues(h: HermitianMatrix) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted descending."""
+    Raises
+    ------
+    NoConvergence
+        If the eigensolver does not converge.
+    """
     try:
-        vals = np.linalg.eigvalsh(h.entries)
+        vals = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as e:
         raise NoConvergence(f"Hermitian eigensolve failed: {e}") from e
     return vals[::-1]
-
-
-def hs_norm(h: HermitianMatrix) -> float:
-    """Hilbert-Schmidt (Frobenius) norm of the truncated block."""
-    return float(np.linalg.norm(h.entries))
 
 
 def check_alpha_admissible(p: ParamPoint, rho_star: float,

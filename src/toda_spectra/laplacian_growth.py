@@ -36,6 +36,8 @@ DT_MIN = 1e-9
 T_TOL_DEFAULT = 1e-6
 
 _CUSP_GRID = 2048
+# characteristic modulus above which radius_excess skips dominant_data
+_VALIDATE_BELOW = 4.0
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -260,13 +262,12 @@ def _newton_moments(leaf: Leaf, targets: np.ndarray, seed: np.ndarray,
 
 
 def _march(leaf: Leaf, v: np.ndarray, t_cur: float, t_target: float,
-           ramp, tk_fixed: np.ndarray, *, n_quad: int,
-           dt_min: float = DT_MIN) -> np.ndarray:
+           ramp, tk_fixed: np.ndarray, *, n_quad: int) -> np.ndarray:
     """Advance the real-slice solution vector from t_cur to t_target.
 
     The t_0 target is the linear ramp anchored at ``ramp = (t_ref,
     t0_ref)``; the higher moments stay at ``tk_fixed``.  Failed Newton
-    solves halve the sub-step; the floor ``dt_min`` raises
+    solves halve the sub-step; the floor ``DT_MIN`` raises
     TrajectoryStalled.
     """
     t_ref, t0_ref = ramp
@@ -281,9 +282,9 @@ def _march(leaf: Leaf, v: np.ndarray, t_cur: float, t_target: float,
         sol = _newton_moments(leaf, targets, v, n_quad=n_quad)
         if sol is None:
             h *= 0.5
-            if h < dt_min:
+            if h < DT_MIN:
                 raise TrajectoryStalled(
-                    f"moment-step size fell below {dt_min:g} at T = {t_cur:.9g}")
+                    f"moment-step size fell below {DT_MIN:g} at T = {t_cur:.9g}")
             continue
         v, t_cur = sol, t_next
         h *= 2.0
@@ -301,65 +302,27 @@ def _checked_state(leaf: Leaf, t: float, v: np.ndarray,
                            univalence_margin(r, a, leaf))
 
 
-def evolve(initial: TrajectoryState, dT: float, steps: int, *,
-           n_quad: int = N_QUAD_DEFAULT,
-           dt_min: float = DT_MIN) -> list[TrajectoryState]:
-    """Evolve ``initial`` through ``steps`` uniform injection steps of ``dT``.
-
-    Returns the trajectory [initial, state(T0+dT), ..., state(T0+steps*dT)].
-    Each recorded state sits exactly on the area ramp t_0(T) = t_0(T0) +
-    (T - T0); sub-steps between grid points are refined adaptively.
-
-    Raises TrajectoryStalled when step halving hits ``dt_min`` and
-    UnivalenceLost when a recorded state's margin is nonpositive; the
-    exception's ``states`` attribute carries the trajectory up to and
-    including the flagged state.
-    """
-    if dT < 0:
-        raise ValueError("suction (dT < 0) is outside the injection model")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    _require_real_slice(initial.a)
-    states = [initial]
-    if not initial.univalent:
-        raise UnivalenceLost("initial map is not univalent", states=states)
-    leaf = initial.leaf
-    ramp = (initial.t, initial.moments[0].real)
-    tk_fixed = np.array([m.real for m in initial.moments[1:]])
-    v = np.array([initial.r] + [an.real for an in initial.a])
-    t_cur = initial.t
-    for i in range(1, steps + 1):
-        t_next = initial.t + i * dT
-        v = _march(leaf, v, t_cur, t_next, ramp, tk_fixed,
-                   n_quad=n_quad, dt_min=dt_min)
-        t_cur = t_next
-        st = _checked_state(leaf, t_next, v, n_quad)
-        states.append(st)
-        if not st.univalent:
-            raise UnivalenceLost(
-                f"univalence lost at T = {t_next:.9g}", states=states)
-    return states
-
-
 class MomentDriver:
     """Conservation-driven trajectory with random access in T.
 
     ``state(T)`` Newton-solves the moment system at the requested time,
     seeding from the nearest previously accepted state, and caches the
     result.  This gives threshold bisection cheap repeated evaluation
-    without a fixed step grid.
+    without a fixed step grid.  The t_0 ramp and the pinned t_k come from
+    ``initial``, which must lie on the real-coefficient slice.
+
+    Raises UnivalenceLost when ``initial`` is not univalent; ``state``
+    raises TrajectoryStalled when step halving falls below ``DT_MIN``.
     """
 
     def __init__(self, initial: TrajectoryState, *,
-                 n_quad: int = N_QUAD_DEFAULT, dt_min: float = DT_MIN):
+                 n_quad: int = N_QUAD_DEFAULT):
         _require_real_slice(initial.a)
         if not initial.univalent:
-            raise UnivalenceLost("initial map is not univalent",
-                                 states=[initial])
+            raise UnivalenceLost("initial map is not univalent")
         self.leaf = initial.leaf
         self.initial = initial
         self._n_quad = n_quad
-        self._dt_min = dt_min
         self._ramp = (initial.t, initial.moments[0].real)
         self._tk = np.array([m.real for m in initial.moments[1:]])
         self._ts = [initial.t]
@@ -375,7 +338,7 @@ class MomentDriver:
             return seed
         v = np.array([seed.r] + [an.real for an in seed.a])
         v = _march(self.leaf, v, seed.t, t, self._ramp, self._tk,
-                   n_quad=self._n_quad, dt_min=self._dt_min)
+                   n_quad=self._n_quad)
         st = _checked_state(self.leaf, t, v, self._n_quad)
         j = bisect.bisect_left(self._ts, t)
         self._ts.insert(j, t)
@@ -430,13 +393,12 @@ class SliceDriver:
                                univalence_margin(r, a, self.leaf))
 
 
-def radius_excess(state: TrajectoryState, *, order: int = 200,
-                  validate_below: float = 4.0) -> float:
+def radius_excess(state: TrajectoryState, *, order: int = 200) -> float:
     """rho_*(zeta) - 1 for the state's reduced parameters.
 
     The circle (zeta = 0, up to solver roundoff) has an entire branch,
     reported as +inf.  Deeply subcritical points — smallest
-    characteristic modulus above ``validate_below`` — return the plain
+    characteristic modulus above ``_VALIDATE_BELOW`` — return the plain
     characteristic minimum, which is all a monotone threshold monitor
     needs there; closer to the threshold the fully validated dominant
     modulus is used.
@@ -446,7 +408,7 @@ def radius_excess(state: TrajectoryState, *, order: int = 200,
         return math.inf
     points = solve_characteristic(point)
     rho_min = min(cp.modulus for cp in points)
-    if rho_min > validate_below:
+    if rho_min > _VALIDATE_BELOW:
         return rho_min - 1.0
     return dominant_data(point, order, points=points).rho_star - 1.0
 

@@ -11,15 +11,16 @@ coefficient per power of ``x**s``).  The coefficient arrays
 
     R_p(m) = [x**(m*s)] U**p
 
-feed every Gram/Hessian construction downstream; ``powers_table`` and
-``branch_power_rows`` produce them, optionally divided by ``alpha**p`` so
-that renormalized assemblies never form overflowing weights explicitly.
+feed the Hessian oracles downstream.  ``branch_power_rows`` produces them
+by the convolution chain (optionally divided by ``alpha**p``); deep rows
+on a subcritical point come from circle samples of U
+(``CirclePowerTable``), which the scan's Gram blocks use directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -33,7 +34,6 @@ __all__ = [
     "PowerSeries",
     "taylor_branch",
     "taylor_branch_x_grid",
-    "powers_table",
     "raney_oracle",
     "functional_residual",
     "branch_power_rows",
@@ -41,9 +41,8 @@ __all__ = [
 ]
 
 # Above this truncation order, series products switch from direct convolution
-# to FFT-based convolution, and power rows switch to circle sampling.
+# to FFT-based convolution.
 _DIRECT_CONV_MAX = 1024
-_CIRCLE_PATH_MIN = 3000
 
 
 @dataclass(frozen=True)
@@ -102,15 +101,11 @@ class ParamPoint:
 
 @dataclass
 class PowerSeries:
-    """Truncated series in z = x**s.
-
-    ``coeffs[m]`` is the coefficient of ``x**(m*s)``; stored values represent
-    ``c_m * exp(log_scale)`` so scaled tables remain in double-precision range.
-    """
+    """Truncated series in z = x**s: ``coeffs[m]`` is the coefficient of
+    ``x**(m*s)``."""
 
     coeffs: np.ndarray
     order: int
-    log_scale: float = 0.0
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
@@ -120,15 +115,9 @@ class PowerSeries:
             )
 
     @classmethod
-    def from_coeffs(cls, coeffs, log_scale: float = 0.0) -> "PowerSeries":
+    def from_coeffs(cls, coeffs) -> "PowerSeries":
         arr = np.asarray(coeffs, dtype=np.complex128)
-        return cls(arr, order=len(arr) - 1, log_scale=log_scale)
-
-    def unscaled(self) -> np.ndarray:
-        """Coefficient values with the log scale folded back in."""
-        if self.log_scale == 0.0:
-            return self.coeffs.copy()
-        return self.coeffs * math.exp(self.log_scale)
+        return cls(arr, order=len(arr) - 1)
 
 
 def _mul_trunc(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
@@ -204,28 +193,6 @@ def taylor_branch_x_grid(p: ParamPoint, order: int) -> np.ndarray:
     return _recursion_coeffs(p.zeta, p.leaf.exponents, p.leaf.exponents, order)
 
 
-def powers_table(u: PowerSeries, p_max: int, scale: float = 1.0) -> list[PowerSeries]:
-    """Scaled powers (U/alpha)**p for p = 1..p_max by repeated multiplication.
-
-    Entry ``p-1`` holds coefficients ``R_p(m)/alpha**p`` with
-    ``log_scale = p*log(alpha)`` so unscaled values are recoverable.
-    """
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
-    if not scale > 0:
-        raise ValueError("scale must be positive")
-    base = u.coeffs / scale
-    log_alpha = math.log(scale)
-    out = []
-    cur = base.copy()
-    for p in range(1, p_max + 1):
-        out.append(PowerSeries(cur.copy(), order=u.order,
-                               log_scale=p * (u.log_scale + log_alpha)))
-        if p < p_max:
-            cur = _mul_trunc(cur, base, u.order)
-    return out
-
-
 def raney_oracle(s: int, p: int, m: int) -> Fraction:
     """Exact one-mode coefficient p/(s*m+p) * binomial(s*m+p, m).
 
@@ -242,7 +209,7 @@ def functional_residual(p: ParamPoint, u: PowerSeries) -> float:
     """Max coefficient residual of U - 1 - sum_n zeta_n x^{s_n} U^{s_n},
     relative to the largest coefficient of U."""
     order = u.order
-    coeffs = u.unscaled()
+    coeffs = u.coeffs
     res = coeffs.copy()
     res[0] -= 1.0
     for zn, shift, k in zip(p.zeta, p.leaf.collapsed_shifts, p.leaf.exponents):
@@ -265,7 +232,9 @@ def functional_residual(p: ParamPoint, u: PowerSeries) -> float:
 # grid of the unit circle.  Gram blocks are Parseval sums over these samples
 # (``hessian_blocks.gram_block``); ``CirclePowerTable.rows`` instead forms
 # powers pointwise and recovers coefficient rows by one inverse FFT per p,
-# with aliasing error ~ rho_*^(-s*N_grid).
+# with aliasing error ~ rho_*^(-s*N_grid).  Sample k sits at the angle
+# 2*pi*k/N reduced to (-pi, pi], so the samples near z = 1, where the
+# dominant singularity is closest, get the most accurate angles.
 #
 # The evaluation is a Newton continuation in the radius, and its cost is
 # kept down three ways.  For real zeta, U(conj z) = conj U(z): Newton runs
@@ -280,6 +249,11 @@ def functional_residual(p: ParamPoint, u: PowerSeries) -> float:
 # at 2**21 points the table, its FFT check and the Newton work arrays take
 # a few hundred MB per scan thread
 MAX_CIRCLE_GRID = 2**21
+
+# Newton step tolerance of the radius ramp, relative to 1 + max|y|
+_RAMP_TOL = 1e-13
+# leading coefficients of a circle table checked against the recursion
+_VALIDATE_ORDERS = 128
 
 
 def _int_pow_values(vals: np.ndarray, k: int) -> np.ndarray:
@@ -298,8 +272,16 @@ def _int_pow_values(vals: np.ndarray, k: int) -> np.ndarray:
     return np.ones_like(vals) if out is None else out
 
 
-def _branch_values_on_circle(p: ParamPoint, n_points: int, radius: float = 1.0,
-                             tol: float = 1e-13) -> np.ndarray:
+def _unit_circle(lo: int, hi: int, n: int) -> np.ndarray:
+    """exp(2*pi*i*k/n) for k = lo..hi-1, with k - n in place of k when
+    k > n/2, so that every angle lies in (-pi, pi]."""
+    k = np.arange(lo, hi)
+    k[k > n // 2] -= n
+    return np.exp(2j * np.pi * k / n)
+
+
+def _branch_values_on_circle(p: ParamPoint, n_points: int,
+                             radius: float = 1.0) -> np.ndarray:
     """Values of the Taylor branch at z = radius * exp(2*pi*i*k/n_points).
 
     Continues the solution of y = 1 + sum zeta_n z^shift_n y^k_n from the
@@ -309,8 +291,9 @@ def _branch_values_on_circle(p: ParamPoint, n_points: int, radius: float = 1.0,
     others are filled as U(z_k) = conj U(z_(n-k)).
 
     In each stage, the first Newton iteration runs on every sample and
-    fixes the stage tolerance tol * (1 + max|y|); after each iteration the
-    samples whose step is below it keep their value and drop out.
+    fixes the stage tolerance _RAMP_TOL * (1 + max|y|); after each
+    iteration the samples whose step is below it keep their value and drop
+    out.
 
     Raises
     ------
@@ -320,7 +303,7 @@ def _branch_values_on_circle(p: ParamPoint, n_points: int, radius: float = 1.0,
     shifts = p.leaf.collapsed_shifts
     kexps = p.leaf.exponents
     n_solve = n_points // 2 + 1 if p.is_real() else n_points
-    z_unit = np.exp(2j * np.pi * np.arange(n_solve) / n_points)
+    z_unit = _unit_circle(0, n_solve, n_points)
     zsh = [_int_pow_values(z_unit, sh) for sh in shifts]
 
     def newton_at(rad, y):
@@ -339,7 +322,7 @@ def _branch_values_on_circle(p: ParamPoint, n_points: int, radius: float = 1.0,
             step = f / fy
             ya = ya - step
             if live is None:
-                thr = tol * (1.0 + np.abs(ya).max())
+                thr = _RAMP_TOL * (1.0 + np.abs(ya).max())
                 y, live = ya, np.arange(len(ya))
             else:
                 y[live] = ya
@@ -369,14 +352,15 @@ def _branch_values_on_circle(p: ParamPoint, n_points: int, radius: float = 1.0,
 
 
 class CirclePowerTable:
-    """Samples of U on the unit circle in z, with coefficient rows of
-    (U/alpha)**p recovered from them.
+    """Samples of U on the unit circle in z, with coefficient rows of U**p
+    recovered from them.
 
     Build once per parameter point (the expensive part is the branch
     evaluation), then take Gram blocks or rows for any set of powers.  The
-    grid has at least 2*(order+1) points, and the first coefficients of the
-    samples are checked against the series recursion.  Requires the Taylor
-    branch to be analytic beyond |z| = 1, i.e. rho_*(zeta)**s > 1.
+    grid has at least 2*(order+1) points, and the first _VALIDATE_ORDERS
+    coefficients of the samples are checked against the series recursion.
+    Requires the Taylor branch to be analytic beyond |z| = 1, i.e.
+    rho_*(zeta)**s > 1.
 
     Raises
     ------
@@ -387,11 +371,9 @@ class CirclePowerTable:
         If the radius ramp stalls or the samples fail the series check.
     """
 
-    def __init__(self, p: ParamPoint, order: int, alpha: float = 1.0,
-                 validate_orders: int = 128):
+    def __init__(self, p: ParamPoint, order: int):
         self.param = p
         self.order = order
-        self.alpha = float(alpha)
         n = 4096
         while n < 2 * (order + 1):
             n *= 2
@@ -401,8 +383,7 @@ class CirclePowerTable:
                 f"circle grid of {n} points for order {order} exceeds "
                 f"MAX_CIRCLE_GRID = {MAX_CIRCLE_GRID}")
         self.values = _branch_values_on_circle(p, n)
-        if validate_orders:
-            self._validate(min(validate_orders, order))
+        self._validate(min(_VALIDATE_ORDERS, order))
 
     def _validate(self, n_check: int) -> None:
         got = (np.fft.fft(self.values) / self.n_grid)[: n_check + 1]
@@ -423,7 +404,7 @@ class CirclePowerTable:
                / (1 - sum_n k_n zeta_n z^sh_n U^(k_n - 1)),
         whose denominator is the Newton derivative of the radius ramp.
         """
-        z = np.exp(2j * np.pi * np.arange(lo, hi) / self.n_grid)
+        z = _unit_circle(lo, hi, self.n_grid)
         u = self.values[lo:hi]
         num = np.zeros_like(u)
         den = np.ones_like(u)
@@ -435,28 +416,35 @@ class CirclePowerTable:
         return z, u, num / (den * u)
 
     def rows(self, p_list: Iterable[int]) -> np.ndarray:
-        """Array of shape (len(p_list), order+1): row i holds R_{p_i}(m)/alpha**p_i."""
+        """Array of shape (len(p_list), order+1): row i holds R_{p_i}(m)."""
         ps = [int(v) for v in p_list]
         if any(v < 1 for v in ps):
             raise ValueError("powers must be >= 1")
         order_idx = np.argsort(ps, kind="stable")
-        scaled = self.values / self.alpha
         out = np.empty((len(ps), self.order + 1), dtype=np.complex128)
         cur = None
         cur_p = 0
         for idx in order_idx:
             target = ps[idx]
             if cur is None:
-                cur = _int_pow_values(scaled, target)
+                cur = _int_pow_values(self.values, target)
             elif target != cur_p:
-                cur = cur * _int_pow_values(scaled, target - cur_p)
+                cur = cur * _int_pow_values(self.values, target - cur_p)
             cur_p = target
             out[idx] = (np.fft.fft(cur) / self.n_grid)[: self.order + 1]
         return out
 
 
-def _series_power_rows(p: ParamPoint, p_list: Sequence[int], order: int,
-                       alpha: float) -> np.ndarray:
+def branch_power_rows(p: ParamPoint, p_list: Sequence[int], order: int,
+                      alpha: float = 1.0) -> np.ndarray:
+    """Coefficient rows R_p(m)/alpha**p, m = 0..order, for each requested
+    power p, by the convolution chain of U/alpha.
+
+    Deep rows on a subcritical point come from
+    ``CirclePowerTable(p, order).rows(p_list)`` instead.
+    """
+    if not p_list:
+        raise ValueError("p_list must be nonempty")
     base = taylor_branch(p, order).coeffs / alpha
     out = np.empty((len(p_list), order + 1), dtype=np.complex128)
     wanted = {}
@@ -474,19 +462,3 @@ def _series_power_rows(p: ParamPoint, p_list: Sequence[int], order: int,
         cur = _mul_trunc(cur, base, order)
         cur_p += 1
     return out
-
-
-def branch_power_rows(p: ParamPoint, p_list: Sequence[int], order: int,
-                      alpha: float = 1.0, subcritical: bool = False) -> np.ndarray:
-    """Coefficient rows R_p(m)/alpha**p for each requested power p.
-
-    Chooses between the convolution chain (moderate orders) and circle
-    sampling (deep tails; only valid when the point is subcritical, i.e.
-    the branch is analytic past |x| = 1 — pass ``subcritical=True`` to
-    allow that path).
-    """
-    if not p_list:
-        raise ValueError("p_list must be nonempty")
-    if order + 1 >= _CIRCLE_PATH_MIN and subcritical:
-        return CirclePowerTable(p, order, alpha).rows(p_list)
-    return _series_power_rows(p, list(p_list), order, alpha)

@@ -174,9 +174,9 @@ def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
                 cq = replace(cfg, q=q)
                 G = gram_block(table, cq, use_weights=True)
                 d, gamma = spike_vector(dom, cq)
-                C = G.entries - L * np.outer(d, d.conj())
+                C = G - L * np.outer(d, d.conj())
                 mu = eigenvalues(G)[:k_max]
-                ev_C = np.linalg.eigvalsh(C)
+                ev_C = eigenvalues(C)
                 block = BlockSpectrum(
                     q=q, delta=delta, epsilon=eps, L=L, mu=mu, spike=d,
                     gamma=gamma, c_norm=float(np.abs(ev_C).max()),

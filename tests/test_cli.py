@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import read_csv, read_summary
-from toda_spectra import cli
+from toda_spectra import NoConvergence, cli
 
 G17 = re.compile(r"^-?(\d+(\.\d+)?([eE][+-]?\d+)?|inf|nan)$")
 
@@ -163,6 +163,60 @@ def test_partial_failure_returns_two(tmp_path, capsys):
     summary = read_summary(out, "leaves")
     assert summary["points"]["failed"] == 1
     assert summary["failures"][0]["status"] == "Degenerate"
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _assert_start_failure(out, command, csv_name, ident, status):
+    summary = read_summary(out, command)
+    assert summary["points"] == {"total": 1, "failed": 1, "ok": 0}
+    assert [(f["id"], f["status"]) for f in summary["failures"]] \
+        == [(ident, status)]
+    csv = read_csv(out / csv_name)             # the header only
+    assert csv and all(len(col) == 0 for col in csv.values())
+
+
+def test_lg_nonunivalent_start_is_recorded(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["lg", "--config", str(CONFIGS / "lg_onemode.ini"),
+                     "--set", "lg.a0=1.5", "--out", str(out)]) == 2
+    _assert_start_failure(out, "lg", "trajectory.csv", "initial",
+                          "UnivalenceLost")
+
+
+def test_scan_unbracketed_critical_parameter_is_recorded(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["scan", "--config",
+                     str(CONFIGS / "scan_near_critical.ini"),
+                     "--set", "scan.crit_bracket=0.01 0.02",
+                     "--out", str(out), "--threads", "1"]) == 2
+    _assert_start_failure(out, "scan", "spectra.csv", "zeta_critical",
+                          "NotBracketed")
+
+
+def test_char_solve_failure_is_recorded(tmp_path, monkeypatch):
+    def fail(point):
+        raise NoConvergence("no characteristic solutions")
+
+    monkeypatch.setattr(cli, "solve_characteristic", fail)
+    cfgfile = _write(tmp_path, "char.ini", CHAR_INI)
+    out = tmp_path / "out"
+    assert cli.main(["char", "--config", str(cfgfile),
+                     "--out", str(out)]) == 2
+    _assert_start_failure(out, "char", "char_points.csv", "char",
+                          "NoConvergence")
+
+
+@pytest.mark.parametrize("command", ["char", "spectrum"])
+def test_all_zero_zeta_is_config_error(tmp_path, capsys, command):
+    cfgfile = _write(tmp_path, "zero.ini",
+                     f"[leaf]\nexponents = 3 6\n\n[{command}]\nzeta = 0 0\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfgfile),
+                     "--out", str(out)]) == 1
+    assert f"[{command}] zeta" in capsys.readouterr().err
+    assert not (out / f"{command}_summary.json").exists()
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):

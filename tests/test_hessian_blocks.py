@@ -7,11 +7,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from toda_spectra import (CirclePowerTable, HermitianMatrix, Leaf, ParamPoint,
+from toda_spectra import (CirclePowerTable, Leaf, NoConvergence, ParamPoint,
                           RenormConfig, TailNotConverged, branch_power_rows,
-                          check_alpha_admissible, eigensystem, eigenvalues,
-                          gram_block, hs_norm, kernel_hessian_oracle,
-                          mode_gram_vectors, tail_cutoff_for)
+                          check_alpha_admissible, eigenvalues, gram_block,
+                          kernel_hessian_oracle, mode_gram_vectors,
+                          tail_cutoff_for)
+from toda_spectra.hessian_blocks import _mirror_lower
 
 POINT2 = ParamPoint(Leaf((2,)), (0.2,))
 
@@ -23,7 +24,7 @@ def _cfg(**kw):
 
 
 # ---------------------------------------------------------------------------
-# configuration and matrix containers
+# configuration and Hermitian blocks
 
 
 @pytest.mark.parametrize("kw", [
@@ -41,27 +42,33 @@ def test_renorm_config_p_indices():
 
 
 def test_hermitian_from_lower_mirrors():
-    lower = np.array([[1.0 + 2.0j, 0.0], [3.0 - 1.0j, 4.0]])
-    h = HermitianMatrix.from_lower(lower)
-    assert h.dim == 2
-    assert h.entries[0, 0] == 1.0          # imaginary diagonal part dropped
-    assert h.entries[0, 1] == np.conj(h.entries[1, 0])
-    npt.assert_array_equal(h.entries, h.entries.conj().T)
+    lower = np.array([[1.0 + 2.0j, 7.0], [3.0 - 1.0j, 4.0]])
+    h = _mirror_lower(lower)
+    assert h.dtype == np.complex128 and h.shape == (2, 2)
+    assert h[0, 0] == 1.0                  # imaginary diagonal part dropped
+    assert h[0, 1] == 3.0 + 1.0j           # upper triangle overwritten
+    assert lower[0, 1] == 7.0              # input left alone
+    npt.assert_array_equal(h, h.conj().T)
 
 
 def test_eigensystem_descending_and_consistent():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    h = HermitianMatrix.from_lower(np.tril(a + a.conj().T))
-    vals, vecs = eigensystem(h)
+    h = _mirror_lower(np.tril(a + a.conj().T))
+    vals = eigenvalues(h)
     assert list(vals) == sorted(vals, reverse=True)
-    npt.assert_allclose(vals, eigenvalues(h), rtol=0, atol=1e-12)
-    npt.assert_allclose(h.entries @ vecs, vecs * vals, atol=1e-10)
+    # the general (non-Hermitian) eigensolver as an independent check
+    npt.assert_allclose(vals, np.sort(np.linalg.eigvals(h).real)[::-1],
+                        rtol=0, atol=1e-10)
 
 
-def test_hs_norm_hand_value():
-    h = HermitianMatrix.from_lower(np.array([[3.0, 0.0], [0.0, 4.0]]))
-    assert hs_norm(h) == 5.0
+def test_eigenvalues_report_solver_failure(monkeypatch):
+    def fail(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergence):
+        eigenvalues(np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +77,7 @@ def test_hs_norm_hand_value():
 
 def test_oracle_hand_entries_one_mode():
     zeta = 0.2
-    h = kernel_hessian_oracle(POINT2, 4).entries
+    h = kernel_hessian_oracle(POINT2, 4)
     assert h[0, 0] == pytest.approx(1.0, rel=1e-14)         # H_11
     assert h[1, 1] == pytest.approx(2.0, rel=1e-14)         # H_22 = 4 * 1/2
     assert h[0, 2] == pytest.approx(3.0 * zeta, rel=1e-13)  # H_13 = 3 R_1(1)
@@ -80,7 +87,7 @@ def test_oracle_hand_entries_one_mode():
 
 def test_oracle_block_structure():
     for leaf, zeta in [(Leaf((2,)), (0.2,)), (Leaf((3, 6)), (0.08, 0.01))]:
-        h = kernel_hessian_oracle(ParamPoint(leaf, zeta), 15).entries
+        h = kernel_hessian_oracle(ParamPoint(leaf, zeta), 15)
         npt.assert_array_equal(h, h.conj().T)
         for m in range(1, 16):
             for n in range(1, 16):
@@ -90,7 +97,7 @@ def test_oracle_block_structure():
 
 def test_mode_vectors_reproduce_oracle():
     point = ParamPoint(Leaf((3, 6)), (0.08, 0.01))
-    h = kernel_hessian_oracle(point, 16).entries
+    h = kernel_hessian_oracle(point, 16)
     s = 3
     for q in (1, 2, 3):
         j_max = (16 - q) // s
@@ -134,7 +141,7 @@ def _direct_gram(point, cfg, M):
 def test_gram_block_matches_direct_sum():
     cfg, M = _cfg(J=5), 250  # eta^M = 1.118^-1000: the tail is exhausted
     got = gram_block(CirclePowerTable(POINT2, M + cfg.J), cfg,
-                     use_weights=False).entries
+                     use_weights=False)
     npt.assert_allclose(got, _direct_gram(POINT2, cfg, M), rtol=1e-12)
 
 
@@ -143,7 +150,7 @@ def test_gram_block_matches_direct_sum_complex_zeta():
     point = ParamPoint(Leaf((2,)), (0.2 * np.exp(0.3j),))
     cfg, M = _cfg(J=5), 250
     got = gram_block(CirclePowerTable(point, M + cfg.J), cfg,
-                     use_weights=False).entries
+                     use_weights=False)
     direct = _direct_gram(point, cfg, M)
     assert np.abs(direct.imag).max() > 0.1 * np.abs(direct).max()
     npt.assert_allclose(got, direct, rtol=1e-12)
@@ -152,8 +159,8 @@ def test_gram_block_matches_direct_sum_complex_zeta():
 def test_gram_block_weight_rescaling():
     cfg = _cfg(J=5)
     table = CirclePowerTable(POINT2, 250)
-    plain = gram_block(table, cfg, use_weights=False).entries
-    weighted = gram_block(table, cfg, use_weights=True).entries
+    plain = gram_block(table, cfg, use_weights=False)
+    weighted = gram_block(table, cfg, use_weights=True)
     pj = cfg.p_indices.astype(float)
     f = pj ** (-1.5 - cfg.beta) * cfg.alpha ** (-pj)
     npt.assert_allclose(weighted, plain * np.outer(f, f), rtol=1e-10)
@@ -161,7 +168,8 @@ def test_gram_block_weight_rescaling():
 
 def test_gram_block_is_hermitian():
     h = gram_block(CirclePowerTable(POINT2, 220), _cfg(J=6), use_weights=True)
-    npt.assert_array_equal(h.entries, h.entries.conj().T)
+    assert h.dtype == np.complex128
+    npt.assert_array_equal(h, h.conj().T)
 
 
 def test_gram_block_checks_leaf_symmetry():

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from toda_spectra import (CirclePowerTable, GridTooLarge, Leaf, ParamPoint,
                           PowerSeries, branch_power_rows, functional_residual,
-                          powers_table, raney_oracle, taylor_branch,
-                          taylor_branch_x_grid)
+                          raney_oracle, taylor_branch, taylor_branch_x_grid)
 from toda_spectra import series_engine
 from toda_spectra.series_engine import _branch_values_on_circle
 
@@ -134,29 +133,25 @@ def test_raney_oracle_rejects_bad_arguments():
 
 def test_powers_table_matches_oracle():
     zeta = 0.12
-    tab = powers_table(taylor_branch(ParamPoint(Leaf((3,)), (zeta,)), 18), 6)
-    for p in (1, 3, 6):
-        got = tab[p - 1].unscaled()
+    rows = branch_power_rows(ParamPoint(Leaf((3,)), (zeta,)), [1, 3, 6], 18)
+    for row, p in zip(rows, (1, 3, 6)):
         want = [float(raney_oracle(3, p, m)) * zeta**m for m in range(19)]
-        npt.assert_allclose(got.real, want, rtol=1e-12)
+        npt.assert_allclose(row.real, want, rtol=1e-12)
 
 
 def test_powers_table_scaling_round_trip():
-    u = taylor_branch(ParamPoint(Leaf((2,)), (0.2,)), 30)
-    plain = powers_table(u, 4)
-    scaled = powers_table(u, 4, scale=2.0)
-    for p in range(1, 5):
-        npt.assert_allclose(scaled[p - 1].coeffs * 2.0**p,
-                            plain[p - 1].coeffs, rtol=1e-13)
-        npt.assert_allclose(scaled[p - 1].unscaled(),
-                            plain[p - 1].unscaled(), rtol=1e-13)
+    point = ParamPoint(Leaf((2,)), (0.2,))
+    plain = branch_power_rows(point, [1, 2, 3, 4], 30)
+    scaled = branch_power_rows(point, [1, 2, 3, 4], 30, alpha=2.0)
+    for i, p in enumerate(range(1, 5)):
+        npt.assert_allclose(scaled[i] * 2.0**p, plain[i], rtol=1e-13)
 
 
 def test_powers_table_is_multiplicative():
-    u = taylor_branch(ParamPoint(Leaf((2, 6)), (0.1, 0.02)), 24)
-    tab = powers_table(u, 5)
-    conv = np.convolve(tab[1].coeffs, tab[2].coeffs)[:25]
-    npt.assert_allclose(tab[4].coeffs, conv, rtol=1e-12)
+    rows = branch_power_rows(ParamPoint(Leaf((2, 6)), (0.1, 0.02)),
+                             [2, 3, 5], 24)
+    conv = np.convolve(rows[0], rows[1])[:25]
+    npt.assert_allclose(rows[2], conv, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +169,18 @@ def test_circle_values_match_one_mode_closed_form(zeta, n):
     want = (1.0 - np.sqrt(1.0 - 4.0 * zeta * z)) / (2.0 * zeta * z)
     got = _branch_values_on_circle(point, n)
     npt.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_complex_circle_samples_mirror_exactly():
+    # U_zeta(conj z) = conj U_conj(zeta)(z): with every angle reduced to
+    # (-pi, pi], sample N-k sits at exactly the conjugate angle of sample k
+    zeta = 0.2499 * np.exp(0.3j)
+    n = 65536
+    leaf = Leaf((2,))
+    u = _branch_values_on_circle(ParamPoint(leaf, (zeta,)), n)
+    v = _branch_values_on_circle(ParamPoint(leaf, (np.conj(zeta),)), n)
+    k = np.arange(n)
+    assert np.abs(u[(n - k) % n] - np.conj(v)).max() <= 1e-15
 
 
 def test_circle_table_refuses_grid_over_ceiling(monkeypatch):
@@ -201,17 +208,11 @@ def test_circle_table_power_ordering_is_stable():
     npt.assert_array_equal(shuffled[[1, 2, 0]], table.rows([1, 2, 5]))
 
 
-def test_circle_table_alpha_scaling():
-    p = ParamPoint(Leaf((2,)), (0.1,))
-    rows1 = CirclePowerTable(p, 40).rows([3])
-    rows2 = CirclePowerTable(p, 40, alpha=2.0).rows([3])
-    npt.assert_allclose(rows2 * 2.0**3, rows1, rtol=0, atol=1e-12)
-
-
 def test_branch_power_rows_deep_tail_path():
-    """Large-order rows stay consistent with the recursion prefix."""
+    """Large-order rows from circle samples stay consistent with the
+    convolution chain's prefix."""
     p = ParamPoint(Leaf((2,)), (0.2,))
-    deep = branch_power_rows(p, [1, 2], 3100, subcritical=True)
+    deep = CirclePowerTable(p, 3100).rows([1, 2])
     shallow = branch_power_rows(p, [1, 2], 60)
     npt.assert_allclose(deep[:, :61], shallow, rtol=0, atol=1e-11)
     # decays until the coefficients sink below the sampling noise floor
