@@ -40,7 +40,6 @@ from .branch_points import (
 from .hessian_blocks import (
     RenormConfig,
     kernel_hessian_oracle,
-    tail_cutoff_for,
     gram_block,
     mode_gram_vectors,
     eigenvalues,

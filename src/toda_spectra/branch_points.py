@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -48,7 +48,8 @@ __all__ = [
 TOL_CHAR = 1e-10
 SIMPLE_TOL = 1e-8
 CLUSTER_RADIUS = 1e-8
-SEP_MIN_DEFAULT = 1e-6
+# relative modulus gap below which two orbits count as tied
+SEP_MIN = 1e-6
 TOL_MATCH_DEFAULT = 5e-3
 EXPONENT_WINDOW = 0.3
 # continuation step accepted when x_* moves by at most this fraction of |x_*|
@@ -245,8 +246,7 @@ class DominantData:
     Taylor sheet actually realizes (the branch expands as
     U = lam + kappa*sqrt(1 - x/x_*) + ...), so the amplitudes
     A_p = -(s^{-1/2}/(2 sqrt(pi))) p kappa lam^{p-1} are asymptotically
-    exact, not just up to phase.  ``amplitudes[p]`` holds A_p for the powers
-    requested at construction; ``amplitude(p)`` computes any other on demand.
+    exact, not just up to phase; ``amplitude(p)`` computes A_p.
     """
 
     rho_star: float
@@ -256,16 +256,12 @@ class DominantData:
     separation: float
     phi: float
     s: int
-    amplitudes: dict[int, complex] = field(default_factory=dict)
     rho_hat: float = float("nan")
     exponent_hat: float = float("nan")
 
     def amplitude(self, p: int) -> complex:
-        if p not in self.amplitudes:
-            self.amplitudes[p] = amplitude_A(
-                self.s, self.representative.kappa, self.representative.lam, p
-            )
-        return self.amplitudes[p]
+        return amplitude_A(self.s, self.representative.kappa,
+                           self.representative.lam, p)
 
 
 def amplitude_A(s: int, kappa: complex, lam: complex, p: int) -> complex:
@@ -288,8 +284,6 @@ def _group_orbits(points: list[CharPoint], s: int) -> list[list[CharPoint]]:
 
 
 def dominant_data(p: ParamPoint, order: int, *,
-                  p_values: tuple[int, ...] = (1, 2, 5),
-                  sep_min: float = SEP_MIN_DEFAULT,
                   tol_match: float = TOL_MATCH_DEFAULT,
                   points: list[CharPoint] | None = None) -> DominantData:
     """Identify the dominant orbit by matching series data to characteristic moduli.
@@ -297,7 +291,7 @@ def dominant_data(p: ParamPoint, order: int, *,
     Runs the coefficient-ratio radius estimate at the given truncation order,
     finds the characteristic orbit whose modulus agrees within ``tol_match``
     (relative), and certifies dominance when that orbit is alone at its
-    modulus with the next modulus at least ``sep_min`` (relative) above.
+    modulus with the next modulus at least SEP_MIN (relative) above.
     The fitted coefficient exponent must also sit within 0.3 of -3/2 — the
     signature of a square-root point on the relevant sheet.  ``points``
     passes in ``solve_characteristic(p)`` when the caller already has it.
@@ -315,10 +309,10 @@ def dominant_data(p: ParamPoint, order: int, *,
     orbits.sort(key=lambda g: g[0].modulus)
     if (len(orbits) > 1
             and orbits[1][0].modulus - orbits[0][0].modulus
-            <= sep_min * orbits[0][0].modulus):
+            <= SEP_MIN * orbits[0][0].modulus):
         raise NoDominantOrbit(
             f"two orbits share the minimal modulus {orbits[0][0].modulus:.6g} "
-            f"within sep_min={sep_min:g}"
+            f"within SEP_MIN={SEP_MIN:g}"
         )
 
     series = taylor_branch(p, order)
@@ -338,7 +332,7 @@ def dominant_data(p: ParamPoint, order: int, *,
         )
     best = matched[0]
     rho = best[0].modulus
-    higher = [g[0].modulus for g in orbits if g[0].modulus - rho > sep_min * rho]
+    higher = [g[0].modulus for g in orbits if g[0].modulus - rho > SEP_MIN * rho]
     separation = (min(higher) - rho) / rho if higher else math.inf
     if len(best) != s:
         raise NoDominantOrbit(
@@ -353,14 +347,11 @@ def dominant_data(p: ParamPoint, order: int, *,
                           c.fold_ok) for c in best]
         rep = min(best, key=lambda c: cmath.phase(c.x_star) % (2.0 * math.pi))
     phi = cmath.phase(rep.x_star**s)
-    dom = DominantData(
+    return DominantData(
         rho_star=rho, representative=rep, orbit=tuple(best), orbit_size=len(best),
         separation=separation, phi=phi, s=s,
         rho_hat=rho_hat, exponent_hat=exponent_hat,
     )
-    for pv in p_values:
-        dom.amplitude(pv)
-    return dom
 
 
 def _sheet_sign(series: PowerSeries, rep: CharPoint, s: int) -> int:

@@ -460,6 +460,16 @@ def _spectra_rows(points) -> tuple[list, list]:
     return rows, failures
 
 
+def _grid_facts(points) -> list[dict]:
+    """Final node count and doublings of each point's circle table, in grid
+    order (one entry per delta; 0 where no table was completed)."""
+    facts = {}
+    for pt in points:
+        facts.setdefault(pt.delta, {"delta": _jf(pt.delta), "n_grid": pt.n_grid,
+                                    "doublings": pt.doublings})
+    return list(facts.values())
+
+
 def _run_series(rc: RunConfig, out: Path, threads):
     v = rc.values
     point = ParamPoint(v["leaf"], tuple(v["zeta"]))
@@ -506,7 +516,8 @@ def _run_spectrum(rc: RunConfig, out: Path, threads):
                        k_max=v["k_max"], order=v["order"], threads=threads)
     rows, failures = _spectra_rows(points)
     write_csv(out / "spectra.csv", SPECTRA_HEADER, rows)
-    return ["spectra.csv"], {}, failures, len(points)
+    extra = {"circle_grids": _grid_facts(points)}
+    return ["spectra.csv"], extra, failures, len(points)
 
 
 def _run_scan(rc: RunConfig, out: Path, threads):
@@ -533,6 +544,7 @@ def _run_scan(rc: RunConfig, out: Path, threads):
                        k_max=v["k_max"], order=v["order"], threads=threads)
     rows, failures = _spectra_rows(points)
     write_csv(out / "spectra.csv", SPECTRA_HEADER, rows)
+    extra["circle_grids"] = _grid_facts(points)
     try:
         fits = fit_log_scaling(points)
         extra["fits"] = {
@@ -544,7 +556,9 @@ def _run_scan(rc: RunConfig, out: Path, threads):
                      "mu1_over_L_final": _jf(f.mu1_over_L_final),
                      "max_higher": {str(k): _jf(m)
                                     for k, m in sorted(f.max_higher.items())},
-                     "bounded": {str(k): bool(b) for k, b in sorted(f.bounded.items())}}
+                     "bounded": {str(k): bool(b) for k, b in sorted(f.bounded.items())},
+                     "decade_ratios": {str(k): [_jf(r) for r in rs]
+                                       for k, rs in sorted(f.decade_ratios.items())}}
             for q, f in sorted(fits.items())}
     except InsufficientData as exc:
         failures.append(_failure("fit", exc))

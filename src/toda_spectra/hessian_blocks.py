@@ -15,8 +15,9 @@ only affordable at small sizes.  The Gram route has, per symmetry class q
 optionally renormalized by the weights w_j = p_j^{3/2+beta} alpha^{p_j}.
 With f_j = z^j U^{p_j}, the sum is the coefficient inner product of
 (q + s z d/dz) f_{j1} and (q + s z d/dz) f_{j2}, so on a subcritical point
-(U analytic on the closed unit circle in z) Parseval turns it into a
-trapezoid sum over samples of U on that circle (``gram_block``).  The
+(U analytic on the closed unit circle in z) Parseval turns it into an
+integral over that circle, which ``gram_block`` takes as a weighted
+trapezoid sum over the graded nodes of a ``CirclePowerTable``.  The
 weighted assembly works with V = U/alpha, so no alpha^{p_j} is ever
 materialized and the block stays finite far beyond the overflow point of
 the weights themselves.
@@ -51,7 +52,6 @@ __all__ = [
     "gram_block",
     "mode_gram_vectors",
     "eigenvalues",
-    "tail_cutoff_for",
     "check_alpha_admissible",
 ]
 
@@ -144,31 +144,19 @@ def kernel_hessian_oracle(p: ParamPoint, m_max: int) -> np.ndarray:
     return _mirror_lower(H)
 
 
-def tail_cutoff_for(rho_star: float, s: int, tail_tol: float = 1e-12) -> int:
-    """Coefficient order past which the geometric entry tail is <= tail_tol.
-
-    Entry tails decay like eta^m with eta = rho_*^(-2s); the floor of 64
-    keeps shallow (large-eps) points from under-resolving the prefactor.
-    A scan point's circle table is built to this order plus J.
-    """
-    if not rho_star > 1:
-        raise ValueError("tail cutoff needs a subcritical point (rho_* > 1)")
-    eta = rho_star ** (-2 * s)
-    return max(64, math.ceil(math.log(tail_tol) / math.log(eta)))
-
-
 def gram_block(table: CirclePowerTable, cfg: RenormConfig,
                use_weights: bool) -> np.ndarray:
     """Assemble one (J+1)x(J+1) symmetry block of the Gram operator by
-    Parseval quadrature on the circle samples of ``table``.
+    Parseval quadrature on the circle nodes of ``table``.
 
     With V = U/alpha and p_j = q + s*j,
     (q + s z d/dz)(z^j V^{p_j}) = p_j z^j V^{p_j} (1 + s z U'/U), so the
-    block is G = (1/N) X^H X over the N samples z_k, with
+    block is G = (1/N) X^H X over the N nodes z_k of the table, with
 
-        X[k, j] = c_j |1 + s z_k U'_k/U_k| V_k^q (z_k V_k^s)^j.
+        X[k, j] = c_j sqrt(omega_k) |1 + s z_k U'_k/U_k| V_k^q (z_k V_k^s)^j,
 
-    With ``use_weights`` the entries are G~_{j1j2} = G_{j1j2}/(w_{j1} w_{j2}):
+    where omega_k = |dz/dw|_k is the node weight of the graded grid (1 on
+    the uniform grid).  With ``use_weights`` the entries are G~_{j1j2} = G_{j1j2}/(w_{j1} w_{j2}):
     alpha = cfg.alpha and c_j = p_j^-(1+beta).  Without, alpha = 1 and
     c_j = p_j^(1/2).  The rows are built by repeated multiplication and
     accumulated over chunks of GRAM_CHUNK samples.
@@ -176,13 +164,14 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig,
     The product is taken in real arithmetic.  Writing X = A + iB,
     G = (1/N) [(A^T A + B^T B) + i (A^T B - B^T A)]; the real part is one
     real product of the interleaved (re, im) columns.  For real zeta,
-    X[N-k, j] = conj X[k, j], so the imaginary part vanishes and only
-    samples 0..N/2 are summed, with weights 1, 2, ..., 2, 1.  The
-    imaginary part is formed only for complex zeta, over all N samples.
+    the grid is closed under conjugation and X[N-k, j] = conj X[k, j], so
+    the imaginary part vanishes and only nodes 0..N/2 are summed, with
+    multiplicities 1, 2, ..., 2, 1.  The imaginary part is formed only for
+    complex zeta, over all N nodes.
 
-    Aliasing contract: the even samples give the same block on the N/2
-    grid in the same pass, and max|G_N - G_{N/2}| must not exceed
-    sqrt(tail_tol) * max|G_N|.  The trapezoid error decays geometrically in
+    Aliasing contract: the even nodes are the table's N/2-node grid and
+    give its block in the same pass, and max|G_N - G_{N/2}| must not
+    exceed sqrt(tail_tol) * max|G_N|.  The trapezoid error decays geometrically in
     N, so the error of G_N is then about the square of that relative
     difference, at most tail_tol * max|G_N|.  Samples k and N-k have the
     same parity, so the half-sum keeps the even/odd split exact.
@@ -208,9 +197,10 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig,
     T = None if real else np.zeros((2, J + 1, J + 1))  # imaginary part
     for lo in range(0, n_sum, GRAM_CHUNK):
         hi = min(lo + GRAM_CHUNK, n_sum)
-        z, u, zdlog = table.samples(lo, hi)
+        z, u, zdlog, weight = table.samples(lo, hi)
         v = u / alpha
-        row = np.abs(1.0 + cfg.s * zdlog) * _int_pow_values(v, cfg.q)
+        row = (np.sqrt(weight) * np.abs(1.0 + cfg.s * zdlog)
+               * _int_pow_values(v, cfg.q))
         step = z * _int_pow_values(v, cfg.s)
         if real:  # weight 1 at z = 1 and z = -1, against 2 in norm
             if lo == 0:
@@ -292,7 +282,7 @@ def check_alpha_admissible(p: ParamPoint, rho_star: float,
     than an error (the truncated numerics stay finite either way).
     """
     radius_z = ((1.0 + rho_star) / 2.0) ** p.leaf.s
-    vals = _branch_values_on_circle(p, 512, radius=radius_z)
+    vals = _branch_values_on_circle(p, np.arange(512), 512, radius=radius_z)
     m0 = float(np.abs(vals).max())
     if alpha <= m0:
         warnings.warn(

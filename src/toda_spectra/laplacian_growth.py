@@ -35,6 +35,7 @@ CONS_TOL = 1e-8
 DT_MIN = 1e-9
 T_TOL_DEFAULT = 1e-6
 
+# coarse circle grid of univalence_margin, refined around its best cell
 _CUSP_GRID = 2048
 # characteristic modulus above which radius_excess skips dominant_data
 _VALIDATE_BELOW = 4.0
@@ -172,12 +173,11 @@ def _fprime_root_moduli(r: float, a, leaf: Leaf) -> np.ndarray:
     return np.abs(roots) if roots.size else np.zeros(1)
 
 
-def univalence_margin(r: float, a: Sequence[complex], leaf: Leaf,
-                      *, n_grid: int = _CUSP_GRID) -> float:
+def univalence_margin(r: float, a: Sequence[complex], leaf: Leaf) -> float:
     """Signed cusp margin of the boundary curve.
 
-    The magnitude is min over |w| = 1 of |f'(w)| (coarse minimum on an
-    ``n_grid``-point circle grid, refined by local golden-section around
+    The magnitude is min over |w| = 1 of |f'(w)| (coarse minimum on a
+    _CUSP_GRID-point circle grid, refined by local golden-section around
     the best cell).  The sign tracks univalence through the typical
     breakdown f'(w) = 0 on |w| = 1: positive while every zero of f' stays
     inside the unit disk, negative once one has crossed outside.  A plain
@@ -186,10 +186,10 @@ def univalence_margin(r: float, a: Sequence[complex], leaf: Leaf,
     change.
     """
     a = tuple(complex(v) for v in a)
-    theta = 2.0 * np.pi * np.arange(n_grid) / n_grid
+    theta = 2.0 * np.pi * np.arange(_CUSP_GRID) / _CUSP_GRID
     vals = _abs_fprime(r, a, leaf, np.exp(1j * theta))
     i = int(np.argmin(vals))
-    step = 2.0 * np.pi / n_grid
+    step = 2.0 * np.pi / _CUSP_GRID
     refined = _golden_min(
         lambda th: float(_abs_fprime(r, a, leaf, np.exp(1j * th))),
         theta[i] - step, theta[i] + step)

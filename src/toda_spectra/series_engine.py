@@ -12,9 +12,11 @@ coefficient per power of ``x**s``).  The coefficient arrays
     R_p(m) = [x**(m*s)] U**p
 
 feed the Hessian oracles downstream.  ``branch_power_rows`` produces them
-by the convolution chain (optionally divided by ``alpha**p``); deep rows
-on a subcritical point come from circle samples of U
-(``CirclePowerTable``), which the scan's Gram blocks use directly.
+by the convolution chain (optionally divided by ``alpha**p``).  On a
+subcritical point U is also sampled on the unit circle in z
+(``CirclePowerTable``): on nodes graded toward the dominant singularity,
+doubled until the samples pass their checks, for the scan's Gram blocks;
+or on a uniform grid, whose inverse FFT gives deep coefficient rows.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import GridTooLarge, NoConvergence
+from .errors import GridTooLarge, NoConvergence, TailNotConverged
 
 __all__ = [
     "Leaf",
@@ -226,29 +228,59 @@ def functional_residual(p: ParamPoint, u: PowerSeries) -> float:
 # ---------------------------------------------------------------------------
 # Circle evaluation of the branch
 #
-# Deep subcritical points need U's coefficients to orders ~1e5, where the
-# O(M^2) convolution chain is hopeless.  When rho_* > 1 the branch is
-# analytic on the closed unit disk in z, so it is evaluated once on a uniform
-# grid of the unit circle.  Gram blocks are Parseval sums over these samples
-# (``hessian_blocks.gram_block``); ``CirclePowerTable.rows`` instead forms
-# powers pointwise and recovers coefficient rows by one inverse FFT per p,
-# with aliasing error ~ rho_*^(-s*N_grid).  Sample k sits at the angle
-# 2*pi*k/N reduced to (-pi, pi], so the samples near z = 1, where the
-# dominant singularity is closest, get the most accurate angles.
+# When rho_* > 1 the branch is analytic on the closed unit disk in z, and the
+# scan's Gram blocks are trapezoid sums over samples of U on |z| = 1
+# (``hessian_blocks.gram_block``).  The integrands are analytic only in the
+# annulus 1/|z_*| < |z| < |z_*|, where z_* = rho_*^s e^{i phi} is the
+# dominant singularity, so on a uniform grid of N points the error decays like
+# |z_*|^(-N): N grows like 1/eps toward the critical surface.
+#
+# The samples therefore sit on graded nodes (Hale & Trefethen, SIAM J.
+# Numer. Anal. 46, 2008): z = e^{i phi} (w + c)/(1 + c w), c = 1 - d, with w
+# on a uniform n-point grid of the unit circle and weight |dz/dw|.  This
+# automorphism of the disk keeps |z| = 1, packs the nodes near e^{i phi} and
+# moves the image of z_* out to |w_*| ~ 1 + 2e/d (e = |z_*| - 1).  The price
+# is paid on the far side of the circle, which is stretched by ~ 2/d: the
+# other singularities and the poles of |dz/dw| move in to distance ~ d.  With
+# d ~ sqrt(e) both distances are ~ sqrt(e), so n grows like eps^(-1/2).  In
+# angles, w = e^{i theta} goes to
+#
+#     z = e^{i (phi + psi)},  tan(psi/2) = (d / (2 - d)) tan(theta/2),
+#     |dz/dw| = d (2 - d) / (d^2 + 4 (1 - d) cos^2(theta/2)),
+#
+# so the nodes nearest the singularity keep accurately rounded angles; theta
+# = 2 pi k/n is taken with k - n in place of k when k > n/2, in (-pi, pi].
+# d = 1 is the uniform grid.  Grids are nested: the n-node grid is the even
+# half of the 2n-node grid, so a table doubles by solving at the odd nodes.
 #
 # The evaluation is a Newton continuation in the radius, and its cost is
-# kept down three ways.  For real zeta, U(conj z) = conj U(z): Newton runs
-# on samples 0..N/2 only and the rest are their mirror images.  Within a
-# radius stage a sample leaves the Newton iteration once its own step is
-# below the stage's tolerance, so the slow samples near the dominant
-# singularity no longer drag the converged ones along.  Integer powers are
-# formed by multiplication (``_int_pow_values``), not by complex ``**``.
+# kept down three ways.  For real zeta (phi = 0 or pi), U(conj z) = conj U(z)
+# and node n-k is the conjugate of node k: Newton runs on nodes 0..n/2 only
+# and the rest are their mirror images.  Within a radius stage a sample
+# leaves the Newton iteration once its own step is below the stage's
+# tolerance, so the slow samples near the dominant singularity no longer drag
+# the converged ones along.  Integer powers are formed by multiplication
+# (``_int_pow_values``), not by complex ``**``.
 # ---------------------------------------------------------------------------
 
-# above this many points a circle grid is refused before it is allocated:
-# at 2**21 points the table, its FFT check and the Newton work arrays take
-# a few hundred MB per scan thread
+# above this many nodes a table is refused before it is allocated: at 2**21
+# nodes the samples, the coefficient check and the Newton work arrays take a
+# few hundred MB per scan thread
 MAX_CIRCLE_GRID = 2**21
+
+# nodes of a table's first grid.  Points with rho_*^s - 1 above ~0.005 pass
+# their checks on it.  Below ~1000 nodes the radius ramp's fixed cost of ~40
+# Newton stages dominates: a start at 512 saved shallow points ~2 ms and
+# cost every deeper one a doubling, and one at 2048 cost shallow points more
+N_START = 1024
+
+# grading depth d = GRADE * sqrt(2 e), at most 1 (uniform).  d = sqrt(2 e)
+# balances the two distances above, but then the coefficient check, whose
+# z^-m factors grow on the stretched far side, sets the node count: 16384
+# at delta = 5e-4 on the {3,6} scan, against 8192 with GRADE = 2.  A larger
+# GRADE eases that check and hurts the blocks: at 4 their aliasing contract
+# is the check that fails first
+GRADE = 2.0
 
 # Newton step tolerance of the radius ramp, relative to 1 + max|y|
 _RAMP_TOL = 1e-13
@@ -272,23 +304,29 @@ def _int_pow_values(vals: np.ndarray, k: int) -> np.ndarray:
     return np.ones_like(vals) if out is None else out
 
 
-def _unit_circle(lo: int, hi: int, n: int) -> np.ndarray:
-    """exp(2*pi*i*k/n) for k = lo..hi-1, with k - n in place of k when
-    k > n/2, so that every angle lies in (-pi, pi]."""
-    k = np.arange(lo, hi)
+def _circle_nodes(k: np.ndarray, n: int, depth: float = 1.0,
+                  rot: complex = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z_k and weights |dz/dw|_k of the n-node grid of grading depth
+    ``depth`` centred on ``rot``, for the node indices ``k`` (0 <= k < n)."""
+    k = np.array(k)
     k[k > n // 2] -= n
-    return np.exp(2j * np.pi * k / n)
+    theta = 2.0 * np.pi * k / n
+    if depth >= 1.0:
+        return rot * np.exp(1j * theta), np.ones(len(k))
+    half = 0.5 * theta
+    psi = 2.0 * np.arctan(depth / (2.0 - depth) * np.tan(half))
+    weight = depth * (2.0 - depth) / (
+        depth * depth + 4.0 * (1.0 - depth) * np.cos(half) ** 2)
+    return rot * np.exp(1j * psi), weight
 
 
-def _branch_values_on_circle(p: ParamPoint, n_points: int,
-                             radius: float = 1.0) -> np.ndarray:
-    """Values of the Taylor branch at z = radius * exp(2*pi*i*k/n_points).
+def _branch_values(p: ParamPoint, z: np.ndarray) -> np.ndarray:
+    """Values of the Taylor branch at the points ``z`` of the closed disk.
 
-    Continues the solution of y = 1 + sum zeta_n z^shift_n y^k_n from the
-    center (y = 1 at radius 0) outward in 36 radius stages, shrinking the
-    radius step near the target so Newton always stays on the Taylor
-    sheet.  For real zeta only samples 0..n_points//2 are solved and the
-    others are filled as U(z_k) = conj U(z_(n-k)).
+    Continues the solution of y = 1 + sum zeta_n z^shift_n y^k_n along each
+    ray from the center (y = 1 at radius 0) outward in 36 radius stages,
+    shrinking the radius step near the target so Newton always stays on the
+    Taylor sheet.
 
     In each stage, the first Newton iteration runs on every sample and
     fixes the stage tolerance _RAMP_TOL * (1 + max|y|); after each
@@ -302,13 +340,11 @@ def _branch_values_on_circle(p: ParamPoint, n_points: int,
     """
     shifts = p.leaf.collapsed_shifts
     kexps = p.leaf.exponents
-    n_solve = n_points // 2 + 1 if p.is_real() else n_points
-    z_unit = _unit_circle(0, n_solve, n_points)
-    zsh = [_int_pow_values(z_unit, sh) for sh in shifts]
+    zsh = [_int_pow_values(z, sh) for sh in shifts]
 
     def newton_at(rad, y):
         # zeta_n (rad z)^sh_n, restricted with y to the samples still moving
-        coef = [(zn * (rad * radius) ** sh) * zp
+        coef = [(zn * rad ** sh) * zp
                 for zn, sh, zp in zip(p.zeta, shifts, zsh)]
         live = None  # indices of the samples still moving; None: all
         ya = y
@@ -334,7 +370,7 @@ def _branch_values_on_circle(p: ParamPoint, n_points: int,
                 coef = [a[moving] for a in coef]
         raise NoConvergence("circle evaluation: Newton stalled on the radius ramp")
 
-    y = np.ones(n_solve, dtype=np.complex128)
+    y = np.ones(len(z), dtype=np.complex128)
     # coarse march to half radius, then geometric approach to the rim
     for rad in np.linspace(0.125, 0.5, 4):
         y = newton_at(rad, y)
@@ -342,69 +378,127 @@ def _branch_values_on_circle(p: ParamPoint, n_points: int,
     while gap > 1e-7:
         gap *= 0.6
         y = newton_at(1.0 - gap, y)
-    y = newton_at(1.0, y)
-    if n_solve == n_points:
-        return y
-    out = np.empty(n_points, dtype=np.complex128)
-    out[:n_solve] = y
-    out[n_solve:] = np.conj(y[n_points - n_solve:0:-1])
-    return out
+    return newton_at(1.0, y)
+
+
+def _branch_values_on_circle(p: ParamPoint, k: np.ndarray, n: int,
+                             depth: float = 1.0, rot: complex = 1.0,
+                             radius: float = 1.0) -> np.ndarray:
+    """Branch values at ``radius`` times the nodes ``k`` (ascending, closed
+    under k -> n - k for k > 0) of the n-node grid of ``_circle_nodes``.
+    For real zeta only the nodes k <= n/2 are solved and node k > n/2 is
+    filled as the conjugate of node n - k."""
+    if not p.is_real():
+        return _branch_values(p, radius * _circle_nodes(k, n, depth, rot)[0])
+    low = k[k <= n // 2]
+    y = _branch_values(p, radius * _circle_nodes(low, n, depth, rot)[0])
+    return np.concatenate(
+        (y, np.conj(y[np.searchsorted(low, n - k[len(low):])])))
 
 
 class CirclePowerTable:
-    """Samples of U on the unit circle in z, with coefficient rows of U**p
-    recovered from them.
+    """Samples of U at the nodes of a graded grid on the unit circle in z,
+    doubled until they pass their checks; coefficient rows of U**p on the
+    uniform grid.
 
-    Build once per parameter point (the expensive part is the branch
-    evaluation), then take Gram blocks or rows for any set of powers.  The
-    grid has at least 2*(order+1) points, and the first _VALIDATE_ORDERS
-    coefficients of the samples are checked against the series recursion.
+    ``z_star`` = rho_*^s e^{i phi}, the dominant singularity in z, centres
+    the grid on e^{i phi} with depth d = min(1, GRADE * sqrt(2 (|z_*| - 1)))
+    (for real zeta on +1 or -1, by the sign of Re z_*, so that the grid
+    stays closed under conjugation).  Without it the grid is uniform.
+
+    The first grid has N_START nodes, or the smallest power of two with at
+    least 2*(order+1) if that is more.  The grid doubles, solving only the
+    new odd nodes, until two checks hold: the first _VALIDATE_ORDERS
+    coefficients of U, as weighted sums (1/n) sum_k |dz/dw|_k U(z_k) z_k^-m,
+    agree with the series recursion to 1e-8 relative; and ``accept(table)``,
+    when given, returns without raising TailNotConverged.  ``n_grid`` is
+    the final node count and ``doublings`` the number of doublings.
     Requires the Taylor branch to be analytic beyond |z| = 1, i.e.
     rho_*(zeta)**s > 1.
 
     Raises
     ------
     GridTooLarge
-        If the grid would exceed MAX_CIRCLE_GRID points; nothing is
-        allocated then.
+        If the next grid would exceed MAX_CIRCLE_GRID nodes; it is refused
+        before it is allocated, with the reason of the last failed check.
     NoConvergence
-        If the radius ramp stalls or the samples fail the series check.
+        If the radius ramp stalls.
     """
 
-    def __init__(self, p: ParamPoint, order: int):
+    def __init__(self, p: ParamPoint, order: int, z_star: complex | None = None,
+                 accept: Callable[["CirclePowerTable"], object] | None = None):
         self.param = p
         self.order = order
-        n = 4096
+        self.depth, self.rot = 1.0, 1.0
+        if z_star is not None:
+            self.depth = min(1.0, GRADE * math.sqrt(2.0 * (abs(z_star) - 1.0)))
+            self.rot = (math.copysign(1.0, z_star.real) if p.is_real()
+                        else z_star / abs(z_star))
+        n = N_START
         while n < 2 * (order + 1):
             n *= 2
-        self.n_grid = n
-        if n > MAX_CIRCLE_GRID:
-            raise GridTooLarge(
-                f"circle grid of {n} points for order {order} exceeds "
-                f"MAX_CIRCLE_GRID = {MAX_CIRCLE_GRID}")
-        self.values = _branch_values_on_circle(p, n)
-        self._validate(min(_VALIDATE_ORDERS, order))
+        self.n_grid = 0
+        self.doublings = 0
+        self.values = np.empty(0, dtype=np.complex128)
+        self._want = taylor_branch(p, _VALIDATE_ORDERS).coeffs
+        why = ""
+        while True:
+            if n > MAX_CIRCLE_GRID:
+                raise GridTooLarge(
+                    f"circle grid of {n} points exceeds MAX_CIRCLE_GRID = "
+                    f"{MAX_CIRCLE_GRID}" + (f" ({why})" if why else ""))
+            self._refine(n)
+            try:
+                self._validate()
+                if accept is not None:
+                    accept(self)
+                return
+            except TailNotConverged as exc:
+                why = str(exc)
+            n *= 2
+            self.doublings += 1
 
-    def _validate(self, n_check: int) -> None:
-        got = (np.fft.fft(self.values) / self.n_grid)[: n_check + 1]
-        want = taylor_branch(self.param, n_check).coeffs
-        scale = np.abs(want).max()
-        err = np.abs(got - want).max() / scale
+    def _refine(self, n: int) -> None:
+        """Values at all n nodes: the first grid, or the doubled one."""
+        if self.n_grid == 0:
+            self.values = _branch_values_on_circle(
+                self.param, np.arange(n), n, self.depth, self.rot)
+        else:
+            vals = np.empty(n, dtype=np.complex128)
+            vals[0::2] = self.values
+            vals[1::2] = _branch_values_on_circle(
+                self.param, np.arange(1, n, 2), n, self.depth, self.rot)
+            self.values = vals
+        self.n_grid = n
+
+    def _validate(self) -> None:
+        n = self.n_grid
+        z, weight = _circle_nodes(np.arange(n), n, self.depth, self.rot)
+        term = weight * self.values / n
+        zinv = np.conj(z)
+        got = np.empty(_VALIDATE_ORDERS + 1, dtype=np.complex128)
+        for m in range(_VALIDATE_ORDERS + 1):
+            got[m] = term.sum()
+            term *= zinv
+        scale = np.abs(self._want).max()
+        err = np.abs(got - self._want).max() / scale
         if not err < 1e-8:
-            raise NoConvergence(
+            raise TailNotConverged(
                 f"circle samples disagree with the series recursion "
                 f"(relative error {err:.2e}); wrong sheet or insufficient grid"
             )
 
-    def samples(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Grid points lo..hi-1 as (z_k, U(z_k), z_k U'(z_k) / U(z_k)).
+    def samples(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray,
+                                                 np.ndarray, np.ndarray]:
+        """Nodes lo..hi-1 as (z_k, U(z_k), z_k U'(z_k) / U(z_k), |dz/dw|_k).
 
         Differentiating the branch equation gives
         z U' = sum_n sh_n zeta_n z^sh_n U^k_n
                / (1 - sum_n k_n zeta_n z^sh_n U^(k_n - 1)),
         whose denominator is the Newton derivative of the radius ramp.
         """
-        z = _unit_circle(lo, hi, self.n_grid)
+        z, weight = _circle_nodes(np.arange(lo, hi), self.n_grid, self.depth,
+                                  self.rot)
         u = self.values[lo:hi]
         num = np.zeros_like(u)
         den = np.ones_like(u)
@@ -413,10 +507,16 @@ class CirclePowerTable:
             t = zn * _int_pow_values(z, sh) * _int_pow_values(u, k - 1)
             num += sh * t * u
             den -= k * t
-        return z, u, num / (den * u)
+        return z, u, num / (den * u), weight
 
     def rows(self, p_list: Iterable[int]) -> np.ndarray:
-        """Array of shape (len(p_list), order+1): row i holds R_{p_i}(m)."""
+        """Array of shape (len(p_list), order+1): row i holds R_{p_i}(m).
+
+        Needs the uniform grid, whose samples the inverse FFT turns into
+        coefficients.
+        """
+        if self.depth < 1.0:
+            raise ValueError("coefficient rows need the uniform grid")
         ps = [int(v) for v in p_list]
         if any(v < 1 for v in ps):
             raise ValueError("powers must be >= 1")

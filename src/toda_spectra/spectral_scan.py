@@ -29,7 +29,6 @@ from .hessian_blocks import (
     check_alpha_admissible,
     eigenvalues,
     gram_block,
-    tail_cutoff_for,
 )
 from .series_engine import CirclePowerTable
 
@@ -107,13 +106,20 @@ class BlockSpectrum:
 
 @dataclass
 class ScanPoint:
-    """One (delta, q) cell of a scan: a spectrum, or the error that stopped it."""
+    """One (delta, q) cell of a scan: a spectrum, or the error that stopped it.
+
+    ``n_grid`` and ``doublings`` are the final node count of the point's
+    circle table and the doublings that reached it (0 when no table was
+    completed).
+    """
 
     delta: float
     q: int
     spectrum: BlockSpectrum | None
     status: str = "ok"
     detail: str = ""
+    n_grid: int = 0
+    doublings: int = 0
 
     @property
     def ok(self) -> bool:
@@ -137,14 +143,15 @@ def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
 
     ``path`` maps delta to a ParamPoint; ``cfg`` supplies
     J/alpha/beta/s/tail_tol (its q is overridden per block).  Each point
-    evaluates U once on a circle grid sized by the decay rate
-    eta = rho_*^{-2s} there (``tail_cutoff_for``) and shares it across the
-    q blocks.  Grid points are independent jobs; with more than one thread
-    they are submitted deepest (smallest delta) first, since a point's cost
-    grows like 1/eps, and output order follows the grid either way, so
-    results do not depend on scheduling.  A point or block that fails
-    certification, convergence or the grid ceiling is recorded with the
-    error's name and skipped.
+    evaluates U once, on a circle grid graded toward its dominant
+    singularity z_* = rho_*^s e^{i phi} (``CirclePowerTable``), and shares
+    it across the q blocks: the grid doubles until its coefficient check
+    and every block's aliasing contract (``gram_block``) hold.  Its node
+    count grows like eps^(-1/2).  Grid points are independent jobs; with
+    more than one thread they are submitted deepest (smallest delta) first,
+    and output order follows the grid either way, so results do not depend
+    on scheduling.  A point or block that fails certification, convergence
+    or the grid ceiling is recorded with the error's name and skipped.
     """
     deltas = [float(d) for d in delta_grid]
     qs = list(q_list)
@@ -163,16 +170,25 @@ def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
                 check_alpha_admissible(param, dom.rho_star, cfg.alpha)
             _, L = log_scale(dom.rho_star, dom.s)
             eps = dom.rho_star - 1.0
+            blocks = {}
+
+            def accept(table):
+                for q in qs:
+                    blocks[q] = gram_block(table, replace(cfg, q=q),
+                                           use_weights=True)
+
+            # order 0: the blocks need the samples only, no coefficient rows
             table = CirclePowerTable(
-                param, tail_cutoff_for(dom.rho_star, dom.s, cfg.tail_tol) + cfg.J)
+                param, 0, dom.rho_star**dom.s * cmath.exp(1j * dom.phi), accept)
         except TodaSpectraError as e:
             return [ScanPoint(delta, q, None, type(e).__name__, str(e))
                     for q in qs]
+        grid = dict(n_grid=table.n_grid, doublings=table.doublings)
         out = []
         for q in qs:
             try:
                 cq = replace(cfg, q=q)
-                G = gram_block(table, cq, use_weights=True)
+                G = blocks[q]
                 d, gamma = spike_vector(dom, cq)
                 C = G - L * np.outer(d, d.conj())
                 mu = eigenvalues(G)[:k_max]
@@ -182,9 +198,10 @@ def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
                     gamma=gamma, c_norm=float(np.abs(ev_C).max()),
                     c_hs=float(np.linalg.norm(C)),
                 )
-                out.append(ScanPoint(delta, q, block))
+                out.append(ScanPoint(delta, q, block, **grid))
             except TodaSpectraError as e:
-                out.append(ScanPoint(delta, q, None, type(e).__name__, str(e)))
+                out.append(ScanPoint(delta, q, None, type(e).__name__, str(e),
+                                     **grid))
         return out
 
     if threads > 1 and len(deltas) > 1:
@@ -211,6 +228,9 @@ class FitReport:
     critical end dies out from the second-to-last delta-decade to the last
     (rule in ``fit_log_scaling``): a level converging like
     A - B/log(1/delta) passes, one growing like log(1/delta) fails.
+    ``decade_ratios[k]`` (k >= 1) lists, over every whole decade of delta
+    from the far end inward, each decade's increase of mu_k divided by the
+    increase over the decade before it.
     """
 
     q: int
@@ -224,6 +244,7 @@ class FitReport:
     mu1_over_L_final: float
     max_higher: dict[int, float]
     bounded: dict[int, bool]
+    decade_ratios: dict[int, list[float]]
 
 
 def _linfit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -276,22 +297,31 @@ def fit_log_scaling(scan: list[ScanPoint],
         s2, i2, r2d = _linfit(np.log(1.0 / deltas[decade]), mu1[decade])
         k_have = min(len(b.mu) for b in specs)
         log_d = np.log(deltas)
-        log_ends = math.log(deltas[0]) + math.log(10.0) * np.arange(3)
+        # whole decades spanned; two at least (the span may fall just short)
+        decades = max(2, int(math.log10(deltas[-1] / deltas[0]) + 1e-9))
+        log_ends = math.log(deltas[0]) + math.log(10.0) * np.arange(decades + 1)
         max_higher = {}
         bounded = {}
-        for k in range(2, k_have + 1):
+        decade_ratios = {}
+        for k in range(1, k_have + 1):
             muk = np.array([b.mu[k - 1] for b in specs])
+            # growth of mu_k over each decade, from the far end inward
+            grow = -np.diff(np.interp(log_ends, log_d, muk))[::-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                decade_ratios[k] = [float(r) for r in grow[1:] / grow[:-1]]
+            if k == 1:
+                continue
             max_higher[k] = float(muk.max())
-            # mu_k at delta_min, 10 and 100 delta_min: the last decade's
-            # growth m0 - m1 must be <= 0 or shrink from the previous m1 - m2
-            m0, m1, m2 = np.interp(log_ends, log_d, muk)
-            limit = max(0.0, (1.0 - bounded_tol) * (m1 - m2))
-            bounded[k] = bool(m0 - m1 <= limit)
+            # the last decade's growth must be <= 0 or shrink from the
+            # growth over the decade before
+            limit = max(0.0, (1.0 - bounded_tol) * grow[-2])
+            bounded[k] = bool(grow[-1] <= limit)
         reports[q] = FitReport(
             q=q, slope=slope, intercept=intercept, r_squared=r2,
             slope_log_delta=s2, intercept_log_delta=i2, r_squared_log_delta=r2d,
             gamma_limit=specs[0].gamma,
             mu1_over_L_final=float(mu1[0] / L[0]),
             max_higher=max_higher, bounded=bounded,
+            decade_ratios=decade_ratios,
         )
     return reports

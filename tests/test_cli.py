@@ -317,7 +317,8 @@ def test_shipped_configs_parse(name):
 
 def test_scan_grid_over_ceiling_exits_two(tmp_path, monkeypatch):
     from toda_spectra import series_engine
-    monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 4096)
+    # zeta = 0.24975 needs a 4096-node grid
+    monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 2048)
     cfgfile = _write(tmp_path, "spectrum.ini", """\
 [leaf]
 exponents = 2
@@ -332,6 +333,8 @@ zeta = 0.24975
     assert cli.main(["spectrum", "--config", str(cfgfile),
                      "--out", str(out), "--threads", "1"]) == 2
     assert set(read_csv(out / "spectra.csv")["status"]) == {"GridTooLarge"}
+    assert read_summary(out, "spectrum")["circle_grids"] == [
+        {"delta": 0.0, "n_grid": 0, "doublings": 0}]
 
 
 def test_unknown_subcommand_exits():

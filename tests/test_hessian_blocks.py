@@ -10,8 +10,7 @@ import pytest
 from toda_spectra import (CirclePowerTable, Leaf, NoConvergence, ParamPoint,
                           RenormConfig, TailNotConverged, branch_power_rows,
                           check_alpha_admissible, eigenvalues, gram_block,
-                          kernel_hessian_oracle, mode_gram_vectors,
-                          tail_cutoff_for)
+                          kernel_hessian_oracle, mode_gram_vectors)
 from toda_spectra.hessian_blocks import _mirror_lower
 
 POINT2 = ParamPoint(Leaf((2,)), (0.2,))
@@ -156,6 +155,26 @@ def test_gram_block_matches_direct_sum_complex_zeta():
     npt.assert_allclose(got, direct, rtol=1e-12)
 
 
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("phase", [0.0, 0.3], ids=["real", "complex"])
+def test_graded_gram_block_matches_uniform_oracle(phase, delta):
+    # the uniform grid sized as the Gram entries' geometric tail demands,
+    # eta^M <= 1e-12 with eta = |z_*|^-2, against the graded grid doubled
+    # until the coefficient check and the aliasing contract hold
+    zeta = 0.25 * (1.0 - delta) * np.exp(1j * phase)
+    point = ParamPoint(Leaf((2,)), (zeta,))
+    z_star = 1.0 / (4.0 * zeta)
+    cfg = _cfg(J=12)
+    order = math.ceil(math.log(1e-12) / (-2.0 * math.log(abs(z_star)))) + cfg.J
+    uniform = CirclePowerTable(point, order)
+    want = gram_block(uniform, cfg, use_weights=True)
+    graded = CirclePowerTable(point, 0, z_star,
+                              lambda t: gram_block(t, cfg, use_weights=True))
+    got = gram_block(graded, cfg, use_weights=True)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert graded.n_grid <= uniform.n_grid
+
+
 def test_gram_block_weight_rescaling():
     cfg = _cfg(J=5)
     table = CirclePowerTable(POINT2, 250)
@@ -187,16 +206,6 @@ def test_gram_block_undersized_table_raises():
     assert table.n_grid == 4096
     with pytest.raises(TailNotConverged):
         gram_block(table, _cfg(J=12), use_weights=True)
-
-
-def test_tail_cutoff_for_values():
-    assert tail_cutoff_for(2.0, 2) == 64          # floor dominates
-    deep = tail_cutoff_for(1.01, 2)
-    eta = 1.01 ** -4
-    assert deep == max(64, math.ceil(math.log(1e-12) / math.log(eta)))
-    assert deep > 64
-    with pytest.raises(ValueError):
-        tail_cutoff_for(1.0, 2)
 
 
 # ---------------------------------------------------------------------------

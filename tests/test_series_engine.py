@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toda_spectra import (CirclePowerTable, GridTooLarge, Leaf, ParamPoint,
-                          PowerSeries, branch_power_rows, functional_residual,
-                          raney_oracle, taylor_branch, taylor_branch_x_grid)
+                          PowerSeries, TailNotConverged, branch_power_rows,
+                          functional_residual, raney_oracle, taylor_branch,
+                          taylor_branch_x_grid)
 from toda_spectra import series_engine
 from toda_spectra.series_engine import _branch_values_on_circle
 
@@ -167,7 +168,7 @@ def test_circle_values_match_one_mode_closed_form(zeta, n):
     assert point.is_real() == (np.imag(zeta) == 0)
     z = np.exp(2j * np.pi * np.arange(n) / n)
     want = (1.0 - np.sqrt(1.0 - 4.0 * zeta * z)) / (2.0 * zeta * z)
-    got = _branch_values_on_circle(point, n)
+    got = _branch_values_on_circle(point, np.arange(n), n)
     npt.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
@@ -177,9 +178,9 @@ def test_complex_circle_samples_mirror_exactly():
     zeta = 0.2499 * np.exp(0.3j)
     n = 65536
     leaf = Leaf((2,))
-    u = _branch_values_on_circle(ParamPoint(leaf, (zeta,)), n)
-    v = _branch_values_on_circle(ParamPoint(leaf, (np.conj(zeta),)), n)
     k = np.arange(n)
+    u = _branch_values_on_circle(ParamPoint(leaf, (zeta,)), k, n)
+    v = _branch_values_on_circle(ParamPoint(leaf, (np.conj(zeta),)), k, n)
     assert np.abs(u[(n - k) % n] - np.conj(v)).max() <= 1e-15
 
 
@@ -188,9 +189,50 @@ def test_circle_table_refuses_grid_over_ceiling(monkeypatch):
         raise AssertionError("grid evaluated past the ceiling")
 
     monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 4096)
-    monkeypatch.setattr(series_engine, "_branch_values_on_circle", never)
+    monkeypatch.setattr(series_engine, "_branch_values", never)
     with pytest.raises(GridTooLarge, match="8192"):
         CirclePowerTable(ParamPoint(Leaf((2,)), (0.2,)), 2048)
+
+
+# one-mode points 1e-3 below the critical |zeta| = 1/4; the singularity of
+# U = (1 - sqrt(1 - 4 zeta z))/(2 zeta z) is z_* = 1/(4 zeta), on the positive
+# axis, the negative axis, or rotated off both
+GRADED = [0.25 * (1.0 - 1e-3) * f for f in (1.0, -1.0, np.exp(0.3j))]
+GRADED_IDS = ["real_plus", "real_minus", "complex"]
+
+
+@pytest.mark.parametrize("zeta", GRADED, ids=GRADED_IDS)
+def test_graded_table_matches_one_mode_closed_form(zeta):
+    point = ParamPoint(Leaf((2,)), (zeta,))
+    table = CirclePowerTable(point, 0, 1.0 / (4.0 * zeta))
+    assert 0.0 < table.depth < 0.2 and table.n_grid > series_engine.N_START
+    z, u, _, weight = table.samples(0, table.n_grid)
+    npt.assert_allclose(np.abs(z), 1.0, rtol=0, atol=1e-15)
+    want = (1.0 - np.sqrt(1.0 - 4.0 * zeta * z)) / (2.0 * zeta * z)
+    npt.assert_allclose(u, want, rtol=0, atol=1e-12)
+    # the nodes crowd toward z_*, and the weights |dz/dw| average to one
+    near = np.abs(z - z[0]) < 0.1
+    assert near.mean() > 0.3
+    assert np.mean(weight) == pytest.approx(1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("zeta", GRADED, ids=GRADED_IDS)
+def test_graded_table_doubles_on_nested_nodes(zeta):
+    point = ParamPoint(Leaf((2,)), (zeta,))
+    z_star = 1.0 / (4.0 * zeta)
+    levels = []
+
+    def reject_first(table):
+        levels.append(table.values.copy())
+        if len(levels) == 1:
+            raise TailNotConverged("one more doubling")
+
+    first = CirclePowerTable(point, 0, z_star)
+    table = CirclePowerTable(point, 0, z_star, reject_first)
+    assert table.n_grid == 2 * first.n_grid
+    assert table.doublings == first.doublings + 1
+    npt.assert_array_equal(levels[0], first.values)
+    npt.assert_array_equal(levels[1][0::2], levels[0])
 
 
 def test_circle_table_agrees_with_convolution():

@@ -11,7 +11,7 @@ from toda_spectra import (BlockSpectrum, InsufficientData, Leaf, ParamPoint,
                           RenormConfig, ScanPoint, default_threads,
                           dominant_data, fit_log_scaling, log_scale,
                           scan_path, spike_vector)
-from toda_spectra import series_engine, spectral_scan
+from toda_spectra import series_engine
 from toda_spectra.spectral_scan import BOUNDED_TOL
 
 LEAF2 = Leaf((2,))
@@ -180,27 +180,56 @@ def test_scan_records_supercritical_points():
 
 
 def test_scan_records_undersized_grid_as_failed_cells(monkeypatch):
-    # a 64-term cutoff gives a 4096-point grid, too coarse at delta = 3e-3
-    # (the Gram aliasing check fails) but enough at 3e-2
-    monkeypatch.setattr(spectral_scan, "tail_cutoff_for",
-                        lambda rho_star, s, tail_tol=1e-12: 64)
+    # a 1024-node ceiling stops the doubling: the first grid is too coarse
+    # at delta = 3e-3 (it needs 2048 nodes) but enough at 3e-2
+    monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 1024)
     scan = scan_path(_critical_path, [3e-3, 3e-2], SCAN_CFG, (1, 2),
                      order=250, threads=1)
     assert [(pt.delta, pt.q) for pt in scan] == [
         (3e-3, 1), (3e-3, 2), (3e-2, 1), (3e-2, 2)]
     assert [pt.status for pt in scan] == [
-        "TailNotConverged", "TailNotConverged", "ok", "ok"]
-    assert "n_grid=4096" in scan[0].detail
+        "GridTooLarge", "GridTooLarge", "ok", "ok"]
+    # the detail names the check the last grid failed
+    assert "circle grid of 2048 points" in scan[0].detail
+    assert "series recursion" in scan[0].detail
+    assert [(pt.n_grid, pt.doublings) for pt in scan] == [
+        (0, 0), (0, 0), (1024, 0), (1024, 0)]
 
 
 def test_scan_records_grid_over_ceiling_as_failed_cells(monkeypatch):
-    # delta = 1e-3 needs an 8192-point grid; 3e-2 fits in 4096
-    monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 4096)
+    # delta = 1e-3 needs a 4096-node grid; 3e-2 fits in 1024
+    monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 2048)
     scan = scan_path(_critical_path, [1e-3, 3e-2], SCAN_CFG, (1, 2),
                      order=250, threads=1)
     assert [pt.status for pt in scan] == [
         "GridTooLarge", "GridTooLarge", "ok", "ok"]
-    assert "MAX_CIRCLE_GRID = 4096" in scan[0].detail
+    assert "MAX_CIRCLE_GRID = 2048" in scan[0].detail
+
+
+def test_scan_records_wrong_sheet_sample_as_failed_cells(monkeypatch):
+    # one sample of the first grid (1024 nodes, 513 solved) replaced by the
+    # other root of U = 1 + zeta z U^2 stays in every doubled grid; the
+    # coefficient check rejects each one until the ceiling ends the point
+    solve = series_engine._branch_values
+    calls = []
+
+    def one_wrong(p, z):
+        u = solve(p, z)
+        if len(z) == 513:
+            u[5] = 1.0 / (p.zeta[0] * z[5] * u[5])
+        calls.append(len(z))
+        return u
+
+    monkeypatch.setattr(series_engine, "_branch_values", one_wrong)
+    monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 8192)
+    scan = scan_path(_critical_path, [3e-2], SCAN_CFG, (1, 2), order=250,
+                     threads=1)
+    assert [pt.status for pt in scan] == ["GridTooLarge", "GridTooLarge"]
+    assert "series recursion" in scan[0].detail
+    # the admissibility circle (257 of 512 points solved), then the grids of
+    # 1024, 2048, 4096 and 8192 nodes (513 of the first, then the half of
+    # each doubling's new odd nodes that is not mirrored), all rejected
+    assert calls == [257, 513, 512, 1024, 2048]
 
 
 def test_scan_q_list_order_is_cosmetic():
@@ -240,6 +269,9 @@ def test_fit_recovers_exact_linear_law():
     assert rep.gamma_limit == 2.0
     assert rep.max_higher == {2: 0.7, 3: 0.1}
     assert rep.bounded == {2: True, 3: True}
+    # mu_1 grows by 2 log 10 per decade; the constant levels not at all
+    assert rep.decade_ratios[1] == pytest.approx([1.0, 1.0], rel=1e-12)
+    assert all(math.isnan(r) for r in rep.decade_ratios[2])
 
 
 def test_fit_flags_growing_higher_levels():
