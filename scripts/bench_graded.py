@@ -1,4 +1,5 @@
-"""Time the scan's circle evaluation plus Gram blocks: graded against uniform.
+"""Time the scan's circle evaluation: graded against uniform quadrature, and
+seeded Newton against the radius ramp.
 
 For each delta of the near-critical {3,6} scan (zeta_2 = 0.01, J = 70,
 blocks q = 1 and 2, alpha = 2, beta = 1), this times
@@ -10,14 +11,23 @@ blocks q = 1 and 2, alpha = 2, beta = 1), this times
   least 4096 points and twice the order M + J, where the entries' tail
   eta^M, eta = rho_*^(-2s), falls below tail_tol = 1e-12; then the same two
   blocks.  Grids past ``MAX_CIRCLE_GRID`` are recorded as refused, not
-  timed.  The uniform table runs this code: the same radius ramp and Gram
-  assembly, but its 128-coefficient check is now a weighted sum (about 10%
-  of its time at 2**20 points) where it was one FFT.
+  timed.  The uniform table runs this code: the same seeded circle
+  evaluation and Gram assembly, but its 128-coefficient check is now a
+  weighted sum (about 10% of its time at 2**20 points) where it was one
+  FFT;
+* on the solved half of the graded table's final grid (nodes 0..n/2; the
+  rest are their mirror images), the branch values: seeded, by
+  ``series_engine._branch_values`` from the Taylor polynomial or the
+  square-root germ of the point's ``DominantData``, against the 36-stage
+  radius ramp it replaced, kept as the test oracle ``tests/ramp_oracle.py``.
 
-Each figure is the median of ``--repeats`` runs; the largest difference of
-the two blocks relative to max|G| is recorded with it.  The result, with
-the machine (nproc, numpy, BLAS), goes to BENCH_graded_quadrature.json at
-the repository root.  Run from anywhere:
+Each figure is the median of ``--repeats`` runs.  With the first two go
+the largest difference of the blocks relative to max|G|, and the result
+goes to BENCH_graded_quadrature.json; with the third the largest
+difference of the values relative to 1 + max|U| and the Newton iterations
+of the seeded solve, to BENCH_seeded_newton.json.  Both files, at the
+repository root, record the machine (nproc, numpy, BLAS).  Run from
+anywhere:
 
     python3 scripts/bench_graded.py --repeats 3
 """
@@ -31,7 +41,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
-import cmath
 import json
 import math
 import platform
@@ -42,10 +51,11 @@ from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np
 
+from ramp_oracle import ramp_branch_values
 from toda_spectra import (CirclePowerTable, Leaf, ParamPoint, RenormConfig,
                           critical_parameter, dominant_data, gram_block,
                           series_engine)
@@ -67,14 +77,14 @@ def _uniform_order(rho_star: float) -> int:
     return max(2047, cutoff + CFG.J)
 
 
-def _graded(p, z_star):
+def _graded(p, dom):
     blocks = {}
 
     def accept(table):
         for q in QS:
             blocks[q] = gram_block(table, replace(CFG, q=q), use_weights=True)
 
-    table = CirclePowerTable(p, 0, z_star, accept)
+    table = CirclePowerTable(p, 0, dom, accept)
     return table, blocks
 
 
@@ -82,6 +92,21 @@ def _uniform(p, order):
     table = CirclePowerTable(p, order)
     return table, {q: gram_block(table, replace(CFG, q=q), use_weights=True)
                    for q in QS}
+
+
+def _seeded_row(p, dom, table, repeats):
+    """Seeded and ramp values on the solved nodes of ``table``'s grid."""
+    n = table.n_grid
+    z = series_engine._circle_nodes(np.arange(n // 2 + 1), n, table.depth,
+                                    table.rot)[0]
+    (seeded, iters), t_seeded = _timed(
+        lambda: series_engine._branch_values(p, z, dom.series, dom), repeats)
+    ramp, t_ramp = _timed(lambda: ramp_branch_values(p, z), repeats)
+    return {"n_grid": n, "nodes_solved": len(z),
+            "seeded": {"seconds": t_seeded, "newton_iterations": iters},
+            "previous": {"seconds": t_ramp},
+            "max_diff": float(np.abs(seeded - ramp).max()
+                              / (1.0 + np.abs(ramp).max()))}
 
 
 def _timed(fn, repeats):
@@ -105,21 +130,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", default=str(ROOT / "BENCH_graded_quadrature.json"))
+    parser.add_argument("--seeded-out",
+                        default=str(ROOT / "BENCH_seeded_newton.json"))
     args = parser.parse_args(argv)
 
     zc = critical_parameter(lambda t: ParamPoint(LEAF, (t, ZETA2)), 0.05, 0.2,
                             order=250)
-    points = []
+    points, seeded_points = [], []
     for delta in DELTAS:
         p = ParamPoint(LEAF, (zc * (1.0 - delta), ZETA2))
         dom = dominant_data(p, 250)
-        z_star = dom.rho_star**LEAF.s * cmath.exp(1j * dom.phi)
-        (table, graded), t_graded = _timed(lambda: _graded(p, z_star),
+        (table, graded), t_graded = _timed(lambda: _graded(p, dom),
                                            args.repeats)
         row = {"delta": delta, "epsilon": dom.rho_star - 1.0,
                "graded": {"n_grid": table.n_grid,
                           "doublings": table.doublings,
                           "depth": table.depth, "seconds": t_graded}}
+        seeded_points.append({"delta": delta, "epsilon": row["epsilon"],
+                              **_seeded_row(p, dom, table, args.repeats)})
         order = _uniform_order(dom.rho_star)
         n_uniform = 2 ** math.ceil(math.log2(2 * (order + 1)))
         if n_uniform > series_engine.MAX_CIRCLE_GRID:
@@ -134,18 +162,19 @@ def main(argv=None) -> int:
         points.append(row)
         print(json.dumps(row), file=sys.stderr)
 
+    command = f"python3 scripts/bench_graded.py --repeats {args.repeats}"
+    machine = {"nproc": os.cpu_count(), "numpy": np.__version__,
+               "blas": _blas(),
+               "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+               "python": platform.python_version(),
+               "platform": platform.platform()}
     timed = [r for r in points if "seconds" in r["previous"]]
     result = {
         "benchmark": "graded_quadrature",
         "what": "circle evaluation plus the q = 1, 2 Gram blocks of one scan "
                 "point, median seconds",
-        "command": "python3 scripts/bench_graded.py --repeats "
-                   f"{args.repeats}",
-        "machine": {"nproc": os.cpu_count(), "numpy": np.__version__,
-                    "blas": _blas(),
-                    "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-                    "python": platform.python_version(),
-                    "platform": platform.platform()},
+        "command": command,
+        "machine": machine,
         "points": points,
         "total_seconds": {
             "graded": sum(r["graded"]["seconds"] for r in timed),
@@ -153,6 +182,19 @@ def main(argv=None) -> int:
             "deltas": [r["delta"] for r in timed]},
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+    seeded = {
+        "benchmark": "seeded_newton",
+        "what": "branch values on the solved half of a scan point's final "
+                "circle grid, median seconds; previous = the radius ramp",
+        "command": command,
+        "machine": machine,
+        "points": seeded_points,
+        "total_seconds": {
+            "seeded": sum(r["seeded"]["seconds"] for r in seeded_points),
+            "previous": sum(r["previous"]["seconds"] for r in seeded_points)},
+        "max_diff": max(r["max_diff"] for r in seeded_points),
+    }
+    Path(args.seeded_out).write_text(json.dumps(seeded, indent=2) + "\n")
     return 0
 
 

@@ -8,6 +8,7 @@ from .errors import (
     BranchJump,
     TailNotConverged,
     GridTooLarge,
+    WrongSheet,
     InsufficientData,
     TrajectoryStalled,
     UnivalenceLost,

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brent import brentq
 from .errors import (
     BranchJump,
     DegenerateSeries,
@@ -247,6 +247,7 @@ class DominantData:
     U = lam + kappa*sqrt(1 - x/x_*) + ...), so the amplitudes
     A_p = -(s^{-1/2}/(2 sqrt(pi))) p kappa lam^{p-1} are asymptotically
     exact, not just up to phase; ``amplitude(p)`` computes A_p.
+    ``series`` is the Taylor series the radius estimate was fitted to.
     """
 
     rho_star: float
@@ -256,6 +257,7 @@ class DominantData:
     separation: float
     phi: float
     s: int
+    series: PowerSeries = field(repr=False)
     rho_hat: float = float("nan")
     exponent_hat: float = float("nan")
 
@@ -349,7 +351,7 @@ def dominant_data(p: ParamPoint, order: int, *,
     phi = cmath.phase(rep.x_star**s)
     return DominantData(
         rho_star=rho, representative=rep, orbit=tuple(best), orbit_size=len(best),
-        separation=separation, phi=phi, s=s,
+        separation=separation, phi=phi, s=s, series=series,
         rho_hat=rho_hat, exponent_hat=exponent_hat,
     )
 

@@ -461,12 +461,14 @@ def _spectra_rows(points) -> tuple[list, list]:
 
 
 def _grid_facts(points) -> list[dict]:
-    """Final node count and doublings of each point's circle table, in grid
-    order (one entry per delta; 0 where no table was completed)."""
+    """Final node count, doublings and largest Newton iteration count of
+    each point's circle table, in grid order (one entry per delta; 0 where
+    no table was completed)."""
     facts = {}
     for pt in points:
         facts.setdefault(pt.delta, {"delta": _jf(pt.delta), "n_grid": pt.n_grid,
-                                    "doublings": pt.doublings})
+                                    "doublings": pt.doublings,
+                                    "newton_iterations": pt.newton_iterations})
     return list(facts.values())
 
 

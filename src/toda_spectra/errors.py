@@ -39,6 +39,11 @@ class GridTooLarge(TodaSpectraError):
     it is allocated."""
 
 
+class WrongSheet(TodaSpectraError):
+    """Samples left the Taylor sheet: a check against the series recursion
+    stopped improving as the sample grid was refined."""
+
+
 class InsufficientData(TodaSpectraError):
     """Not enough successful points to perform a requested fit."""
 

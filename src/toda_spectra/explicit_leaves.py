@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from ._brent import fminbound
 from .branch_points import radius_estimate
 from .errors import (Degenerate, InsufficientData, LogBranchCut, NotBracketed,
                      TodaSpectraError)
@@ -396,10 +396,10 @@ def _unit_level_attained(gamma: float) -> bool:
     interior minimum stays above 1, the boundary limit decides (values
     converge to it, so a limit below 1 forces interior attainment).
     """
-    res = minimize_scalar(
+    _, low = fminbound(
         lambda b: log_rho_char(LogLeafPoint(b, gamma), on_cut="split").rho,
-        bounds=(0.01, 0.99), method="bounded", options={"xatol": 1e-8})
-    if res.fun <= 1.0:
+        0.01, 0.99, xatol=1e-8)
+    if low <= 1.0:
         return True
     return _log_boundary_limit(gamma) < 1.0
 

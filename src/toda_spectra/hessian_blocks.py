@@ -33,6 +33,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,6 +46,9 @@ from .series_engine import (
     branch_power_rows,
     taylor_branch,  # noqa: F401  (looked up here by perfbench/tracer.py)
 )
+
+if TYPE_CHECKING:
+    from .branch_points import DominantData
 
 __all__ = [
     "RenormConfig",
@@ -271,18 +275,21 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
     return vals[::-1]
 
 
-def check_alpha_admissible(p: ParamPoint, rho_star: float,
+def check_alpha_admissible(p: ParamPoint, dom: "DominantData",
                            alpha: float) -> float:
     """Estimate the branch bound on the midpoint circle and warn if alpha
     does not clear it.
 
-    Samples |U| on |x| = (1 + rho_*)/2 and returns the maximum; the
+    Samples |U| on |x| = (1 + rho_*)/2, with rho_* from ``dom``, and returns
+    the maximum; the samples lie inside the disk of convergence and start
+    from the Taylor polynomial of ``dom.series`` alone.  The
     weighted renormalization is only guaranteed to tame the blocks when
     alpha exceeds this scale, so alpha <= max|U| triggers a warning rather
     than an error (the truncated numerics stay finite either way).
     """
-    radius_z = ((1.0 + rho_star) / 2.0) ** p.leaf.s
-    vals = _branch_values_on_circle(p, np.arange(512), 512, radius=radius_z)
+    radius_z = ((1.0 + dom.rho_star) / 2.0) ** p.leaf.s
+    vals, _ = _branch_values_on_circle(p, np.arange(512), 512, dom.series,
+                                       radius=radius_z)
     m0 = float(np.abs(vals).max())
     if alpha <= m0:
         warnings.warn(

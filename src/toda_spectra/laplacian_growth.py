@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brent import brentq
 from .branch_points import dominant_data, solve_characteristic
 from .errors import QuadratureNotConverged, TrajectoryStalled, UnivalenceLost
 from .series_engine import Leaf, ParamPoint

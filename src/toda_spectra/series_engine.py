@@ -21,14 +21,18 @@ or on a uniform grid, whose inverse FFT gives deep coefficient rows.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import GridTooLarge, NoConvergence, TailNotConverged
+from .errors import GridTooLarge, NoConvergence, TailNotConverged, WrongSheet
+
+if TYPE_CHECKING:
+    from .branch_points import DominantData
 
 __all__ = [
     "Leaf",
@@ -253,14 +257,20 @@ def functional_residual(p: ParamPoint, u: PowerSeries) -> float:
 # d = 1 is the uniform grid.  Grids are nested: the n-node grid is the even
 # half of the 2n-node grid, so a table doubles by solving at the odd nodes.
 #
-# The evaluation is a Newton continuation in the radius, and its cost is
-# kept down three ways.  For real zeta (phi = 0 or pi), U(conj z) = conj U(z)
-# and node n-k is the conjugate of node k: Newton runs on nodes 0..n/2 only
-# and the rest are their mirror images.  Within a radius stage a sample
-# leaves the Newton iteration once its own step is below the stage's
-# tolerance, so the slow samples near the dominant singularity no longer drag
-# the converged ones along.  Integer powers are formed by multiplication
-# (``_int_pow_values``), not by complex ``**``.
+# Each sample is found by Newton's method at its own node, started from
+# whichever of two guesses leaves the smaller residual in the branch
+# equation: the Taylor polynomial of the point's series, accurate away from
+# z_*, or the square-root germ U ~ lam + kappa sqrt(1 - x/x_*) of the
+# dominant representative (``DominantData``), accurate near it.  Both lie on
+# the Taylor sheet, so one Newton solve of a few iterations replaces a
+# continuation from the centre of the disk; a sample that still lands on the
+# other sheet fails the table's coefficient check.  The cost is kept down
+# three ways.  For real zeta (phi = 0 or pi), U(conj z) = conj U(z) and node
+# n-k is the conjugate of node k: Newton runs on nodes 0..n/2 only and the
+# rest are their mirror images.  A sample leaves the Newton iteration once
+# its own step is below the tolerance, so the slow samples near the dominant
+# singularity do not drag the converged ones along.  Integer powers are
+# formed by multiplication (``_int_pow_values``), not by complex ``**``.
 # ---------------------------------------------------------------------------
 
 # above this many nodes a table is refused before it is allocated: at 2**21
@@ -269,9 +279,10 @@ def functional_residual(p: ParamPoint, u: PowerSeries) -> float:
 MAX_CIRCLE_GRID = 2**21
 
 # nodes of a table's first grid.  Points with rho_*^s - 1 above ~0.005 pass
-# their checks on it.  Below ~1000 nodes the radius ramp's fixed cost of ~40
-# Newton stages dominates: a start at 512 saved shallow points ~2 ms and
-# cost every deeper one a doubling, and one at 2048 cost shallow points more
+# their checks on it.  The value was tuned for an evaluation with a fixed
+# cost per node set (a start at 512 saved shallow points ~2 ms and cost
+# every deeper one a doubling); it is kept so that every point's grid, and
+# with it every Gram block, stays as it was
 N_START = 1024
 
 # grading depth d = GRADE * sqrt(2 e), at most 1 (uniform).  d = sqrt(2 e)
@@ -282,10 +293,23 @@ N_START = 1024
 # is the check that fails first
 GRADE = 2.0
 
-# Newton step tolerance of the radius ramp, relative to 1 + max|y|
-_RAMP_TOL = 1e-13
+# Newton step tolerance at the circle samples, relative to 1 + max|y|
+_NEWTON_TOL = 1e-13
 # leading coefficients of a circle table checked against the recursion
 _VALIDATE_ORDERS = 128
+# a table graded on its dominant data is given up as off the Taylor sheet
+# when its failing coefficient check, already below STALL_LEVEL, shrinks by
+# less than STALL_FACTOR on STALL_DOUBLINGS doublings in a row.  An
+# undersized graded grid's error stays above ~0.15 until the grid resolves
+# z_*, then falls geometrically: from below 1e-2 it at least squares per
+# doubling (the {3,6} scans down to delta = 1e-6).  A wrong-sheet sample's
+# error falls only like 1/n, and a wrong germ's not at all.  A uniform grid
+# gets no such stop: its aliasing error falls like n^(-3/2) until n ~ 1/e,
+# by as little as 2x per doubling (Leaf (2,), delta = 1e-5), as slowly as a
+# wrong sheet's
+STALL_LEVEL = 1e-2
+STALL_FACTOR = 4.0
+STALL_DOUBLINGS = 2
 
 
 def _int_pow_values(vals: np.ndarray, k: int) -> np.ndarray:
@@ -320,80 +344,90 @@ def _circle_nodes(k: np.ndarray, n: int, depth: float = 1.0,
     return rot * np.exp(1j * psi), weight
 
 
-def _branch_values(p: ParamPoint, z: np.ndarray) -> np.ndarray:
-    """Values of the Taylor branch at the points ``z`` of the closed disk.
+def _branch_values(p: ParamPoint, z: np.ndarray, series: PowerSeries,
+                   dom: "DominantData | None" = None) -> tuple[np.ndarray, int]:
+    """Values of the Taylor branch at the points ``z`` of the closed disk,
+    and the number of Newton iterations the slowest of them took.
 
-    Continues the solution of y = 1 + sum zeta_n z^shift_n y^k_n along each
-    ray from the center (y = 1 at radius 0) outward in 36 radius stages,
-    shrinking the radius step near the target so Newton always stays on the
-    Taylor sheet.
-
-    In each stage, the first Newton iteration runs on every sample and
-    fixes the stage tolerance _RAMP_TOL * (1 + max|y|); after each
-    iteration the samples whose step is below it keep their value and drop
-    out.
+    Each sample starts from the Taylor polynomial of ``series`` at its
+    point or, when ``dom`` is given, from the germ
+    lam + kappa sqrt(1 - (z/z_*)^(1/s)) of its representative (z_* = x_*^s),
+    whichever leaves the smaller residual in y = 1 + sum zeta_n z^shift_n
+    y^k_n.  Newton's method on that equation then runs at the points
+    themselves.  The first iteration runs on every sample and fixes the
+    tolerance _NEWTON_TOL * (1 + max|y|); after each iteration the samples
+    whose step is below it keep their value and drop out.
 
     Raises
     ------
     NoConvergence
-        If some sample is still moving after 60 iterations of a stage.
+        If some sample is still moving after 60 iterations.
     """
-    shifts = p.leaf.collapsed_shifts
     kexps = p.leaf.exponents
-    zsh = [_int_pow_values(z, sh) for sh in shifts]
+    coef = [zn * _int_pow_values(z, sh)
+            for zn, sh in zip(p.zeta, p.leaf.collapsed_shifts)]
 
-    def newton_at(rad, y):
-        # zeta_n (rad z)^sh_n, restricted with y to the samples still moving
-        coef = [(zn * rad ** sh) * zp
-                for zn, sh, zp in zip(p.zeta, shifts, zsh)]
-        live = None  # indices of the samples still moving; None: all
-        ya = y
-        for _ in range(60):
-            f = ya - 1.0
-            fy = np.ones_like(ya)
-            for a, k in zip(coef, kexps):
-                t = a * _int_pow_values(ya, k - 1)
-                f -= t * ya
-                fy -= k * t
-            step = f / fy
-            ya = ya - step
-            if live is None:
-                thr = _RAMP_TOL * (1.0 + np.abs(ya).max())
-                y, live = ya, np.arange(len(ya))
-            else:
-                y[live] = ya
-            moving = ~(np.abs(step) < thr)
-            if not moving.any():
-                return y
-            if not moving.all():
-                live, ya = live[moving], ya[moving]
-                coef = [a[moving] for a in coef]
-        raise NoConvergence("circle evaluation: Newton stalled on the radius ramp")
+    def residual(y):
+        f = y - 1.0
+        for a, k in zip(coef, kexps):
+            f -= a * _int_pow_values(y, k)
+        return np.abs(f)
 
-    y = np.ones(len(z), dtype=np.complex128)
-    # coarse march to half radius, then geometric approach to the rim
-    for rad in np.linspace(0.125, 0.5, 4):
-        y = newton_at(rad, y)
-    gap = 0.5
-    while gap > 1e-7:
-        gap *= 0.6
-        y = newton_at(1.0 - gap, y)
-    return newton_at(1.0, y)
+    c = series.coeffs
+    y = np.full(len(z), c[-1])
+    for a in c[-2::-1]:  # Horner
+        y *= z
+        y += a
+    if dom is not None:
+        rep = dom.representative
+        germ = rep.lam + rep.kappa * np.sqrt(
+            1.0 - (z / rep.x_star**dom.s) ** (1.0 / dom.s))
+        better = residual(germ) < residual(y)
+        y[better] = germ[better]
+
+    live = None  # indices of the samples still moving; None: all
+    ya = y
+    for it in range(1, 61):
+        f = ya - 1.0
+        fy = np.ones_like(ya)
+        for a, k in zip(coef, kexps):
+            t = a * _int_pow_values(ya, k - 1)
+            f -= t * ya
+            fy -= k * t
+        step = f / fy
+        ya = ya - step
+        if live is None:
+            thr = _NEWTON_TOL * (1.0 + np.abs(ya).max())
+            y, live = ya, np.arange(len(ya))
+        else:
+            y[live] = ya
+        moving = ~(np.abs(step) < thr)
+        if not moving.any():
+            return y, it
+        if not moving.all():
+            live, ya = live[moving], ya[moving]
+            coef = [a[moving] for a in coef]
+    raise NoConvergence("circle evaluation: Newton stalled at the circle nodes")
 
 
 def _branch_values_on_circle(p: ParamPoint, k: np.ndarray, n: int,
+                             series: PowerSeries,
+                             dom: "DominantData | None" = None,
                              depth: float = 1.0, rot: complex = 1.0,
-                             radius: float = 1.0) -> np.ndarray:
+                             radius: float = 1.0) -> tuple[np.ndarray, int]:
     """Branch values at ``radius`` times the nodes ``k`` (ascending, closed
-    under k -> n - k for k > 0) of the n-node grid of ``_circle_nodes``.
-    For real zeta only the nodes k <= n/2 are solved and node k > n/2 is
-    filled as the conjugate of node n - k."""
+    under k -> n - k for k > 0) of the n-node grid of ``_circle_nodes``,
+    seeded from ``series`` and ``dom`` as in ``_branch_values``, and the
+    Newton iterations they took.  For real zeta only the nodes k <= n/2 are
+    solved and node k > n/2 is filled as the conjugate of node n - k."""
     if not p.is_real():
-        return _branch_values(p, radius * _circle_nodes(k, n, depth, rot)[0])
+        return _branch_values(p, radius * _circle_nodes(k, n, depth, rot)[0],
+                              series, dom)
     low = k[k <= n // 2]
-    y = _branch_values(p, radius * _circle_nodes(low, n, depth, rot)[0])
+    y, iters = _branch_values(p, radius * _circle_nodes(low, n, depth, rot)[0],
+                              series, dom)
     return np.concatenate(
-        (y, np.conj(y[np.searchsorted(low, n - k[len(low):])])))
+        (y, np.conj(y[np.searchsorted(low, n - k[len(low):])]))), iters
 
 
 class CirclePowerTable:
@@ -401,77 +435,110 @@ class CirclePowerTable:
     doubled until they pass their checks; coefficient rows of U**p on the
     uniform grid.
 
-    ``z_star`` = rho_*^s e^{i phi}, the dominant singularity in z, centres
-    the grid on e^{i phi} with depth d = min(1, GRADE * sqrt(2 (|z_*| - 1)))
-    (for real zeta on +1 or -1, by the sign of Re z_*, so that the grid
-    stays closed under conjugation).  Without it the grid is uniform.
+    ``dom``, the point's ``DominantData``, places the dominant singularity
+    z_* = rho_*^s e^{i phi}: the grid is centred on e^{i phi} with depth
+    d = min(1, GRADE * sqrt(2 (|z_*| - 1))) (for real zeta on +1 or -1, by
+    the sign of Re z_*, so that the grid stays closed under conjugation).
+    Its series and germ seed the samples (``_branch_values``).  Without
+    ``dom``, or when its series stops short of _VALIDATE_ORDERS, the series
+    is the recursion to that order; without ``dom`` the grid is uniform and
+    the samples start from the Taylor polynomial alone.
 
     The first grid has N_START nodes, or the smallest power of two with at
     least 2*(order+1) if that is more.  The grid doubles, solving only the
     new odd nodes, until two checks hold: the first _VALIDATE_ORDERS
     coefficients of U, as weighted sums (1/n) sum_k |dz/dw|_k U(z_k) z_k^-m,
-    agree with the series recursion to 1e-8 relative; and ``accept(table)``,
-    when given, returns without raising TailNotConverged.  ``n_grid`` is
-    the final node count and ``doublings`` the number of doublings.
-    Requires the Taylor branch to be analytic beyond |z| = 1, i.e.
-    rho_*(zeta)**s > 1.
+    agree with the series recursion (the leading coefficients of
+    ``dom.series``) to 1e-8 relative; and ``accept(table)``, when given,
+    returns without raising TailNotConverged.  ``n_grid`` is the final node
+    count, ``doublings`` the number of doublings and ``newton_iterations``
+    the most Newton iterations any node took.  Requires the Taylor branch to
+    be analytic beyond |z| = 1, i.e. rho_*(zeta)**s > 1.
 
     Raises
     ------
     GridTooLarge
         If the next grid would exceed MAX_CIRCLE_GRID nodes; it is refused
         before it is allocated, with the reason of the last failed check.
+    WrongSheet
+        If, with ``dom``, the coefficient check fails, and its error,
+        already below STALL_LEVEL, shrinks by less than STALL_FACTOR on
+        STALL_DOUBLINGS doublings in a row.  A uniform table off the sheet
+        doubles until GridTooLarge.
     NoConvergence
-        If the radius ramp stalls.
+        If Newton stalls at some node.
     """
 
-    def __init__(self, p: ParamPoint, order: int, z_star: complex | None = None,
+    def __init__(self, p: ParamPoint, order: int,
+                 dom: "DominantData | None" = None,
                  accept: Callable[["CirclePowerTable"], object] | None = None):
         self.param = p
         self.order = order
+        self.dom = dom
         self.depth, self.rot = 1.0, 1.0
-        if z_star is not None:
+        series = None
+        if dom is not None:
+            z_star = dom.rho_star**dom.s * cmath.exp(1j * dom.phi)
             self.depth = min(1.0, GRADE * math.sqrt(2.0 * (abs(z_star) - 1.0)))
             self.rot = (math.copysign(1.0, z_star.real) if p.is_real()
                         else z_star / abs(z_star))
+            series = dom.series
+        if series is None or series.order < _VALIDATE_ORDERS:
+            series = taylor_branch(p, _VALIDATE_ORDERS)
+        self.series = series
         n = N_START
         while n < 2 * (order + 1):
             n *= 2
         self.n_grid = 0
         self.doublings = 0
+        self.newton_iterations = 0
         self.values = np.empty(0, dtype=np.complex128)
-        self._want = taylor_branch(p, _VALIDATE_ORDERS).coeffs
-        why = ""
+        why, last_err, stalls = "", math.inf, 0
         while True:
             if n > MAX_CIRCLE_GRID:
                 raise GridTooLarge(
                     f"circle grid of {n} points exceeds MAX_CIRCLE_GRID = "
                     f"{MAX_CIRCLE_GRID}" + (f" ({why})" if why else ""))
             self._refine(n)
-            try:
-                self._validate()
-                if accept is not None:
-                    accept(self)
-                return
-            except TailNotConverged as exc:
-                why = str(exc)
+            err = self._check_error()
+            if err < 1e-8:
+                try:
+                    if accept is not None:
+                        accept(self)
+                    return
+                except TailNotConverged as exc:
+                    why, stalls = str(exc), 0
+            else:
+                why = (f"circle samples disagree with the series recursion "
+                       f"(relative error {err:.2e}); wrong sheet or "
+                       f"insufficient grid")
+                stalled = (dom is not None and last_err < STALL_LEVEL
+                           and err * STALL_FACTOR > last_err)
+                stalls = stalls + 1 if stalled else 0
+                if stalls == STALL_DOUBLINGS:
+                    raise WrongSheet(
+                        f"coefficient check stalled at {n} nodes ({why})")
+            last_err = err
             n *= 2
             self.doublings += 1
 
     def _refine(self, n: int) -> None:
         """Values at all n nodes: the first grid, or the doubled one."""
+        solve = lambda k: _branch_values_on_circle(
+            self.param, k, n, self.series, self.dom, self.depth, self.rot)
         if self.n_grid == 0:
-            self.values = _branch_values_on_circle(
-                self.param, np.arange(n), n, self.depth, self.rot)
+            self.values, iters = solve(np.arange(n))
         else:
             vals = np.empty(n, dtype=np.complex128)
             vals[0::2] = self.values
-            vals[1::2] = _branch_values_on_circle(
-                self.param, np.arange(1, n, 2), n, self.depth, self.rot)
+            vals[1::2], iters = solve(np.arange(1, n, 2))
             self.values = vals
+        self.newton_iterations = max(self.newton_iterations, iters)
         self.n_grid = n
 
-    def _validate(self) -> None:
+    def _check_error(self) -> float:
+        """Largest error of the first _VALIDATE_ORDERS + 1 coefficients of U
+        from the samples, relative to the largest coefficient."""
         n = self.n_grid
         z, weight = _circle_nodes(np.arange(n), n, self.depth, self.rot)
         term = weight * self.values / n
@@ -480,13 +547,8 @@ class CirclePowerTable:
         for m in range(_VALIDATE_ORDERS + 1):
             got[m] = term.sum()
             term *= zinv
-        scale = np.abs(self._want).max()
-        err = np.abs(got - self._want).max() / scale
-        if not err < 1e-8:
-            raise TailNotConverged(
-                f"circle samples disagree with the series recursion "
-                f"(relative error {err:.2e}); wrong sheet or insufficient grid"
-            )
+        want = self.series.coeffs[: _VALIDATE_ORDERS + 1]
+        return float(np.abs(got - want).max() / np.abs(want).max())
 
     def samples(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray,
                                                  np.ndarray, np.ndarray]:
@@ -495,7 +557,7 @@ class CirclePowerTable:
         Differentiating the branch equation gives
         z U' = sum_n sh_n zeta_n z^sh_n U^k_n
                / (1 - sum_n k_n zeta_n z^sh_n U^(k_n - 1)),
-        whose denominator is the Newton derivative of the radius ramp.
+        whose denominator is the Newton derivative of the branch equation.
         """
         z, weight = _circle_nodes(np.arange(lo, hi), self.n_grid, self.depth,
                                   self.rot)

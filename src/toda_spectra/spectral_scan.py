@@ -108,8 +108,9 @@ class BlockSpectrum:
 class ScanPoint:
     """One (delta, q) cell of a scan: a spectrum, or the error that stopped it.
 
-    ``n_grid`` and ``doublings`` are the final node count of the point's
-    circle table and the doublings that reached it (0 when no table was
+    ``n_grid``, ``doublings`` and ``newton_iterations`` are the final node
+    count of the point's circle table, the doublings that reached it and the
+    most Newton iterations any of its nodes took (0 when no table was
     completed).
     """
 
@@ -120,6 +121,7 @@ class ScanPoint:
     detail: str = ""
     n_grid: int = 0
     doublings: int = 0
+    newton_iterations: int = 0
 
     @property
     def ok(self) -> bool:
@@ -144,14 +146,16 @@ def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
     ``path`` maps delta to a ParamPoint; ``cfg`` supplies
     J/alpha/beta/s/tail_tol (its q is overridden per block).  Each point
     evaluates U once, on a circle grid graded toward its dominant
-    singularity z_* = rho_*^s e^{i phi} (``CirclePowerTable``), and shares
-    it across the q blocks: the grid doubles until its coefficient check
-    and every block's aliasing contract (``gram_block``) hold.  Its node
-    count grows like eps^(-1/2).  Grid points are independent jobs; with
+    singularity z_* = rho_*^s e^{i phi} and seeded from its
+    ``dominant_data`` (``CirclePowerTable``), and shares it across the q
+    blocks: the grid doubles until its coefficient check and every block's
+    aliasing contract (``gram_block``) hold.  Its node count grows like
+    eps^(-1/2).  Grid points are independent jobs; with
     more than one thread they are submitted deepest (smallest delta) first,
     and output order follows the grid either way, so results do not depend
-    on scheduling.  A point or block that fails certification, convergence
-    or the grid ceiling is recorded with the error's name and skipped.
+    on scheduling.  A point or block that fails certification, convergence,
+    the sheet check or the grid ceiling is recorded with the error's name
+    and skipped.
     """
     deltas = [float(d) for d in delta_grid]
     qs = list(q_list)
@@ -167,7 +171,7 @@ def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
                 return [ScanPoint(delta, q, None, "supercritical",
                                   f"rho_*={dom.rho_star:.6g}") for q in qs]
             if idx == deepest:
-                check_alpha_admissible(param, dom.rho_star, cfg.alpha)
+                check_alpha_admissible(param, dom, cfg.alpha)
             _, L = log_scale(dom.rho_star, dom.s)
             eps = dom.rho_star - 1.0
             blocks = {}
@@ -178,12 +182,12 @@ def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
                                            use_weights=True)
 
             # order 0: the blocks need the samples only, no coefficient rows
-            table = CirclePowerTable(
-                param, 0, dom.rho_star**dom.s * cmath.exp(1j * dom.phi), accept)
+            table = CirclePowerTable(param, 0, dom, accept)
         except TodaSpectraError as e:
             return [ScanPoint(delta, q, None, type(e).__name__, str(e))
                     for q in qs]
-        grid = dict(n_grid=table.n_grid, doublings=table.doublings)
+        grid = dict(n_grid=table.n_grid, doublings=table.doublings,
+                    newton_iterations=table.newton_iterations)
         out = []
         for q in qs:
             try:

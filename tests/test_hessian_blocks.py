@@ -9,9 +9,12 @@ import pytest
 
 from toda_spectra import (CirclePowerTable, Leaf, NoConvergence, ParamPoint,
                           RenormConfig, TailNotConverged, branch_power_rows,
-                          check_alpha_admissible, eigenvalues, gram_block,
-                          kernel_hessian_oracle, mode_gram_vectors)
+                          check_alpha_admissible, dominant_data, eigenvalues,
+                          gram_block, kernel_hessian_oracle, mode_gram_vectors)
+from toda_spectra import series_engine
 from toda_spectra.hessian_blocks import _mirror_lower
+
+from ramp_oracle import ramp_evaluation
 
 POINT2 = ParamPoint(Leaf((2,)), (0.2,))
 
@@ -157,18 +160,26 @@ def test_gram_block_matches_direct_sum_complex_zeta():
 
 @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
 @pytest.mark.parametrize("phase", [0.0, 0.3], ids=["real", "complex"])
-def test_graded_gram_block_matches_uniform_oracle(phase, delta):
+def test_graded_gram_block_matches_uniform_oracle(phase, delta, monkeypatch):
     # the uniform grid sized as the Gram entries' geometric tail demands,
-    # eta^M <= 1e-12 with eta = |z_*|^-2, against the graded grid doubled
-    # until the coefficient check and the aliasing contract hold
+    # eta^M <= 1e-12 with eta = |z_*|^-2, its samples from the radius ramp,
+    # against the graded grid of seeded samples doubled until the
+    # coefficient check and the aliasing contract hold
     zeta = 0.25 * (1.0 - delta) * np.exp(1j * phase)
     point = ParamPoint(Leaf((2,)), (zeta,))
     z_star = 1.0 / (4.0 * zeta)
     cfg = _cfg(J=12)
     order = math.ceil(math.log(1e-12) / (-2.0 * math.log(abs(z_star)))) + cfg.J
-    uniform = CirclePowerTable(point, order)
+    with monkeypatch.context() as patch:
+        patch.setattr(series_engine, "_branch_values", ramp_evaluation)
+        uniform = CirclePowerTable(point, order)
     want = gram_block(uniform, cfg, use_weights=True)
-    graded = CirclePowerTable(point, 0, z_star,
+    # the same uniform table, its samples seeded by the Taylor polynomial
+    seeded = CirclePowerTable(point, order)
+    assert seeded.n_grid == uniform.n_grid
+    assert (np.abs(seeded.values - uniform.values).max()
+            <= 1e-13 * (1.0 + np.abs(uniform.values).max()))
+    graded = CirclePowerTable(point, 0, dominant_data(point, 250),
                               lambda t: gram_block(t, cfg, use_weights=True))
     got = gram_block(graded, cfg, use_weights=True)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -214,11 +225,12 @@ def test_gram_block_undersized_table_raises():
 
 def test_alpha_admissible_warns_when_too_small():
     with pytest.warns(RuntimeWarning):
-        check_alpha_admissible(POINT2, 1.118, alpha=1.01)
+        check_alpha_admissible(POINT2, dominant_data(POINT2, 250), alpha=1.01)
 
 
 def test_alpha_admissible_quiet_when_clear():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bound = check_alpha_admissible(POINT2, 1.118, alpha=10.0)
+        bound = check_alpha_admissible(POINT2, dominant_data(POINT2, 250),
+                                       alpha=10.0)
     assert 1.0 < bound < 10.0

@@ -1,5 +1,6 @@
 """Unit tests for the truncated-series engine."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,10 +12,13 @@ from hypothesis import strategies as st
 
 from toda_spectra import (CirclePowerTable, GridTooLarge, Leaf, ParamPoint,
                           PowerSeries, TailNotConverged, branch_power_rows,
-                          functional_residual, raney_oracle, taylor_branch,
-                          taylor_branch_x_grid)
+                          check_alpha_admissible, critical_parameter,
+                          dominant_data, functional_residual, raney_oracle,
+                          taylor_branch, taylor_branch_x_grid)
 from toda_spectra import series_engine
-from toda_spectra.series_engine import _branch_values_on_circle
+from toda_spectra.series_engine import _branch_values_on_circle, _circle_nodes
+
+from ramp_oracle import ramp_branch_values
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 
@@ -168,7 +172,8 @@ def test_circle_values_match_one_mode_closed_form(zeta, n):
     assert point.is_real() == (np.imag(zeta) == 0)
     z = np.exp(2j * np.pi * np.arange(n) / n)
     want = (1.0 - np.sqrt(1.0 - 4.0 * zeta * z)) / (2.0 * zeta * z)
-    got = _branch_values_on_circle(point, np.arange(n), n)
+    got, _ = _branch_values_on_circle(point, np.arange(n), n,
+                                      taylor_branch(point, 250))
     npt.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
@@ -179,8 +184,19 @@ def test_complex_circle_samples_mirror_exactly():
     n = 65536
     leaf = Leaf((2,))
     k = np.arange(n)
-    u = _branch_values_on_circle(ParamPoint(leaf, (zeta,)), k, n)
-    v = _branch_values_on_circle(ParamPoint(leaf, (np.conj(zeta),)), k, n)
+    point = ParamPoint(leaf, (zeta,))
+    dom = dominant_data(point, 250)
+    # the mirror point gets the mirror image of the seeds, so that any
+    # difference comes from the nodes
+    rep = dom.representative
+    mirror = dataclasses.replace(
+        dom, phi=-dom.phi, series=PowerSeries.from_coeffs(np.conj(dom.series.coeffs)),
+        representative=dataclasses.replace(
+            rep, x_star=np.conj(rep.x_star), lam=np.conj(rep.lam),
+            kappa=np.conj(rep.kappa)))
+    u, _ = _branch_values_on_circle(point, k, n, dom.series, dom)
+    v, _ = _branch_values_on_circle(ParamPoint(leaf, (np.conj(zeta),)), k, n,
+                                    mirror.series, mirror)
     assert np.abs(u[(n - k) % n] - np.conj(v)).max() <= 1e-15
 
 
@@ -204,7 +220,7 @@ GRADED_IDS = ["real_plus", "real_minus", "complex"]
 @pytest.mark.parametrize("zeta", GRADED, ids=GRADED_IDS)
 def test_graded_table_matches_one_mode_closed_form(zeta):
     point = ParamPoint(Leaf((2,)), (zeta,))
-    table = CirclePowerTable(point, 0, 1.0 / (4.0 * zeta))
+    table = CirclePowerTable(point, 0, dominant_data(point, 250))
     assert 0.0 < table.depth < 0.2 and table.n_grid > series_engine.N_START
     z, u, _, weight = table.samples(0, table.n_grid)
     npt.assert_allclose(np.abs(z), 1.0, rtol=0, atol=1e-15)
@@ -219,7 +235,7 @@ def test_graded_table_matches_one_mode_closed_form(zeta):
 @pytest.mark.parametrize("zeta", GRADED, ids=GRADED_IDS)
 def test_graded_table_doubles_on_nested_nodes(zeta):
     point = ParamPoint(Leaf((2,)), (zeta,))
-    z_star = 1.0 / (4.0 * zeta)
+    dom = dominant_data(point, 250)
     levels = []
 
     def reject_first(table):
@@ -227,12 +243,94 @@ def test_graded_table_doubles_on_nested_nodes(zeta):
         if len(levels) == 1:
             raise TailNotConverged("one more doubling")
 
-    first = CirclePowerTable(point, 0, z_star)
-    table = CirclePowerTable(point, 0, z_star, reject_first)
+    first = CirclePowerTable(point, 0, dom)
+    table = CirclePowerTable(point, 0, dom, reject_first)
     assert table.n_grid == 2 * first.n_grid
     assert table.doublings == first.doublings + 1
     npt.assert_array_equal(levels[0], first.values)
     npt.assert_array_equal(levels[1][0::2], levels[0])
+
+
+@pytest.fixture(scope="module")
+def leaf36_critical():
+    """zeta_1 at which the {3,6} leaf with zeta_2 = 0.01 turns critical."""
+    ray = lambda t: ParamPoint(LEAF36, (t, 0.01))
+    return critical_parameter(ray, 0.05, 0.2, order=250)
+
+
+LEAF36 = Leaf((3, 6))
+
+
+def _assert_matches_ramp(point, table):
+    z, u, _, _ = table.samples(0, table.n_grid)
+    want = ramp_branch_values(point, z)
+    assert np.abs(u - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+
+
+@pytest.mark.parametrize("zeta", GRADED, ids=GRADED_IDS)
+def test_seeded_graded_table_matches_ramp_oracle(zeta):
+    point = ParamPoint(Leaf((2,)), (zeta,))
+    table = CirclePowerTable(point, 0, dominant_data(point, 250))
+    assert 1 <= table.newton_iterations <= 8
+    _assert_matches_ramp(point, table)
+
+
+@pytest.mark.parametrize("delta", [1e-1, 1e-3, 1e-4])
+def test_seeded_table_matches_ramp_oracle_on_leaf36(leaf36_critical, delta):
+    point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - delta), 0.01))
+    dom = dominant_data(point, 250)
+    # the scan's grid sizes: the coefficient check alone sets them
+    table = CirclePowerTable(point, 0, dom)
+    assert table.n_grid == {1e-1: 1024, 1e-3: 4096, 1e-4: 16384}[delta]
+    _assert_matches_ramp(point, table)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-4])
+@pytest.mark.parametrize("leaf", ["leaf2", "leaf36"])
+def test_uniform_table_matches_ramp_oracle_near_criticality(
+        leaf36_critical, leaf, delta):
+    # without dominant data the samples start from the order-128 Taylor
+    # polynomial alone, which near z_* is further off than the two sheets
+    # are apart; Newton must still land on the Taylor sheet.  The uniform
+    # grid's check error falls only algebraically (8192 and 32768 nodes
+    # here), which must not read as a stall
+    point = (ParamPoint(Leaf((2,)), (0.25 * (1.0 - delta),)) if leaf == "leaf2"
+             else ParamPoint(LEAF36, (leaf36_critical * (1.0 - delta), 0.01)))
+    table = CirclePowerTable(point, 0)
+    assert table.depth == 1.0
+    assert table.n_grid == {1e-3: 8192, 1e-4: 32768}[delta]
+    _assert_matches_ramp(point, table)
+
+
+@pytest.mark.parametrize("zeta", [
+    (0.11, 0.01), (0.11 * np.exp(0.4j), 0.01 * np.exp(-0.2j)), (0.2,)],
+    ids=["leaf36_real", "leaf36_complex", "leaf2"])
+def test_table_checks_the_dominant_series(zeta):
+    # the coefficient check reads the leading coefficients of the series
+    # dominant_data already has; the recursion is order by order, so they
+    # are those of a recursion stopped at the check's order, to the bit
+    point = ParamPoint(Leaf((3, 6)) if len(zeta) == 2 else Leaf((2,)), zeta)
+    dom = dominant_data(point, 250)
+    table = CirclePowerTable(point, 0, dom)
+    assert table.series is dom.series
+    want = taylor_branch(point, 128).coeffs
+    npt.assert_array_equal(dom.series.coeffs[:129], want)
+    # a series that stops short of the check is recomputed to its order
+    short = CirclePowerTable(point, 0, dominant_data(point, 100))
+    npt.assert_array_equal(short.series.coeffs, want)
+
+
+def test_admissibility_circle_taylor_seed_matches_ramp_oracle(leaf36_critical):
+    # check_alpha_admissible's 512 samples, on |x| = (1 + rho_*)/2 inside
+    # the disk of convergence, start from the Taylor polynomial alone
+    point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - 1e-4), 0.01))
+    dom = dominant_data(point, 250)
+    radius = ((1.0 + dom.rho_star) / 2.0) ** 3
+    got, _ = _branch_values_on_circle(point, np.arange(512), 512, dom.series,
+                                      radius=radius)
+    want = ramp_branch_values(point, radius * _circle_nodes(np.arange(512), 512)[0])
+    assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+    assert check_alpha_admissible(point, dom, 10.0) == np.abs(got).max()
 
 
 def test_circle_table_agrees_with_convolution():

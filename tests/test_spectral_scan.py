@@ -1,6 +1,7 @@
 """Tests for the logarithmic scale, spike vector, and path scans."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from toda_spectra import (BlockSpectrum, InsufficientData, Leaf, ParamPoint,
                           RenormConfig, ScanPoint, default_threads,
                           dominant_data, fit_log_scaling, log_scale,
                           scan_path, spike_vector)
-from toda_spectra import series_engine
+from toda_spectra import branch_points, series_engine, spectral_scan
 from toda_spectra.spectral_scan import BOUNDED_TOL
 
 LEAF2 = Leaf((2,))
@@ -208,28 +209,78 @@ def test_scan_records_grid_over_ceiling_as_failed_cells(monkeypatch):
 
 def test_scan_records_wrong_sheet_sample_as_failed_cells(monkeypatch):
     # one sample of the first grid (1024 nodes, 513 solved) replaced by the
-    # other root of U = 1 + zeta z U^2 stays in every doubled grid; the
-    # coefficient check rejects each one until the ceiling ends the point
+    # other root of U = 1 + zeta z U^2 stays in every doubled grid; its
+    # coefficient-check error only halves per doubling, so the point is
+    # given up as off the sheet long before the ceiling
     solve = series_engine._branch_values
     calls = []
 
-    def one_wrong(p, z):
-        u = solve(p, z)
+    def one_wrong(p, z, *seeds):
+        u, iters = solve(p, z, *seeds)
         if len(z) == 513:
             u[5] = 1.0 / (p.zeta[0] * z[5] * u[5])
         calls.append(len(z))
-        return u
+        return u, iters
 
     monkeypatch.setattr(series_engine, "_branch_values", one_wrong)
     monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 8192)
     scan = scan_path(_critical_path, [3e-2], SCAN_CFG, (1, 2), order=250,
                      threads=1)
-    assert [pt.status for pt in scan] == ["GridTooLarge", "GridTooLarge"]
+    assert [pt.status for pt in scan] == ["WrongSheet", "WrongSheet"]
+    assert "stalled at 4096 nodes" in scan[0].detail
     assert "series recursion" in scan[0].detail
     # the admissibility circle (257 of 512 points solved), then the grids of
-    # 1024, 2048, 4096 and 8192 nodes (513 of the first, then the half of
-    # each doubling's new odd nodes that is not mirrored), all rejected
-    assert calls == [257, 513, 512, 1024, 2048]
+    # 1024, 2048 and 4096 nodes (513 of the first, then the half of each
+    # doubling's new odd nodes that is not mirrored), all rejected
+    assert calls == [257, 513, 512, 1024]
+    assert [(pt.n_grid, pt.doublings) for pt in scan] == [(0, 0), (0, 0)]
+
+
+def test_scan_records_flipped_germ_seed_as_wrong_sheet(monkeypatch):
+    # kappa of the opposite sign makes the germ a seed on the other sheet;
+    # near z_* it beats the Taylor polynomial, so those samples converge to
+    # the wrong root: every check of the point fails and it is recorded,
+    # with no spectrum, instead of ending in a crash or a stale value
+    real = spectral_scan.dominant_data
+
+    def flipped(p, order):
+        dom = real(p, order)
+        rep = dom.representative
+        return dataclasses.replace(
+            dom, representative=dataclasses.replace(rep, kappa=-rep.kappa))
+
+    monkeypatch.setattr(spectral_scan, "dominant_data", flipped)
+    scan = scan_path(_critical_path, [1e-3, 1e-1], SCAN_CFG, (1, 2),
+                     order=250, threads=1)
+    assert [pt.status for pt in scan] == ["WrongSheet"] * 2 + ["ok"] * 2
+    assert all(pt.spectrum is None for pt in scan[:2])
+    assert "stalled" in scan[0].detail
+    # far from criticality the germ never wins and the samples, hence the
+    # blocks, are those of the true seeds (the spike only changes sign)
+    monkeypatch.undo()
+    want = scan_path(_critical_path, [1e-1], SCAN_CFG, (1, 2), order=250,
+                     threads=1)
+    for a, b in zip(scan[2:], want):
+        npt.assert_array_equal(a.spectrum.mu, b.spectrum.mu)
+        npt.assert_array_equal(a.spectrum.spike, -b.spectrum.spike)
+
+
+def test_scan_runs_the_taylor_recursion_once_per_point(monkeypatch):
+    # the circle table checks and seeds its samples with the series
+    # dominant_data computed, instead of running the recursion again
+    calls = []
+    real = series_engine.taylor_branch
+
+    def counted(p, order):
+        calls.append(order)
+        return real(p, order)
+
+    monkeypatch.setattr(branch_points, "taylor_branch", counted)
+    monkeypatch.setattr(series_engine, "taylor_branch", counted)
+    scan = scan_path(_critical_path, [1e-3, 1e-2, 1e-1], SCAN_CFG, (1, 2),
+                     order=250, threads=1)
+    assert all(pt.ok for pt in scan)
+    assert calls == [250, 250, 250]
 
 
 def test_scan_q_list_order_is_cosmetic():
