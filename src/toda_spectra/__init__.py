@@ -23,9 +23,6 @@ from .series_engine import (
     PowerSeries,
     CirclePowerTable,
     taylor_branch,
-    taylor_branch_x_grid,
-    raney_oracle,
-    functional_residual,
     branch_power_rows,
 )
 from .branch_points import (

@@ -7,7 +7,10 @@ The central object is the unique germ ``U`` with ``U(0) = 1`` solving
 on a fixed exponent set ``{s_1 < ... < s_N}``.  Because every exponent is a
 multiple of ``s = gcd(s_n)``, ``U`` is a function of ``z = x**s`` alone and
 all series in this module are stored in the collapsed variable ``z`` (one
-coefficient per power of ``x**s``).  The coefficient arrays
+coefficient per power of ``x**s``).  ``taylor_branch`` finds the Taylor
+coefficients by Newton's method on truncated power series (Brent & Kung,
+J. ACM 25, 1978) with direct-convolution products, so that exact zeros stay
+exact.  The coefficient arrays
 
     R_p(m) = [x**(m*s)] U**p
 
@@ -24,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -39,16 +41,9 @@ __all__ = [
     "ParamPoint",
     "PowerSeries",
     "taylor_branch",
-    "taylor_branch_x_grid",
-    "raney_oracle",
-    "functional_residual",
     "branch_power_rows",
     "CirclePowerTable",
 ]
-
-# Above this truncation order, series products switch from direct convolution
-# to FFT-based convolution.
-_DIRECT_CONV_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -127,48 +122,77 @@ class PowerSeries:
 
 
 def _mul_trunc(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """Truncated product of coefficient arrays, to `order` inclusive."""
-    if order + 1 <= _DIRECT_CONV_MAX:
-        return np.convolve(a[: order + 1], b[: order + 1])[: order + 1]
-    na = min(len(a), order + 1)
-    nb = min(len(b), order + 1)
-    size = 1
-    while size < na + nb - 1:
-        size *= 2
-    fa = np.fft.fft(a[:na], size)
-    fb = np.fft.fft(b[:nb], size)
-    return np.fft.ifft(fa * fb)[: order + 1]
+    """Truncated product of coefficient arrays, to `order` inclusive, padded
+    with zeros when the operands are too short to reach it.
 
-
-def _recursion_coeffs(zetas: Sequence[complex], shifts: Sequence[int],
-                      powers_of: Sequence[int], order: int) -> np.ndarray:
-    """Order-by-order substitution for u = 1 + sum_n zeta_n * z^shift_n * u^k_n.
-
-    Maintains each needed power u**k_n incrementally via the standard
-    power-of-a-series recurrence (from u * (u^k)' = k * u' * u^k), so the
-    whole computation is O(order^2) with vectorized inner products.
+    Direct convolution only: a product with an exact zero stays exactly zero,
+    and the rounding of each coefficient depends on the operands' lengths
+    alone.
     """
-    u = np.zeros(order + 1, dtype=np.complex128)
+    prod = np.convolve(a[: order + 1], b[: order + 1])[: order + 1]
+    if len(prod) == order + 1:
+        return prod
+    out = np.zeros(order + 1, dtype=prod.dtype)
+    out[: len(prod)] = prod
+    return out
+
+
+def _newton_coeffs(zetas: Sequence[complex], shifts: Sequence[int],
+                   powers_of: Sequence[int], order: int) -> np.ndarray:
+    """Coefficients u_0..u_order of the root u = 1 + O(z) of
+    F(u) = u - 1 - sum_n zeta_n z^shift_n u^k_n, by Newton's method on
+    truncated series.
+
+    Each step doubles the precision h of u, up to the power of two
+    N >= order + 1.  It forms u^(k_n - 1) mod z^2h by binary powering,
+    Q = sum_n zeta_n z^shift_n u^(k_n - 1) (so F = u - 1 - Q u) and F', and
+    refreshes g = 1/F' mod z^h by g <- g - g (F' g - 1); the new half of u
+    is that of u - g F.  Array lengths depend on h alone, never on the
+    order, which keeps lower orders a bit-exact prefix of higher ones.
+    """
+    real = all(zn.imag == 0 for zn in zetas)
+    dtype = np.float64 if real else np.complex128
+    modes = [(zn.real if real else zn, sh, k)
+             for zn, sh, k in zip(zetas, shifts, powers_of) if zn != 0]
+    size = 1
+    while size < order + 1:
+        size *= 2
+    u = np.zeros(size, dtype=dtype)
     u[0] = 1.0
-    pw = [np.zeros(order + 1, dtype=np.complex128) for _ in powers_of]
-    for arr in pw:
-        arr[0] = 1.0
-    filled = [0] * len(powers_of)
-    for m in range(1, order + 1):
-        total = 0.0 + 0.0j
-        for n, (zn, shift, k) in enumerate(zip(zetas, shifts, powers_of)):
-            t = m - shift
-            if t < 0 or zn == 0:
-                continue
-            P = pw[n]
-            while filled[n] < t:
-                j = filled[n] + 1
-                i = np.arange(1, j + 1)
-                P[j] = np.dot(((k + 1) * i - j) * u[1 : j + 1], P[j - 1 :: -1]) / j
-                filled[n] = j
-            total += zn * P[t]
-        u[m] = total
-    return u
+    g = np.ones(1, dtype=dtype)  # 1/F'(u) mod z^h; F'(u) = 1 + O(z)
+    h = 1
+    while h < size and modes:
+        n = 2 * h
+        squares = [u[:h]]  # u^(2^j) mod z^n
+        q = np.zeros(n, dtype=dtype)
+        dq = np.zeros(n, dtype=dtype)
+        for zn, sh, k in modes:
+            w, e, j = None, k - 1, 0
+            while e:
+                if j == len(squares):
+                    squares.append(_mul_trunc(squares[-1], squares[-1], n - 1))
+                if e & 1:
+                    w = squares[j] if w is None else _mul_trunc(w, squares[j],
+                                                               n - 1)
+                e >>= 1
+                j += 1
+            top = min(len(w), n - sh)
+            if top > 0:
+                q[sh : sh + top] += zn * w[:top]
+                dq[sh : sh + top] += (k * zn) * w[:top]
+        if h > 1:  # F' = 1 - dq; g from mod z^(h/2) to mod z^h
+            gh = np.zeros(h, dtype=dtype)
+            gh[: len(g)] = g
+            err = _mul_trunc(-dq[:h], gh, h - 1)
+            err += gh
+            err[0] -= 1.0
+            g = gh - _mul_trunc(gh, err, h - 1)
+        # u's new half is still zero, so F's new half is that of -Q u
+        qu = _mul_trunc(q, u[:h], n - 1)[h:]
+        u[h:n] = _mul_trunc(g, qu, h - 1)
+        h = n
+    out = u[: order + 1]
+    return out.astype(np.complex128) if real else out.copy()
 
 
 def taylor_branch(p: ParamPoint, order: int) -> PowerSeries:
@@ -185,48 +209,13 @@ def taylor_branch(p: ParamPoint, order: int) -> PowerSeries:
     -------
     PowerSeries
         Coefficients u_m with u_0 = 1 satisfying
-        U = 1 + sum_n zeta_n x**s_n U**s_n through order ``order``.
+        U = 1 + sum_n zeta_n x**s_n U**s_n through order ``order``; those of
+        a lower order are a prefix of them, to the bit.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    u = _recursion_coeffs(p.zeta, p.leaf.collapsed_shifts, p.leaf.exponents, order)
+    u = _newton_coeffs(p.zeta, p.leaf.collapsed_shifts, p.leaf.exponents, order)
     return PowerSeries(u, order=order)
-
-
-def taylor_branch_x_grid(p: ParamPoint, order: int) -> np.ndarray:
-    """Same recursion on the full x-grid (no collapse); used to check that
-    every coefficient of an exponent not divisible by s vanishes."""
-    return _recursion_coeffs(p.zeta, p.leaf.exponents, p.leaf.exponents, order)
-
-
-def raney_oracle(s: int, p: int, m: int) -> Fraction:
-    """Exact one-mode coefficient p/(s*m+p) * binomial(s*m+p, m).
-
-    Big-integer arithmetic throughout; on a one-mode leaf {s} the series
-    coefficient R_p(m) equals this number times zeta**m.
-    """
-    if s < 2 or p < 1 or m < 0:
-        raise ValueError("need s >= 2, p >= 1, m >= 0")
-    n = s * m + p
-    return Fraction(p * math.comb(n, m), n)
-
-
-def functional_residual(p: ParamPoint, u: PowerSeries) -> float:
-    """Max coefficient residual of U - 1 - sum_n zeta_n x^{s_n} U^{s_n},
-    relative to the largest coefficient of U."""
-    order = u.order
-    coeffs = u.coeffs
-    res = coeffs.copy()
-    res[0] -= 1.0
-    for zn, shift, k in zip(p.zeta, p.leaf.collapsed_shifts, p.leaf.exponents):
-        if zn == 0:
-            continue
-        upow = coeffs
-        for _ in range(k - 1):
-            upow = _mul_trunc(upow, coeffs, order)
-        res[shift:] -= zn * upow[: order + 1 - shift]
-    scale = np.abs(coeffs).max()
-    return float(np.abs(res).max() / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +284,7 @@ GRADE = 2.0
 
 # Newton step tolerance at the circle samples, relative to 1 + max|y|
 _NEWTON_TOL = 1e-13
-# leading coefficients of a circle table checked against the recursion
+# leading coefficients of a circle table checked against the Taylor series
 _VALIDATE_ORDERS = 128
 # a table graded on its dominant data is given up as off the Taylor sheet
 # when its failing coefficient check, already below STALL_LEVEL, shrinks by
@@ -441,14 +430,14 @@ class CirclePowerTable:
     the sign of Re z_*, so that the grid stays closed under conjugation).
     Its series and germ seed the samples (``_branch_values``).  Without
     ``dom``, or when its series stops short of _VALIDATE_ORDERS, the series
-    is the recursion to that order; without ``dom`` the grid is uniform and
+    is ``taylor_branch`` to that order; without ``dom`` the grid is uniform and
     the samples start from the Taylor polynomial alone.
 
     The first grid has N_START nodes, or the smallest power of two with at
     least 2*(order+1) if that is more.  The grid doubles, solving only the
     new odd nodes, until two checks hold: the first _VALIDATE_ORDERS
     coefficients of U, as weighted sums (1/n) sum_k |dz/dw|_k U(z_k) z_k^-m,
-    agree with the series recursion (the leading coefficients of
+    agree with the Taylor series (the leading coefficients of
     ``dom.series``) to 1e-8 relative; and ``accept(table)``, when given,
     returns without raising TailNotConverged.  ``n_grid`` is the final node
     count, ``doublings`` the number of doublings and ``newton_iterations``
@@ -493,6 +482,7 @@ class CirclePowerTable:
         self.doublings = 0
         self.newton_iterations = 0
         self.values = np.empty(0, dtype=np.complex128)
+        self._sums = np.zeros(_VALIDATE_ORDERS + 1, dtype=np.complex128)
         why, last_err, stalls = "", math.inf, 0
         while True:
             if n > MAX_CIRCLE_GRID:
@@ -523,30 +513,32 @@ class CirclePowerTable:
             self.doublings += 1
 
     def _refine(self, n: int) -> None:
-        """Values at all n nodes: the first grid, or the doubled one."""
-        solve = lambda k: _branch_values_on_circle(
+        """Values at all n nodes: the first grid, or the doubled one.  The
+        even nodes of the doubled grid are the old grid, with the same
+        weights, so only the new nodes' terms join the check's sums."""
+        k = np.arange(n) if self.n_grid == 0 else np.arange(1, n, 2)
+        new, iters = _branch_values_on_circle(
             self.param, k, n, self.series, self.dom, self.depth, self.rot)
         if self.n_grid == 0:
-            self.values, iters = solve(np.arange(n))
+            self.values = new
         else:
             vals = np.empty(n, dtype=np.complex128)
             vals[0::2] = self.values
-            vals[1::2], iters = solve(np.arange(1, n, 2))
+            vals[1::2] = new
             self.values = vals
         self.newton_iterations = max(self.newton_iterations, iters)
         self.n_grid = n
+        z, weight = _circle_nodes(k, n, self.depth, self.rot)
+        term = weight * new
+        zinv = np.conj(z)
+        for m in range(_VALIDATE_ORDERS + 1):
+            self._sums[m] += term.sum()
+            term *= zinv
 
     def _check_error(self) -> float:
-        """Largest error of the first _VALIDATE_ORDERS + 1 coefficients of U
-        from the samples, relative to the largest coefficient."""
-        n = self.n_grid
-        z, weight = _circle_nodes(np.arange(n), n, self.depth, self.rot)
-        term = weight * self.values / n
-        zinv = np.conj(z)
-        got = np.empty(_VALIDATE_ORDERS + 1, dtype=np.complex128)
-        for m in range(_VALIDATE_ORDERS + 1):
-            got[m] = term.sum()
-            term *= zinv
+        """Largest error of the first _VALIDATE_ORDERS + 1 coefficients of U,
+        (1/n) sum_k |dz/dw|_k U(z_k) z_k^-m, relative to the largest one."""
+        got = self._sums / self.n_grid
         want = self.series.coeffs[: _VALIDATE_ORDERS + 1]
         return float(np.abs(got - want).max() / np.abs(want).max())
 

@@ -24,9 +24,10 @@ from toda_spectra import (Leaf, LogLeafPoint, ParamPoint, PoleLeafPoint,
                           dominant_data, fit_log_scaling, gamma_c_solve,
                           kernel_hessian_oracle, log_rho_char, log_scale,
                           mode_gram_vectors, phase_diagram, pole_germ_radius,
-                          pole_rho_char, raney_oracle, scan_path,
-                          solve_characteristic)
+                          pole_rho_char, scan_path, solve_characteristic)
 from toda_spectra.spectral_scan import BOUNDED_TOL
+
+from recursion_oracle import raney_oracle
 
 
 def _verdict(tag, label, ok, detail=""):

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 from toda_spectra import (CirclePowerTable, GridTooLarge, Leaf, ParamPoint,
                           PowerSeries, TailNotConverged, branch_power_rows,
                           check_alpha_admissible, critical_parameter,
-                          dominant_data, functional_residual, raney_oracle,
-                          taylor_branch, taylor_branch_x_grid)
+                          dominant_data, taylor_branch)
 from toda_spectra import series_engine
 from toda_spectra.series_engine import _branch_values_on_circle, _circle_nodes
 
 from ramp_oracle import ramp_branch_values
+from recursion_oracle import (functional_residual, raney_oracle,
+                              recursion_branch, taylor_branch_x_grid)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 
@@ -54,7 +55,7 @@ def test_param_point_is_zero():
 
 
 # ---------------------------------------------------------------------------
-# Taylor branch recursion
+# Taylor branch
 
 
 def test_branch_hand_coefficients_one_mode():
@@ -112,6 +113,47 @@ def test_functional_residual_flags_wrong_series():
     assert functional_residual(p, wrong) > 1e-5
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    exps=st.lists(st.integers(2, 9), min_size=1, max_size=3, unique=True),
+    orders=st.lists(st.integers(0, 600), min_size=2, max_size=2, unique=True),
+    complex_zeta=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_newton_branch_matches_recursion_oracle(exps, orders, complex_zeta,
+                                                seed):
+    # each |zeta_n| is 0.35..0.6 of the one-mode critical value
+    # (k-1)^(k-1)/k^k, so that at order 600 the coefficients neither
+    # underflow nor overflow
+    leaf = Leaf(tuple(sorted(exps)))
+    rng = np.random.default_rng(seed)
+    crit = np.array([(k - 1) ** (k - 1) / k**k for k in leaf.exponents])
+    zeta = rng.uniform(0.35, 0.6, len(exps)) * crit * rng.choice([-1, 1],
+                                                                   len(exps))
+    if complex_zeta:
+        zeta = zeta * np.exp(1j * rng.uniform(-np.pi, np.pi, len(exps)))
+    point = ParamPoint(leaf, tuple(zeta))
+    lo, hi = sorted(orders)
+    got = taylor_branch(point, hi).coeffs
+    want = recursion_branch(point, hi)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    npt.assert_array_equal(got == 0, want == 0)
+    npt.assert_array_equal(taylor_branch(point, lo).coeffs, got[: lo + 1])
+    if not complex_zeta:
+        assert not got.imag.any()
+    zero = taylor_branch(ParamPoint(leaf, (0.0,) * len(exps)), hi).coeffs
+    npt.assert_array_equal(zero, np.eye(hi + 1)[0])
+
+
+def test_newton_branch_matches_raney_near_criticality():
+    zeta = 0.2499
+    got = taylor_branch(ParamPoint(Leaf((2,)), (zeta,)), 250).coeffs
+    want = np.array([float(raney_oracle(2, 1, m) * Fraction(zeta) ** m)
+                     for m in range(251)])
+    assert not got.imag.any()
+    npt.assert_allclose(got.real, want, rtol=1e-14, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # powers and the exact one-mode coefficients
 
@@ -142,6 +184,17 @@ def test_powers_table_matches_oracle():
     for row, p in zip(rows, (1, 3, 6)):
         want = [float(raney_oracle(3, p, m)) * zeta**m for m in range(19)]
         npt.assert_allclose(row.real, want, rtol=1e-12)
+
+
+def test_deep_power_rows_match_oracle():
+    # at this depth an FFT product's absolute rounding would swamp the
+    # decaying coefficients (R_2 off by 1e85 relative from m = 76 on)
+    zeta, order = 0.2, 1100
+    rows = branch_power_rows(ParamPoint(Leaf((2,)), (zeta,)), [1, 2], order)
+    for row, p in zip(rows, (1, 2)):
+        want = [float(raney_oracle(2, p, m) * Fraction(zeta) ** m)
+                for m in range(order + 1)]
+        npt.assert_allclose(row.real, want, rtol=1e-12, atol=0)
 
 
 def test_powers_table_scaling_round_trip():
