@@ -40,8 +40,8 @@ class GridTooLarge(TodaSpectraError):
 
 
 class WrongSheet(TodaSpectraError):
-    """Samples left the Taylor sheet: a check against the series recursion
-    stopped improving as the sample grid was refined."""
+    """Samples left the Taylor sheet: their check against the Taylor series
+    coefficients stopped improving as the sample grid was refined."""
 
 
 class InsufficientData(TodaSpectraError):

@@ -12,12 +12,16 @@ accumulation of small integration errors.
 Threshold detection marches a trajectory driver in T while monitoring the
 excess dominant-singularity modulus rho_*(zeta(T)) - 1 and the univalence
 margin min_{|w|=1} |f'(w)|, then brackets and bisects the first zero of
-each.
+each.  The margin is a grid minimum refined by safeguarded Newton on the
+smooth |f'|^2, and every circle grid with its monomials w^p is built once
+per (node count, powers) and then shared.
 """
 
 from __future__ import annotations
 
 import bisect
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -39,7 +43,9 @@ T_TOL_DEFAULT = 1e-6
 _CUSP_GRID = 2048
 # characteristic modulus above which radius_excess skips dominant_data
 _VALIDATE_BELOW = 4.0
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+# iteration cap of the margin's safeguarded Newton: 2 to 4 steps are
+# typical, and bisection alone shrinks the bracket to rounding in about 45
+_NEWTON_MAX = 60
 
 
 @dataclass(frozen=True)
@@ -82,27 +88,49 @@ class TrajectoryState:
         return ParamPoint(self.leaf, self.zeta, r=self.r)
 
 
+@functools.lru_cache(maxsize=None)
+def _circle_powers(n: int, powers: tuple[int, ...]):
+    """Nodes w = exp(2 pi i k / n) and the monomials w**p, one per power.
+
+    Cached per (n, powers) and read-only, since every caller shares them.
+    """
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    monos = tuple(w ** p for p in powers)
+    for arr in (w,) + monos:
+        arr.flags.writeable = False
+    return w, monos
+
+
 def _boundary_factors(r, a, leaf: Leaf, n: int):
     """f(w) and w f'(w) on the n-point uniform grid of the unit circle."""
-    w = np.exp(2j * np.pi * np.arange(n) / n)
+    w, monos = _circle_powers(n, tuple(1 - sn for sn in leaf.exponents))
     f = r * w
     wfp = r * w
-    for an, sn in zip(a, leaf.exponents):
-        mono = an * w ** (1 - sn)
+    for an, sn, wp in zip(a, leaf.exponents, monos):
+        mono = an * wp
         f = f + mono
         wfp = wfp + (1 - sn) * mono
     return f, wfp
 
 
-def _moments_at(r, a, leaf: Leaf, ks, n: int) -> np.ndarray:
-    # z runs over the boundary as w = e^{i theta}; on |w| = 1 the
+def _integrands(r, a, leaf: Leaf, ks, n: int) -> np.ndarray:
+    # Rows conj(f) w f' and then f^{-k} conj(f) w f' on the n nodes: z
+    # runs over the boundary as w = e^{i theta}, and on |w| = 1 the
     # Schwarz reflection of z is literally conj(f(w)).
     f, wfp = _boundary_factors(r, a, leaf, n)
     g = np.conj(f) * wfp
-    out = np.empty(1 + len(ks), dtype=np.complex128)
-    out[0] = g.mean()
+    rows = np.empty((1 + len(ks), n), dtype=np.complex128)
+    rows[0] = g
     for i, k in enumerate(ks, start=1):
-        out[i] = np.mean(f ** (-k) * g) / k
+        rows[i] = f ** (-k) * g
+    return rows
+
+
+def _row_means(rows: np.ndarray, ks) -> np.ndarray:
+    out = np.empty(len(rows), dtype=np.complex128)
+    out[0] = rows[0].mean()
+    for i, k in enumerate(ks, start=1):
+        out[i] = rows[i].mean() / k
     return out
 
 
@@ -115,6 +143,8 @@ def harmonic_moments(r: float, a: Sequence[complex], leaf: Leaf,
     circle.  The trapezoid rule on a periodic analytic integrand is
     spectrally accurate, so the result at ``n_quad`` nodes is checked
     against the doubled grid and must agree to ``QUAD_TOL`` relative.
+    The integrands are evaluated once, on the doubled grid; its even
+    nodes are the ``n_quad``-node grid to the bit.
 
     ``k_set`` defaults to the leaf's exponent set, the generically
     nonvanishing moments of the ansatz.  Returns the refined values as a
@@ -124,8 +154,10 @@ def harmonic_moments(r: float, a: Sequence[complex], leaf: Leaf,
     if any(k < 1 for k in ks):
         raise ValueError("contour moment indices must be >= 1")
     a = tuple(complex(v) for v in a)
-    coarse = _moments_at(r, a, leaf, ks, n_quad)
-    fine = _moments_at(r, a, leaf, ks, 2 * n_quad)
+    rows = _integrands(r, a, leaf, ks, 2 * n_quad)
+    # contiguous copy, so each mean sums in the order of an n_quad-node grid
+    coarse = _row_means(np.ascontiguousarray(rows[:, ::2]), ks)
+    fine = _row_means(rows, ks)
     err = np.abs(fine - coarse) / (1.0 + np.abs(fine))
     if np.max(err) > QUAD_TOL:
         raise QuadratureNotConverged(
@@ -134,30 +166,47 @@ def harmonic_moments(r: float, a: Sequence[complex], leaf: Leaf,
     return fine
 
 
-def _abs_fprime(r, a, leaf: Leaf, w):
-    fp = r + np.zeros_like(w)
-    for an, sn in zip(a, leaf.exponents):
-        fp = fp + (1 - sn) * an * w ** (-sn)
-    return np.abs(fp)
+def _refine_min(r: float, terms, theta: float, step: float) -> float:
+    """|f'(e^{i theta})| at the local minimum of P = |f'|^2 within one step.
 
-
-def _golden_min(fun, lo: float, hi: float, iters: int = 48) -> float:
-    # Golden-section shrink.  |f'| is not differentiable at a zero, so a
-    # derivative-free bracketing search is the right tool near a cusp.
-    c = hi - _GOLD * (hi - lo)
-    d = lo + _GOLD * (hi - lo)
-    fc = fun(c)
-    fd = fun(d)
-    for _ in range(iters):
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLD * (hi - lo)
-            fc = fun(c)
+    f'(e^{i theta}) = r + sum_n c_n e^{-i s_n theta} over ``terms`` =
+    ((c_n, s_n), ...).  |f'| is V-shaped where it touches zero, but P is
+    smooth, with P'' = 2 |d f'/d theta|^2 > 0 there, so Newton on P' = 0
+    converges quadratically right up to a cusp.  The bracket [theta - step, theta + step] shrinks on the sign of
+    P'; a step that would leave it, or meets P'' <= 0, is a bisection.
+    Newton stops once its step is at the rounding level of theta or the
+    decrease of P it predicts is at that of P.
+    """
+    lo, hi = theta - step, theta + step
+    for _ in range(_NEWTON_MAX):
+        z = cmath.exp(-1j * theta)
+        fp, d1, d2 = complex(r), 0j, 0j
+        for cn, sn in terms:
+            e = cn * z ** sn
+            fp += e
+            d1 -= 1j * sn * e
+            d2 -= sn * sn * e
+        # half of P' and of P''
+        dp = (fp.conjugate() * d1).real
+        ddp = abs(d1) ** 2 + (fp.conjugate() * d2).real
+        if dp == 0.0:
+            break
+        if dp > 0.0:
+            hi = theta
         else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLD * (hi - lo)
-            fd = fun(d)
-    return float(min(fc, fd))
+            lo = theta
+        if ddp > 0.0:
+            nxt = theta - dp / ddp
+            if (abs(nxt - theta) <= 1e-15 * (1.0 + abs(theta))
+                    or dp * dp <= 1e-16 * ddp * abs(fp) ** 2):
+                theta = nxt
+                break
+            if lo < nxt < hi:
+                theta = nxt
+                continue
+        theta = 0.5 * (lo + hi)
+    z = cmath.exp(-1j * theta)
+    return abs(r + sum(cn * z ** sn for cn, sn in terms))
 
 
 def _fprime_root_moduli(r: float, a, leaf: Leaf) -> np.ndarray:
@@ -176,23 +225,25 @@ def _fprime_root_moduli(r: float, a, leaf: Leaf) -> np.ndarray:
 def univalence_margin(r: float, a: Sequence[complex], leaf: Leaf) -> float:
     """Signed cusp margin of the boundary curve.
 
-    The magnitude is min over |w| = 1 of |f'(w)| (coarse minimum on a
-    _CUSP_GRID-point circle grid, refined by local golden-section around
-    the best cell).  The sign tracks univalence through the typical
-    breakdown f'(w) = 0 on |w| = 1: positive while every zero of f' stays
-    inside the unit disk, negative once one has crossed outside.  A plain
-    modulus would touch zero at the cusp and rise again, so this signed
-    version is what makes the first loss of univalence a bracketable sign
-    change.
+    The magnitude is min over |w| = 1 of |f'(w)|: the coarse minimum on the
+    cached _CUSP_GRID-point circle grid, refined by safeguarded Newton on
+    the smooth |f'|^2 within one grid step of the best node.  The sign
+    tracks univalence through the typical breakdown f'(w) = 0 on |w| = 1:
+    positive while every zero of f' stays inside the unit disk, negative
+    once one has crossed outside.  A plain modulus would touch zero at the
+    cusp and rise again, so this signed version is what makes the first
+    loss of univalence a bracketable sign change.
     """
     a = tuple(complex(v) for v in a)
-    theta = 2.0 * np.pi * np.arange(_CUSP_GRID) / _CUSP_GRID
-    vals = _abs_fprime(r, a, leaf, np.exp(1j * theta))
+    terms = tuple(((1 - sn) * an, sn) for an, sn in zip(a, leaf.exponents))
+    _, monos = _circle_powers(_CUSP_GRID, tuple(-sn for sn in leaf.exponents))
+    fp = np.full(_CUSP_GRID, complex(r))
+    for (cn, _), wp in zip(terms, monos):
+        fp += cn * wp
+    vals = np.abs(fp)
     i = int(np.argmin(vals))
     step = 2.0 * np.pi / _CUSP_GRID
-    refined = _golden_min(
-        lambda th: float(_abs_fprime(r, a, leaf, np.exp(1j * th))),
-        theta[i] - step, theta[i] + step)
+    refined = _refine_min(r, terms, i * step, step)
     mag = min(float(vals[i]), refined)
     if np.all(_fprime_root_moduli(r, a, leaf) < 1.0):
         return mag
@@ -222,8 +273,9 @@ def _require_real_slice(a) -> None:
 
 def _moment_residual(leaf: Leaf, v: np.ndarray, targets: np.ndarray,
                      n_quad: int) -> np.ndarray:
-    m = _moments_at(float(v[0]), tuple(v[1:]), leaf, leaf.exponents, n_quad)
-    return m.real - targets
+    ks = leaf.exponents
+    rows = _integrands(float(v[0]), tuple(v[1:]), leaf, ks, n_quad)
+    return _row_means(rows, ks).real - targets
 
 
 def _newton_moments(leaf: Leaf, targets: np.ndarray, seed: np.ndarray,

@@ -499,7 +499,7 @@ class CirclePowerTable:
                 except TailNotConverged as exc:
                     why, stalls = str(exc), 0
             else:
-                why = (f"circle samples disagree with the series recursion "
+                why = (f"circle samples disagree with the Taylor series "
                        f"(relative error {err:.2e}); wrong sheet or "
                        f"insufficient grid")
                 stalled = (dom is not None and last_err < STALL_LEVEL

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from margin_oracle import golden_margin
+from moment_oracle import two_pass_moments
+from toda_spectra import laplacian_growth
 from toda_spectra import (Leaf, MomentDriver, ParamPoint, QuadratureNotConverged,
                           SliceDriver, TrajectoryState, UnivalenceLost,
                           approach_path, detect_thresholds,
@@ -67,6 +72,36 @@ def test_moments_quadrature_doubling_guard():
         harmonic_moments(1.0, (0.3329,), LEAF2, n_quad=16)
 
 
+@pytest.mark.parametrize("exps", [(2,), (3, 6)])
+def test_moments_equal_two_evaluation_oracle_to_the_bit(exps):
+    # one pass on the doubled grid gives what separate evaluations at n
+    # and 2n nodes give, bit for bit, and the same doubling verdict
+    leaf = Leaf(exps)
+    rng = np.random.default_rng(7)
+    crit = np.array([1.0 / (s - 1) for s in exps]) / len(exps)
+    for trial in range(40):
+        r = rng.uniform(0.5, 2.0)
+        a = r * crit * rng.uniform(-0.3, 0.3, len(exps))
+        if trial % 2:
+            a = a * np.exp(1j * rng.uniform(-np.pi, np.pi, len(exps)))
+        coarse, fine = two_pass_moments(r, a, leaf, 512)
+        err = np.abs(fine - coarse) / (1.0 + np.abs(fine))
+        assert np.max(err) <= laplacian_growth.QUAD_TOL
+        got = harmonic_moments(r, a, leaf)
+        npt.assert_array_equal(got.view(np.float64), fine.view(np.float64))
+
+
+@pytest.mark.parametrize("n, powers", [(1024, (-1,)), (2048, (-3, -6))])
+def test_cached_circle_grid_is_read_only(n, powers):
+    # the moment grid of LEAF2 and the margin grid of {3,6}, shared by
+    # every later call
+    w, monos = laplacian_growth._circle_powers(n, powers)
+    assert laplacian_growth._circle_powers(n, powers)[0] is w
+    for arr in (w,) + monos:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # univalence margin
 
@@ -81,8 +116,36 @@ def test_margin_one_mode_closed_form():
 def test_margin_turns_negative_past_cusp():
     assert univalence_margin(1.0, (1.2,), LEAF2) == pytest.approx(-0.2,
                                                                   abs=1e-8)
-    # exactly at the fold the margin value collapses to ~0
-    assert abs(univalence_margin(1.0, (1.0,), LEAF2)) < 1e-4
+    # exactly at the fold the margin value collapses to 0
+    assert abs(univalence_margin(1.0, (1.0,), LEAF2)) < 1e-12
+
+
+@pytest.mark.parametrize("phase", [0.3, 1.1, 2.0])
+def test_margin_resolves_a_cusp_between_grid_nodes(phase):
+    # |f'| = |r - a e^{-2i theta}| has its minimum r - |a| at theta = arg(a)/2,
+    # off the grid; 1e-7 from the cusp, |f'| is V-shaped on the grid scale
+    a = 0.9999999 * np.exp(1j * phase)
+    assert univalence_margin(1.0, (a,), LEAF2) == pytest.approx(1e-7,
+                                                                abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exps=st.sampled_from([(2,), (3,), (2, 3), (3, 6), (4, 8, 12)]),
+       seed=st.integers(0, 2**31 - 1))
+def test_margin_matches_golden_section_oracle(exps, seed):
+    # each |a_n| is up to 1.5 times its share of the one-mode cusp value
+    # r / (s_n - 1), so both univalent and folded maps are drawn
+    leaf = Leaf(exps)
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.5, 2.0)
+    share = np.array([r / (s - 1) for s in exps]) / len(exps)
+    a = share * rng.uniform(0.0, 1.5, len(exps)) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, len(exps)))
+    got = univalence_margin(r, tuple(a), leaf)
+    want = golden_margin(r, tuple(a), leaf)
+    scale = r + sum(abs((s - 1) * an) for s, an in zip(exps, a))
+    assert abs(abs(got) - abs(want)) <= 1e-13 * scale
+    assert np.sign(got) == np.sign(want)
 
 
 # ---------------------------------------------------------------------------

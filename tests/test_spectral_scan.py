@@ -192,7 +192,7 @@ def test_scan_records_undersized_grid_as_failed_cells(monkeypatch):
         "GridTooLarge", "GridTooLarge", "ok", "ok"]
     # the detail names the check the last grid failed
     assert "circle grid of 2048 points" in scan[0].detail
-    assert "series recursion" in scan[0].detail
+    assert "Taylor series" in scan[0].detail
     assert [(pt.n_grid, pt.doublings) for pt in scan] == [
         (0, 0), (0, 0), (1024, 0), (1024, 0)]
 
@@ -228,7 +228,7 @@ def test_scan_records_wrong_sheet_sample_as_failed_cells(monkeypatch):
                      threads=1)
     assert [pt.status for pt in scan] == ["WrongSheet", "WrongSheet"]
     assert "stalled at 4096 nodes" in scan[0].detail
-    assert "series recursion" in scan[0].detail
+    assert "Taylor series" in scan[0].detail
     # the admissibility circle (257 of 512 points solved), then the grids of
     # 1024, 2048 and 4096 nodes (513 of the first, then the half of each
     # doubling's new odd nodes that is not mirrored), all rejected
