@@ -1,25 +1,28 @@
-"""Time the growth layer: univalence margin, moment quadrature and one
-moment-driven march, against the code they replaced.
+"""Time the growth layer and the phase grids against the code they replaced.
 
-For each case (the leaf {2} at r = 1, a = 0.05, and the leaf {3,6} at
-r = 1, a = (0.05, 0.005)) this times three calls of
+For each growth case (the leaf {2} at r = 1, a = 0.05, and the leaf {3,6}
+at r = 1, a = (0.05, 0.005)) this times two calls of
 ``toda_spectra.laplacian_growth``:
 
-* ``univalence_margin``: the minimum of |f'| on a cached 2048-node circle
-  grid, refined by safeguarded Newton on |f'|^2;
-* ``harmonic_moments``: one evaluation of the integrands on the cached
-  doubled grid, the n-node check read off its even nodes;
 * ``march``: ``MomentDriver.state(1.0)`` on a fresh driver from the case's
-  initial state, the finite-difference moment Newton included.
+  initial state, whose moment Newton runs on the residue sums with their
+  complex-step Jacobian; ``previous`` is the Newton on 512-node quadrature
+  residuals with a finite-difference Jacobian, one quadrature per unknown
+  per iteration;
+* ``univalence_margin``: its sign by the Schur-Cohn recursion;
+  ``previous`` takes the sign from the moduli of ``np.roots``
+  (``tests/margin_oracle.py``).
 
-``previous`` is the same call with the replaced code patched back in:
-circle grids and monomials rebuilt on every call, the moments evaluated
-separately on n and 2n nodes (``tests/moment_oracle.py``), and the margin
-refined by a 48-step golden-section search (``tests/margin_oracle.py``).
+For the two shipped phase grids (``configs/pole_phase.ini`` and
+``configs/log_phase.ini``) it times ``explicit_leaves.phase_diagram``,
+which bisects each column's contour from the column's table values;
+``previous`` evaluates rho_char over every column a second time first.
+
 Each figure is the median over ``--repeats`` runs of the mean time per call
-in a batch.  With them go the largest margin difference relative to
-r + sum |(s_n - 1) a_n|, whether the moments and the marched state agree to
-the bit, and the machine (nproc, numpy, BLAS).  The result goes to
+in a batch.  With them go the largest relative change of the marched state,
+whether the margins and the phase tables agree to the bit, the number of
+sign disagreements between Schur-Cohn and ``np.roots`` over random states
+of five leaves, and the machine (nproc, numpy, BLAS).  The result goes to
 BENCH_growth_layer.json at the repository root.  Run from anywhere:
 
     python3 scripts/bench_growth.py --repeats 7
@@ -36,6 +39,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import argparse
 import contextlib
 import json
+import math
 import platform
 import statistics
 import sys
@@ -48,37 +52,91 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "scripts")]
 import numpy as np
 
 from bench_graded import _blas
-from margin_oracle import golden_margin
-from moment_oracle import boundary_factors, two_pass_moments
+from margin_oracle import fprime_root_moduli
 from toda_spectra import Leaf, MomentDriver, ParamPoint, initial_state
+from toda_spectra import explicit_leaves as el
 from toda_spectra import laplacian_growth as lg
-from toda_spectra.errors import QuadratureNotConverged
+from toda_spectra.errors import TodaSpectraError
 
 CASES = {
     "leaf2": (Leaf((2,)), 1.0, (0.05,)),
     "leaf36": (Leaf((3, 6)), 1.0, (0.05, 0.005)),
 }
-BATCH = {"univalence_margin": 200, "harmonic_moments": 200, "march": 5}
+# (b_min, b_max, b_points), (second_min, second_max, second_points) of the
+# shipped configs
+GRIDS = {
+    "pole": ((-0.9, 0.9, 37), (0.002, 0.6, 60)),
+    "log": ((0.05, 0.95, 31), (0.02, 0.45, 44)),
+}
+BATCH = {"march": 5, "univalence_margin": 200, "phase_diagram": 1}
+SIGN_LEAVES = [(2,), (3,), (2, 3), (3, 6), (4, 8, 12)]
+SIGN_DRAWS = 2000
 
 
-def _previous_moments(r, a, leaf, k_set=None, *, n_quad=lg.N_QUAD_DEFAULT):
-    coarse, fine = two_pass_moments(r, a, leaf, n_quad)
-    if np.max(np.abs(fine - coarse) / (1.0 + np.abs(fine))) > lg.QUAD_TOL:
-        raise QuadratureNotConverged("moment quadrature changed on doubling")
-    return fine
+def _quadrature_residual(leaf, v, targets):
+    rows = lg._integrands(float(v[0]), tuple(v[1:]), leaf, leaf.exponents,
+                          lg.N_QUAD_DEFAULT)
+    return lg._row_means(rows, leaf.exponents).real - targets
+
+
+def _previous_newton(leaf, targets, seed, *, max_iter=30):
+    # the moment Newton as it was: quadrature residuals and a forward-
+    # difference Jacobian
+    scale = 1.0 + np.abs(targets)
+    v = np.array(seed, dtype=float)
+    if v[0] <= 0.0:
+        return None
+    res = _quadrature_residual(leaf, v, targets)
+    for _ in range(max_iter):
+        if np.max(np.abs(res) / scale) < 1e-12:
+            return v
+        jac = np.empty((v.size, v.size))
+        for j in range(v.size):
+            h = 1e-7 * (1.0 + abs(v[j]))
+            vp = v.copy()
+            vp[j] += h
+            jac[:, j] = (_quadrature_residual(leaf, vp, targets) - res) / h
+        try:
+            step = np.linalg.solve(jac, res)
+        except np.linalg.LinAlgError:
+            return None
+        v = v - step
+        if not np.all(np.isfinite(v)) or v[0] <= 0.0:
+            return None
+        res = _quadrature_residual(leaf, v, targets)
+    if np.all(np.isfinite(res)) and np.max(np.abs(res) / scale) < lg.CONS_TOL:
+        return v
+    return None
+
+
+def _previous_zeros_inside(coeffs):
+    return bool(np.all(np.abs(np.roots(coeffs[::-1])) < 1.0))
+
+
+_column_contour = el._column_contour
+
+
+def _previous_column_contour(kind, b, seconds, rhos, level, on_cut):
+    # the column's rho_char evaluated again instead of read off the table
+    rhos = []
+    for sec in seconds:
+        try:
+            rhos.append(el._rho_of(kind, b, sec, on_cut))
+        except (TodaSpectraError, ValueError):
+            rhos.append(math.nan)
+    return _column_contour(kind, b, seconds, rhos, level, on_cut)
 
 
 @contextlib.contextmanager
 def _previous_code():
-    saved = (lg._boundary_factors, lg.harmonic_moments, lg.univalence_margin)
-    lg._boundary_factors = boundary_factors
-    lg.harmonic_moments = _previous_moments
-    lg.univalence_margin = golden_margin
+    saved = (lg._newton_moments, lg._zeros_inside, el._column_contour)
+    lg._newton_moments = _previous_newton
+    lg._zeros_inside = _previous_zeros_inside
+    el._column_contour = _previous_column_contour
     try:
         yield
     finally:
-        (lg._boundary_factors, lg.harmonic_moments,
-         lg.univalence_margin) = saved
+        lg._newton_moments, lg._zeros_inside, el._column_contour = saved
 
 
 def _per_call(fn, batch, repeats):
@@ -92,40 +150,68 @@ def _per_call(fn, batch, repeats):
     return out, statistics.median(times)
 
 
-def _calls(leaf, r, a, init):
-    return {
-        "univalence_margin": lambda: lg.univalence_margin(r, a, leaf),
-        "harmonic_moments": lambda: lg.harmonic_moments(r, a, leaf),
-        "march": lambda: MomentDriver(init).state(1.0),
-    }
+def _row(calls, batch, repeats):
+    """{name: (now, previous)}, each (last result, seconds per call)."""
+    now = {name: _per_call(fn, batch[name], repeats)
+           for name, fn in calls.items()}
+    with _previous_code():
+        before = {name: _per_call(fn, batch[name], repeats)
+                  for name, fn in calls.items()}
+    return {name: (now[name], before[name]) for name in calls}
+
+
+def _timing(now, before, batch):
+    return {"seconds": now[1], "previous": {"seconds": before[1]},
+            "speedup": before[1] / now[1], "batch": batch}
 
 
 def _case(leaf, r, a, repeats):
     init = initial_state(ParamPoint(leaf, tuple(x / r for x in a), r=r))
-    now, before = {}, {}
-    for name, fn in _calls(leaf, r, a, init).items():
-        now[name] = _per_call(fn, BATCH[name], repeats)
-    with _previous_code():
-        for name, fn in _calls(leaf, r, a, init).items():
-            before[name] = _per_call(fn, BATCH[name], repeats)
-    scale = r + sum(abs((s - 1) * x) for s, x in zip(leaf.exponents, a))
-    st_now, st_before = now["march"][0], before["march"][0]
+    calls = {"march": lambda: MomentDriver(init).state(1.0),
+             "univalence_margin": lambda: lg.univalence_margin(r, a, leaf)}
+    rows = _row(calls, BATCH, repeats)
+    st_now, st_before = rows["march"][0][0], rows["march"][1][0]
+    v_now = np.array([st_now.r, *np.real(st_now.a)])
+    v_before = np.array([st_before.r, *np.real(st_before.a)])
     return {
         "leaf": list(leaf.exponents), "r": r, "a": list(a),
-        "calls": {name: {"seconds": now[name][1],
-                         "previous": {"seconds": before[name][1]},
-                         "speedup": before[name][1] / now[name][1],
-                         "batch": BATCH[name]}
-                  for name in BATCH},
-        "margin_rel_diff": abs(now["univalence_margin"][0]
-                               - before["univalence_margin"][0]) / scale,
-        "moments_bit_identical": bool(np.array_equal(
-            now["harmonic_moments"][0].view(np.float64),
-            before["harmonic_moments"][0].view(np.float64))),
-        "march_state_bit_identical": (st_now.r == st_before.r
-                                      and st_now.a == st_before.a
-                                      and st_now.moments == st_before.moments),
+        "calls": {name: _timing(now, before, BATCH[name])
+                  for name, (now, before) in rows.items()},
+        "march_state_rel_diff": float(np.max(np.abs(v_now - v_before))
+                                      / np.max(np.abs(v_before))),
+        "margin_bit_identical": (rows["univalence_margin"][0][0]
+                                 == rows["univalence_margin"][1][0]),
     }
+
+
+def _phase(kind, repeats):
+    (b_lo, b_hi, b_n), (s_lo, s_hi, s_n) = GRIDS[kind]
+    bs, seconds = np.linspace(b_lo, b_hi, b_n), np.linspace(s_lo, s_hi, s_n)
+    now, before = _row(
+        {"phase_diagram": lambda: el.phase_diagram(kind, bs, seconds)},
+        BATCH, repeats)["phase_diagram"]
+    return {"grid": [b_n, s_n],
+            "calls": {"phase_diagram": _timing(now, before,
+                                               BATCH["phase_diagram"])},
+            # repr, since NaN cells never compare equal
+            "table_identical": repr(now[0]) == repr(before[0])}
+
+
+def _sign_disagreements(seed=0):
+    # univalent and folded states alike: each |a_n| up to twice its share
+    # of the one-mode cusp value, with a random phase
+    rng = np.random.default_rng(seed)
+    bad = 0
+    for i in range(SIGN_DRAWS):
+        leaf = Leaf(SIGN_LEAVES[i % len(SIGN_LEAVES)])
+        exps = leaf.exponents
+        r = rng.uniform(0.5, 2.0)
+        share = np.array([r / (s - 1) for s in exps]) / len(exps)
+        a = tuple(share * rng.uniform(0.0, 2.0, len(exps)) * np.exp(
+            1j * rng.uniform(-np.pi, np.pi, len(exps))))
+        inside = bool(np.all(fprime_root_moduli(r, a, leaf) < 1.0))
+        bad += (lg.univalence_margin(r, a, leaf) > 0.0) != inside
+    return {"draws": SIGN_DRAWS, "leaves": SIGN_LEAVES, "disagreements": bad}
 
 
 def main(argv=None) -> int:
@@ -138,12 +224,17 @@ def main(argv=None) -> int:
     for name, (leaf, r, a) in CASES.items():
         cases[name] = _case(leaf, r, a, args.repeats)
         print(name, json.dumps(cases[name]), file=sys.stderr)
+    for kind in GRIDS:
+        cases[f"phase_{kind}"] = _phase(kind, args.repeats)
+        print(kind, json.dumps(cases[f"phase_{kind}"]), file=sys.stderr)
     result = {
         "benchmark": "growth_layer",
-        "what": "median seconds per call of laplacian_growth.univalence_margin, "
-                "harmonic_moments and MomentDriver.state(1.0) on a fresh "
-                "driver; previous = grids rebuilt per call, two quadrature "
-                "passes, golden-section margin",
+        "what": "median seconds per call of MomentDriver.state(1.0) on a "
+                "fresh driver, laplacian_growth.univalence_margin and "
+                "explicit_leaves.phase_diagram on the shipped grids; "
+                "previous = moment Newton on quadrature residuals with a "
+                "finite-difference Jacobian, margin sign from np.roots, "
+                "rho_char evaluated twice per column",
         "command": f"python3 scripts/bench_growth.py --repeats {args.repeats}",
         "machine": {"nproc": os.cpu_count(), "numpy": np.__version__,
                     "blas": _blas(),
@@ -151,6 +242,7 @@ def main(argv=None) -> int:
                     "python": platform.python_version(),
                     "platform": platform.platform()},
         "cases": cases,
+        "margin_sign_vs_np_roots": _sign_disagreements(),
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     return 0

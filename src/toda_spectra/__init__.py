@@ -13,6 +13,7 @@ from .errors import (
     TrajectoryStalled,
     UnivalenceLost,
     QuadratureNotConverged,
+    MomentMismatch,
     Degenerate,
     LogBranchCut,
     NotBracketed,

@@ -70,3 +70,8 @@ class LogBranchCut(TodaSpectraError):
 
 class NotBracketed(TodaSpectraError):
     """A bisection interval does not straddle the sought behavior change."""
+
+
+class MomentMismatch(TodaSpectraError):
+    """Quadrature moments of a state disagree with the residue sums it was
+    solved for (the map has a zero outside the unit disk)."""

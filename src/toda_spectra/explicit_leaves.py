@@ -283,14 +283,13 @@ def _rho_of(kind: str, b: float, second: float, on_cut: str) -> float:
 
 
 def _column_contour(kind: str, b: float, seconds: Sequence[float],
-                    level: float, on_cut: str):
-    """Bisect rho_char = level along one fixed-b column, if bracketed."""
-    vals = []
-    for sec in seconds:
-        try:
-            vals.append(_rho_of(kind, b, sec, on_cut) - level)
-        except (TodaSpectraError, ValueError):
-            vals.append(math.nan)
+                    rhos: Sequence[float], level: float, on_cut: str):
+    """Bisect rho_char = level along one fixed-b column, if bracketed.
+
+    ``rhos`` are the column's grid values of rho_char, NaN where a cell
+    failed.
+    """
+    vals = [rho - level for rho in rhos]
     for (s0, v0), (s1, v1) in zip(zip(seconds, vals), zip(seconds[1:], vals[1:])):
         if math.isnan(v0) or math.isnan(v1) or v0 * v1 > 0.0:
             continue
@@ -318,7 +317,8 @@ def phase_diagram(kind: str, b_values: Iterable[float],
 
     ``kind`` is "pole" (second axis c) or "log" (second axis gamma).
     Per-cell failures are recorded in ``error_code`` without aborting the
-    grid.  Log cells default to the "split" policy so the table shows the
+    grid.  Each column's contour is bisected from its table values, so
+    rho_char is evaluated once per cell plus the bisection steps.  Log cells default to the "split" policy so the table shows the
     branch moduli on both sides of the discriminant; pass
     ``on_cut="error"`` to surface cut hits as error codes instead.
     """
@@ -329,11 +329,13 @@ def phase_diagram(kind: str, b_values: Iterable[float],
     cells = []
     contour = []
     for b in bs:
-        for sec in seconds:
-            cells.append(_pole_cell(b, sec) if kind == "pole"
-                         else _log_cell(b, sec, on_cut))
+        column = [_pole_cell(b, sec) if kind == "pole"
+                  else _log_cell(b, sec, on_cut) for sec in seconds]
+        cells.extend(column)
         if len(seconds) >= 2:
-            hit = _column_contour(kind, b, seconds, level, on_cut)
+            hit = _column_contour(kind, b, seconds,
+                                  [cell.rho_char for cell in column],
+                                  level, on_cut)
             if hit is not None:
                 contour.append(hit)
     return PhaseTable(kind, level, tuple(cells), tuple(contour))

@@ -5,16 +5,20 @@ infinity.  Instead of time-stepping the boundary equation, each accepted
 step solves the conserved-moment system: the area moment t_0 follows the
 prescribed linear ramp (unit injection rate) while the higher contour
 moments t_k on the leaf's active exponent set stay pinned at their initial
-values.  A Newton iteration with a finite-difference Jacobian enforces the
-system at every step, so conservation holds by construction rather than by
-accumulation of small integration errors.
+values.  On the real slice each moment is a finite residue sum in
+(r, a_n), so a Newton iteration on those sums, with their exact Jacobian
+by complex step, enforces the system at every step, and conservation
+holds by construction rather than by accumulation of small integration
+errors.  Every recorded state's moments are recomputed by quadrature and
+checked against the targets the state was solved for.
 
 Threshold detection marches a trajectory driver in T while monitoring the
 excess dominant-singularity modulus rho_*(zeta(T)) - 1 and the univalence
 margin min_{|w|=1} |f'(w)|, then brackets and bisects the first zero of
 each.  The margin is a grid minimum refined by safeguarded Newton on the
-smooth |f'|^2, and every circle grid with its monomials w^p is built once
-per (node count, powers) and then shared.
+smooth |f'|^2, its sign a Schur-Cohn test on the zeros of f', and every
+circle grid with its monomials w^p is built once per (node count, powers)
+and then shared.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import numpy as np
 
 from ._brent import brentq
 from .branch_points import dominant_data, solve_characteristic
-from .errors import QuadratureNotConverged, TrajectoryStalled, UnivalenceLost
+from .errors import (MomentMismatch, QuadratureNotConverged, TrajectoryStalled,
+                     UnivalenceLost)
 from .series_engine import Leaf, ParamPoint
 
 N_QUAD_DEFAULT = 512
@@ -46,6 +51,9 @@ _VALIDATE_BELOW = 4.0
 # iteration cap of the margin's safeguarded Newton: 2 to 4 steps are
 # typical, and bisection alone shrinks the bracket to rounding in about 45
 _NEWTON_MAX = 60
+# complex step of the moment Jacobian: the derivative is Im(F(v + ih))/h,
+# free of cancellation, and its O(h^2) error is far below rounding
+_CSTEP = 1e-20
 
 
 @dataclass(frozen=True)
@@ -209,17 +217,24 @@ def _refine_min(r: float, terms, theta: float, step: float) -> float:
     return abs(r + sum(cn * z ** sn for cn, sn in terms))
 
 
-def _fprime_root_moduli(r: float, a, leaf: Leaf) -> np.ndarray:
-    # Zeros of f' in w, from the polynomial w^{s_N} f'(w) / r.  They sit
-    # inside the unit disk while the map is univalent and cross outward
-    # at a cusp.
-    s_top = leaf.exponents[-1]
-    coeffs = np.zeros(s_top + 1, dtype=np.complex128)
-    coeffs[0] = 1.0
-    for an, sn in zip(a, leaf.exponents):
-        coeffs[sn] -= (sn - 1) * (an / r)
-    roots = np.roots(coeffs)
-    return np.abs(roots) if roots.size else np.zeros(1)
+def _zeros_inside(c) -> bool:
+    """Whether every zero of the monic polynomial sum_i c_i w^i has |w| < 1.
+
+    ``c`` ascends and ends in 1.  Schur-Cohn: if |c_0| >= 1 the zeros'
+    product already has modulus >= 1; otherwise, since |p*| = |p| on the
+    unit circle for p*(w) = w^d conj(p(1/conj w)), Rouche gives
+    (p - c_0 p*)/w exactly one zero fewer inside than p, and that degree
+    d - 1 polynomial, made monic, carries the test on.  O(d^2) operations.
+    """
+    while len(c) > 1:
+        c0 = c[0]
+        lead = 1.0 - abs(c0) ** 2
+        if lead <= 0.0:
+            return False
+        d = len(c) - 1
+        c = [(c[i + 1] - c0 * c[d - 1 - i].conjugate()) / lead
+             for i in range(d)]
+    return True
 
 
 def univalence_margin(r: float, a: Sequence[complex], leaf: Leaf) -> float:
@@ -229,10 +244,11 @@ def univalence_margin(r: float, a: Sequence[complex], leaf: Leaf) -> float:
     cached _CUSP_GRID-point circle grid, refined by safeguarded Newton on
     the smooth |f'|^2 within one grid step of the best node.  The sign
     tracks univalence through the typical breakdown f'(w) = 0 on |w| = 1:
-    positive while every zero of f' stays inside the unit disk, negative
-    once one has crossed outside.  A plain modulus would touch zero at the
-    cusp and rise again, so this signed version is what makes the first
-    loss of univalence a bracketable sign change.
+    positive while every zero of f' stays inside the unit disk (a
+    Schur-Cohn test, :func:`_zeros_inside`), negative once one has crossed
+    outside.  A plain modulus would touch zero at the cusp and rise again,
+    so this signed version is what makes the first loss of univalence a
+    bracketable sign change.
     """
     a = tuple(complex(v) for v in a)
     terms = tuple(((1 - sn) * an, sn) for an, sn in zip(a, leaf.exponents))
@@ -245,9 +261,13 @@ def univalence_margin(r: float, a: Sequence[complex], leaf: Leaf) -> float:
     step = 2.0 * np.pi / _CUSP_GRID
     refined = _refine_min(r, terms, i * step, step)
     mag = min(float(vals[i]), refined)
-    if np.all(_fprime_root_moduli(r, a, leaf) < 1.0):
-        return mag
-    return -mag
+    # zeros of f' in w are those of w^{s_N} f'(w) / r; they sit inside the
+    # unit disk while the map is univalent and cross outward at a cusp
+    s_top = leaf.exponents[-1]
+    coeffs = [0j] * s_top + [1.0]
+    for an, sn in zip(a, leaf.exponents):
+        coeffs[s_top - sn] -= (sn - 1) * (an / r)
+    return mag if _zeros_inside(coeffs) else -mag
 
 
 def initial_state(point: ParamPoint, *,
@@ -271,15 +291,66 @@ def _require_real_slice(a) -> None:
             "complex slices need a declared phase gauge")
 
 
-def _moment_residual(leaf: Leaf, v: np.ndarray, targets: np.ndarray,
-                     n_quad: int) -> np.ndarray:
-    ks = leaf.exponents
-    rows = _integrands(float(v[0]), tuple(v[1:]), leaf, ks, n_quad)
-    return _row_means(rows, ks).real - targets
+def _residue_moments(leaf: Leaf, v) -> list:
+    """[t_0, t_k...] at v = (r, a_1..a_N) on the real slice, as residue sums.
+
+    With real a_n, conj f(w) = f(1/w) on |w| = 1, so each moment integrand
+    is a Laurent series in x = 1/w and its mean is a constant term:
+    t_0 = r^2 - sum (s_n - 1) a_n^2 and
+    t_k = (r^(2-k) / k) sum_{s_n >= k} zeta_n [x^(s_n-k)] (B^-k D), where
+    zeta_n = a_n / r, f = r w B with B = 1 + sum zeta_n x^s_n, and
+    w f' = r w D with D = 1 + sum (1 - s_n) zeta_n x^s_n.  B^-k comes from
+    Miller's recurrence i p_i = sum_n ((1 - k) s_n - i) zeta_n p_(i-s_n).
+    These equal the contour integrals of :func:`harmonic_moments` only
+    while f has no zero on |w| >= 1.  Every operation is holomorphic, so a
+    complex entry of ``v`` yields the complex-step derivative.
+    """
+    r, a = v[0], v[1:]
+    exps = leaf.exponents
+    zeta = [an / r for an in a]
+    out = [r * r - sum((sn - 1) * an * an for sn, an in zip(exps, a))]
+    for k in exps:
+        p = [1.0] + [0.0] * (exps[-1] - k)
+        for i in range(1, len(p)):
+            acc = 0.0
+            for sn, zn in zip(exps, zeta):
+                if sn > i:
+                    break
+                acc += ((1 - k) * sn - i) * zn * p[i - sn]
+            p[i] = acc / i
+        tk = 0.0
+        for sn, zn in zip(exps, zeta):
+            if sn < k:
+                continue
+            i = sn - k
+            coef = p[i]
+            for sm, zm in zip(exps, zeta):
+                if sm > i:
+                    break
+                coef += (1 - sm) * zm * p[i - sm]
+            tk += zn * coef
+        out.append(r ** (2 - k) * tk / k)
+    return out
+
+
+def _moment_residual(leaf: Leaf, v: np.ndarray,
+                     targets: np.ndarray) -> np.ndarray:
+    return np.array(_residue_moments(leaf, v.tolist())) - targets
+
+
+def _moment_jacobian(leaf: Leaf, v: np.ndarray) -> np.ndarray:
+    """d[t_0, t_k...]/dv of the residue sums, column j by a complex step."""
+    base = v.tolist()
+    jac = np.empty((v.size, v.size))
+    for j in range(v.size):
+        vj = list(base)
+        vj[j] = complex(base[j], _CSTEP)
+        jac[:, j] = [m.imag / _CSTEP for m in _residue_moments(leaf, vj)]
+    return jac
 
 
 def _newton_moments(leaf: Leaf, targets: np.ndarray, seed: np.ndarray,
-                    *, n_quad: int, max_iter: int = 30):
+                    *, max_iter: int = 30):
     """Solve the real-slice moment system for v = (r, a_1..a_N).
 
     Returns the solution vector, or None when the iteration fails (the
@@ -290,39 +361,31 @@ def _newton_moments(leaf: Leaf, targets: np.ndarray, seed: np.ndarray,
     v = np.array(seed, dtype=float)
     if v[0] <= 0.0:
         return None
-    res = _moment_residual(leaf, v, targets, n_quad)
+    res = _moment_residual(leaf, v, targets)
     for _ in range(max_iter):
         if np.max(np.abs(res) / scale) < 1e-12:
             return v
-        jac = np.empty((v.size, v.size))
-        for j in range(v.size):
-            h = 1e-7 * (1.0 + abs(v[j]))
-            vp = v.copy()
-            vp[j] += h
-            jac[:, j] = (_moment_residual(leaf, vp, targets, n_quad) - res) / h
         try:
-            step = np.linalg.solve(jac, res)
+            step = np.linalg.solve(_moment_jacobian(leaf, v), res)
         except np.linalg.LinAlgError:
             return None
         v = v - step
         if not np.all(np.isfinite(v)) or v[0] <= 0.0:
             return None
-        res = _moment_residual(leaf, v, targets, n_quad)
+        res = _moment_residual(leaf, v, targets)
     if np.all(np.isfinite(res)) and np.max(np.abs(res) / scale) < CONS_TOL:
         return v
     return None
 
 
 def _march(leaf: Leaf, v: np.ndarray, t_cur: float, t_target: float,
-           ramp, tk_fixed: np.ndarray, *, n_quad: int) -> np.ndarray:
+           targets_at: Callable[[float], np.ndarray]) -> np.ndarray:
     """Advance the real-slice solution vector from t_cur to t_target.
 
-    The t_0 target is the linear ramp anchored at ``ramp = (t_ref,
-    t0_ref)``; the higher moments stay at ``tk_fixed``.  Failed Newton
+    ``targets_at(t)`` gives the moment targets at time t.  Failed Newton
     solves halve the sub-step; the floor ``DT_MIN`` raises
     TrajectoryStalled.
     """
-    t_ref, t0_ref = ramp
     h = t_target - t_cur
     while t_cur < t_target - 1e-15 * max(1.0, abs(t_target)):
         rem = t_target - t_cur
@@ -330,8 +393,7 @@ def _march(leaf: Leaf, v: np.ndarray, t_cur: float, t_target: float,
             h, t_next = rem, t_target
         else:
             t_next = t_cur + h
-        targets = np.concatenate(([t0_ref + (t_next - t_ref)], tk_fixed))
-        sol = _newton_moments(leaf, targets, v, n_quad=n_quad)
+        sol = _newton_moments(leaf, targets_at(t_next), v)
         if sol is None:
             h *= 0.5
             if h < DT_MIN:
@@ -343,13 +405,20 @@ def _march(leaf: Leaf, v: np.ndarray, t_cur: float, t_target: float,
     return v
 
 
-def _checked_state(leaf: Leaf, t: float, v: np.ndarray,
+def _checked_state(leaf: Leaf, t: float, v: np.ndarray, targets: np.ndarray,
                    n_quad: int) -> TrajectoryState:
-    # Recompute the accepted point's moments with the doubling check, so
-    # every recorded state carries independently verified values.
+    # Recompute the accepted point's moments by quadrature with its
+    # doubling check, so every recorded state carries independently
+    # verified values, and hold them to the targets the residue sums were
+    # solved for: the two part ways once f has a zero on |w| >= 1.
     r = float(v[0])
     a = tuple(float(x) for x in v[1:])
     moms = harmonic_moments(r, a, leaf, n_quad=n_quad)
+    err = np.max(np.abs(moms - targets) / (1.0 + np.abs(targets)))
+    if not err <= CONS_TOL:
+        raise MomentMismatch(
+            f"quadrature moments at T = {t:.9g} differ from the residue-sum "
+            f"targets by {err:.3e} relative")
     return TrajectoryState(leaf, t, r, a, tuple(moms),
                            univalence_margin(r, a, leaf))
 
@@ -376,7 +445,7 @@ class MomentDriver:
         self.initial = initial
         self._n_quad = n_quad
         self._ramp = (initial.t, initial.moments[0].real)
-        self._tk = np.array([m.real for m in initial.moments[1:]])
+        self._tk = [m.real for m in initial.moments[1:]]
         self._ts = [initial.t]
         self._states = [initial]
 
@@ -389,13 +458,17 @@ class MomentDriver:
         if abs(seed.t - t) <= 1e-15 * max(1.0, abs(t)):
             return seed
         v = np.array([seed.r] + [an.real for an in seed.a])
-        v = _march(self.leaf, v, seed.t, t, self._ramp, self._tk,
-                   n_quad=self._n_quad)
-        st = _checked_state(self.leaf, t, v, self._n_quad)
+        v = _march(self.leaf, v, seed.t, t, self._targets)
+        st = _checked_state(self.leaf, t, v, self._targets(t), self._n_quad)
         j = bisect.bisect_left(self._ts, t)
         self._ts.insert(j, t)
         self._states.insert(j, st)
         return st
+
+    def _targets(self, t: float) -> np.ndarray:
+        # t_0 on the unit-rate ramp through the initial state, t_k pinned
+        t_ref, t0_ref = self._ramp
+        return np.array([t0_ref + (t - t_ref)] + self._tk)
 
     def trajectory(self) -> list[TrajectoryState]:
         """All states accepted so far, ascending in T."""

@@ -6,16 +6,29 @@ then shrinks a golden-section bracket of one grid step either side of the
 best node for 48 steps, evaluating |f'| one angle at a time.  It uses no
 derivative of f', so agreement with the production margin, which refines
 by Newton on |f'|^2, is a check on that refinement.  The sign comes from
-the same zeros of f' as in production.
+the moduli of the zeros of f', found by ``np.roots`` (an eigenvalue solve
+of the companion matrix), where production decides "all inside the unit
+disk" by the Schur-Cohn recursion without finding them.
 """
 
 import math
 
 import numpy as np
 
-from toda_spectra.laplacian_growth import _CUSP_GRID, _fprime_root_moduli
+from toda_spectra.laplacian_growth import _CUSP_GRID
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def fprime_root_moduli(r, a, leaf) -> np.ndarray:
+    """Moduli of the zeros of f' in w, from the polynomial w^{s_N} f'(w) / r."""
+    s_top = leaf.exponents[-1]
+    coeffs = np.zeros(s_top + 1, dtype=np.complex128)
+    coeffs[0] = 1.0
+    for an, sn in zip(a, leaf.exponents):
+        coeffs[sn] -= (sn - 1) * (an / r)
+    roots = np.roots(coeffs)
+    return np.abs(roots) if roots.size else np.zeros(1)
 
 
 def _abs_fprime(r, a, leaf, w):
@@ -55,6 +68,6 @@ def golden_margin(r, a, leaf) -> float:
         lambda th: float(_abs_fprime(r, a, leaf, np.exp(1j * th))),
         theta[i] - step, theta[i] + step)
     mag = min(float(vals[i]), refined)
-    if np.all(_fprime_root_moduli(r, a, leaf) < 1.0):
+    if np.all(fprime_root_moduli(r, a, leaf) < 1.0):
         return mag
     return -mag

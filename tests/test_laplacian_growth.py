@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from margin_oracle import golden_margin
 from moment_oracle import two_pass_moments
 from toda_spectra import laplacian_growth
-from toda_spectra import (Leaf, MomentDriver, ParamPoint, QuadratureNotConverged,
+from toda_spectra import (Leaf, MomentDriver, MomentMismatch, ParamPoint,
+                          QuadratureNotConverged,
                           SliceDriver, TrajectoryState, UnivalenceLost,
                           approach_path, detect_thresholds,
                           harmonic_moments, initial_state, radius_excess,
@@ -46,6 +47,10 @@ def test_moments_ellipse_closed_forms():
     assert t[0].real == pytest.approx(r * r - a * a, rel=1e-12)
     assert t[1].real == pytest.approx(a / (2.0 * r), rel=1e-12)
     assert abs(t[0].imag) < 1e-14 and abs(t[1].imag) < 1e-14
+    # the residue sums the moment Newton solves on
+    t0, t2 = laplacian_growth._residue_moments(LEAF2, [r, a])
+    assert t0 == pytest.approx(r * r - a * a, rel=1e-15)
+    assert t2 == pytest.approx(a / (2.0 * r), rel=1e-15)
 
 
 def test_moments_match_independent_quadrature():
@@ -89,6 +94,65 @@ def test_moments_equal_two_evaluation_oracle_to_the_bit(exps):
         assert np.max(err) <= laplacian_growth.QUAD_TOL
         got = harmonic_moments(r, a, leaf)
         npt.assert_array_equal(got.view(np.float64), fine.view(np.float64))
+
+
+# ---------------------------------------------------------------------------
+# residue-sum moments and the moment Newton
+
+
+def _univalent_real_state(exps, rng, reach=0.9):
+    # sum (s_n - 1) |a_n| < reach * r keeps f' and f free of zeros on
+    # |w| >= 1, so the map is univalent and the residue sums apply
+    r = rng.uniform(0.5, 2.0)
+    share = np.array([r / (s - 1) for s in exps]) / len(exps)
+    return r, share * rng.uniform(-reach, reach, len(exps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exps=st.sampled_from([(2,), (3,), (2, 3), (3, 6), (4, 8, 12)]),
+       seed=st.integers(0, 2**31 - 1))
+def test_residue_moments_match_quadrature(exps, seed):
+    leaf = Leaf(exps)
+    r, a = _univalent_real_state(exps, np.random.default_rng(seed))
+    got = np.array(laplacian_growth._residue_moments(leaf, [r, *a]))
+    want = harmonic_moments(r, a, leaf)
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+
+@pytest.mark.parametrize("exps", [(2,), (3, 6), (4, 8, 12)])
+def test_moment_jacobian_matches_quadrature_central_differences(exps):
+    leaf = Leaf(exps)
+    rng = np.random.default_rng(11)
+    h = 1e-6
+    for _ in range(5):
+        r, a = _univalent_real_state(exps, rng, reach=0.6)
+        v = np.array([r, *a])
+        jac = laplacian_growth._moment_jacobian(leaf, v)
+        for j in range(v.size):
+            vp, vm = v.copy(), v.copy()
+            vp[j] += h
+            vm[j] -= h
+            col = (harmonic_moments(vp[0], vp[1:], leaf).real
+                   - harmonic_moments(vm[0], vm[1:], leaf).real) / (2.0 * h)
+            npt.assert_allclose(jac[:, j], col, rtol=0, atol=1e-8)
+
+
+def test_checked_state_rejects_moments_off_the_residue_sums():
+    # f = w + 2/w vanishes at w = +-i sqrt(2), outside the unit disk: the
+    # residue sum gives t_2 = a/(2r) = 1, the contour integral -1/4
+    r, a = 1.0, 2.0
+    targets = np.array(laplacian_growth._residue_moments(LEAF2, [r, a]))
+    npt.assert_allclose(targets, [-3.0, 1.0], rtol=1e-15)
+    assert harmonic_moments(r, (a,), LEAF2)[1].real == pytest.approx(-0.25)
+    with pytest.raises(MomentMismatch):
+        laplacian_growth._checked_state(LEAF2, 0.5, np.array([r, a]), targets,
+                                        laplacian_growth.N_QUAD_DEFAULT)
+    # inside its range the same check passes
+    targets = np.array(laplacian_growth._residue_moments(LEAF2, [r, 0.2]))
+    st = laplacian_growth._checked_state(LEAF2, 0.5, np.array([r, 0.2]),
+                                         targets,
+                                         laplacian_growth.N_QUAD_DEFAULT)
+    assert st.moments[1].real == pytest.approx(0.1, rel=1e-14)
 
 
 @pytest.mark.parametrize("n, powers", [(1024, (-1,)), (2048, (-3, -6))])
@@ -146,6 +210,24 @@ def test_margin_matches_golden_section_oracle(exps, seed):
     scale = r + sum(abs((s - 1) * an) for s, an in zip(exps, a))
     assert abs(abs(got) - abs(want)) <= 1e-13 * scale
     assert np.sign(got) == np.sign(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree=st.integers(1, 12), seed=st.integers(0, 2**31 - 1))
+def test_schur_cohn_matches_np_roots_on_random_polynomials(degree, seed):
+    # the margin's sign test against the moduli of np.roots, on general
+    # complex polynomials; draws with a zero within 1e-9 of the circle are
+    # left out as ambiguous
+    rng = np.random.default_rng(seed)
+    # monic, the other coefficients shrunk by a random factor so that a
+    # third to a half of the draws at every degree have all zeros inside
+    low = rng.uniform(-1, 1, degree) + 1j * rng.uniform(-1, 1, degree)
+    coeffs = np.append(1.5 * rng.uniform() ** (degree / 4) * low, 1.0)
+    moduli = np.abs(np.roots(coeffs[::-1]))
+    if np.min(np.abs(moduli - 1.0)) < 1e-9:
+        return
+    assert laplacian_growth._zeros_inside(coeffs.tolist()) == bool(
+        np.all(moduli < 1.0))
 
 
 # ---------------------------------------------------------------------------
