@@ -82,7 +82,7 @@ def _graded(p, dom):
 
     def accept(table):
         for q in QS:
-            blocks[q] = gram_block(table, replace(CFG, q=q), use_weights=True)
+            blocks[q] = gram_block(table, replace(CFG, q=q))
 
     table = CirclePowerTable(p, 0, dom, accept)
     return table, blocks
@@ -90,8 +90,7 @@ def _graded(p, dom):
 
 def _uniform(p, order):
     table = CirclePowerTable(p, order)
-    return table, {q: gram_block(table, replace(CFG, q=q), use_weights=True)
-                   for q in QS}
+    return table, {q: gram_block(table, replace(CFG, q=q)) for q in QS}
 
 
 def _seeded_row(p, dom, table, repeats):

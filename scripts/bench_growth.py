@@ -15,7 +15,7 @@ at r = 1, a = (0.05, 0.005)) this times two calls of
 
 For the two shipped phase grids (``configs/pole_phase.ini`` and
 ``configs/log_phase.ini``) it times ``explicit_leaves.phase_diagram``,
-which bisects each column's contour from the column's table values;
+which solves each column's contour from the column's table values;
 ``previous`` evaluates rho_char over every column a second time first.
 
 Each figure is the median over ``--repeats`` runs of the mean time per call

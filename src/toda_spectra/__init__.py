@@ -38,9 +38,7 @@ from .branch_points import (
 )
 from .hessian_blocks import (
     RenormConfig,
-    kernel_hessian_oracle,
     gram_block,
-    mode_gram_vectors,
     eigenvalues,
     check_alpha_admissible,
 )
@@ -52,7 +50,6 @@ from .spectral_scan import (
     spike_vector,
     scan_path,
     fit_log_scaling,
-    default_threads,
 )
 from .laplacian_growth import (
     TrajectoryState,
@@ -73,10 +70,7 @@ from .explicit_leaves import (
     PhaseCell,
     PhaseTable,
     pole_rho_char,
-    pole_germ_radius,
     log_rho_char,
-    log_germ_radius,
-    log_germ_envelope_radius,
     phase_diagram,
     gamma_c_solve,
 )

@@ -247,19 +247,20 @@ class DominantData:
     U = lam + kappa*sqrt(1 - x/x_*) + ...), so the amplitudes
     A_p = -(s^{-1/2}/(2 sqrt(pi))) p kappa lam^{p-1} are asymptotically
     exact, not just up to phase; ``amplitude(p)`` computes A_p.
-    ``series`` is the Taylor series the radius estimate was fitted to.
+    ``series`` is the Taylor series the radius estimate was fitted to, and
+    ``rho_hat``, ``exponent_hat`` are that estimate's radius and fitted
+    coefficient exponent.
     """
 
     rho_star: float
     representative: CharPoint
     orbit: tuple[CharPoint, ...]
-    orbit_size: int
     separation: float
     phi: float
     s: int
     series: PowerSeries = field(repr=False)
-    rho_hat: float = float("nan")
-    exponent_hat: float = float("nan")
+    rho_hat: float
+    exponent_hat: float
 
     def amplitude(self, p: int) -> complex:
         return amplitude_A(self.s, self.representative.kappa,
@@ -350,7 +351,7 @@ def dominant_data(p: ParamPoint, order: int, *,
         rep = min(best, key=lambda c: cmath.phase(c.x_star) % (2.0 * math.pi))
     phi = cmath.phase(rep.x_star**s)
     return DominantData(
-        rho_star=rho, representative=rep, orbit=tuple(best), orbit_size=len(best),
+        rho_star=rho, representative=rep, orbit=tuple(best),
         separation=separation, phi=phi, s=s, series=series,
         rho_hat=rho_hat, exponent_hat=exponent_hat,
     )
@@ -378,10 +379,10 @@ def _sheet_sign(series: PowerSeries, rep: CharPoint, s: int) -> int:
     return 1 if ratio.real > 0 else -1
 
 
-def _newton_char(p: ParamPoint, x: complex, y: complex,
-                 max_iter: int = 60) -> tuple[complex, complex] | None:
+def _newton_char(p: ParamPoint, x: complex,
+                 y: complex) -> tuple[complex, complex] | None:
     """Damped Newton on (F, dF/dy) = 0 in the unknowns (y, x)."""
-    for _ in range(max_iter):
+    for _ in range(60):
         F, Fy, Fx, Fyy, Fyx, _ = _char_derivs(p, x, y)
         det = Fy * Fyx - Fx * Fyy
         if det == 0:

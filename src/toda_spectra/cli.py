@@ -297,14 +297,14 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
     All in-range checks mirroring module preconditions happen here,
     before any computation starts.  Keys match case-insensitively, and a
     key the command does not read (a misspelling, or a knob of another
-    command or driver) is an error, not silently dropped.
+    command or driver) is an error, not silently dropped.  ``[run]
+    command`` and ``[run] deterministic`` may be given, but must name
+    this command and be true.
     """
     if command not in _COMMANDS:
         raise ConfigError(
             f"[run] command: expected one of {'/'.join(_COMMANDS)}, got {command!r}")
     conf = _Conf(sections)
-    conf._note("run", "command", command)
-    conf._note("run", "deterministic", "true")
     values: dict = {}
 
     if command == "series":
@@ -419,6 +419,10 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
             gamma_c=conf.flag("leaves", "gamma_c", default=False),
             gamma_c_tol=conf.flt("leaves", "gamma_c_tol", default=1e-5, lo=1e-6),
         )
+    # the run sets these two itself; a config that gives them must agree
+    conf.choice("run", "command", (command,), default=command)
+    if not conf.flag("run", "deterministic", default=True):
+        raise ConfigError("[run] deterministic: runs are always deterministic")
     unknown = conf.unknown()
     if unknown:
         raise ConfigError(f"unknown key(s) for command {command!r}: "
@@ -698,8 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Series, spectral-scan, Laplacian-growth, and explicit-leaf "
                     "computations serialized to CSV/JSON for external plotting.",
         epilog="Any config key can be overridden with --set SECTION.KEY=VALUE; "
-               "flags take precedence over the config file.  THREADS falls "
-               "back to the TODA_SPECTRA_THREADS environment variable.")
+               "flags take precedence over the config file.  --threads falls "
+               "back to [run] threads, then to the CPU count (at most 4).")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in (
             ("series", "coefficient rows of powers of the Taylor branch"),

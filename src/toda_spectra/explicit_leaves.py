@@ -23,13 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from ._brent import fminbound
-from .branch_points import radius_estimate
-from .errors import (Degenerate, InsufficientData, LogBranchCut, NotBracketed,
-                     TodaSpectraError)
-from .series_engine import PowerSeries
+from ._brent import brentq, fminbound
+from .errors import Degenerate, LogBranchCut, NotBracketed, TodaSpectraError
 
 _CUT_TOL = 1e-12
 _CONJ_TOL = 1e-10
@@ -78,44 +73,6 @@ def pole_rho_char(p: PoleLeafPoint) -> tuple[float, complex, complex]:
     x_plus = 1.0 / den_p
     x_minus = 1.0 / den_m
     return min(abs(x_plus), abs(x_minus)), x_plus, x_minus
-
-
-def _pole_germ_coeffs(b: complex, c: float, order: int) -> np.ndarray:
-    """Taylor coefficients of the germ solving u = x (1 + c u^2 / (1 - b u)).
-
-    Clearing the denominator gives the quadratic (c x + b) u^2 -
-    (b x + 1) u + x = 0, whose coefficient-by-coefficient form is
-    triangular: (u^2)_m only involves u_1 .. u_{m-1}.
-    """
-    u = np.zeros(order + 1, dtype=np.complex128)
-    sq = np.zeros(order + 1, dtype=np.complex128)  # running coefficients of u^2
-    u[1] = 1.0
-    for m in range(2, order + 1):
-        # extend u^2 to index m before it is consumed
-        sq[m] = np.dot(u[1:m], u[m - 1:0:-1])
-        u[m] = b * sq[m] + c * sq[m - 1] - b * u[m - 1]
-    return u
-
-
-def pole_germ_radius(p: PoleLeafPoint, order: int) -> float:
-    """Series-side radius of the single-pole germ, for cross-checking.
-
-    Runs the germ recursion to ``order`` and applies the ratio-fit radius
-    estimator.  At b = 0 the germ is odd in x, so the estimator runs on
-    the collapsed odd-index subsequence.  Near-tied characteristic moduli
-    (|b| small but nonzero) converge slowly; deepen ``order`` there.
-    """
-    if order < 100:
-        raise ValueError("pole germ radius needs order >= 100")
-    u = _pole_germ_coeffs(p.b, p.c, order)
-    if p.b == 0:
-        rho, _ = radius_estimate(PowerSeries.from_coeffs(u[1::2]), 2)
-    else:
-        # u_2 vanishes identically (u = x + c x^3 + b c x^4 + ...), so the
-        # ratio fit starts at u_3; a fixed index shift leaves the large-m
-        # ratio limit, hence the radius, unchanged.
-        rho, _ = radius_estimate(PowerSeries.from_coeffs(u[3:]), 1)
-    return rho
 
 
 @dataclass(frozen=True)
@@ -187,48 +144,6 @@ def log_rho_char(p: LogLeafPoint, on_cut: str = "error") -> LogCharData:
                        conjugate_pair=b < 4.0 * gamma)
 
 
-def _log_germ_coeffs(b: float, gamma: float, order: int,
-                     scale: float = 1.0) -> np.ndarray:
-    """Taylor coefficients of the germ solving u = x (1 + gamma u log(1-bu)).
-
-    Interleaved triangular recursion: u_m = gamma (u ell)_{m-1} needs ell
-    only up to index m-2, and the logarithmic series ell = log(1 - b u)
-    advances through its derivative relation ell' (1 - b u) = -b u'.
-
-    With ``scale`` the recursion runs in the rescaled variable x/scale
-    (returned entry m is u_m * scale**m); both relations are homogeneous
-    under that rescaling.  Choosing scale near the radius keeps deep
-    coefficients O(1) instead of underflowing.
-    """
-    u = np.zeros(order + 1)
-    ell = np.zeros(order + 1)
-    u[1] = scale
-    ell[1] = -b * scale
-    for m in range(2, order + 1):
-        u[m] = scale * gamma * np.dot(u[1:m - 1], ell[m - 2:0:-1]) if m > 2 else 0.0
-        ell[m] = -b * u[m] + (b / m) * np.dot(
-            u[1:m], (np.arange(m - 1, 0, -1)) * ell[m - 1:0:-1])
-    return u
-
-
-def log_germ_radius(p: LogLeafPoint, order: int) -> float:
-    """Series-side radius estimate of the single-log germ.
-
-    Diagnostic companion to :func:`log_rho_char`: the germ's first
-    singularity should sit at the active principal-sheet characteristic
-    modulus.  The dominant obstruction here is a complex-conjugate pair
-    at a generic angle, which makes plain ratio extrapolation noisy; see
-    the property suite for how well the two sides actually agree.
-    """
-    if order < 100:
-        raise ValueError("log germ radius needs order >= 100")
-    u = _log_germ_coeffs(p.b, p.gamma, order)
-    # The quadratic coefficient vanishes identically (u = x - gamma b x^3
-    # - ...), so the fit window starts at the cubic term.
-    rho, _ = radius_estimate(PowerSeries.from_coeffs(u[3:]), 1)
-    return rho
-
-
 @dataclass(frozen=True)
 class PhaseCell:
     """One grid cell of a phase diagram; ``error_code`` is empty on success."""
@@ -244,7 +159,7 @@ class PhaseCell:
 
 @dataclass(frozen=True)
 class PhaseTable:
-    """Grid evaluation of rho_char plus the bisected unit-level contour.
+    """Grid evaluation of rho_char plus its unit-level contour.
 
     ``contour`` holds (b, second) points with rho_char = level, one per
     grid column that brackets the level.
@@ -284,29 +199,24 @@ def _rho_of(kind: str, b: float, second: float, on_cut: str) -> float:
 
 def _column_contour(kind: str, b: float, seconds: Sequence[float],
                     rhos: Sequence[float], level: float, on_cut: str):
-    """Bisect rho_char = level along one fixed-b column, if bracketed.
+    """Solve rho_char = level along one fixed-b column, by ``brentq`` on
+    the first grid cell that brackets it.
 
     ``rhos`` are the column's grid values of rho_char, NaN where a cell
-    failed.
+    failed.  A cell end exactly at the level is returned as it is; a
+    failed evaluation inside the cell drops the column's point.  The
+    second axis (c or gamma) is positive, so the root is solved to
+    brentq's relative tolerance alone (xtol = 0).
     """
     vals = [rho - level for rho in rhos]
     for (s0, v0), (s1, v1) in zip(zip(seconds, vals), zip(seconds[1:], vals[1:])):
         if math.isnan(v0) or math.isnan(v1) or v0 * v1 > 0.0:
             continue
-        lo, hi = (s0, s1) if v0 >= 0.0 else (s1, s0)  # keep lo on the >= side
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            try:
-                fm = _rho_of(kind, b, mid, on_cut) - level
-            except (TodaSpectraError, ValueError):
-                return None
-            if fm >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return (b, 0.5 * (lo + hi))
+        try:
+            return (b, brentq(lambda sec: _rho_of(kind, b, sec, on_cut) - level,
+                              s0, s1, xtol=0.0))
+        except (TodaSpectraError, ValueError):
+            return None
     return None
 
 
@@ -317,10 +227,12 @@ def phase_diagram(kind: str, b_values: Iterable[float],
 
     ``kind`` is "pole" (second axis c) or "log" (second axis gamma).
     Per-cell failures are recorded in ``error_code`` without aborting the
-    grid.  Each column's contour is bisected from its table values, so
-    rho_char is evaluated once per cell plus the bisection steps.  Log cells default to the "split" policy so the table shows the
-    branch moduli on both sides of the discriminant; pass
-    ``on_cut="error"`` to surface cut hits as error codes instead.
+    grid.  Each column's contour is solved by ``brentq`` inside the first
+    grid cell that brackets the level, so rho_char is evaluated once per
+    cell plus the root finder's steps.  Log cells default to the "split"
+    policy so the table shows the branch moduli on both sides of the
+    discriminant; pass ``on_cut="error"`` to surface cut hits as error
+    codes instead.
     """
     if kind not in ("pole", "log"):
         raise ValueError("kind must be 'pole' or 'log'")
@@ -339,44 +251,6 @@ def phase_diagram(kind: str, b_values: Iterable[float],
             if hit is not None:
                 contour.append(hit)
     return PhaseTable(kind, level, tuple(cells), tuple(contour))
-
-
-def log_germ_envelope_radius(p: LogLeafPoint, order: int) -> float:
-    """Angle-robust radius estimate of the single-log germ.
-
-    The germ's nearest singularities form a complex pair at a generic
-    angle phi, so the coefficient moduli carry an oscillating factor
-    ~|cos(m phi + delta)| and consecutive-ratio extrapolation
-    (:func:`log_germ_radius`) does not converge.  This variant instead
-    fits the upper envelope of log|u_m| + (3/2) log m over order blocks,
-    which tracks the pair's modulus regardless of its angle; the 3/2
-    corrects the square-root branch-point prefactor m**(-3/2).
-
-    The recursion runs pre-scaled by the characteristic radius so deep
-    coefficients stay in floating range.
-    """
-    if order < 200:
-        raise ValueError("envelope radius needs order >= 200")
-    scale = log_rho_char(p, on_cut="split").rho
-    w = _log_germ_coeffs(p.b, p.gamma, order, scale=scale)
-    m = np.arange(1, order + 1)
-    a = np.abs(w[1:])
-    keep = np.isfinite(a) & (a > 0.0)
-    mk = m[keep]
-    lk = np.log(a[keep]) + 1.5 * np.log(mk)
-    top = mk > mk[-1] // 2
-    mk, lk = mk[top], lk[top]
-    block = 25
-    mb, lb = [], []
-    for i in range(0, len(mk) - block + 1, block):
-        j = i + int(np.argmax(lk[i:i + block]))
-        mb.append(mk[j])
-        lb.append(lk[j])
-    if len(mb) < 4:
-        raise InsufficientData(
-            f"only {len(mb)} envelope blocks at order {order}")
-    slope = float(np.polyfit(mb, lb, 1)[0])
-    return scale * math.exp(-slope)
 
 
 def _log_boundary_limit(gamma: float) -> float:

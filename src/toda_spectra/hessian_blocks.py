@@ -1,18 +1,15 @@
-"""Mode-indexed Hessian blocks, tail-indexed Gram blocks, and their eigenvalues.
+"""Tail-indexed Gram blocks, their eigenvalues, and the alpha check.
 
-Two equivalent constructions of the same operator family live here.  The
-kernel oracle expands
-
-    K(x, x') = log(1 - x conj(x') U(x) conj(U(x')))
-
-directly and reads off H_{mn} = -mn [x^m][conj(x')^n] K; it is exact but
-only affordable at small sizes.  The Gram route has, per symmetry class q
-(indices p_j = q + j*s), the entries
+Per symmetry class q (indices p_j = q + j*s) the Gram block has the
+entries
 
     G_{j1 j2} = sum_m ((p_{j2} + s m)^2 / sqrt(p_{j1} p_{j2}))
                 * conj(R_{p_{j1}}(m + j2 - j1)) * R_{p_{j2}}(m),
 
-optionally renormalized by the weights w_j = p_j^{3/2+beta} alpha^{p_j}.
+renormalized by the weights w_j = p_j^{3/2+beta} alpha^{p_j}.  The same
+operator family has a mode-indexed form, the log-kernel Hessian
+H_{mn} = -mn [x^m][conj(x')^n] log(1 - x conj(x') U(x) conj(U(x'))),
+whose direct expansion is the test oracle ``tests/kernel_oracle.py``.
 With f_j = z^j U^{p_j}, the sum is the coefficient inner product of
 (q + s z d/dz) f_{j1} and (q + s z d/dz) f_{j2}, so on a subcritical point
 (U analytic on the closed unit circle in z) Parseval turns it into an
@@ -43,7 +40,7 @@ from .series_engine import (
     ParamPoint,
     _branch_values_on_circle,
     _int_pow_values,
-    branch_power_rows,
+    branch_power_rows,  # noqa: F401  (looked up here by perfbench/tracer.py)
     taylor_branch,  # noqa: F401  (looked up here by perfbench/tracer.py)
 )
 
@@ -52,9 +49,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "RenormConfig",
-    "kernel_hessian_oracle",
     "gram_block",
-    "mode_gram_vectors",
     "eigenvalues",
     "check_alpha_admissible",
 ]
@@ -122,36 +117,9 @@ def _mirror_lower(lower: np.ndarray) -> np.ndarray:
     return a
 
 
-def kernel_hessian_oracle(p: ParamPoint, m_max: int) -> np.ndarray:
-    """Direct expansion of the log-kernel; entry (m-1, n-1) holds H_{mn}.
-
-    H_{mn} = m n sum_{p <= min(m,n), p == m == n (mod s)}
-             (1/p) R_p((m-p)/s) conj(R_p((n-p)/s)),
-
-    zero whenever m and n differ mod s.  Ground truth for small sizes.
-    """
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    s = p.leaf.s
-    order = m_max // s + 1
-    R = branch_power_rows(p, list(range(1, m_max + 1)), order)  # R_p(k) at [p-1, k]
-    H = np.zeros((m_max, m_max), dtype=np.complex128)
-    for m in range(1, m_max + 1):
-        for n in range(1, m + 1):
-            if (m - n) % s:
-                continue
-            acc = 0.0 + 0.0j
-            for pw in range(n % s if n % s else s, n + 1, s):
-                acc += (R[pw - 1, (m - pw) // s]
-                        * np.conj(R[pw - 1, (n - pw) // s]) / pw)
-            H[m - 1, n - 1] = m * n * acc
-    return _mirror_lower(H)
-
-
-def gram_block(table: CirclePowerTable, cfg: RenormConfig,
-               use_weights: bool) -> np.ndarray:
-    """Assemble one (J+1)x(J+1) symmetry block of the Gram operator by
-    Parseval quadrature on the circle nodes of ``table``.
+def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
+    """Assemble one (J+1)x(J+1) symmetry block of the weighted Gram
+    operator by Parseval quadrature on the circle nodes of ``table``.
 
     With V = U/alpha and p_j = q + s*j,
     (q + s z d/dz)(z^j V^{p_j}) = p_j z^j V^{p_j} (1 + s z U'/U), so the
@@ -160,10 +128,10 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig,
         X[k, j] = c_j sqrt(omega_k) |1 + s z_k U'_k/U_k| V_k^q (z_k V_k^s)^j,
 
     where omega_k = |dz/dw|_k is the node weight of the graded grid (1 on
-    the uniform grid).  With ``use_weights`` the entries are G~_{j1j2} = G_{j1j2}/(w_{j1} w_{j2}):
-    alpha = cfg.alpha and c_j = p_j^-(1+beta).  Without, alpha = 1 and
-    c_j = p_j^(1/2).  The rows are built by repeated multiplication and
-    accumulated over chunks of GRAM_CHUNK samples.
+    the uniform grid), alpha = cfg.alpha and c_j = p_j^-(1+beta), so the
+    entries are G~_{j1j2} = G_{j1j2}/(w_{j1} w_{j2}).  The rows are built
+    by repeated multiplication and accumulated over chunks of GRAM_CHUNK
+    samples.
 
     The product is taken in real arithmetic.  Writing X = A + iB,
     G = (1/N) [(A^T A + B^T B) + i (A^T B - B^T A)]; the real part is one
@@ -189,11 +157,7 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig,
     if cfg.s != p.leaf.s:
         raise ValueError(f"config s={cfg.s} does not match leaf s={p.leaf.s}")
     J, n = cfg.J, table.n_grid
-    pj = cfg.p_indices.astype(np.float64)
-    if use_weights:
-        alpha, c = cfg.alpha, pj ** -(1.0 + cfg.beta)
-    else:
-        alpha, c = 1.0, np.sqrt(pj)
+    c = cfg.p_indices.astype(np.float64) ** -(1.0 + cfg.beta)
     real = p.is_real()
     # samples summed, and the factor in front of their sum
     n_sum, norm = (n // 2 + 1, 2.0 / n) if real else (n, 1.0 / n)
@@ -202,7 +166,7 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig,
     for lo in range(0, n_sum, GRAM_CHUNK):
         hi = min(lo + GRAM_CHUNK, n_sum)
         z, u, zdlog, weight = table.samples(lo, hi)
-        v = u / alpha
+        v = u / cfg.alpha
         row = (np.sqrt(weight) * np.abs(1.0 + cfg.s * zdlog)
                * _int_pow_values(v, cfg.q))
         step = z * _int_pow_values(v, cfg.s)
@@ -236,28 +200,6 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig,
             f"at n_grid={n}"
         )
     return _mirror_lower(G)
-
-
-def mode_gram_vectors(p: ParamPoint, q: int, j_max: int,
-                      p_count: int) -> list[np.ndarray]:
-    """Synthesis vectors v^{(p)}_j = (p_j / sqrt(p)) R_p((p_j - p)/s).
-
-    One vector per mode p = q + k*s, k = 0..p_count, each of length
-    j_max + 1, zero below the mode's onset (p_j < p).  Finite partial sums
-    of v v* reproduce kernel_hessian_oracle entries exactly.
-    """
-    s = p.leaf.s
-    if not 1 <= q <= s:
-        raise ValueError(f"q must lie in 1..s, got {q}")
-    modes = [q + k * s for k in range(p_count + 1)]
-    R = branch_power_rows(p, modes, j_max)
-    pj = q + s * np.arange(j_max + 1)
-    out = []
-    for k, mode in enumerate(modes):
-        v = np.zeros(j_max + 1, dtype=np.complex128)
-        v[k:] = pj[k:] / math.sqrt(mode) * R[k, : j_max + 1 - k]
-        out.append(v)
-    return out
 
 
 def eigenvalues(h: np.ndarray) -> np.ndarray:

@@ -143,7 +143,7 @@ def _row_means(rows: np.ndarray, ks) -> np.ndarray:
 
 
 def harmonic_moments(r: float, a: Sequence[complex], leaf: Leaf,
-                     k_set=None, *, n_quad: int = N_QUAD_DEFAULT) -> np.ndarray:
+                     *, n_quad: int = N_QUAD_DEFAULT) -> np.ndarray:
     """Area moment t_0 and contour moments t_k by trapezoid quadrature.
 
     Evaluates t_0 = Area/pi = (1/2 pi i) oint conj(z) dz and
@@ -154,13 +154,11 @@ def harmonic_moments(r: float, a: Sequence[complex], leaf: Leaf,
     The integrands are evaluated once, on the doubled grid; its even
     nodes are the ``n_quad``-node grid to the bit.
 
-    ``k_set`` defaults to the leaf's exponent set, the generically
-    nonvanishing moments of the ansatz.  Returns the refined values as a
-    complex array [t_0, t_k...] with k ascending.
+    The moments taken are those of the leaf's exponent set, the
+    generically nonvanishing moments of the ansatz.  Returns the refined
+    values as a complex array [t_0, t_k...] with k ascending.
     """
-    ks = leaf.exponents if k_set is None else tuple(sorted(int(k) for k in k_set))
-    if any(k < 1 for k in ks):
-        raise ValueError("contour moment indices must be >= 1")
+    ks = leaf.exponents
     a = tuple(complex(v) for v in a)
     rows = _integrands(r, a, leaf, ks, 2 * n_quad)
     # contiguous copy, so each mean sums in the order of an n_quad-node grid
@@ -349,8 +347,7 @@ def _moment_jacobian(leaf: Leaf, v: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _newton_moments(leaf: Leaf, targets: np.ndarray, seed: np.ndarray,
-                    *, max_iter: int = 30):
+def _newton_moments(leaf: Leaf, targets: np.ndarray, seed: np.ndarray):
     """Solve the real-slice moment system for v = (r, a_1..a_N).
 
     Returns the solution vector, or None when the iteration fails (the
@@ -362,7 +359,7 @@ def _newton_moments(leaf: Leaf, targets: np.ndarray, seed: np.ndarray,
     if v[0] <= 0.0:
         return None
     res = _moment_residual(leaf, v, targets)
-    for _ in range(max_iter):
+    for _ in range(30):
         if np.max(np.abs(res) / scale) < 1e-12:
             return v
         try:

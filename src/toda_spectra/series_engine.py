@@ -14,12 +14,13 @@ exact.  The coefficient arrays
 
     R_p(m) = [x**(m*s)] U**p
 
-feed the Hessian oracles downstream.  ``branch_power_rows`` produces them
-by the convolution chain (optionally divided by ``alpha**p``).  On a
-subcritical point U is also sampled on the unit circle in z
-(``CirclePowerTable``): on nodes graded toward the dominant singularity,
-doubled until the samples pass their checks, for the scan's Gram blocks;
-or on a uniform grid, whose inverse FFT gives deep coefficient rows.
+are what the ``series`` command writes, and the Hessian oracles of the
+test suite read.  ``branch_power_rows`` produces them by the convolution
+chain (optionally divided by ``alpha**p``).  On a subcritical point U is
+also sampled on the unit circle in z (``CirclePowerTable``): on nodes
+graded toward the dominant singularity, doubled until the samples pass
+their checks, for the scan's Gram blocks; or on a uniform grid, whose
+inverse FFT gives deep coefficient rows.
 """
 
 from __future__ import annotations

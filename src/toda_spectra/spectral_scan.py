@@ -40,7 +40,6 @@ __all__ = [
     "spike_vector",
     "scan_path",
     "fit_log_scaling",
-    "default_threads",
 ]
 
 K_MAX_DEFAULT = 8
@@ -128,16 +127,6 @@ class ScanPoint:
         return self.spectrum is not None
 
 
-def default_threads() -> int:
-    env = os.environ.get("TODA_SPECTRA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
-
-
 def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
               *, k_max: int = K_MAX_DEFAULT, order: int = 250,
               threads: int | None = None) -> list[ScanPoint]:
@@ -150,8 +139,9 @@ def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
     ``dominant_data`` (``CirclePowerTable``), and shares it across the q
     blocks: the grid doubles until its coefficient check and every block's
     aliasing contract (``gram_block``) hold.  Its node count grows like
-    eps^(-1/2).  Grid points are independent jobs; with
-    more than one thread they are submitted deepest (smallest delta) first,
+    eps^(-1/2).  Grid points are independent jobs, run on ``threads``
+    threads (default: the CPU count, at most 4); with more than one
+    thread they are submitted deepest (smallest delta) first,
     and output order follows the grid either way, so results do not depend
     on scheduling.  A point or block that fails certification, convergence,
     the sheet check or the grid ceiling is recorded with the error's name
@@ -159,7 +149,7 @@ def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
     """
     deltas = [float(d) for d in delta_grid]
     qs = list(q_list)
-    threads = threads or default_threads()
+    threads = threads or min(4, os.cpu_count() or 1)
     deepest = deltas.index(min(deltas)) if deltas else -1
 
     def run_point(idx: int) -> list[ScanPoint]:
@@ -178,8 +168,7 @@ def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
 
             def accept(table):
                 for q in qs:
-                    blocks[q] = gram_block(table, replace(cfg, q=q),
-                                           use_weights=True)
+                    blocks[q] = gram_block(table, replace(cfg, q=q))
 
             # order 0: the blocks need the samples only, no coefficient rows
             table = CirclePowerTable(param, 0, dom, accept)
@@ -259,15 +248,14 @@ def _linfit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def fit_log_scaling(scan: list[ScanPoint],
-                    bounded_tol: float = BOUNDED_TOL) -> dict[int, FitReport]:
+def fit_log_scaling(scan: list[ScanPoint]) -> dict[int, FitReport]:
     """Per-block scaling fits of the eigenvalue trajectories.
 
     Requires at least 6 successful points spanning two decades of delta
     per block.  Boundedness of mu_k (k >= 2) is operationalized as growth
     that dies out: mu_k, read at delta_min, 10 delta_min and 100 delta_min
     (linear in log delta between grid points), must increase over the last
-    decade by no more than ``1 - bounded_tol`` times its increase over the
+    decade by no more than ``1 - BOUNDED_TOL`` times its increase over the
     decade before, or not at all.  Eigenvalues below the spike are capped
     by interlacing and approach their caps like A - B/L, so the raw size of
     the last-decade increase cannot separate them from mu_1; its decay from
@@ -318,7 +306,7 @@ def fit_log_scaling(scan: list[ScanPoint],
             max_higher[k] = float(muk.max())
             # the last decade's growth must be <= 0 or shrink from the
             # growth over the decade before
-            limit = max(0.0, (1.0 - bounded_tol) * grow[-2])
+            limit = max(0.0, (1.0 - BOUNDED_TOL) * grow[-2])
             bounded[k] = bool(grow[-1] <= limit)
         reports[q] = FitReport(
             q=q, slope=slope, intercept=intercept, r_squared=r2,

@@ -22,11 +22,12 @@ from toda_spectra import (Leaf, LogLeafPoint, ParamPoint, PoleLeafPoint,
                           RenormConfig, SliceDriver, approach_path,
                           branch_power_rows, critical_parameter,
                           dominant_data, fit_log_scaling, gamma_c_solve,
-                          kernel_hessian_oracle, log_rho_char, log_scale,
-                          mode_gram_vectors, phase_diagram, pole_germ_radius,
+                          log_rho_char, log_scale, phase_diagram,
                           pole_rho_char, scan_path, solve_characteristic)
 from toda_spectra.spectral_scan import BOUNDED_TOL
 
+from germ_oracle import pole_germ_radius
+from kernel_oracle import kernel_hessian_oracle, mode_gram_vectors
 from recursion_oracle import raney_oracle
 
 

@@ -108,7 +108,7 @@ def test_radius_estimate_flags_vanishing_coefficients():
 
 def test_dominant_data_one_mode():
     dom = dominant_data(_one_mode(0.2), 260)
-    assert dom.s == 2 and dom.orbit_size == 2
+    assert dom.s == 2 and len(dom.orbit) == 2
     npt.assert_allclose(dom.rho_star, 1.0 / (2.0 * math.sqrt(0.2)),
                         rtol=1e-12)
     assert abs(dom.rho_hat - dom.rho_star) < 1e-3 * dom.rho_star
@@ -121,7 +121,7 @@ def test_dominant_data_one_mode():
 
 def test_dominant_data_two_mode_orbit_size():
     dom = dominant_data(ParamPoint(Leaf((3, 6)), (0.08, 0.01)), 260)
-    assert dom.orbit_size == 3 and dom.s == 3
+    assert len(dom.orbit) == 3 and dom.s == 3
     assert dom.separation > 0.0
 
 

@@ -3,6 +3,8 @@
 import json
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +306,29 @@ def test_delivery_keys_are_known(tmp_path):
     assert "threads" not in rc.sections["run"]
 
 
+@pytest.mark.parametrize("key,run_keys", [
+    ("command", "command = scan"),
+    ("deterministic", "command = series\ndeterministic = false"),
+], ids=["command", "deterministic"])
+def test_run_keys_that_disagree_with_the_run_are_rejected(tmp_path, key,
+                                                          run_keys):
+    path = _write(tmp_path, "series.ini",
+                  SERIES_INI.replace("command = series", run_keys))
+    sections = cli._load_sections(str(path))
+    with pytest.raises(cli.ConfigError, match=rf"\[run\] {key}"):
+        cli.parse_run_config("series", sections)
+    assert cli.main(["series", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+
+
+def test_run_keys_that_agree_with_the_run_parse(tmp_path):
+    text = SERIES_INI.replace("command = series",
+                              "command = Series\ndeterministic = yes")
+    sections = cli._load_sections(_write(tmp_path, "series.ini", text))
+    rc = cli.parse_run_config("series", sections)
+    assert rc.sections["run"] == {"command": "series", "deterministic": "true"}
+
+
 @pytest.mark.parametrize("name", sorted(
     p.name for p in (Path(__file__).resolve().parents[1] / "configs").glob("*.ini")))
 def test_shipped_configs_parse(name):
@@ -368,3 +393,16 @@ def test_readme_cli_examples_parse():
         args = parser.parse_args(shlex.split(line)[1:])
         assert args.config and args.config.startswith("configs/"), line
         assert (Path(__file__).resolve().parents[1] / args.config).is_file()
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency; importing it at start-up roughly
+    # tripled the CLI's set-up time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import toda_spectra.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from toda_spectra import (Degenerate, InsufficientData, LogBranchCut,
+from toda_spectra import (Degenerate, DegenerateSeries, LogBranchCut,
                           LogLeafPoint, NotBracketed, PhaseTable,
-                          PoleLeafPoint, gamma_c_solve, log_germ_envelope_radius,
-                          log_germ_radius, log_rho_char, phase_diagram,
-                          pole_germ_radius, pole_rho_char)
+                          PoleLeafPoint, gamma_c_solve, log_rho_char,
+                          phase_diagram, pole_rho_char)
+from toda_spectra import explicit_leaves
+
+from germ_oracle import (log_germ_envelope_radius, log_germ_radius,
+                         pole_germ_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +124,10 @@ def test_log_envelope_radius_tracks_characteristic_value():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="consecutive-ratio extrapolation does not converge on the "
-    "conjugate-pair / split singularities of this germ (coefficients "
-    "oscillate like cos(m phi)); log_germ_envelope_radius is the working "
-    "estimator",
+    raises=DegenerateSeries,
+    reason="the unscaled germ recursion underflows: coefficient 370 at "
+    "(b, gamma) = (0.1, 0.05) is exactly zero, so radius_estimate raises "
+    "DegenerateSeries before any ratio is extrapolated",
 )
 def test_log_ratio_fit_radius_matches_characteristic_value():
     for b, gamma in [(0.1, 0.05), (0.3, 0.05)]:
@@ -162,6 +165,36 @@ def test_phase_diagram_conjugate_flag_flips_at_discriminant():
     table = phase_diagram("log", np.linspace(0.05, 0.5, 10), [gamma])
     for cell in table.cells:
         assert cell.conjugate_pair == (cell.b < 4.0 * gamma)
+
+
+def test_phase_contour_solves_each_bracketed_column():
+    b_values = np.linspace(-0.9, 0.9, 7)
+    table = phase_diagram("pole", b_values, np.linspace(0.002, 0.6, 12))
+    assert [b for b, _ in table.contour] == list(b_values)
+    for b, c in table.contour:
+        assert abs(pole_rho_char(PoleLeafPoint(b, c))[0] - 1.0) <= 1e-14
+
+
+def test_phase_contour_keeps_grid_value_at_level():
+    # b = 0, c = 1/4: x_+/- = +/-1, so rho_char is exactly 1 on the grid
+    assert pole_rho_char(PoleLeafPoint(0.0, 0.25))[0] == 1.0
+    for seconds in ([0.2, 0.25, 0.3], [0.25, 0.3]):
+        assert phase_diagram("pole", [0.0], seconds).contour == ((0.0, 0.25),)
+
+
+def test_phase_contour_drops_column_when_a_solve_fails(monkeypatch):
+    grid = [0.2, 0.3]
+    rho_of = explicit_leaves._rho_of
+
+    def fail_off_grid(kind, b, second, on_cut):
+        if second not in grid:
+            raise Degenerate("off-grid evaluation")
+        return rho_of(kind, b, second, on_cut)
+
+    monkeypatch.setattr(explicit_leaves, "_rho_of", fail_off_grid)
+    table = phase_diagram("pole", [0.0, 0.1], grid)
+    assert all(cell.error_code == "" for cell in table.cells)
+    assert table.contour == ()
 
 
 def test_phase_diagram_empty_grid():

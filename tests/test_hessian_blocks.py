@@ -1,4 +1,4 @@
-"""Tests for kernel-Hessian assembly, Gram blocks, and renormalization."""
+"""Tests for the kernel-Hessian oracle, Gram blocks, and renormalization."""
 
 import math
 import warnings
@@ -10,10 +10,11 @@ import pytest
 from toda_spectra import (CirclePowerTable, Leaf, NoConvergence, ParamPoint,
                           RenormConfig, TailNotConverged, branch_power_rows,
                           check_alpha_admissible, dominant_data, eigenvalues,
-                          gram_block, kernel_hessian_oracle, mode_gram_vectors)
+                          gram_block)
 from toda_spectra import series_engine
 from toda_spectra.hessian_blocks import _mirror_lower
 
+from kernel_oracle import kernel_hessian_oracle, mode_gram_vectors
 from ramp_oracle import ramp_evaluation
 
 POINT2 = ParamPoint(Leaf((2,)), (0.2,))
@@ -120,8 +121,8 @@ def test_mode_vectors_reject_bad_block_index():
 
 
 def _direct_gram(point, cfg, M):
-    """Unweighted block as the coefficient sum over m <= M, from the
-    series rows."""
+    """Weighted block as the coefficient sum over m <= M, from the
+    series rows, divided by the weights w_j1 w_j2."""
     rows = branch_power_rows(point, list(cfg.p_indices), M + cfg.J)
     n = cfg.J + 1
     direct = np.zeros((n, n), dtype=np.complex128)
@@ -137,13 +138,14 @@ def _direct_gram(point, cfg, M):
             pj1 = cfg.q + cfg.s * j1
             pj2 = cfg.q + cfg.s * j2
             direct[j1, j2] = acc / math.sqrt(pj1 * pj2)
-    return direct
+    # 1/w_j, finite by RenormConfig's construction check
+    inv_w = cfg.p_indices ** (-1.5 - cfg.beta) * cfg.alpha ** -cfg.p_indices
+    return direct * np.outer(inv_w, inv_w)
 
 
 def test_gram_block_matches_direct_sum():
     cfg, M = _cfg(J=5), 250  # eta^M = 1.118^-1000: the tail is exhausted
-    got = gram_block(CirclePowerTable(POINT2, M + cfg.J), cfg,
-                     use_weights=False)
+    got = gram_block(CirclePowerTable(POINT2, M + cfg.J), cfg)
     npt.assert_allclose(got, _direct_gram(POINT2, cfg, M), rtol=1e-12)
 
 
@@ -151,10 +153,11 @@ def test_gram_block_matches_direct_sum_complex_zeta():
     # complex zeta: all N samples, and the imaginary part of the product
     point = ParamPoint(Leaf((2,)), (0.2 * np.exp(0.3j),))
     cfg, M = _cfg(J=5), 250
-    got = gram_block(CirclePowerTable(point, M + cfg.J), cfg,
-                     use_weights=False)
+    got = gram_block(CirclePowerTable(point, M + cfg.J), cfg)
     direct = _direct_gram(point, cfg, M)
-    assert np.abs(direct.imag).max() > 0.1 * np.abs(direct).max()
+    # the weights rescale entries, not their phases: some entry must have
+    # an imaginary part above 10% of its modulus
+    assert (np.abs(direct.imag) / np.abs(direct)).max() > 0.1
     npt.assert_allclose(got, direct, rtol=1e-12)
 
 
@@ -173,39 +176,28 @@ def test_graded_gram_block_matches_uniform_oracle(phase, delta, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(series_engine, "_branch_values", ramp_evaluation)
         uniform = CirclePowerTable(point, order)
-    want = gram_block(uniform, cfg, use_weights=True)
+    want = gram_block(uniform, cfg)
     # the same uniform table, its samples seeded by the Taylor polynomial
     seeded = CirclePowerTable(point, order)
     assert seeded.n_grid == uniform.n_grid
     assert (np.abs(seeded.values - uniform.values).max()
             <= 1e-13 * (1.0 + np.abs(uniform.values).max()))
     graded = CirclePowerTable(point, 0, dominant_data(point, 250),
-                              lambda t: gram_block(t, cfg, use_weights=True))
-    got = gram_block(graded, cfg, use_weights=True)
+                              lambda t: gram_block(t, cfg))
+    got = gram_block(graded, cfg)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert graded.n_grid <= uniform.n_grid
 
 
-def test_gram_block_weight_rescaling():
-    cfg = _cfg(J=5)
-    table = CirclePowerTable(POINT2, 250)
-    plain = gram_block(table, cfg, use_weights=False)
-    weighted = gram_block(table, cfg, use_weights=True)
-    pj = cfg.p_indices.astype(float)
-    f = pj ** (-1.5 - cfg.beta) * cfg.alpha ** (-pj)
-    npt.assert_allclose(weighted, plain * np.outer(f, f), rtol=1e-10)
-
-
 def test_gram_block_is_hermitian():
-    h = gram_block(CirclePowerTable(POINT2, 220), _cfg(J=6), use_weights=True)
+    h = gram_block(CirclePowerTable(POINT2, 220), _cfg(J=6))
     assert h.dtype == np.complex128
     npt.assert_array_equal(h, h.conj().T)
 
 
 def test_gram_block_checks_leaf_symmetry():
     with pytest.raises(ValueError):
-        gram_block(CirclePowerTable(POINT2, 64), _cfg(s=3, q=1),
-                   use_weights=False)
+        gram_block(CirclePowerTable(POINT2, 64), _cfg(s=3, q=1))
 
 
 def test_gram_block_undersized_table_raises():
@@ -216,7 +208,7 @@ def test_gram_block_undersized_table_raises():
     table = CirclePowerTable(point, 64 + 12)
     assert table.n_grid == 4096
     with pytest.raises(TailNotConverged):
-        gram_block(table, _cfg(J=12), use_weights=True)
+        gram_block(table, _cfg(J=12))
 
 
 # ---------------------------------------------------------------------------

@@ -61,16 +61,6 @@ def test_moments_match_independent_quadrature():
     assert got[0].real == pytest.approx(r * r - 2.0 * 0.12**2, rel=1e-12)
 
 
-def test_moments_custom_index_set():
-    r, a = 1.0, (0.05,)
-    got = harmonic_moments(r, a, LEAF2, k_set=(2, 4))
-    assert got.shape == (3,)
-    # the ansatz has no k = 4 content on this leaf
-    assert abs(got[2]) < 1e-13
-    with pytest.raises(ValueError):
-        harmonic_moments(r, a, LEAF2, k_set=(0,))
-
-
 def test_moments_quadrature_doubling_guard():
     # a near-cusp boundary at very low node count fails the doubling check
     with pytest.raises(QuadratureNotConverged):

@@ -9,9 +9,8 @@ import numpy.testing as npt
 import pytest
 
 from toda_spectra import (BlockSpectrum, InsufficientData, Leaf, ParamPoint,
-                          RenormConfig, ScanPoint, default_threads,
-                          dominant_data, fit_log_scaling, log_scale,
-                          scan_path, spike_vector)
+                          RenormConfig, ScanPoint, dominant_data,
+                          fit_log_scaling, log_scale, scan_path, spike_vector)
 from toda_spectra import branch_points, series_engine, spectral_scan
 from toda_spectra.spectral_scan import BOUNDED_TOL
 
@@ -356,16 +355,3 @@ def test_fit_needs_enough_points():
 def test_fit_needs_two_decades():
     with pytest.raises(InsufficientData):
         fit_log_scaling(_synthetic_scan(n=8, dmin=1e-3, dmax=5e-2))
-
-
-# ---------------------------------------------------------------------------
-# threading default
-
-
-def test_default_threads_env_override(monkeypatch):
-    monkeypatch.setenv("TODA_SPECTRA_THREADS", "3")
-    assert default_threads() == 3
-    monkeypatch.setenv("TODA_SPECTRA_THREADS", "not-a-number")
-    assert default_threads() >= 1
-    monkeypatch.delenv("TODA_SPECTRA_THREADS")
-    assert 1 <= default_threads() <= 4
