@@ -18,6 +18,13 @@ For the two shipped phase grids (``configs/pole_phase.ini`` and
 which solves each column's contour from the column's table values;
 ``previous`` evaluates rho_char over every column a second time first.
 
+It times ``explicit_leaves.gamma_c_solve(1e-5)``, one ``brentq`` on
+rho_char(1, gamma) - 1; ``previous`` is the bisection it replaced, which
+asks at each gamma whether a bounded minimization of rho_char over
+interior b, or a Richardson limit toward b = 1, reaches below 1
+(``tests/envelope_oracle.py``).  Both values and both counts of rho_char
+evaluations are reported.
+
 Each figure is the median over ``--repeats`` runs of the mean time per call
 in a batch.  With them go the largest relative change of the marched state,
 whether the margins and the phase tables agree to the bit, the number of
@@ -39,7 +46,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import argparse
 import contextlib
 import json
-import math
 import platform
 import statistics
 import sys
@@ -52,11 +58,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "scripts")]
 import numpy as np
 
 from bench_graded import _blas
+from envelope_oracle import unit_level_attained
 from margin_oracle import fprime_root_moduli
 from toda_spectra import Leaf, MomentDriver, ParamPoint, initial_state
 from toda_spectra import explicit_leaves as el
 from toda_spectra import laplacian_growth as lg
-from toda_spectra.errors import TodaSpectraError
+from toda_spectra.errors import NotBracketed
 
 CASES = {
     "leaf2": (Leaf((2,)), 1.0, (0.05,)),
@@ -68,7 +75,9 @@ GRIDS = {
     "pole": ((-0.9, 0.9, 37), (0.002, 0.6, 60)),
     "log": ((0.05, 0.95, 31), (0.02, 0.45, 44)),
 }
-BATCH = {"march": 5, "univalence_margin": 200, "phase_diagram": 1}
+BATCH = {"march": 5, "univalence_margin": 200, "phase_diagram": 1,
+         "gamma_c_solve": 10}
+GAMMA_C_TOL = 1e-5
 SIGN_LEAVES = [(2,), (3,), (2, 3), (3, 6), (4, 8, 12)]
 SIGN_DRAWS = 2000
 
@@ -118,25 +127,37 @@ _column_contour = el._column_contour
 
 def _previous_column_contour(kind, b, seconds, rhos, level, on_cut):
     # the column's rho_char evaluated again instead of read off the table
-    rhos = []
-    for sec in seconds:
-        try:
-            rhos.append(el._rho_of(kind, b, sec, on_cut))
-        except (TodaSpectraError, ValueError):
-            rhos.append(math.nan)
+    rhos = [el._cell(kind, b, sec, on_cut).rho_char for sec in seconds]
     return _column_contour(kind, b, seconds, rhos, level, on_cut)
+
+
+def _previous_gamma_c_solve(tol, *, bracket=(0.1, 0.5)):
+    # bisection of the attainment question, as gamma_c_solve did it
+    lo, hi = bracket
+    if unit_level_attained(lo) or not unit_level_attained(hi):
+        raise NotBracketed(f"attainment does not change over [{lo}, {hi}]")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if unit_level_attained(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 @contextlib.contextmanager
 def _previous_code():
-    saved = (lg._newton_moments, lg._zeros_inside, el._column_contour)
+    saved = (lg._newton_moments, lg._zeros_inside, el._column_contour,
+             el.gamma_c_solve)
     lg._newton_moments = _previous_newton
     lg._zeros_inside = _previous_zeros_inside
     el._column_contour = _previous_column_contour
+    el.gamma_c_solve = _previous_gamma_c_solve
     try:
         yield
     finally:
-        lg._newton_moments, lg._zeros_inside, el._column_contour = saved
+        (lg._newton_moments, lg._zeros_inside, el._column_contour,
+         el.gamma_c_solve) = saved
 
 
 def _per_call(fn, batch, repeats):
@@ -197,6 +218,39 @@ def _phase(kind, repeats):
             "table_identical": repr(now[0]) == repr(before[0])}
 
 
+def _log_char_calls(fn):
+    # rho_char evaluations of the log leaf made by one call of fn
+    count = 0
+    inner = el._log_char
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return inner(*args)
+
+    el._log_char = counted
+    try:
+        fn()
+    finally:
+        el._log_char = inner
+    return count
+
+
+def _gamma_c(repeats):
+    solve = lambda: el.gamma_c_solve(GAMMA_C_TOL)
+    now, before = _row({"gamma_c_solve": solve}, BATCH,
+                       repeats)["gamma_c_solve"]
+    evaluations = _log_char_calls(solve)
+    with _previous_code():
+        previous_evaluations = _log_char_calls(solve)
+    return {"tol": GAMMA_C_TOL,
+            "calls": {"gamma_c_solve": _timing(now, before,
+                                               BATCH["gamma_c_solve"])},
+            "value": now[0], "evaluations": evaluations,
+            "previous": {"value": before[0],
+                         "evaluations": previous_evaluations}}
+
+
 def _sign_disagreements(seed=0):
     # univalent and folded states alike: each |a_n| up to twice its share
     # of the one-mode cusp value, with a random phase
@@ -227,14 +281,18 @@ def main(argv=None) -> int:
     for kind in GRIDS:
         cases[f"phase_{kind}"] = _phase(kind, args.repeats)
         print(kind, json.dumps(cases[f"phase_{kind}"]), file=sys.stderr)
+    cases["gamma_c"] = _gamma_c(args.repeats)
+    print("gamma_c", json.dumps(cases["gamma_c"]), file=sys.stderr)
     result = {
         "benchmark": "growth_layer",
         "what": "median seconds per call of MomentDriver.state(1.0) on a "
                 "fresh driver, laplacian_growth.univalence_margin and "
-                "explicit_leaves.phase_diagram on the shipped grids; "
-                "previous = moment Newton on quadrature residuals with a "
-                "finite-difference Jacobian, margin sign from np.roots, "
-                "rho_char evaluated twice per column",
+                "explicit_leaves.phase_diagram on the shipped grids and "
+                "explicit_leaves.gamma_c_solve(1e-5); previous = moment "
+                "Newton on quadrature residuals with a finite-difference "
+                "Jacobian, margin sign from np.roots, rho_char evaluated "
+                "twice per column, gamma_c by bisecting a bounded interior "
+                "minimum plus a Richardson limit toward b = 1",
         "command": f"python3 scripts/bench_growth.py --repeats {args.repeats}",
         "machine": {"nproc": os.cpu_count(), "numpy": np.__version__,
                     "blas": _blas(),

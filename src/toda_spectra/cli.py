@@ -36,7 +36,7 @@ from .explicit_leaves import gamma_c_solve, phase_diagram
 from .hessian_blocks import RenormConfig
 from .laplacian_growth import (MomentDriver, SliceDriver, detect_thresholds,
                                initial_state, radius_excess)
-from .series_engine import Leaf, ParamPoint, branch_power_rows
+from .series_engine import MAX_ORDER, Leaf, ParamPoint, branch_power_rows
 from .spectral_scan import fit_log_scaling, scan_path
 
 _COMMANDS = ("series", "char", "spectrum", "scan", "lg", "leaves")
@@ -282,13 +282,17 @@ def _renorm_from(conf: _Conf, leaf: Leaf, default_q=(1,)) -> tuple[RenormConfig,
     q_list = conf.ints("renorm", "q", default=list(default_q))
     for q in q_list:
         _check_range("renorm", "q", q, lo=1, hi=leaf.s)
-    J = conf.num("renorm", "J", default=70, lo=1)
-    alpha = conf.flt("renorm", "alpha", default=2.0, lo=1.0, lo_open=True)
-    beta = conf.flt("renorm", "beta", default=1.0, lo=0.0, lo_open=True)
-    tail_tol = conf.flt("renorm", "tail_tol", default=1e-12, lo=0.0,
-                        hi=1e-3, lo_open=True)
-    return (RenormConfig(q=q_list[0], s=leaf.s, J=J, alpha=alpha, beta=beta,
-                         tail_tol=tail_tol), q_list)
+    knobs = dict(
+        s=leaf.s, J=conf.num("renorm", "J", default=70, lo=1),
+        alpha=conf.flt("renorm", "alpha", default=2.0, lo=1.0, lo_open=True),
+        beta=conf.flt("renorm", "beta", default=1.0, lo=0.0, lo_open=True),
+        tail_tol=conf.flt("renorm", "tail_tol", default=1e-12, lo=0.0,
+                          hi=1e-3, lo_open=True))
+    try:  # every block's weights must be finite, not only the first's
+        cfgs = [RenormConfig(q=q, **knobs) for q in q_list]
+    except ValueError as exc:
+        raise ConfigError(f"[renorm] {exc}") from None
+    return cfgs[0], q_list
 
 
 def parse_run_config(command: str, sections: dict) -> RunConfig:
@@ -312,7 +316,7 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
         zeta = _zeta_from(conf, "series", leaf, nonzero=False)
         values.update(
             leaf=leaf, zeta=zeta,
-            order=conf.num("series", "order", default=60, lo=1),
+            order=conf.num("series", "order", default=60, lo=1, hi=MAX_ORDER),
             p_list=[_check_range("series", "p", p, lo=1)
                     for p in conf.ints("series", "p", default=[1, 2, 5])],
             alpha=conf.flt("series", "alpha", default=1.0, lo=0.0, lo_open=True),
@@ -322,7 +326,8 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
         zeta = _zeta_from(conf, "char", leaf, nonzero=True)
         values.update(
             leaf=leaf, zeta=zeta,
-            order=conf.num("char", "order", default=250, lo=50),
+            order=conf.num("char", "order", default=250, lo=50,
+                           hi=MAX_ORDER),
             dominant=conf.flag("char", "dominant", default=True),
         )
     elif command == "spectrum":
@@ -331,7 +336,8 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
         cfg, q_list = _renorm_from(conf, leaf)
         values.update(
             leaf=leaf, zeta=zeta, renorm=cfg, q_list=q_list,
-            order=conf.num("spectrum", "order", default=250, lo=50),
+            order=conf.num("spectrum", "order", default=250, lo=50,
+                           hi=MAX_ORDER),
             k_max=conf.num("spectrum", "k_max", default=8, lo=1),
         )
     elif command == "scan":
@@ -352,7 +358,8 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
                                lo=0.0, lo_open=True, hi=1.0, hi_open=True),
             points=conf.num("scan", "points", default=25, lo=2),
             k_max=conf.num("scan", "k_max", default=8, lo=1),
-            order=conf.num("scan", "order", default=250, lo=50),
+            order=conf.num("scan", "order", default=250, lo=50,
+                           hi=MAX_ORDER),
         )
         if values["delta_min"] >= values["delta_max"]:
             raise ConfigError("[scan] delta_min: must be below delta_max")
@@ -375,7 +382,8 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
             steps=conf.num("lg", "steps", default=20, lo=1),
             n_quad=conf.num("lg", "n_quad", default=512, lo=16),
             detect=conf.flag("lg", "detect", default=True),
-            detect_order=conf.num("lg", "detect_order", default=200, lo=50),
+            detect_order=conf.num("lg", "detect_order", default=200,
+                                  lo=50, hi=MAX_ORDER),
             t_tol=conf.flt("lg", "t_tol", default=1e-6, lo=0.0, lo_open=True),
         )
         if driver == "moments":
@@ -419,6 +427,8 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
             gamma_c=conf.flag("leaves", "gamma_c", default=False),
             gamma_c_tol=conf.flt("leaves", "gamma_c_tol", default=1e-5, lo=1e-6),
         )
+        if values["gamma_c"] and kind != "log":
+            raise ConfigError("[leaves] gamma_c: applies to the log leaf only")
     # the run sets these two itself; a config that gives them must agree
     conf.choice("run", "command", (command,), default=command)
     if not conf.flag("run", "deterministic", default=True):
@@ -651,13 +661,9 @@ def _run_leaves(rc: RunConfig, out: Path, threads):
     write_csv(out / "phase.csv", PHASE_HEADER, rows)
     extra = {"contour": [[_jf(b), _jf(sec)] for b, sec in table.contour]}
     if v["gamma_c"]:
-        if v["kind"] != "log":
-            failures.append({"id": "gamma_c", "status": "ConfigError",
-                             "detail": "gamma_c applies to the log leaf only"})
-        else:
-            gc = gamma_c_solve(v["gamma_c_tol"])
-            extra["gamma_c"] = {"value": _jf(gc), "tol": _jf(v["gamma_c_tol"]),
-                                "status": "empirical principal-sheet threshold"}
+        gc = gamma_c_solve(v["gamma_c_tol"])
+        extra["gamma_c"] = {"value": _jf(gc), "tol": _jf(v["gamma_c_tol"]),
+                            "status": "empirical principal-sheet threshold"}
     return ["phase.csv"], extra, failures, len(table.cells)
 
 

@@ -23,8 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._brent import brentq, fminbound
-from .errors import Degenerate, LogBranchCut, NotBracketed, TodaSpectraError
+from ._brent import brentq
+from .errors import (Degenerate, LogBranchCut, NoConvergence, NotBracketed,
+                     TodaSpectraError)
 
 _CUT_TOL = 1e-12
 _CONJ_TOL = 1e-10
@@ -128,7 +129,11 @@ def log_rho_char(p: LogLeafPoint, on_cut: str = "error") -> LogCharData:
     """
     if on_cut not in ("error", "split"):
         raise ValueError("on_cut must be 'error' or 'split'")
-    b, gamma = p.b, p.gamma
+    return _log_char(p.b, p.gamma, on_cut)
+
+
+def _log_char(b: float, gamma: float, on_cut: str) -> LogCharData:
+    """``log_rho_char`` on plain floats, so that it also takes b = 1."""
     disc = 1.0 - 4.0 * gamma / b
     w = cmath.sqrt(complex(disc))
     u_plus = (1.0 + w) / (2.0 * gamma)
@@ -171,30 +176,21 @@ class PhaseTable:
     contour: tuple[tuple[float, float], ...]
 
 
-def _pole_cell(b: float, c: float) -> PhaseCell:
+def _cell(kind: str, b: float, second: float, on_cut: str) -> PhaseCell:
+    """rho_char and both characteristic moduli at one point; a failure
+    leaves NaN values and the exception's name as ``error_code``."""
     try:
-        rho, xp, xm = pole_rho_char(PoleLeafPoint(b, c))
+        if kind == "pole":
+            rho, xp, xm = pole_rho_char(PoleLeafPoint(b, second))
+            pair = abs(xp.conjugate() - xm) <= _CONJ_TOL * (1.0 + abs(xp))
+        else:
+            data = log_rho_char(LogLeafPoint(b, second), on_cut=on_cut)
+            rho, xp, xm = data.rho, data.x_plus, data.x_minus
+            pair = data.conjugate_pair
     except (TodaSpectraError, ValueError) as exc:
-        return PhaseCell(b, c, math.nan, math.nan, math.nan, False,
+        return PhaseCell(b, second, math.nan, math.nan, math.nan, False,
                          type(exc).__name__)
-    pair = abs(xp.conjugate() - xm) <= _CONJ_TOL * (1.0 + abs(xp))
-    return PhaseCell(b, c, rho, abs(xp), abs(xm), pair, "")
-
-
-def _log_cell(b: float, gamma: float, on_cut: str) -> PhaseCell:
-    try:
-        data = log_rho_char(LogLeafPoint(b, gamma), on_cut=on_cut)
-    except (TodaSpectraError, ValueError) as exc:
-        return PhaseCell(b, gamma, math.nan, math.nan, math.nan, False,
-                         type(exc).__name__)
-    return PhaseCell(b, gamma, data.rho, abs(data.x_plus), abs(data.x_minus),
-                     data.conjugate_pair, "")
-
-
-def _rho_of(kind: str, b: float, second: float, on_cut: str) -> float:
-    if kind == "pole":
-        return pole_rho_char(PoleLeafPoint(b, second))[0]
-    return log_rho_char(LogLeafPoint(b, second), on_cut=on_cut).rho
+    return PhaseCell(b, second, rho, abs(xp), abs(xm), pair, "")
 
 
 def _column_contour(kind: str, b: float, seconds: Sequence[float],
@@ -204,18 +200,20 @@ def _column_contour(kind: str, b: float, seconds: Sequence[float],
 
     ``rhos`` are the column's grid values of rho_char, NaN where a cell
     failed.  A cell end exactly at the level is returned as it is; a
-    failed evaluation inside the cell drops the column's point.  The
-    second axis (c or gamma) is positive, so the root is solved to
-    brentq's relative tolerance alone (xtol = 0).
+    failed evaluation inside the cell gives NaN, which ``brentq`` reports
+    as NoConvergence, and drops the column's point.  The second axis (c
+    or gamma) is positive, so the root is solved to brentq's relative
+    tolerance alone (xtol = 0).
     """
     vals = [rho - level for rho in rhos]
     for (s0, v0), (s1, v1) in zip(zip(seconds, vals), zip(seconds[1:], vals[1:])):
         if math.isnan(v0) or math.isnan(v1) or v0 * v1 > 0.0:
             continue
         try:
-            return (b, brentq(lambda sec: _rho_of(kind, b, sec, on_cut) - level,
-                              s0, s1, xtol=0.0))
-        except (TodaSpectraError, ValueError):
+            return (b, brentq(
+                lambda sec: _cell(kind, b, sec, on_cut).rho_char - level,
+                s0, s1, xtol=0.0))
+        except NoConvergence:  # a failed cell's NaN, or the budget
             return None
     return None
 
@@ -241,8 +239,7 @@ def phase_diagram(kind: str, b_values: Iterable[float],
     cells = []
     contour = []
     for b in bs:
-        column = [_pole_cell(b, sec) if kind == "pole"
-                  else _log_cell(b, sec, on_cut) for sec in seconds]
+        column = [_cell(kind, b, sec, on_cut) for sec in seconds]
         cells.extend(column)
         if len(seconds) >= 2:
             hit = _column_contour(kind, b, seconds,
@@ -253,65 +250,39 @@ def phase_diagram(kind: str, b_values: Iterable[float],
     return PhaseTable(kind, level, tuple(cells), tuple(contour))
 
 
-def _log_boundary_limit(gamma: float) -> float:
-    """Limit of rho_char(b, gamma) as b -> 1-, by Richardson extrapolation.
-
-    Evaluates at b = 1 - 10**-k for k = 2..6 and removes the leading
-    O(1-b) correction from the last two points.
-    """
-    eps = [10.0 ** (-k) for k in range(2, 7)]
-    vals = [log_rho_char(LogLeafPoint(1.0 - e, gamma), on_cut="split").rho
-            for e in eps]
-    return vals[-1] + (vals[-1] - vals[-2]) * eps[-1] / (eps[-2] - eps[-1])
-
-
-def _unit_level_attained(gamma: float) -> bool:
-    """Whether rho_char(., gamma) dips to 1 at some interior b < 1.
-
-    A bounded scalar minimization guards against an interior dip; if the
-    interior minimum stays above 1, the boundary limit decides (values
-    converge to it, so a limit below 1 forces interior attainment).
-    """
-    _, low = fminbound(
-        lambda b: log_rho_char(LogLeafPoint(b, gamma), on_cut="split").rho,
-        0.01, 0.99, xatol=1e-8)
-    if low <= 1.0:
-        return True
-    return _log_boundary_limit(gamma) < 1.0
-
-
 def gamma_c_solve(tol: float, *, bracket: tuple[float, float] = (0.1, 0.5)) -> float:
     """Threshold gamma_c above which the unit level reaches interior b.
 
-    For gamma below the threshold the active envelope b -> rho_char(b,
-    gamma) stays above 1 on all of (0, 1), approaching its infimum only
-    as b -> 1-; above it, the envelope dips below 1 at interior b and the
-    unit level set crosses the slice.  Bisects that change of behaviour
-    over ``bracket``.
+    gamma_c is the root of rho_char(1, gamma) = 1, where rho_char(1, .)
+    is the log leaf's closed form at the slice's edge b = 1 ("split"
+    policy), solved by ``brentq`` over ``bracket`` to ``tol``.  For
+    gamma > 1/4 the roots are complex and 1 - u is off the cut, so the
+    closed form is analytic there; across gamma = 1/4 it is continuous.
 
-    The returned value reproduces an empirically observed principal-sheet
-    threshold (about 0.27997); it is a numerical guide, not a closed-form
-    constant, and its accuracy is ``tol`` plus the envelope-evaluation
-    error (about 1e-6).
+    This rests on one premise: the envelope b -> rho_char(b, gamma)
+    decreases toward b = 1, so that its infimum over (0, 1) is its value
+    at b = 1.  It then stays above 1 on all of (0, 1) while that value
+    does, and the unit level set crosses the slice once that value is
+    below 1.  The test
+    ``test_gamma_c_matches_envelope_minimum`` checks this premise against
+    a bounded minimization over interior b plus a Richardson limit toward
+    b = 1.  gamma_c is about 0.2799674.
 
     Raises
     ------
     NotBracketed
-        If attainment does not change across ``bracket``.
+        If rho_char(1, gamma) - 1 has the same sign at both ends of
+        ``bracket``.
     """
     if not tol >= 1e-6:
         raise ValueError("gamma_c_solve needs tol >= 1e-6")
     lo, hi = bracket
     if not 0.0 < lo < hi:
         raise ValueError("bracket must satisfy 0 < lo < hi")
-    if _unit_level_attained(lo) or not _unit_level_attained(hi):
+    try:
+        return brentq(lambda g: _log_char(1.0, g, "split").rho - 1.0,
+                      lo, hi, xtol=tol)
+    except ValueError:
         raise NotBracketed(
-            f"unit-level attainment does not change over gamma in "
-            f"[{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _unit_level_attained(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            f"rho_char(1, gamma) - 1 does not change sign over gamma in "
+            f"[{lo}, {hi}]") from None

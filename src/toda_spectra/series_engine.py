@@ -196,6 +196,13 @@ def _newton_coeffs(zetas: Sequence[complex], shifts: Sequence[int],
     return out.astype(np.complex128) if real else out.copy()
 
 
+# highest order ``taylor_branch`` computes.  It pads the order to a power of
+# two and convolves directly, so the cost grows faster than the order: the
+# ``series`` command on the {3,6} leaf takes 0.6 s at order 4096 and 6 s at
+# 32768
+MAX_ORDER = 4096
+
+
 def taylor_branch(p: ParamPoint, order: int) -> PowerSeries:
     """Taylor branch of the inverse-map equation, collapsed to z = x**s.
 
@@ -204,7 +211,7 @@ def taylor_branch(p: ParamPoint, order: int) -> PowerSeries:
     p : ParamPoint
         Leaf and parameter values.
     order : int
-        Highest retained power of z = x**s.
+        Highest retained power of z = x**s, at most ``MAX_ORDER``.
 
     Returns
     -------
@@ -213,8 +220,8 @@ def taylor_branch(p: ParamPoint, order: int) -> PowerSeries:
         U = 1 + sum_n zeta_n x**s_n U**s_n through order ``order``; those of
         a lower order are a prefix of them, to the bit.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"order must lie in 0..{MAX_ORDER}, got {order}")
     u = _newton_coeffs(p.zeta, p.leaf.collapsed_shifts, p.leaf.exponents, order)
     return PowerSeries(u, order=order)
 

@@ -1,5 +1,5 @@
-"""The package's Brent root finder and bounded minimizer against SciPy's,
-whose operation order they follow: results must agree to the bit."""
+"""The package's Brent root finder against SciPy's, whose operation order
+it follows: results must agree to the bit."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from toda_spectra import NoConvergence
 from toda_spectra import _brent
-from toda_spectra._brent import brentq, fminbound
+from toda_spectra._brent import brentq
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -57,25 +57,3 @@ def test_brentq_reports_nan_and_exhaustion(monkeypatch):
         brentq(lambda x: math.copysign(1.0, x - math.pi), 0.0, 10.0,
                xtol=1e-12)
 
-
-@settings(max_examples=300, deadline=None)
-@given(m=st.floats(-3.0, 3.0, **finite),
-       c=st.floats(0.0, 2.0, **finite),
-       k=st.floats(0.1, 20.0, **finite),
-       lo=st.floats(-4.0, 0.0, **finite),
-       width=st.floats(1e-3, 8.0, **finite),
-       xatol=st.sampled_from([1e-5, 1e-8, 1e-3]))
-def test_fminbound_matches_scipy(m, c, k, lo, width, xatol):
-    f = lambda x: (x - m) ** 2 + c * math.sin(k * x)
-    hi = lo + width
-    want = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                    options={"xatol": xatol})
-    x, fx = fminbound(f, lo, hi, xatol=xatol)
-    assert (x, fx) == (float(want.x), float(want.fun))
-
-
-def test_fminbound_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        fminbound(abs, 1.0, 0.0, xatol=1e-8)
-    with pytest.raises(ValueError):
-        fminbound(abs, 0.0, math.inf, xatol=1e-8)

@@ -329,6 +329,51 @@ def test_run_keys_that_agree_with_the_run_parse(tmp_path):
     assert rc.sections["run"] == {"command": "series", "deterministic": "true"}
 
 
+@pytest.mark.parametrize("alpha,p_top", [("30", 211), ("26.9", 212)])
+def test_overflowing_renorm_weights_are_config_errors(tmp_path, capsys,
+                                                      alpha, p_top):
+    # alpha = 26.9 overflows only the q = 2 block's weights (p_J = 212)
+    out = tmp_path / "out"
+    assert cli.main(["scan", "--config",
+                     str(CONFIGS / "scan_near_critical.ini"),
+                     "--out", str(out), "--threads", "1",
+                     "--set", "scan.points=3", "--set", "scan.delta_min=1e-2",
+                     "--set", f"renorm.alpha={alpha}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [renorm]") and f"p_J={p_top}" in err
+    assert not (out / "scan_summary.json").exists()
+
+
+def test_gamma_c_on_the_pole_leaf_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["leaves", "--config", str(CONFIGS / "pole_phase.ini"),
+                     "--out", str(out), "--set", "leaves.gamma_c=true"]) == 1
+    assert "[leaves] gamma_c" in capsys.readouterr().err
+    assert not (out / "leaves_summary.json").exists()
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("series", SERIES_INI, "series.order"),
+    ("char", CHAR_INI, "char.order"),
+    ("spectrum", "[leaf]\nexponents = 2\n\n[spectrum]\nzeta = 0.2\n",
+     "spectrum.order"),
+    ("scan", SCAN_J12_INI, "scan.order"),
+    ("lg", (CONFIGS / "lg_onemode.ini").read_text(), "lg.detect_order"),
+])
+def test_orders_above_the_ceiling_are_config_errors(tmp_path, capsys,
+                                                    command, text, key):
+    from toda_spectra.series_engine import MAX_ORDER
+    cfgfile = _write(tmp_path, "run.ini", text)
+    sec, name = key.split(".")
+    assert cli.main([command, "--config", str(cfgfile),
+                     "--out", str(tmp_path / "out"),
+                     "--set", f"{key}={MAX_ORDER + 1}"]) == 1
+    assert f"[{sec}] {name}" in capsys.readouterr().err
+    sections = cli._load_sections(str(cfgfile))
+    cli._apply_overrides(sections, [f"{key}={MAX_ORDER}"])
+    cli.parse_run_config(command, sections)
+
+
 @pytest.mark.parametrize("name", sorted(
     p.name for p in (Path(__file__).resolve().parents[1] / "configs").glob("*.ini")))
 def test_shipped_configs_parse(name):

@@ -184,14 +184,14 @@ def test_phase_contour_keeps_grid_value_at_level():
 
 def test_phase_contour_drops_column_when_a_solve_fails(monkeypatch):
     grid = [0.2, 0.3]
-    rho_of = explicit_leaves._rho_of
+    rho_char = explicit_leaves.pole_rho_char
 
-    def fail_off_grid(kind, b, second, on_cut):
-        if second not in grid:
+    def fail_off_grid(p):
+        if p.c not in grid:
             raise Degenerate("off-grid evaluation")
-        return rho_of(kind, b, second, on_cut)
+        return rho_char(p)
 
-    monkeypatch.setattr(explicit_leaves, "_rho_of", fail_off_grid)
+    monkeypatch.setattr(explicit_leaves, "pole_rho_char", fail_off_grid)
     table = phase_diagram("pole", [0.0, 0.1], grid)
     assert all(cell.error_code == "" for cell in table.cells)
     assert table.contour == ()
@@ -234,3 +234,26 @@ def test_gamma_c_refines_consistently():
     coarse = gamma_c_solve(1e-3)
     fine = gamma_c_solve(1e-4)
     assert abs(coarse - fine) <= 1.5e-3
+
+
+
+def test_gamma_c_matches_envelope_minimum():
+    """gamma_c_solve takes the sign of rho_char(1, gamma) - 1 to say whether
+    the unit level reaches interior b.  Checked against that question
+    asked on b < 1 alone (``envelope_oracle``), over the bracket and on
+    both sides of gamma_c."""
+    optimize = pytest.importorskip("scipy.optimize")
+    from envelope_oracle import boundary_limit, unit_level_attained
+
+    limit_root = optimize.brentq(lambda g: boundary_limit(g) - 1.0,
+                                 0.1, 0.5, xtol=1e-14)
+    gammas = list(np.linspace(0.1, 0.5, 41)) + [
+        limit_root + d for d in (-1e-4, -1e-5, -1e-6, 1e-6, 1e-5, 1e-4)]
+    for gamma in gammas:
+        rho_1 = explicit_leaves._log_char(1.0, gamma, "split").rho
+        assert unit_level_attained(gamma) == (rho_1 < 1.0), gamma
+        # at gamma = 1/4 the discriminant b = 4 gamma sits at b = 1, and
+        # its 3/2-power cusp is a correction the extrapolation leaves in
+        tol = 1e-9 if abs(gamma - 0.25) < 1e-3 else 1e-10
+        assert abs(rho_1 - boundary_limit(gamma)) <= tol, gamma
+    assert abs(gamma_c_solve(1e-5) - 0.27996520996093743) <= 1e-5

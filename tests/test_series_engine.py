@@ -84,6 +84,14 @@ def test_branch_rejects_negative_order():
         taylor_branch(ParamPoint(Leaf((2,)), (0.1,)), -1)
 
 
+def test_branch_order_ceiling():
+    p = ParamPoint(Leaf((2,)), (0.1,))
+    top = series_engine.MAX_ORDER
+    assert len(taylor_branch(p, top).coeffs) == top + 1
+    with pytest.raises(ValueError, match="order"):
+        taylor_branch(p, top + 1)
+
+
 def test_x_grid_recursion_vanishes_off_lattice():
     """In the x variable, only exponents divisible by s survive."""
     leaf = Leaf((4, 6))  # s = 2
