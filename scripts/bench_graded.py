@@ -9,7 +9,7 @@ blocks q = 1 and 2, alpha = 2, beta = 1), this times
   aliasing contracts hold, the blocks included;
 * the uniform grid it replaces, sized as the scan sized it before: at
   least 4096 points and twice the order M + J, where the entries' tail
-  eta^M, eta = rho_*^(-2s), falls below tail_tol = 1e-12; then the same two
+  eta^M, eta = rho_*^(-2s), falls below TAIL_TOL = 1e-12; then the same two
   blocks.  Grids past ``MAX_CIRCLE_GRID`` are recorded as refused, not
   timed.  The uniform table runs this code: the same seeded circle
   evaluation and Gram assembly, but its 128-coefficient check is now a
@@ -59,6 +59,7 @@ from ramp_oracle import ramp_branch_values
 from toda_spectra import (CirclePowerTable, Leaf, ParamPoint, RenormConfig,
                           critical_parameter, dominant_data, gram_block,
                           series_engine)
+from toda_spectra.hessian_blocks import TAIL_TOL
 
 LEAF = Leaf((3, 6))
 ZETA2 = 0.01
@@ -73,7 +74,7 @@ DELTAS = tuple(float(d) for d in np.geomspace(5e-2, 5e-4, 7)) + (1e-4, 1e-5,
 def _uniform_order(rho_star: float) -> int:
     """Table order of the old uniform grid; 2047 and below gave 4096 points."""
     eta = rho_star ** (-2 * LEAF.s)
-    cutoff = max(64, math.ceil(math.log(CFG.tail_tol) / math.log(eta)))
+    cutoff = max(64, math.ceil(math.log(TAIL_TOL) / math.log(eta)))
     return max(2047, cutoff + CFG.J)
 
 

@@ -125,10 +125,10 @@ def _previous_zeros_inside(coeffs):
 _column_contour = el._column_contour
 
 
-def _previous_column_contour(kind, b, seconds, rhos, level, on_cut):
+def _previous_column_contour(kind, b, seconds, rhos):
     # the column's rho_char evaluated again instead of read off the table
-    rhos = [el._cell(kind, b, sec, on_cut).rho_char for sec in seconds]
-    return _column_contour(kind, b, seconds, rhos, level, on_cut)
+    rhos = [el._cell(kind, b, sec).rho_char for sec in seconds]
+    return _column_contour(kind, b, seconds, rhos)
 
 
 def _previous_gamma_c_solve(tol, *, bracket=(0.1, 0.5)):

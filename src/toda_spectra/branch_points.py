@@ -210,24 +210,18 @@ def radius_estimate(u: PowerSeries, s: int) -> tuple[float, float]:
     Raises
     ------
     DegenerateSeries
-        If coefficients in the fit window vanish (terminating or lacunary
-        series); carries the first vanishing index.
+        If a coefficient past the constant term is exactly zero
+        (terminating or lacunary series); carries the first such index.
     """
     if u.order < 50:
         raise ValueError("radius_estimate needs order >= 50")
     c = np.abs(u.coeffs)
     zero_idx = np.nonzero(c[1:] == 0.0)[0]
-    start = (2 * u.order) // 3
-    if zero_idx.size and zero_idx[0] + 1 >= start:
-        raise DegenerateSeries(
-            f"coefficient {zero_idx[0] + 1} vanished inside the ratio window",
-            first_zero_index=int(zero_idx[0] + 1),
-        )
     if zero_idx.size:
-        raise DegenerateSeries(
-            f"coefficient {zero_idx[0] + 1} is exactly zero",
-            first_zero_index=int(zero_idx[0] + 1),
-        )
+        first = int(zero_idx[0] + 1)
+        raise DegenerateSeries(f"coefficient {first} is exactly zero",
+                               first_zero_index=first)
+    start = (2 * u.order) // 3
     m = np.arange(start, u.order)
     q = c[start:-1] / c[start + 1 :]
     slope, intercept = np.polyfit(1.0 / m, q, 1)
@@ -246,7 +240,8 @@ class DominantData:
     Taylor sheet actually realizes (the branch expands as
     U = lam + kappa*sqrt(1 - x/x_*) + ...), so the amplitudes
     A_p = -(s^{-1/2}/(2 sqrt(pi))) p kappa lam^{p-1} are asymptotically
-    exact, not just up to phase; ``amplitude(p)`` computes A_p.
+    exact, not just up to phase; ``amplitude_A`` computes A_p from the
+    representative's kappa and lam.
     ``series`` is the Taylor series the radius estimate was fitted to, and
     ``rho_hat``, ``exponent_hat`` are that estimate's radius and fitted
     coefficient exponent.
@@ -261,10 +256,6 @@ class DominantData:
     series: PowerSeries = field(repr=False)
     rho_hat: float
     exponent_hat: float
-
-    def amplitude(self, p: int) -> complex:
-        return amplitude_A(self.s, self.representative.kappa,
-                           self.representative.lam, p)
 
 
 def amplitude_A(s: int, kappa: complex, lam: complex, p: int) -> complex:

@@ -40,6 +40,8 @@ from .series_engine import MAX_ORDER, Leaf, ParamPoint, branch_power_rows
 from .spectral_scan import fit_log_scaling, scan_path
 
 _COMMANDS = ("series", "char", "spectrum", "scan", "lg", "leaves")
+# brentq step tolerance of the log leaf's gamma_c (``[leaves] gamma_c``)
+GAMMA_C_TOL = 1e-5
 
 SPECTRA_HEADER = ("delta", "epsilon", "L", "q", "k", "mu", "mu_over_L",
                   "gamma", "c_norm", "c_hs", "status")
@@ -278,21 +280,19 @@ def _zeta_from(conf: _Conf, sec: str, leaf: Leaf, nonzero: bool) -> list:
     return zeta
 
 
-def _renorm_from(conf: _Conf, leaf: Leaf, default_q=(1,)) -> tuple[RenormConfig, list]:
+def _renorm_from(conf: _Conf, leaf: Leaf, default_q=(1,)) -> list[RenormConfig]:
+    """One block config per q of ``[renorm] q``, in that order."""
     q_list = conf.ints("renorm", "q", default=list(default_q))
     for q in q_list:
         _check_range("renorm", "q", q, lo=1, hi=leaf.s)
     knobs = dict(
         s=leaf.s, J=conf.num("renorm", "J", default=70, lo=1),
         alpha=conf.flt("renorm", "alpha", default=2.0, lo=1.0, lo_open=True),
-        beta=conf.flt("renorm", "beta", default=1.0, lo=0.0, lo_open=True),
-        tail_tol=conf.flt("renorm", "tail_tol", default=1e-12, lo=0.0,
-                          hi=1e-3, lo_open=True))
+        beta=conf.flt("renorm", "beta", default=1.0, lo=0.0, lo_open=True))
     try:  # every block's weights must be finite, not only the first's
-        cfgs = [RenormConfig(q=q, **knobs) for q in q_list]
+        return [RenormConfig(q=q, **knobs) for q in q_list]
     except ValueError as exc:
         raise ConfigError(f"[renorm] {exc}") from None
-    return cfgs[0], q_list
 
 
 def parse_run_config(command: str, sections: dict) -> RunConfig:
@@ -333,12 +333,10 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
     elif command == "spectrum":
         leaf = _leaf_from(conf)
         zeta = _zeta_from(conf, "spectrum", leaf, nonzero=True)
-        cfg, q_list = _renorm_from(conf, leaf)
         values.update(
-            leaf=leaf, zeta=zeta, renorm=cfg, q_list=q_list,
+            leaf=leaf, zeta=zeta, blocks=_renorm_from(conf, leaf),
             order=conf.num("spectrum", "order", default=250, lo=50,
                            hi=MAX_ORDER),
-            k_max=conf.num("spectrum", "k_max", default=8, lo=1),
         )
     elif command == "scan":
         leaf = _leaf_from(conf)
@@ -349,15 +347,14 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
         if len(fixed) != n_fixed:
             raise ConfigError(
                 "[scan] zeta_fixed: expected one value per non-swept exponent")
-        cfg, q_list = _renorm_from(conf, leaf, default_q=(1, 2))
         values.update(
-            leaf=leaf, fixed=fixed, renorm=cfg, q_list=q_list,
+            leaf=leaf, fixed=fixed,
+            blocks=_renorm_from(conf, leaf, default_q=(1, 2)),
             delta_min=conf.flt("scan", "delta_min", default=1e-4,
                                lo=0.0, lo_open=True, hi=1.0, hi_open=True),
             delta_max=conf.flt("scan", "delta_max", default=1e-1,
                                lo=0.0, lo_open=True, hi=1.0, hi_open=True),
             points=conf.num("scan", "points", default=25, lo=2),
-            k_max=conf.num("scan", "k_max", default=8, lo=1),
             order=conf.num("scan", "order", default=250, lo=50,
                            hi=MAX_ORDER),
         )
@@ -380,11 +377,9 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
             leaf=leaf, driver=driver,
             t_max=conf.flt("lg", "t_max", default=1.0, lo=0.0, lo_open=True),
             steps=conf.num("lg", "steps", default=20, lo=1),
-            n_quad=conf.num("lg", "n_quad", default=512, lo=16),
             detect=conf.flag("lg", "detect", default=True),
             detect_order=conf.num("lg", "detect_order", default=200,
                                   lo=50, hi=MAX_ORDER),
-            t_tol=conf.flt("lg", "t_tol", default=1e-6, lo=0.0, lo_open=True),
         )
         if driver == "moments":
             r0 = conf.flt("lg", "r0", default=1.0, lo=0.0, lo_open=True)
@@ -398,8 +393,7 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
             if len(zeta0) != len(leaf.exponents) or len(rate) != len(leaf.exponents):
                 raise ConfigError(
                     "[lg] zeta0/rate: expected one value per leaf exponent")
-            values.update(zeta0=zeta0, rate=rate,
-                          r=conf.flt("lg", "r", default=1.0, lo=0.0, lo_open=True))
+            values.update(zeta0=zeta0, rate=rate)
     elif command == "leaves":
         kind = conf.choice("leaves", "kind", ("pole", "log"))
         b_lo = conf.flt("leaves", "b_min", lo=-1.0, hi=1.0,
@@ -421,11 +415,7 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
             raise ConfigError("[leaves] grid bounds must be nondecreasing")
         values.update(
             kind=kind, b_grid=(b_lo, b_hi, b_n), second_grid=(s_lo, s_hi, s_n),
-            level=conf.flt("leaves", "level", default=1.0, lo=0.0, lo_open=True),
-            on_cut=conf.choice("leaves", "on_cut", ("split", "error"),
-                               default="split"),
             gamma_c=conf.flag("leaves", "gamma_c", default=False),
-            gamma_c_tol=conf.flt("leaves", "gamma_c_tol", default=1e-5, lo=1e-6),
         )
         if values["gamma_c"] and kind != "log":
             raise ConfigError("[leaves] gamma_c: applies to the log leaf only")
@@ -528,8 +518,8 @@ def _run_char(rc: RunConfig, out: Path, threads):
 def _run_spectrum(rc: RunConfig, out: Path, threads):
     v = rc.values
     point = ParamPoint(v["leaf"], tuple(v["zeta"]))
-    points = scan_path(lambda d: point, [0.0], v["renorm"], v["q_list"],
-                       k_max=v["k_max"], order=v["order"], threads=threads)
+    points = scan_path(lambda d: point, [0.0], v["blocks"],
+                       order=v["order"], threads=threads)
     rows, failures = _spectra_rows(points)
     write_csv(out / "spectra.csv", SPECTRA_HEADER, rows)
     extra = {"circle_grids": _grid_facts(points)}
@@ -556,8 +546,8 @@ def _run_scan(rc: RunConfig, out: Path, threads):
         return ParamPoint(leaf, (zc * (1.0 - delta),) + tuple(fixed))
 
     grid = np.geomspace(v["delta_min"], v["delta_max"], v["points"])
-    points = scan_path(path, grid, v["renorm"], v["q_list"],
-                       k_max=v["k_max"], order=v["order"], threads=threads)
+    points = scan_path(path, grid, v["blocks"],
+                       order=v["order"], threads=threads)
     rows, failures = _spectra_rows(points)
     write_csv(out / "spectra.csv", SPECTRA_HEADER, rows)
     extra["circle_grids"] = _grid_facts(points)
@@ -606,16 +596,15 @@ def _run_lg(rc: RunConfig, out: Path, threads):
     if v["driver"] == "moments":
         zeta0 = tuple(a / v["r0"] for a in v["a0"])
         try:
-            init = initial_state(ParamPoint(leaf, zeta0, r=v["r0"]),
-                                 n_quad=v["n_quad"])
-            driver = MomentDriver(init, n_quad=v["n_quad"])
+            driver = MomentDriver(
+                initial_state(ParamPoint(leaf, zeta0, r=v["r0"])))
         except TodaSpectraError as exc:
             write_csv(out / "trajectory.csv", header, [])
             return ["trajectory.csv"], extra, [_failure("initial", exc)], 1
     else:
         zeta0, rate = v["zeta0"], v["rate"]
         zfun = lambda t: tuple(z + r * t for z, r in zip(zeta0, rate))
-        driver = SliceDriver(leaf, zfun, lambda t: v["r"], n_quad=v["n_quad"])
+        driver = SliceDriver(leaf, zfun)
 
     times = np.linspace(0.0, v["t_max"], v["steps"] + 1)
     states = []
@@ -630,8 +619,7 @@ def _run_lg(rc: RunConfig, out: Path, threads):
 
     if v["detect"]:
         try:
-            rep = detect_thresholds(driver, v["t_max"],
-                                    order=v["detect_order"], t_tol=v["t_tol"])
+            rep = detect_thresholds(driver, v["t_max"], order=v["detect_order"])
             extra["thresholds"] = {
                 "T_c": _jf(rep.t_c), "T_univ": _jf(rep.t_univ),
                 "margin_at_Tc": _jf(rep.margin_at_tc),
@@ -649,8 +637,7 @@ def _run_leaves(rc: RunConfig, out: Path, threads):
     s_lo, s_hi, s_n = v["second_grid"]
     bs = np.linspace(b_lo, b_hi, b_n)
     seconds = np.linspace(s_lo, s_hi, s_n)
-    table = phase_diagram(v["kind"], bs, seconds, level=v["level"],
-                          on_cut=v["on_cut"])
+    table = phase_diagram(v["kind"], bs, seconds)
     rows, failures = [], []
     for cell in table.cells:
         rows.append((cell.b, cell.second, cell.rho_char, cell.x_plus_abs,
@@ -661,9 +648,9 @@ def _run_leaves(rc: RunConfig, out: Path, threads):
     write_csv(out / "phase.csv", PHASE_HEADER, rows)
     extra = {"contour": [[_jf(b), _jf(sec)] for b, sec in table.contour]}
     if v["gamma_c"]:
-        gc = gamma_c_solve(v["gamma_c_tol"])
-        extra["gamma_c"] = {"value": _jf(gc), "tol": _jf(v["gamma_c_tol"]),
-                            "status": "empirical principal-sheet threshold"}
+        gc = gamma_c_solve(GAMMA_C_TOL)
+        extra["gamma_c"] = {"value": _jf(gc), "tol": _jf(GAMMA_C_TOL),
+                            "status": "root of rho_char(1, gamma) = 1"}
     return ["phase.csv"], extra, failures, len(table.cells)
 
 

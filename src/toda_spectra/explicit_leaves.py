@@ -166,25 +166,25 @@ class PhaseCell:
 class PhaseTable:
     """Grid evaluation of rho_char plus its unit-level contour.
 
-    ``contour`` holds (b, second) points with rho_char = level, one per
-    grid column that brackets the level.
+    ``contour`` holds (b, second) points with rho_char = 1, one per grid
+    column that brackets the unit level.
     """
 
     kind: str
-    level: float
     cells: tuple[PhaseCell, ...]
     contour: tuple[tuple[float, float], ...]
 
 
-def _cell(kind: str, b: float, second: float, on_cut: str) -> PhaseCell:
-    """rho_char and both characteristic moduli at one point; a failure
-    leaves NaN values and the exception's name as ``error_code``."""
+def _cell(kind: str, b: float, second: float) -> PhaseCell:
+    """rho_char and both characteristic moduli at one point, log cells on
+    the "split" policy; a failure leaves NaN values and the exception's
+    name as ``error_code``."""
     try:
         if kind == "pole":
             rho, xp, xm = pole_rho_char(PoleLeafPoint(b, second))
             pair = abs(xp.conjugate() - xm) <= _CONJ_TOL * (1.0 + abs(xp))
         else:
-            data = log_rho_char(LogLeafPoint(b, second), on_cut=on_cut)
+            data = log_rho_char(LogLeafPoint(b, second), on_cut="split")
             rho, xp, xm = data.rho, data.x_plus, data.x_minus
             pair = data.conjugate_pair
     except (TodaSpectraError, ValueError) as exc:
@@ -194,9 +194,9 @@ def _cell(kind: str, b: float, second: float, on_cut: str) -> PhaseCell:
 
 
 def _column_contour(kind: str, b: float, seconds: Sequence[float],
-                    rhos: Sequence[float], level: float, on_cut: str):
-    """Solve rho_char = level along one fixed-b column, by ``brentq`` on
-    the first grid cell that brackets it.
+                    rhos: Sequence[float]):
+    """Solve rho_char = 1 along one fixed-b column, by ``brentq`` on the
+    first grid cell that brackets it.
 
     ``rhos`` are the column's grid values of rho_char, NaN where a cell
     failed.  A cell end exactly at the level is returned as it is; a
@@ -205,13 +205,13 @@ def _column_contour(kind: str, b: float, seconds: Sequence[float],
     or gamma) is positive, so the root is solved to brentq's relative
     tolerance alone (xtol = 0).
     """
-    vals = [rho - level for rho in rhos]
+    vals = [rho - 1.0 for rho in rhos]
     for (s0, v0), (s1, v1) in zip(zip(seconds, vals), zip(seconds[1:], vals[1:])):
         if math.isnan(v0) or math.isnan(v1) or v0 * v1 > 0.0:
             continue
         try:
             return (b, brentq(
-                lambda sec: _cell(kind, b, sec, on_cut).rho_char - level,
+                lambda sec: _cell(kind, b, sec).rho_char - 1.0,
                 s0, s1, xtol=0.0))
         except NoConvergence:  # a failed cell's NaN, or the budget
             return None
@@ -219,18 +219,17 @@ def _column_contour(kind: str, b: float, seconds: Sequence[float],
 
 
 def phase_diagram(kind: str, b_values: Iterable[float],
-                  second_values: Iterable[float], *,
-                  level: float = 1.0, on_cut: str = "split") -> PhaseTable:
+                  second_values: Iterable[float]) -> PhaseTable:
     """Evaluate rho_char on a rectangular grid and trace its unit level set.
 
     ``kind`` is "pole" (second axis c) or "log" (second axis gamma).
     Per-cell failures are recorded in ``error_code`` without aborting the
     grid.  Each column's contour is solved by ``brentq`` inside the first
     grid cell that brackets the level, so rho_char is evaluated once per
-    cell plus the root finder's steps.  Log cells default to the "split"
-    policy so the table shows the branch moduli on both sides of the
-    discriminant; pass ``on_cut="error"`` to surface cut hits as error
-    codes instead.
+    cell plus the root finder's steps.  Log cells take the "split"
+    policy, so the table shows the branch moduli on both sides of the
+    discriminant; ``log_rho_char`` with its default ``on_cut="error"``
+    reports a single point's cut hit instead.
     """
     if kind not in ("pole", "log"):
         raise ValueError("kind must be 'pole' or 'log'")
@@ -239,15 +238,14 @@ def phase_diagram(kind: str, b_values: Iterable[float],
     cells = []
     contour = []
     for b in bs:
-        column = [_cell(kind, b, sec, on_cut) for sec in seconds]
+        column = [_cell(kind, b, sec) for sec in seconds]
         cells.extend(column)
         if len(seconds) >= 2:
             hit = _column_contour(kind, b, seconds,
-                                  [cell.rho_char for cell in column],
-                                  level, on_cut)
+                                  [cell.rho_char for cell in column])
             if hit is not None:
                 contour.append(hit)
-    return PhaseTable(kind, level, tuple(cells), tuple(contour))
+    return PhaseTable(kind, tuple(cells), tuple(contour))
 
 
 def gamma_c_solve(tol: float, *, bracket: tuple[float, float] = (0.1, 0.5)) -> float:

@@ -41,7 +41,6 @@ from .series_engine import (
     _branch_values_on_circle,
     _int_pow_values,
     branch_power_rows,  # noqa: F401  (looked up here by perfbench/tracer.py)
-    taylor_branch,  # noqa: F401  (looked up here by perfbench/tracer.py)
 )
 
 if TYPE_CHECKING:
@@ -59,17 +58,19 @@ _LOG_DBL_MAX = math.log(sys.float_info.max)
 # circle samples per Gram accumulation step: bounds the synthesis rows held
 # at once to GRAM_CHUNK x (J+1), whatever the grid size
 GRAM_CHUNK = 8192
+# relative accuracy asked of Gram entries (see ``gram_block``)
+TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class RenormConfig:
-    """Truncation and renormalization knobs for one symmetry block.
+    """Truncation and renormalization of one symmetry block.
 
     ``q`` selects the residue class (1..s); block indices are
-    p_j = q + j*s for j = 0..J.  ``tail_tol`` is the relative accuracy
-    asked of Gram entries (see ``gram_block``).  Construction verifies
-    q's range and that every weight w_j = p_j^(3/2+beta) * alpha^p_j is
-    finite in double precision, even though assemblies never form them.
+    p_j = q + j*s for j = 0..J, and Gram entries are held to ``TAIL_TOL``
+    relative (see ``gram_block``).  Construction verifies q's range and
+    that every weight w_j = p_j^(3/2+beta) * alpha^p_j is finite in double
+    precision, even though assemblies never form them.
     """
 
     q: int
@@ -77,7 +78,6 @@ class RenormConfig:
     J: int = 70
     alpha: float = 2.0
     beta: float = 1.0
-    tail_tol: float = 1e-12
 
     def __post_init__(self):
         if self.s < 1:
@@ -143,10 +143,11 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
 
     Aliasing contract: the even nodes are the table's N/2-node grid and
     give its block in the same pass, and max|G_N - G_{N/2}| must not
-    exceed sqrt(tail_tol) * max|G_N|.  The trapezoid error decays geometrically in
-    N, so the error of G_N is then about the square of that relative
-    difference, at most tail_tol * max|G_N|.  Samples k and N-k have the
-    same parity, so the half-sum keeps the even/odd split exact.
+    exceed sqrt(TAIL_TOL) * max|G_N|.  The trapezoid error decays
+    geometrically in N, so the error of G_N is then about the square of
+    that relative difference, at most TAIL_TOL * max|G_N|.  Samples k and
+    N-k have the same parity, so the half-sum keeps the even/odd split
+    exact.
 
     Raises
     ------
@@ -193,10 +194,10 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
         D = D + 1j * (T[1] - T[0])
     alias = norm * np.abs(D).max()
     scale = np.abs(G).max()
-    if alias > math.sqrt(cfg.tail_tol) * scale:
+    if alias > math.sqrt(TAIL_TOL) * scale:
         raise TailNotConverged(
             f"half-grid Gram block differs by {alias / scale:.2e} of max|G| "
-            f"(limit sqrt(tail_tol) = {math.sqrt(cfg.tail_tol):.1e}) "
+            f"(limit sqrt(TAIL_TOL) = {math.sqrt(TAIL_TOL):.1e}) "
             f"at n_grid={n}"
         )
     return _mirror_lower(G)

@@ -42,7 +42,8 @@ N_QUAD_DEFAULT = 512
 QUAD_TOL = 1e-10
 CONS_TOL = 1e-8
 DT_MIN = 1e-9
-T_TOL_DEFAULT = 1e-6
+# brentq step tolerance on threshold times, 1% of their 1e-6 target
+T_XTOL = 1e-8
 
 # coarse circle grid of univalence_margin, refined around its best cell
 _CUSP_GRID = 2048
@@ -268,8 +269,7 @@ def univalence_margin(r: float, a: Sequence[complex], leaf: Leaf) -> float:
     return mag if _zeros_inside(coeffs) else -mag
 
 
-def initial_state(point: ParamPoint, *,
-                  n_quad: int = N_QUAD_DEFAULT) -> TrajectoryState:
+def initial_state(point: ParamPoint) -> TrajectoryState:
     """Trajectory state at T = 0 for the given reduced parameters.
 
     Uses ``point.r`` as the conformal radius (default 1) and sets
@@ -277,7 +277,7 @@ def initial_state(point: ParamPoint, *,
     """
     r = point.r if point.r is not None else 1.0
     a = tuple(z * r for z in point.zeta)
-    moms = harmonic_moments(r, a, point.leaf, n_quad=n_quad)
+    moms = harmonic_moments(r, a, point.leaf)
     return TrajectoryState(point.leaf, 0.0, r, a, tuple(moms),
                            univalence_margin(r, a, point.leaf))
 
@@ -402,15 +402,15 @@ def _march(leaf: Leaf, v: np.ndarray, t_cur: float, t_target: float,
     return v
 
 
-def _checked_state(leaf: Leaf, t: float, v: np.ndarray, targets: np.ndarray,
-                   n_quad: int) -> TrajectoryState:
+def _checked_state(leaf: Leaf, t: float, v: np.ndarray,
+                   targets: np.ndarray) -> TrajectoryState:
     # Recompute the accepted point's moments by quadrature with its
     # doubling check, so every recorded state carries independently
     # verified values, and hold them to the targets the residue sums were
     # solved for: the two part ways once f has a zero on |w| >= 1.
     r = float(v[0])
     a = tuple(float(x) for x in v[1:])
-    moms = harmonic_moments(r, a, leaf, n_quad=n_quad)
+    moms = harmonic_moments(r, a, leaf)
     err = np.max(np.abs(moms - targets) / (1.0 + np.abs(targets)))
     if not err <= CONS_TOL:
         raise MomentMismatch(
@@ -433,14 +433,12 @@ class MomentDriver:
     raises TrajectoryStalled when step halving falls below ``DT_MIN``.
     """
 
-    def __init__(self, initial: TrajectoryState, *,
-                 n_quad: int = N_QUAD_DEFAULT):
+    def __init__(self, initial: TrajectoryState):
         _require_real_slice(initial.a)
         if not initial.univalent:
             raise UnivalenceLost("initial map is not univalent")
         self.leaf = initial.leaf
         self.initial = initial
-        self._n_quad = n_quad
         self._ramp = (initial.t, initial.moments[0].real)
         self._tk = [m.real for m in initial.moments[1:]]
         self._ts = [initial.t]
@@ -456,7 +454,7 @@ class MomentDriver:
             return seed
         v = np.array([seed.r] + [an.real for an in seed.a])
         v = _march(self.leaf, v, seed.t, t, self._targets)
-        st = _checked_state(self.leaf, t, v, self._targets(t), self._n_quad)
+        st = _checked_state(self.leaf, t, v, self._targets(t))
         j = bisect.bisect_left(self._ts, t)
         self._ts.insert(j, t)
         self._states.insert(j, st)
@@ -473,11 +471,10 @@ class MomentDriver:
 
 
 class SliceDriver:
-    """Prescribed parameter slice zeta(T), optionally with a radius law.
+    """Prescribed parameter slice zeta(T) at conformal radius 1.
 
-    ``zeta_of_t`` may return a scalar (one-mode leaves) or a sequence.
-    Without ``r_of_t`` the conformal radius is held at 1, so coefficients
-    equal the reduced parameters.
+    ``zeta_of_t`` may return a scalar (one-mode leaves) or a sequence; at
+    r = 1 the coefficients equal the reduced parameters.
 
     The moments on a prescribed slice are diagnostics, not constraints.
     Near a cusp the boundary approaches z = 0 and their quadrature slows
@@ -486,23 +483,19 @@ class SliceDriver:
     margin itself is unaffected.
     """
 
-    def __init__(self, leaf: Leaf, zeta_of_t: Callable, r_of_t=None, *,
-                 n_quad: int = N_QUAD_DEFAULT):
+    def __init__(self, leaf: Leaf, zeta_of_t: Callable):
         self.leaf = leaf
         self._zeta = zeta_of_t
-        self._r = r_of_t
-        self._n_quad = n_quad
 
     def state(self, t: float) -> TrajectoryState:
         t = float(t)
-        r = float(self._r(t)) if self._r is not None else 1.0
+        r = 1.0
         z = self._zeta(t)
         if np.isscalar(z) or isinstance(z, complex):
             z = (z,)
-        zt = tuple(complex(v) for v in z)
-        a = tuple(v * r for v in zt)
+        a = tuple(complex(v) for v in z)
         moms = None
-        n = self._n_quad
+        n = N_QUAD_DEFAULT
         for _ in range(5):
             try:
                 moms = harmonic_moments(r, a, self.leaf, n_quad=n)
@@ -569,15 +562,13 @@ def _first_zero(fun, grid, vals, xtol):
 
 
 def detect_thresholds(driver, t_max: float, *, order: int = 200,
-                      coarse: int = 64,
-                      t_tol: float = T_TOL_DEFAULT) -> ThresholdReport:
+                      coarse: int = 64) -> ThresholdReport:
     """Locate the first spectral (t_c) and geometric (t_univ) thresholds.
 
     Marches ``driver.state`` over [0, t_max] on a coarse grid, then
     brackets and bisects the first sign change of g(T) = rho_* - 1 and of
-    the univalence margin.  Bisection resolves the crossing times well
-    inside ``t_tol``.  Thresholds not reached by ``t_max`` come back as
-    None.
+    the univalence margin, each to ``T_XTOL``.  Thresholds not reached by
+    ``t_max`` come back as None.
     """
     grid = np.linspace(0.0, float(t_max), coarse + 1)
     g_vals = []
@@ -586,11 +577,10 @@ def detect_thresholds(driver, t_max: float, *, order: int = 200,
         st = driver.state(float(t))
         u_vals.append(st.univalence_margin)
         g_vals.append(radius_excess(st, order=order))
-    xtol = 0.01 * t_tol
     t_c = _first_zero(lambda t: radius_excess(driver.state(t), order=order),
-                      grid, g_vals, xtol)
+                      grid, g_vals, T_XTOL)
     t_univ = _first_zero(lambda t: driver.state(t).univalence_margin,
-                         grid, u_vals, xtol)
+                         grid, u_vals, T_XTOL)
     margin = driver.state(t_c).univalence_margin if t_c is not None else None
     separated = None
     if t_c is not None:

@@ -42,7 +42,7 @@ __all__ = [
     "fit_log_scaling",
 ]
 
-K_MAX_DEFAULT = 8
+K_MAX = 8
 BOUNDED_TOL = 0.10
 
 
@@ -127,18 +127,19 @@ class ScanPoint:
         return self.spectrum is not None
 
 
-def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
-              *, k_max: int = K_MAX_DEFAULT, order: int = 250,
-              threads: int | None = None) -> list[ScanPoint]:
+def scan_path(path, delta_grid, blocks: list[RenormConfig],
+              *, order: int = 250, threads: int | None = None) -> list[ScanPoint]:
     """Run the block-spectrum scan over a delta grid.
 
-    ``path`` maps delta to a ParamPoint; ``cfg`` supplies
-    J/alpha/beta/s/tail_tol (its q is overridden per block).  Each point
-    evaluates U once, on a circle grid graded toward its dominant
+    ``path`` maps delta to a ParamPoint; ``blocks`` holds one
+    ``RenormConfig`` per symmetry block to compute, all on the path's s
+    and equal in everything but q, and the scan's points list them in
+    that order; each block keeps its ``K_MAX`` leading eigenvalues.  Each
+    point evaluates U once, on a circle grid graded toward its dominant
     singularity z_* = rho_*^s e^{i phi} and seeded from its
-    ``dominant_data`` (``CirclePowerTable``), and shares it across the q
-    blocks: the grid doubles until its coefficient check and every block's
-    aliasing contract (``gram_block``) hold.  Its node count grows like
+    ``dominant_data`` (``CirclePowerTable``), and shares it across the
+    blocks: the grid doubles until its coefficient check and every
+    block's aliasing contract (``gram_block``) hold.  Its node count grows like
     eps^(-1/2).  Grid points are independent jobs, run on ``threads``
     threads (default: the CPU count, at most 4); with more than one
     thread they are submitted deepest (smallest delta) first,
@@ -147,8 +148,11 @@ def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
     the sheet check or the grid ceiling is recorded with the error's name
     and skipped.
     """
+    if not blocks:
+        raise ValueError("scan_path needs at least one block config")
+    if any(replace(c, q=blocks[0].q) != blocks[0] for c in blocks):
+        raise ValueError("scan_path blocks may differ only in q")
     deltas = [float(d) for d in delta_grid]
-    qs = list(q_list)
     threads = threads or min(4, os.cpu_count() or 1)
     deepest = deltas.index(min(deltas)) if deltas else -1
 
@@ -158,43 +162,40 @@ def scan_path(path, delta_grid, cfg: RenormConfig, q_list,
             param = path(delta)
             dom = dominant_data(param, order)
             if not dom.rho_star > 1:
-                return [ScanPoint(delta, q, None, "supercritical",
-                                  f"rho_*={dom.rho_star:.6g}") for q in qs]
+                return [ScanPoint(delta, c.q, None, "supercritical",
+                                  f"rho_*={dom.rho_star:.6g}") for c in blocks]
             if idx == deepest:
-                check_alpha_admissible(param, dom, cfg.alpha)
+                check_alpha_admissible(param, dom, blocks[0].alpha)
             _, L = log_scale(dom.rho_star, dom.s)
             eps = dom.rho_star - 1.0
-            blocks = {}
+            grams = []
 
             def accept(table):
-                for q in qs:
-                    blocks[q] = gram_block(table, replace(cfg, q=q))
+                grams[:] = [gram_block(table, c) for c in blocks]
 
             # order 0: the blocks need the samples only, no coefficient rows
             table = CirclePowerTable(param, 0, dom, accept)
         except TodaSpectraError as e:
-            return [ScanPoint(delta, q, None, type(e).__name__, str(e))
-                    for q in qs]
+            return [ScanPoint(delta, c.q, None, type(e).__name__, str(e))
+                    for c in blocks]
         grid = dict(n_grid=table.n_grid, doublings=table.doublings,
                     newton_iterations=table.newton_iterations)
         out = []
-        for q in qs:
+        for c, G in zip(blocks, grams):
             try:
-                cq = replace(cfg, q=q)
-                G = blocks[q]
-                d, gamma = spike_vector(dom, cq)
+                d, gamma = spike_vector(dom, c)
                 C = G - L * np.outer(d, d.conj())
-                mu = eigenvalues(G)[:k_max]
+                mu = eigenvalues(G)[:K_MAX]
                 ev_C = eigenvalues(C)
                 block = BlockSpectrum(
-                    q=q, delta=delta, epsilon=eps, L=L, mu=mu, spike=d,
+                    q=c.q, delta=delta, epsilon=eps, L=L, mu=mu, spike=d,
                     gamma=gamma, c_norm=float(np.abs(ev_C).max()),
                     c_hs=float(np.linalg.norm(C)),
                 )
-                out.append(ScanPoint(delta, q, block, **grid))
+                out.append(ScanPoint(delta, c.q, block, **grid))
             except TodaSpectraError as e:
-                out.append(ScanPoint(delta, q, None, type(e).__name__, str(e),
-                                     **grid))
+                out.append(ScanPoint(delta, c.q, None, type(e).__name__,
+                                     str(e), **grid))
         return out
 
     if threads > 1 and len(deltas) > 1:
@@ -212,8 +213,8 @@ class FitReport:
     """Scaling fit of one block across the scan grid.
 
     ``slope``/``intercept``/``r_squared`` fit mu_1 against L(eps) on the
-    last delta-decade; the ``log_delta`` triple repeats the fit against
-    log(1/delta).  ``gamma_limit`` is Gamma at the smallest delta — the
+    last delta-decade; ``slope_log_delta``/``r_squared_log_delta`` repeat
+    the fit against log(1/delta).  ``gamma_limit`` is Gamma at the smallest delta — the
     theorem's constant is the eps -> 0 limit, so both it and the fitted
     slope are reported without adjudicating which is closer.
 
@@ -231,7 +232,6 @@ class FitReport:
     intercept: float
     r_squared: float
     slope_log_delta: float
-    intercept_log_delta: float
     r_squared_log_delta: float
     gamma_limit: float
     mu1_over_L_final: float
@@ -286,7 +286,7 @@ def fit_log_scaling(scan: list[ScanPoint]) -> dict[int, FitReport]:
         L = np.array([b.L for b in specs])
         decade = deltas <= 10.0 * deltas[0]
         slope, intercept, r2 = _linfit(L[decade], mu1[decade])
-        s2, i2, r2d = _linfit(np.log(1.0 / deltas[decade]), mu1[decade])
+        s2, _, r2d = _linfit(np.log(1.0 / deltas[decade]), mu1[decade])
         k_have = min(len(b.mu) for b in specs)
         log_d = np.log(deltas)
         # whole decades spanned; two at least (the span may fall just short)
@@ -310,7 +310,7 @@ def fit_log_scaling(scan: list[ScanPoint]) -> dict[int, FitReport]:
             bounded[k] = bool(grow[-1] <= limit)
         reports[q] = FitReport(
             q=q, slope=slope, intercept=intercept, r_squared=r2,
-            slope_log_delta=s2, intercept_log_delta=i2, r_squared_log_delta=r2d,
+            slope_log_delta=s2, r_squared_log_delta=r2d,
             gamma_limit=specs[0].gamma,
             mu1_over_L_final=float(mu1[0] / L[0]),
             max_higher=max_higher, bounded=bounded,

@@ -19,8 +19,8 @@ import pytest
 
 from conftest import read_csv, read_summary
 from toda_spectra import (Leaf, LogLeafPoint, ParamPoint, PoleLeafPoint,
-                          RenormConfig, SliceDriver, approach_path,
-                          branch_power_rows, critical_parameter,
+                          RenormConfig, SliceDriver, amplitude_A,
+                          approach_path, branch_power_rows, critical_parameter,
                           dominant_data, fit_log_scaling, gamma_c_solve,
                           log_rho_char, log_scale, phase_diagram,
                           pole_rho_char, scan_path, solve_characteristic)
@@ -141,13 +141,15 @@ def test_criterion_05_uniform_transfer_law():
     t0 = time.perf_counter()
     point = ParamPoint(Leaf((2,)), (0.2,))
     dom = dominant_data(point, 430)
-    z_star = complex(dom.representative.x_star) ** dom.s
+    rep = dom.representative
+    z_star = complex(rep.x_star) ** dom.s
     p_list = (1, 2, 5)
     rows = branch_power_rows(point, list(p_list), 400)
     m = np.arange(50, 401)
     err = {}
     for i, p in enumerate(p_list):
-        pred = dom.amplitude(p) * m**-1.5 * z_star ** (-m.astype(float))
+        pred = (amplitude_A(dom.s, rep.kappa, rep.lam, p) * m**-1.5
+                * z_star ** (-m.astype(float)))
         err[p] = np.abs(rows[i, 50:401] / pred - 1.0)
     C = max(float((err[p] * m / (1 + p * p)).max()) for p in p_list)
     holds = all(bool(np.all(err[p] <= C * (1 + p * p) / m * (1 + 1e-12)))
@@ -384,11 +386,11 @@ def test_criterion_10c_threshold_detection(lg_slice_runs):
 def test_criterion_10d_approach_scaling(lg_slice_runs):
     t0 = time.perf_counter()
     t_c = read_summary(lg_slice_runs[0][0], "lg")["thresholds"]["T_c"]
-    driver = SliceDriver(Leaf((2,)), lambda t: 0.05 + 0.2 * t,
-                         lambda t: 1.0)
+    driver = SliceDriver(Leaf((2,)), lambda t: 0.05 + 0.2 * t)
     path = approach_path(driver, t_c)
-    cfg = RenormConfig(q=1, s=2, J=40, alpha=2.0, beta=1.0)
-    scan = scan_path(path, np.geomspace(1e-4, 1e-1, 13), cfg, (1, 2),
+    blocks = [RenormConfig(q=q, s=2, J=40, alpha=2.0, beta=1.0)
+              for q in (1, 2)]
+    scan = scan_path(path, np.geomspace(1e-4, 1e-1, 13), blocks,
                      order=250, threads=1)
     fits = fit_log_scaling(scan)
     secs = time.perf_counter() - t0

@@ -125,14 +125,6 @@ def test_dominant_data_two_mode_orbit_size():
     assert dom.separation > 0.0
 
 
-def test_dominant_amplitudes_match_closed_form():
-    dom = dominant_data(_one_mode(0.2), 260)
-    rep = dom.representative
-    for p in (1, 2, 5):
-        want = amplitude_A(dom.s, rep.kappa, rep.lam, p)
-        npt.assert_allclose(dom.amplitude(p), want, rtol=1e-12)
-
-
 def test_amplitude_formula_hand_value():
     # A_1 = -(s^(-1/2) / (2 sqrt(pi))) * kappa for p = 1, any lambda
     got = amplitude_A(2, 3.0 + 0.0j, 2.0, 1)

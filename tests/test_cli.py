@@ -273,13 +273,14 @@ def test_config_file_keys_match_case_insensitively(tmp_path):
     # configparser reads `J = 12` as the key `j`; it must still set J
     sections = cli._load_sections(_write(tmp_path, "scan.ini", SCAN_J12_INI))
     rc = cli.parse_run_config("scan", sections)
-    assert rc.values["renorm"].J == 12
+    assert [c.J for c in rc.values["blocks"]] == [12, 12]
     assert rc.sections["renorm"]["J"] == "12"
     # an override given later wins over the file, in either spelling
     for key in ("J", "j"):
         sections = cli._load_sections(tmp_path / "scan.ini")
         cli._apply_overrides(sections, [f"renorm.{key}=9"])
-        assert cli.parse_run_config("scan", sections).values["renorm"].J == 9
+        blocks = cli.parse_run_config("scan", sections).values["blocks"]
+        assert [c.J for c in blocks] == [9, 9]
 
 
 def test_misspelt_override_is_rejected(tmp_path, capsys):
@@ -344,6 +345,36 @@ def test_overflowing_renorm_weights_are_config_errors(tmp_path, capsys,
     assert not (out / "scan_summary.json").exists()
 
 
+SPECTRUM_INI = "[leaf]\nexponents = 2\n\n[spectrum]\nzeta = 0.2\n"
+
+
+@pytest.mark.parametrize("command,config,key,value", [
+    ("scan", "scan_near_critical", "renorm.tail_tol", "1e-12"),
+    ("scan", "scan_near_critical", "scan.k_max", "8"),
+    ("spectrum", None, "spectrum.k_max", "8"),
+    ("lg", "lg_onemode", "lg.n_quad", "512"),
+    ("lg", "lg_demo", "lg.t_tol", "1e-6"),
+    ("lg", "lg_demo", "lg.r", "1.0"),
+    ("leaves", "log_phase", "leaves.level", "1.0"),
+    ("leaves", "pole_phase", "leaves.on_cut", "split"),
+    ("leaves", "log_phase", "leaves.gamma_c_tol", "1e-5"),
+])
+def test_removed_keys_are_config_errors(tmp_path, capsys, command, config,
+                                        key, value):
+    # constants of the program, not keys: even the value it uses is refused
+    cfgfile = (CONFIGS / f"{config}.ini" if config
+               else _write(tmp_path, "run.ini", SPECTRUM_INI))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfgfile),
+                     "--out", str(out), "--threads", "1",
+                     "--set", f"{key}={value}"]) == 1
+    sec, name = key.split(".")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown key(s)")
+    assert f"[{sec}] {name}" in err
+    assert not (out / f"{command}_summary.json").exists()
+
+
 def test_gamma_c_on_the_pole_leaf_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["leaves", "--config", str(CONFIGS / "pole_phase.ini"),
@@ -355,8 +386,7 @@ def test_gamma_c_on_the_pole_leaf_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("command,text,key", [
     ("series", SERIES_INI, "series.order"),
     ("char", CHAR_INI, "char.order"),
-    ("spectrum", "[leaf]\nexponents = 2\n\n[spectrum]\nzeta = 0.2\n",
-     "spectrum.order"),
+    ("spectrum", SPECTRUM_INI, "spectrum.order"),
     ("scan", SCAN_J12_INI, "scan.order"),
     ("lg", (CONFIGS / "lg_onemode.ini").read_text(), "lg.detect_order"),
 ])

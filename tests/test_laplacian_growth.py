@@ -135,13 +135,11 @@ def test_checked_state_rejects_moments_off_the_residue_sums():
     npt.assert_allclose(targets, [-3.0, 1.0], rtol=1e-15)
     assert harmonic_moments(r, (a,), LEAF2)[1].real == pytest.approx(-0.25)
     with pytest.raises(MomentMismatch):
-        laplacian_growth._checked_state(LEAF2, 0.5, np.array([r, a]), targets,
-                                        laplacian_growth.N_QUAD_DEFAULT)
+        laplacian_growth._checked_state(LEAF2, 0.5, np.array([r, a]), targets)
     # inside its range the same check passes
     targets = np.array(laplacian_growth._residue_moments(LEAF2, [r, 0.2]))
     st = laplacian_growth._checked_state(LEAF2, 0.5, np.array([r, 0.2]),
-                                         targets,
-                                         laplacian_growth.N_QUAD_DEFAULT)
+                                         targets)
     assert st.moments[1].real == pytest.approx(0.1, rel=1e-14)
 
 
@@ -294,7 +292,7 @@ def test_moment_driver_refuses_prehistory():
 
 
 def test_slice_driver_scalar_and_radius_laws():
-    driver = SliceDriver(LEAF2, lambda t: 0.05 + 0.2 * t, lambda t: 1.0)
+    driver = SliceDriver(LEAF2, lambda t: 0.05 + 0.2 * t)
     st = driver.state(0.5)
     assert st.r == 1.0
     assert st.zeta[0] == pytest.approx(0.15, rel=1e-15)
@@ -321,7 +319,7 @@ def test_radius_excess_regimes():
 
 
 def test_detect_thresholds_on_declared_slice():
-    driver = SliceDriver(LEAF2, lambda t: 0.05 + 0.2 * t, lambda t: 1.0)
+    driver = SliceDriver(LEAF2, lambda t: 0.05 + 0.2 * t)
     report = detect_thresholds(driver, 1.2, order=200, coarse=16)
     assert report.t_c == pytest.approx(1.0, abs=1e-6)
     assert report.margin_at_tc == pytest.approx(0.75, abs=1e-6)
@@ -330,7 +328,7 @@ def test_detect_thresholds_on_declared_slice():
 
 
 def test_detect_thresholds_none_when_not_reached():
-    driver = SliceDriver(LEAF2, lambda t: 0.05 + 0.01 * t, lambda t: 1.0)
+    driver = SliceDriver(LEAF2, lambda t: 0.05 + 0.01 * t)
     report = detect_thresholds(driver, 1.0, order=150, coarse=6)
     assert report.t_c is None and report.t_univ is None
     assert report.margin_at_tc is None and report.separated is None
@@ -338,14 +336,14 @@ def test_detect_thresholds_none_when_not_reached():
 
 def test_geometric_breakdown_after_spectral_threshold():
     # steeper slice: zeta reaches 1 (cusp) at T = 4.75, after T_c = 1
-    driver = SliceDriver(LEAF2, lambda t: 0.05 + 0.2 * t, lambda t: 1.0)
+    driver = SliceDriver(LEAF2, lambda t: 0.05 + 0.2 * t)
     margin = driver.state(4.75).univalence_margin
     assert abs(margin) < 1e-8
     assert driver.state(4.8).univalence_margin < 0.0
 
 
 def test_approach_path_parameterization():
-    driver = SliceDriver(LEAF2, lambda t: 0.05 + 0.2 * t, lambda t: 1.0)
+    driver = SliceDriver(LEAF2, lambda t: 0.05 + 0.2 * t)
     path = approach_path(driver, 1.0)
     pt = path(0.25)
     assert pt.leaf == LEAF2

@@ -105,12 +105,13 @@ def _critical_path(delta):
     return ParamPoint(LEAF2, (0.25 * (1.0 - float(delta)),))
 
 
-SCAN_CFG = RenormConfig(q=1, s=2, J=12, alpha=2.0, beta=1.0)
+SCAN_BLOCKS = [RenormConfig(q=q, s=2, J=12, alpha=2.0, beta=1.0)
+               for q in (1, 2)]
 
 
 def test_scan_points_satisfy_sandwich():
     grid = np.geomspace(1e-3, 1e-1, 7)
-    scan = scan_path(_critical_path, grid, SCAN_CFG, (1, 2), order=250,
+    scan = scan_path(_critical_path, grid, SCAN_BLOCKS, order=250,
                      threads=1)
     assert len(scan) == 14
     assert all(pt.ok for pt in scan)
@@ -126,9 +127,9 @@ def test_scan_points_satisfy_sandwich():
 
 def test_scan_is_deterministic_and_thread_invariant():
     grid = np.geomspace(1e-3, 1e-1, 5)
-    one = scan_path(_critical_path, grid, SCAN_CFG, (1,), order=250,
+    one = scan_path(_critical_path, grid, SCAN_BLOCKS[:1], order=250,
                     threads=1)
-    two = scan_path(_critical_path, grid, SCAN_CFG, (1,), order=250,
+    two = scan_path(_critical_path, grid, SCAN_BLOCKS[:1], order=250,
                     threads=3)
     assert [pt.delta for pt in one] == [pt.delta for pt in two]
     for a, b in zip(one, two):
@@ -158,9 +159,9 @@ def test_scan_runs_deepest_first_in_grid_order():
         calls.append(delta)
         return _critical_path(delta)
 
-    one = scan_path(_critical_path, grid, SCAN_CFG, (1, 2), order=250,
+    one = scan_path(_critical_path, grid, SCAN_BLOCKS, order=250,
                     threads=1)
-    two = scan_path(path, grid, SCAN_CFG, (1, 2), order=250, threads=2)
+    two = scan_path(path, grid, SCAN_BLOCKS, order=250, threads=2)
     _assert_same_points(one, two)
     assert [pt.delta for pt in two] == [d for d in grid for _ in (1, 2)]
     # the two deepest points start first, one per thread
@@ -171,7 +172,7 @@ def test_scan_records_supercritical_points():
     def path(delta):
         return ParamPoint(LEAF2, (0.25 * (1.0 + float(delta)),))
 
-    scan = scan_path(path, [0.05, 0.2], SCAN_CFG, (1,), order=250, threads=1)
+    scan = scan_path(path, [0.05, 0.2], SCAN_BLOCKS[:1], order=250, threads=1)
     assert all(not pt.ok for pt in scan)
     assert all(pt.status in ("supercritical", "NoDominantOrbit")
                for pt in scan)
@@ -183,7 +184,7 @@ def test_scan_records_undersized_grid_as_failed_cells(monkeypatch):
     # a 1024-node ceiling stops the doubling: the first grid is too coarse
     # at delta = 3e-3 (it needs 2048 nodes) but enough at 3e-2
     monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 1024)
-    scan = scan_path(_critical_path, [3e-3, 3e-2], SCAN_CFG, (1, 2),
+    scan = scan_path(_critical_path, [3e-3, 3e-2], SCAN_BLOCKS,
                      order=250, threads=1)
     assert [(pt.delta, pt.q) for pt in scan] == [
         (3e-3, 1), (3e-3, 2), (3e-2, 1), (3e-2, 2)]
@@ -199,7 +200,7 @@ def test_scan_records_undersized_grid_as_failed_cells(monkeypatch):
 def test_scan_records_grid_over_ceiling_as_failed_cells(monkeypatch):
     # delta = 1e-3 needs a 4096-node grid; 3e-2 fits in 1024
     monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 2048)
-    scan = scan_path(_critical_path, [1e-3, 3e-2], SCAN_CFG, (1, 2),
+    scan = scan_path(_critical_path, [1e-3, 3e-2], SCAN_BLOCKS,
                      order=250, threads=1)
     assert [pt.status for pt in scan] == [
         "GridTooLarge", "GridTooLarge", "ok", "ok"]
@@ -223,7 +224,7 @@ def test_scan_records_wrong_sheet_sample_as_failed_cells(monkeypatch):
 
     monkeypatch.setattr(series_engine, "_branch_values", one_wrong)
     monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 8192)
-    scan = scan_path(_critical_path, [3e-2], SCAN_CFG, (1, 2), order=250,
+    scan = scan_path(_critical_path, [3e-2], SCAN_BLOCKS, order=250,
                      threads=1)
     assert [pt.status for pt in scan] == ["WrongSheet", "WrongSheet"]
     assert "stalled at 4096 nodes" in scan[0].detail
@@ -249,7 +250,7 @@ def test_scan_records_flipped_germ_seed_as_wrong_sheet(monkeypatch):
             dom, representative=dataclasses.replace(rep, kappa=-rep.kappa))
 
     monkeypatch.setattr(spectral_scan, "dominant_data", flipped)
-    scan = scan_path(_critical_path, [1e-3, 1e-1], SCAN_CFG, (1, 2),
+    scan = scan_path(_critical_path, [1e-3, 1e-1], SCAN_BLOCKS,
                      order=250, threads=1)
     assert [pt.status for pt in scan] == ["WrongSheet"] * 2 + ["ok"] * 2
     assert all(pt.spectrum is None for pt in scan[:2])
@@ -257,7 +258,7 @@ def test_scan_records_flipped_germ_seed_as_wrong_sheet(monkeypatch):
     # far from criticality the germ never wins and the samples, hence the
     # blocks, are those of the true seeds (the spike only changes sign)
     monkeypatch.undo()
-    want = scan_path(_critical_path, [1e-1], SCAN_CFG, (1, 2), order=250,
+    want = scan_path(_critical_path, [1e-1], SCAN_BLOCKS, order=250,
                      threads=1)
     for a, b in zip(scan[2:], want):
         npt.assert_array_equal(a.spectrum.mu, b.spectrum.mu)
@@ -276,7 +277,7 @@ def test_scan_runs_the_taylor_recursion_once_per_point(monkeypatch):
 
     monkeypatch.setattr(branch_points, "taylor_branch", counted)
     monkeypatch.setattr(series_engine, "taylor_branch", counted)
-    scan = scan_path(_critical_path, [1e-3, 1e-2, 1e-1], SCAN_CFG, (1, 2),
+    scan = scan_path(_critical_path, [1e-3, 1e-2, 1e-1], SCAN_BLOCKS,
                      order=250, threads=1)
     assert all(pt.ok for pt in scan)
     assert calls == [250, 250, 250]
@@ -284,14 +285,43 @@ def test_scan_runs_the_taylor_recursion_once_per_point(monkeypatch):
 
 def test_scan_q_list_order_is_cosmetic():
     grid = np.geomspace(1e-2, 1e-1, 3)
-    fwd = scan_path(_critical_path, grid, SCAN_CFG, (1, 2), order=250,
+    fwd = scan_path(_critical_path, grid, SCAN_BLOCKS, order=250,
                     threads=1)
-    rev = scan_path(_critical_path, grid, SCAN_CFG, (2, 1), order=250,
+    rev = scan_path(_critical_path, grid, SCAN_BLOCKS[::-1], order=250,
                     threads=1)
     key = lambda pt: (pt.delta, pt.q)
     for a, b in zip(sorted(fwd, key=key), sorted(rev, key=key)):
         assert (a.delta, a.q) == (b.delta, b.q)
         npt.assert_array_equal(a.spectrum.mu, b.spectrum.mu)
+
+
+def test_scan_blocks_are_all_built_before_the_first_point():
+    # alpha = 26.9 overflows only the q = 2 weights on {3,6} (p_J = 212);
+    # the caller builds every block, so that surfaces before the path is
+    # called once, and the q = 1 block alone scans
+    calls = []
+
+    def path(delta):
+        calls.append(delta)
+        return ParamPoint(Leaf((3, 6)), (0.05 * (1.0 - delta), 0.01))
+
+    with pytest.raises(ValueError, match="p_J=212 overflows"):
+        scan_path(path, [0.05, 0.02],
+                  [RenormConfig(q=q, s=3, alpha=26.9) for q in (1, 2)],
+                  threads=1)
+    assert calls == []
+    scan = scan_path(path, [0.05], [RenormConfig(q=1, s=3, alpha=26.9)],
+                     threads=1)
+    assert calls == [0.05] and [pt.status for pt in scan] == ["ok"]
+
+
+def test_scan_refuses_empty_or_mixed_blocks():
+    with pytest.raises(ValueError, match="at least one block"):
+        scan_path(_critical_path, [1e-1], [], threads=1)
+    # the blocks share one alpha (the deepest point's check) and one J, beta
+    mixed = [SCAN_BLOCKS[0], dataclasses.replace(SCAN_BLOCKS[1], alpha=2.5)]
+    with pytest.raises(ValueError, match="differ only in q"):
+        scan_path(_critical_path, [1e-1], mixed, threads=1)
 
 
 # ---------------------------------------------------------------------------
