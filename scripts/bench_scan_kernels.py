@@ -1,0 +1,240 @@
+"""Time the scan point kernels against the loops they replaced.
+
+On the {3,6} leaf with zeta_2 = 0.01, at delta = 5e-2, 5e-3 and 5e-4 below
+the critical zeta_1 (circle grids of 1024, 2048 and 8192 nodes), this
+times three pieces of one scan point:
+
+* ``table``: ``CirclePowerTable(p, 0, dom)``, whose Taylor seed is
+  evaluated by Paterson-Stockmeyer (``series_engine._taylor_values``) and
+  whose coefficient check sums by baby and giant steps
+  (``series_engine._power_sums``);
+* ``gram_block``: the q = 1 block at J = 70, whose rows come by doubling
+  (``series_engine._power_rows``);
+* ``eigensolves``: the point's four solves (G and the deflated C of the
+  blocks q = 1, 2), on the real parts of the blocks, as ``scan_path`` does
+  for real zeta.
+
+``previous`` is the same call with the loops of ``tests/loop_oracle.py``
+in place of the table's two kernels (a Horner step per coefficient, a sum
+and a product per checked coefficient), ``gram_block`` as it was (a
+product per row and per parity, each row scaled by c_j in the loop), and
+complex ``eigvalsh`` of the complex blocks.
+
+Each figure is the median over ``--repeats`` runs of the mean time per call
+in a batch.  With them go the largest changes of the outputs (samples,
+blocks, eigenvalues, c_norm, coefficient-check error), whether the grids
+agree, and the machine (nproc, numpy, BLAS).  The result goes to
+BENCH_scan_kernels.json at the repository root.  Run from anywhere:
+
+    python3 scripts/bench_scan_kernels.py --repeats 7
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread, as the benchmark and ``--threads 1`` runs use; set before
+# numpy is imported
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import argparse
+import contextlib
+import json
+import math
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "scripts")]
+
+import numpy as np
+
+from bench_graded import _blas
+from loop_oracle import horner_values, power_sums_loop
+from toda_spectra import (CirclePowerTable, Leaf, ParamPoint, RenormConfig,
+                          critical_parameter, dominant_data, gram_block,
+                          log_scale, spike_vector)
+from toda_spectra import hessian_blocks, series_engine
+from toda_spectra.errors import TailNotConverged
+from toda_spectra.hessian_blocks import eigenvalues
+
+LEAF = Leaf((3, 6))
+ZETA2 = 0.01
+DELTAS = (5e-2, 5e-3, 5e-4)
+BLOCKS = [RenormConfig(q=q, s=3) for q in (1, 2)]
+BATCH = {"table": 5, "gram_block": 5, "eigensolves": 20}
+
+
+def _previous_gram_block(table, cfg):
+    # gram_block as it was: per parity, J+1 rows by one product each, with
+    # c_j applied row by row
+    p = table.param
+    J, n = cfg.J, table.n_grid
+    c = cfg.p_indices.astype(np.float64) ** -(1.0 + cfg.beta)
+    real = p.is_real()
+    n_sum, norm = (n // 2 + 1, 2.0 / n) if real else (n, 1.0 / n)
+    S = np.zeros((2, J + 1, J + 1))
+    T = None if real else np.zeros((2, J + 1, J + 1))
+    for lo in range(0, n_sum, series_engine.NODE_CHUNK):
+        hi = min(lo + series_engine.NODE_CHUNK, n_sum)
+        z, u, zdlog, weight = table.samples(lo, hi)
+        v = u / cfg.alpha
+        row = (np.sqrt(weight) * np.abs(1.0 + cfg.s * zdlog)
+               * series_engine._int_pow_values(v, cfg.q))
+        step = z * series_engine._int_pow_values(v, cfg.s)
+        if real:
+            if lo == 0:
+                row[0] *= math.sqrt(0.5)
+            if hi == n_sum:
+                row[-1] *= math.sqrt(0.5)
+        for parity in (0, 1):
+            r, st = row[parity::2], step[parity::2]
+            X = np.empty((J + 1, len(r)), dtype=np.complex128)
+            for j in range(J + 1):
+                np.multiply(r, c[j], out=X[j])
+                r = r * st
+            Xf = X.view(np.float64)
+            S[parity] += Xf @ Xf.T
+            if T is not None:
+                P = Xf[:, 0::2] @ Xf[:, 1::2].T
+                T[parity] += P - P.T
+    G = norm * (S[0] + S[1])
+    D = S[1] - S[0]
+    if T is not None:
+        G = G + 1j * (norm * (T[0] + T[1]))
+        D = D + 1j * (T[1] - T[0])
+    alias = norm * np.abs(D).max()
+    if alias > math.sqrt(hessian_blocks.TAIL_TOL) * np.abs(G).max():
+        raise TailNotConverged("half-grid Gram block differs")
+    return hessian_blocks._mirror_lower(G)
+
+
+@contextlib.contextmanager
+def _previous_code():
+    saved = (series_engine._taylor_values, series_engine._power_sums,
+             hessian_blocks.gram_block)
+    series_engine._taylor_values = horner_values
+    series_engine._power_sums = power_sums_loop
+    hessian_blocks.gram_block = _previous_gram_block
+    try:
+        yield
+    finally:
+        (series_engine._taylor_values, series_engine._power_sums,
+         hessian_blocks.gram_block) = saved
+
+
+def _per_call(fn, batch, repeats):
+    fn()
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(batch):
+            out = fn()
+        times.append((time.perf_counter() - t0) / batch)
+    return out, statistics.median(times)
+
+
+def _eigensolves(grams, dom, real):
+    # mu_1..mu_8 and c_norm of each block, as scan_path reads them
+    _, L = log_scale(dom.rho_star, dom.s)
+    out = []
+    for cfg, G in zip(BLOCKS, grams):
+        d, _ = spike_vector(dom, cfg)
+        C = G - L * np.outer(d, d.conj())
+        if real:
+            G, C = G.real, C.real
+        out.append((eigenvalues(G)[:8], float(np.abs(eigenvalues(C)).max())))
+    return out
+
+
+def _side(p, dom, repeats):
+    table, t_table = _per_call(lambda: CirclePowerTable(p, 0, dom),
+                               BATCH["table"], repeats)
+    gram, t_gram = _per_call(lambda: hessian_blocks.gram_block(table,
+                                                               BLOCKS[0]),
+                             BATCH["gram_block"], repeats)
+    return table, gram, t_table, t_gram
+
+
+def _timing(now, before, batch):
+    return {"seconds": now, "previous": {"seconds": before},
+            "speedup": before / now, "batch": batch}
+
+
+def _point(zc, delta, repeats):
+    p = ParamPoint(LEAF, (zc * (1.0 - delta), ZETA2))
+    dom = dominant_data(p, 250)
+    table, gram, t_table, t_gram = _side(p, dom, repeats)
+    with _previous_code():
+        table0, gram0, t_table0, t_gram0 = _side(p, dom, repeats)
+    grams = [gram_block(table, cfg) for cfg in BLOCKS]
+    spectra, t_eig = _per_call(lambda: _eigensolves(grams, dom, True),
+                               BATCH["eigensolves"], repeats)
+    spectra0, t_eig0 = _per_call(lambda: _eigensolves(grams, dom, False),
+                                 BATCH["eigensolves"], repeats)
+    mu1 = max(mu[0] for mu, _ in spectra0)
+    return {
+        "delta": delta, "epsilon": dom.rho_star - 1.0,
+        "n_grid": table.n_grid,
+        "calls": {"table": _timing(t_table, t_table0, BATCH["table"]),
+                  "gram_block": _timing(t_gram, t_gram0, BATCH["gram_block"]),
+                  "eigensolves": _timing(t_eig, t_eig0,
+                                         BATCH["eigensolves"])},
+        "grid_identical": ((table.n_grid, table.doublings,
+                            table.newton_iterations)
+                           == (table0.n_grid, table0.doublings,
+                               table0.newton_iterations)),
+        "check_error": {"now": table.check_error,
+                        "previous": table0.check_error},
+        "max_rel_diff": {
+            "samples": float(np.abs(table.values - table0.values).max()
+                             / np.abs(table0.values).max()),
+            "gram_block": float(np.abs(gram - gram0).max()
+                                / np.abs(gram0).max()),
+            "mu_over_mu1": float(max(np.abs(a[0] - b[0]).max()
+                                     for a, b in zip(spectra, spectra0))
+                                 / mu1),
+            "c_norm": max(abs(a[1] - b[1]) / b[1]
+                          for a, b in zip(spectra, spectra0)),
+        },
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--out", default=str(ROOT / "BENCH_scan_kernels.json"))
+    args = parser.parse_args(argv)
+
+    zc = critical_parameter(lambda t: ParamPoint(LEAF, (t, ZETA2)), 0.05, 0.2,
+                            order=250)
+    points = []
+    for delta in DELTAS:
+        points.append(_point(zc, delta, args.repeats))
+        print(json.dumps(points[-1]), file=sys.stderr)
+    result = {
+        "benchmark": "scan_kernels",
+        "what": "median seconds per call, at one {3,6} scan point per delta, "
+                "of CirclePowerTable(p, 0, dom), gram_block of the q = 1 "
+                "block (J = 70) and the point's four eigensolves; previous = "
+                "the loops of tests/loop_oracle.py in place of "
+                "_taylor_values and _power_sums, gram_block with one product "
+                "per row and parity, and complex eigvalsh",
+        "command": f"python3 scripts/bench_scan_kernels.py --repeats "
+                   f"{args.repeats}",
+        "machine": {"nproc": os.cpu_count(), "numpy": np.__version__,
+                    "blas": _blas(),
+                    "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+                    "python": platform.python_version(),
+                    "platform": platform.platform()},
+        "points": points,
+    }
+    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

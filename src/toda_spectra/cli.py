@@ -465,14 +465,16 @@ def _spectra_rows(points) -> tuple[list, list]:
 
 
 def _grid_facts(points) -> list[dict]:
-    """Final node count, doublings and largest Newton iteration count of
-    each point's circle table, in grid order (one entry per delta; 0 where
-    no table was completed)."""
+    """Final node count, doublings, largest Newton iteration count and
+    coefficient-check error of each point's circle table, in grid order
+    (one entry per delta; 0, or null for the error, where no table was
+    completed)."""
     facts = {}
     for pt in points:
         facts.setdefault(pt.delta, {"delta": _jf(pt.delta), "n_grid": pt.n_grid,
                                     "doublings": pt.doublings,
-                                    "newton_iterations": pt.newton_iterations})
+                                    "newton_iterations": pt.newton_iterations,
+                                    "check_error": _jf(pt.check_error)})
     return list(facts.values())
 
 

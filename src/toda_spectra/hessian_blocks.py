@@ -26,6 +26,7 @@ descending order.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -36,10 +37,12 @@ import numpy as np
 
 from .errors import NoConvergence, TailNotConverged
 from .series_engine import (
+    NODE_CHUNK,
     CirclePowerTable,
     ParamPoint,
     _branch_values_on_circle,
     _int_pow_values,
+    _power_rows,
     branch_power_rows,  # noqa: F401  (looked up here by perfbench/tracer.py)
 )
 
@@ -55,9 +58,6 @@ __all__ = [
 
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
-# circle samples per Gram accumulation step: bounds the synthesis rows held
-# at once to GRAM_CHUNK x (J+1), whatever the grid size
-GRAM_CHUNK = 8192
 # relative accuracy asked of Gram entries (see ``gram_block``)
 TAIL_TOL = 1e-12
 
@@ -103,6 +103,16 @@ class RenormConfig:
         return self.q + self.s * np.arange(self.J + 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _strict_upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of an n x n
+    matrix, built once per size and read-only."""
+    idx = np.triu_indices(n, k=1)
+    for a in idx:
+        a.flags.writeable = False
+    return idx
+
+
 def _mirror_lower(lower: np.ndarray) -> np.ndarray:
     """Hermitian matrix from the lower triangle (diagonal included) of
     ``lower``: the strict upper triangle is overwritten by the conjugate
@@ -110,7 +120,7 @@ def _mirror_lower(lower: np.ndarray) -> np.ndarray:
     hermiticity holds exactly."""
     a = np.array(lower, dtype=np.complex128)
     n = a.shape[0]
-    i, j = np.triu_indices(n, k=1)
+    i, j = _strict_upper(n)
     a[i, j] = np.conj(a[j, i])
     di = np.diag_indices(n)
     a[di] = a[di].real
@@ -129,9 +139,10 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
 
     where omega_k = |dz/dw|_k is the node weight of the graded grid (1 on
     the uniform grid), alpha = cfg.alpha and c_j = p_j^-(1+beta), so the
-    entries are G~_{j1j2} = G_{j1j2}/(w_{j1} w_{j2}).  The rows are built
-    by repeated multiplication and accumulated over chunks of GRAM_CHUNK
-    samples.
+    entries are G~_{j1j2} = G_{j1j2}/(w_{j1} w_{j2}).  Per chunk of
+    NODE_CHUNK samples the J+1 rows without c_j come by doubling
+    (``series_engine._power_rows``: about 2 log2(J+1) numpy calls), and
+    the factors c_j1 c_j2 are applied to the summed (J+1)x(J+1) blocks.
 
     The product is taken in real arithmetic.  Writing X = A + iB,
     G = (1/N) [(A^T A + B^T B) + i (A^T B - B^T A)]; the real part is one
@@ -164,8 +175,8 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
     n_sum, norm = (n // 2 + 1, 2.0 / n) if real else (n, 1.0 / n)
     S = np.zeros((2, J + 1, J + 1))  # real part over even, odd samples
     T = None if real else np.zeros((2, J + 1, J + 1))  # imaginary part
-    for lo in range(0, n_sum, GRAM_CHUNK):
-        hi = min(lo + GRAM_CHUNK, n_sum)
+    for lo in range(0, n_sum, NODE_CHUNK):
+        hi = min(lo + NODE_CHUNK, n_sum)
         z, u, zdlog, weight = table.samples(lo, hi)
         v = u / cfg.alpha
         row = (np.sqrt(weight) * np.abs(1.0 + cfg.s * zdlog)
@@ -176,22 +187,23 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
                 row[0] *= math.sqrt(0.5)
             if hi == n_sum:
                 row[-1] *= math.sqrt(0.5)
-        for parity in (0, 1):  # lo is even: local parity is global parity
-            r, st = row[parity::2], step[parity::2]
-            X = np.empty((J + 1, len(r)), dtype=np.complex128)
-            for j in range(J + 1):
-                np.multiply(r, c[j], out=X[j])
-                r = r * st
-            Xf = X.view(np.float64)  # columns re, im interleaved
-            S[parity] += Xf @ Xf.T
+        # even samples first, then odd (lo is even: local parity is global
+        # parity), in one array of rows
+        X = _power_rows(np.concatenate((row[0::2], row[1::2])),
+                        np.concatenate((step[0::2], step[1::2])), J + 1)
+        Xf = X.view(np.float64)  # columns re, im interleaved
+        n_even = 2 * ((hi - lo + 1) // 2)
+        for parity, Xp in enumerate((Xf[:, :n_even], Xf[:, n_even:])):
+            S[parity] += Xp @ Xp.T
             if T is not None:
-                P = Xf[:, 0::2] @ Xf[:, 1::2].T
+                P = Xp[:, 0::2] @ Xp[:, 1::2].T
                 T[parity] += P - P.T
-    G = norm * (S[0] + S[1])
-    D = S[1] - S[0]
+    cc = np.outer(c, c)
+    G = norm * cc * (S[0] + S[1])
+    D = cc * (S[1] - S[0])
     if T is not None:
-        G = G + 1j * (norm * (T[0] + T[1]))
-        D = D + 1j * (T[1] - T[0])
+        G = G + 1j * (norm * cc * (T[0] + T[1]))
+        D = D + 1j * (cc * (T[1] - T[0]))
     alias = norm * np.abs(D).max()
     scale = np.abs(G).max()
     if alias > math.sqrt(TAIL_TOL) * scale:
@@ -204,7 +216,8 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
 
 
 def eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted descending.
+    """Eigenvalues of a Hermitian or real symmetric matrix, sorted
+    descending.
 
     Raises
     ------

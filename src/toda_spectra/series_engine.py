@@ -262,12 +262,19 @@ def taylor_branch(p: ParamPoint, order: int) -> PowerSeries:
 # the Taylor sheet, so one Newton solve of a few iterations replaces a
 # continuation from the centre of the disk; a sample that still lands on the
 # other sheet fails the table's coefficient check.  The cost is kept down
-# three ways.  For real zeta (phi = 0 or pi), U(conj z) = conj U(z) and node
+# four ways.  For real zeta (phi = 0 or pi), U(conj z) = conj U(z) and node
 # n-k is the conjugate of node k: Newton runs on nodes 0..n/2 only and the
 # rest are their mirror images.  A sample leaves the Newton iteration once
 # its own step is below the tolerance, so the slow samples near the dominant
 # singularity do not drag the converged ones along.  Integer powers are
 # formed by multiplication (``_int_pow_values``), not by complex ``**``.
+# And no kernel issues one numpy call per power: the rows a * r^i of a
+# geometric family come by doubling (``_power_rows``), the order-250 Taylor
+# seed by Paterson-Stockmeyer (``_taylor_values``: 16 baby powers, one
+# matrix product with the coefficient blocks, Horner in z^16) and the
+# coefficient check's sums by baby and giant steps (``_power_sums``), each
+# over chunks of NODE_CHUNK nodes, so that their temporaries stay at a few
+# dozen rows of one chunk whatever the grid size.
 # ---------------------------------------------------------------------------
 
 # above this many nodes a table is refused before it is allocated: at 2**21
@@ -325,6 +332,83 @@ def _int_pow_values(vals: np.ndarray, k: int) -> np.ndarray:
     return np.ones_like(vals) if out is None else out
 
 
+# nodes per step of the per-node kernels (``_taylor_values``,
+# ``_power_sums``, ``hessian_blocks.gram_block``): their temporaries hold at
+# most a few dozen rows of this length
+NODE_CHUNK = 8192
+# baby steps of ``_taylor_values`` and ``_power_sums``: sqrt of the seed's
+# 251 coefficients, rounded to a power of two
+_BABY = 16
+
+
+def _power_rows(first: np.ndarray, ratio: np.ndarray,
+                count: int) -> np.ndarray:
+    """Rows first * ratio**i for i < count, as a (count, len) array.
+
+    Built by doubling: rows k..2k-1 are rows 0..k-1 times ratio**k, and
+    ratio**2k is the square of ratio**k, so about 2 log2(count) numpy calls
+    replace count - 1, for the same number of products.  Row i carries
+    about as many rounded products as the chain first * ratio * ratio * ...
+    """
+    out = np.empty((count, len(ratio)), dtype=np.result_type(first, ratio))
+    out[0] = first
+    k, power = 1, ratio
+    while k < count:
+        m = min(k, count - k)
+        np.multiply(out[:m], power, out=out[k:k + m])
+        k += m
+        if k < count:
+            power = power * power
+    return out
+
+
+def _taylor_values(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The polynomial sum_i coeffs[i] z^i at the points ``z``, by
+    Paterson-Stockmeyer.
+
+    With the coefficients cut into blocks of _BABY, block a gives
+    Q_a(z) = sum_b coeffs[_BABY a + b] z^b, all of them at once as one
+    matrix product with the baby powers z^0..z^(_BABY-1); the sum is
+    then Horner's rule in z^_BABY over the Q_a.  For 251 coefficients
+    that is 16 blocks and 16 Horner steps, in place of 250.
+    """
+    blocks = -(-len(coeffs) // _BABY)
+    cb = np.zeros(blocks * _BABY, dtype=np.complex128)
+    cb[: len(coeffs)] = coeffs
+    cb = cb.reshape(blocks, _BABY)
+    out = np.empty(len(z), dtype=np.complex128)
+    for lo in range(0, len(z), NODE_CHUNK):
+        zc = z[lo : lo + NODE_CHUNK]
+        baby = _power_rows(np.ones(len(zc)), zc, _BABY)
+        q = cb @ baby
+        giant = baby[-1] * zc
+        y = q[-1]
+        for row in q[-2::-1]:
+            y *= giant
+            y += row
+        out[lo : lo + NODE_CHUNK] = y
+    return out
+
+
+def _power_sums(t: np.ndarray, r: np.ndarray, count: int) -> np.ndarray:
+    """The sums sum_k t_k r_k^m for m < count, by baby and giant steps.
+
+    Per chunk of nodes, the baby rows t r^b (b < _BABY) and the giant rows
+    r^(_BABY a) (a < ceil(count/_BABY)) give every sum of the chunk in one
+    (giants x chunk) @ (chunk x _BABY) matrix product, entry (a, b) being
+    the sum for m = _BABY a + b.
+    """
+    giants = -(-count // _BABY)
+    sums = np.zeros((giants, _BABY), dtype=np.complex128)
+    for lo in range(0, len(t), NODE_CHUNK):
+        rc = r[lo : lo + NODE_CHUNK]
+        baby = _power_rows(t[lo : lo + NODE_CHUNK], rc, _BABY)
+        giant = _power_rows(np.ones(len(rc)), _int_pow_values(rc, _BABY),
+                            giants)
+        sums += giant @ baby.T
+    return sums.ravel()[:count]
+
+
 def _circle_nodes(k: np.ndarray, n: int, depth: float = 1.0,
                   rot: complex = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Nodes z_k and weights |dz/dw|_k of the n-node grid of grading depth
@@ -370,11 +454,7 @@ def _branch_values(p: ParamPoint, z: np.ndarray, series: PowerSeries,
             f -= a * _int_pow_values(y, k)
         return np.abs(f)
 
-    c = series.coeffs
-    y = np.full(len(z), c[-1])
-    for a in c[-2::-1]:  # Horner
-        y *= z
-        y += a
+    y = _taylor_values(series.coeffs, z)
     if dom is not None:
         rep = dom.representative
         germ = rep.lam + rep.kappa * np.sqrt(
@@ -448,9 +528,10 @@ class CirclePowerTable:
     agree with the Taylor series (the leading coefficients of
     ``dom.series``) to 1e-8 relative; and ``accept(table)``, when given,
     returns without raising TailNotConverged.  ``n_grid`` is the final node
-    count, ``doublings`` the number of doublings and ``newton_iterations``
-    the most Newton iterations any node took.  Requires the Taylor branch to
-    be analytic beyond |z| = 1, i.e. rho_*(zeta)**s > 1.
+    count, ``doublings`` the number of doublings, ``newton_iterations``
+    the most Newton iterations any node took and ``check_error`` the
+    coefficient check's relative error on the final grid.  Requires the
+    Taylor branch to be analytic beyond |z| = 1, i.e. rho_*(zeta)**s > 1.
 
     Raises
     ------
@@ -489,6 +570,7 @@ class CirclePowerTable:
         self.n_grid = 0
         self.doublings = 0
         self.newton_iterations = 0
+        self.check_error = math.inf
         self.values = np.empty(0, dtype=np.complex128)
         self._sums = np.zeros(_VALIDATE_ORDERS + 1, dtype=np.complex128)
         why, last_err, stalls = "", math.inf, 0
@@ -498,7 +580,7 @@ class CirclePowerTable:
                     f"circle grid of {n} points exceeds MAX_CIRCLE_GRID = "
                     f"{MAX_CIRCLE_GRID}" + (f" ({why})" if why else ""))
             self._refine(n)
-            err = self._check_error()
+            err = self.check_error = self._check_error()
             if err < 1e-8:
                 try:
                     if accept is not None:
@@ -537,11 +619,8 @@ class CirclePowerTable:
         self.newton_iterations = max(self.newton_iterations, iters)
         self.n_grid = n
         z, weight = _circle_nodes(k, n, self.depth, self.rot)
-        term = weight * new
-        zinv = np.conj(z)
-        for m in range(_VALIDATE_ORDERS + 1):
-            self._sums[m] += term.sum()
-            term *= zinv
+        self._sums += _power_sums(weight * new, np.conj(z),
+                                  _VALIDATE_ORDERS + 1)
 
     def _check_error(self) -> float:
         """Largest error of the first _VALIDATE_ORDERS + 1 coefficients of U,

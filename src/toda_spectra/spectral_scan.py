@@ -110,7 +110,8 @@ class ScanPoint:
     ``n_grid``, ``doublings`` and ``newton_iterations`` are the final node
     count of the point's circle table, the doublings that reached it and the
     most Newton iterations any of its nodes took (0 when no table was
-    completed).
+    completed); ``check_error`` is the relative error of the table's
+    coefficient check on that grid (None when no table was completed).
     """
 
     delta: float
@@ -121,6 +122,7 @@ class ScanPoint:
     n_grid: int = 0
     doublings: int = 0
     newton_iterations: int = 0
+    check_error: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -146,7 +148,17 @@ def scan_path(path, delta_grid, blocks: list[RenormConfig],
     and output order follows the grid either way, so results do not depend
     on scheduling.  A point or block that fails certification, convergence,
     the sheet check or the grid ceiling is recorded with the error's name
-    and skipped.
+    and skipped.  For real zeta the blocks are real symmetric (the spike's
+    phases e^{-ij phi} are +-1 up to rounding), and their real parts are
+    solved.
+
+    Raises
+    ------
+    ValueError
+        If ``blocks`` is empty, its configs differ in more than q, or their
+        s is not the s of the path's leaf.  These are caller errors, not
+        per-point failures: the leaf's s is checked at each point before
+        its ``dominant_data``.
     """
     if not blocks:
         raise ValueError("scan_path needs at least one block config")
@@ -160,6 +172,9 @@ def scan_path(path, delta_grid, blocks: list[RenormConfig],
         delta = deltas[idx]
         try:
             param = path(delta)
+            if blocks[0].s != param.leaf.s:
+                raise ValueError(f"block configs have s={blocks[0].s}, the "
+                                 f"leaf at delta={delta:g} has s={param.leaf.s}")
             dom = dominant_data(param, order)
             if not dom.rho_star > 1:
                 return [ScanPoint(delta, c.q, None, "supercritical",
@@ -179,12 +194,16 @@ def scan_path(path, delta_grid, blocks: list[RenormConfig],
             return [ScanPoint(delta, c.q, None, type(e).__name__, str(e))
                     for c in blocks]
         grid = dict(n_grid=table.n_grid, doublings=table.doublings,
-                    newton_iterations=table.newton_iterations)
+                    newton_iterations=table.newton_iterations,
+                    check_error=table.check_error)
+        real = param.is_real()
         out = []
         for c, G in zip(blocks, grams):
             try:
                 d, gamma = spike_vector(dom, c)
                 C = G - L * np.outer(d, d.conj())
+                if real:
+                    G, C = G.real, C.real
                 mu = eigenvalues(G)[:K_MAX]
                 ev_C = eigenvalues(C)
                 block = BlockSpectrum(

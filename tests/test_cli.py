@@ -434,14 +434,17 @@ zeta = 0.24975
                      "--out", str(out), "--threads", "1"]) == 2
     assert set(read_csv(out / "spectra.csv")["status"]) == {"GridTooLarge"}
     assert read_summary(out, "spectrum")["circle_grids"] == [
-        {"delta": 0.0, "n_grid": 0, "doublings": 0, "newton_iterations": 0}]
+        {"delta": 0.0, "n_grid": 0, "doublings": 0, "newton_iterations": 0,
+         "check_error": None}]
     # without the ceiling the point passes on 4096 nodes, each solved by a
     # few Newton iterations from its seed
     monkeypatch.undo()
     assert cli.main(["spectrum", "--config", str(cfgfile),
                      "--out", str(out), "--threads", "1"]) == 0
-    assert read_summary(out, "spectrum")["circle_grids"] == [
-        {"delta": 0.0, "n_grid": 4096, "doublings": 2, "newton_iterations": 5}]
+    (grid,) = read_summary(out, "spectrum")["circle_grids"]
+    assert grid.pop("check_error") < 1e-8
+    assert grid == {"delta": 0.0, "n_grid": 4096, "doublings": 2,
+                    "newton_iterations": 5}
 
 
 def test_unknown_subcommand_exits():

@@ -17,6 +17,7 @@ from toda_spectra import (CirclePowerTable, GridTooLarge, Leaf, ParamPoint,
 from toda_spectra import series_engine
 from toda_spectra.series_engine import _branch_values_on_circle, _circle_nodes
 
+from loop_oracle import horner_values, power_rows_loop, power_sums_loop
 from ramp_oracle import ramp_branch_values
 from recursion_oracle import (functional_residual, raney_oracle,
                               recursion_branch, taylor_branch_x_grid)
@@ -392,6 +393,50 @@ def test_admissibility_circle_taylor_seed_matches_ramp_oracle(leaf36_critical):
     want = ramp_branch_values(point, radius * _circle_nodes(np.arange(512), 512)[0])
     assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
     assert check_alpha_admissible(point, dom, 10.0) == np.abs(got).max()
+
+
+@pytest.mark.parametrize("count", [1, 2, 71, 129])
+def test_power_rows_match_sequential_products(count):
+    rng = np.random.default_rng(count)
+    first = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    ratio = (rng.uniform(0.9, 1.1, 300)
+             * np.exp(1j * rng.uniform(-np.pi, np.pi, 300)))
+    got = series_engine._power_rows(first, ratio, count)
+    want = power_rows_loop(first, ratio, count)
+    assert got.shape == want.shape == (count, 300)
+    eps = np.finfo(np.float64).eps
+    assert np.all(np.abs(got - want) <= 4 * count * eps * np.abs(want))
+
+
+def _graded_nodes(point, n):
+    # the n-node grid graded on the point's dominant singularity
+    table = CirclePowerTable(point, 0, dominant_data(point, 250))
+    return _circle_nodes(np.arange(n), n, table.depth, table.rot)
+
+
+@pytest.mark.parametrize("length", [129, 251, 100])
+def test_taylor_seed_matches_horner(leaf36_critical, monkeypatch, length):
+    # chunks that do not divide the node count
+    monkeypatch.setattr(series_engine, "NODE_CHUNK", 1500)
+    point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - 1e-4), 0.01))
+    z, _ = _graded_nodes(point, 4096)
+    coeffs = dominant_data(point, 250).series.coeffs[:length]
+    want = horner_values(coeffs, z)
+    got = series_engine._taylor_values(coeffs, z)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_check_sums_match_per_m_loop_on_doubled_table(leaf36_critical,
+                                                     monkeypatch):
+    monkeypatch.setattr(series_engine, "NODE_CHUNK", 1500)
+    point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - 1e-3), 0.01))
+    table = CirclePowerTable(point, 0, dominant_data(point, 250))
+    assert table.doublings >= 1
+    n = table.n_grid
+    z, weight = _circle_nodes(np.arange(n), n, table.depth, table.rot)
+    want = power_sums_loop(weight * table.values, np.conj(z), 129)
+    assert np.abs(table._sums - want).max() <= 1e-14 * np.abs(want).max()
+    assert table.check_error < 1e-8
 
 
 def test_circle_table_agrees_with_convolution():

@@ -324,6 +324,50 @@ def test_scan_refuses_empty_or_mixed_blocks():
         scan_path(_critical_path, [1e-1], mixed, threads=1)
 
 
+def test_scan_refuses_blocks_off_the_leaf_before_dominant_data(monkeypatch):
+    # a block s that is not the leaf's is a caller error: it raises before
+    # the first point's dominant_data, not from inside a point's blocks
+    calls = []
+    real = spectral_scan.dominant_data
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_scan, "dominant_data", counted)
+    path = lambda d: ParamPoint(LEAF2, (0.25 * (1 - d),))
+    with pytest.raises(ValueError, match="s=3.*s=2"):
+        scan_path(path, [0.1, 0.05], [RenormConfig(q=1, s=3)], threads=1)
+    assert calls == []
+
+
+def test_real_zeta_scan_point_real_solves_match_complex_eigvalsh(monkeypatch):
+    # for real zeta the point solves the real parts of its blocks; complex
+    # eigvalsh of the same complex blocks gives the same spectrum
+    grams = []
+    real_gram = spectral_scan.gram_block
+
+    def kept(table, cfg):
+        grams.append(real_gram(table, cfg))
+        return grams[-1]
+
+    monkeypatch.setattr(spectral_scan, "gram_block", kept)
+    delta = 3e-3
+    scan = scan_path(_critical_path, [delta], SCAN_BLOCKS, order=250,
+                     threads=1)
+    dom = dominant_data(_critical_path(delta), 250)
+    _, L = log_scale(dom.rho_star, dom.s)
+    for pt, cfg, G in zip(scan, SCAN_BLOCKS, grams[-len(SCAN_BLOCKS):]):
+        assert G.dtype == np.complex128 and not G.imag.any()
+        d, _ = spike_vector(dom, cfg)
+        C = G - L * np.outer(d, d.conj())
+        mu = np.linalg.eigvalsh(G)[::-1][: spectral_scan.K_MAX]
+        c_norm = np.abs(np.linalg.eigvalsh(C)).max()
+        tol = 1e-14 * mu[0]
+        assert np.abs(pt.spectrum.mu - mu).max() <= tol
+        assert abs(pt.spectrum.c_norm - c_norm) <= tol
+
+
 # ---------------------------------------------------------------------------
 # scaling fits
 
