@@ -14,9 +14,15 @@ at r = 1, a = (0.05, 0.005)) this times two calls of
   (``tests/margin_oracle.py``).
 
 For the two shipped phase grids (``configs/pole_phase.ini`` and
-``configs/log_phase.ini``) it times ``explicit_leaves.phase_diagram``,
-which solves each column's contour from the column's table values;
-``previous`` evaluates rho_char over every column a second time first.
+``configs/log_phase.ini``) it times
+
+* ``phase_diagram``: ``explicit_leaves.phase_diagram``, one array kernel
+  over the grid and one lockstep ``brentq`` over all bracketing columns;
+  ``previous`` evaluates the grid cell by cell and solves each column by
+  the scalar ``brentq`` (``tests/leaf_oracle.py``);
+* ``write_csv``: ``cli.write_csv`` of the table's rows, one cached
+  %-template per row type signature; ``previous`` renders every value on
+  its own (``tests/csv_oracle.py``).
 
 It times ``explicit_leaves.gamma_c_solve(1e-5)``, one ``brentq`` on
 rho_char(1, gamma) - 1; ``previous`` is the bisection it replaced, which
@@ -27,9 +33,11 @@ evaluations are reported.
 
 Each figure is the median over ``--repeats`` runs of the mean time per call
 in a batch.  With them go the largest relative change of the marched state,
-whether the margins and the phase tables agree to the bit, the number of
-sign disagreements between Schur-Cohn and ``np.roots`` over random states
-of five leaves, and the machine (nproc, numpy, BLAS).  The result goes to
+whether the margins agree to the bit, how far the phase tables and their
+contours moved (flags and error codes must agree), whether the CSV bytes
+agree, the number of sign disagreements between Schur-Cohn and
+``np.roots`` over random states of five leaves, and the machine (nproc,
+numpy, BLAS).  The result goes to
 BENCH_growth_layer.json at the repository root.  Run from anywhere:
 
     python3 scripts/bench_growth.py --repeats 7
@@ -49,6 +57,7 @@ import json
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -57,10 +66,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "scripts")]
 
 import numpy as np
 
+import leaf_oracle
 from bench_graded import _blas
+from csv_oracle import csv_text
 from envelope_oracle import unit_level_attained
 from margin_oracle import fprime_root_moduli
-from toda_spectra import Leaf, MomentDriver, ParamPoint, initial_state
+from toda_spectra import Leaf, MomentDriver, ParamPoint, cli, initial_state
 from toda_spectra import explicit_leaves as el
 from toda_spectra import laplacian_growth as lg
 from toda_spectra.errors import NotBracketed
@@ -76,7 +87,7 @@ GRIDS = {
     "log": ((0.05, 0.95, 31), (0.02, 0.45, 44)),
 }
 BATCH = {"march": 5, "univalence_margin": 200, "phase_diagram": 1,
-         "gamma_c_solve": 10}
+         "write_csv": 1, "gamma_c_solve": 10}
 GAMMA_C_TOL = 1e-5
 SIGN_LEAVES = [(2,), (3,), (2, 3), (3, 6), (4, 8, 12)]
 SIGN_DRAWS = 2000
@@ -122,13 +133,9 @@ def _previous_zeros_inside(coeffs):
     return bool(np.all(np.abs(np.roots(coeffs[::-1])) < 1.0))
 
 
-_column_contour = el._column_contour
-
-
-def _previous_column_contour(kind, b, seconds, rhos):
-    # the column's rho_char evaluated again instead of read off the table
-    rhos = [el._cell(kind, b, sec).rho_char for sec in seconds]
-    return _column_contour(kind, b, seconds, rhos)
+def _previous_write_csv(path, header, rows):
+    # every value rendered on its own
+    cli._atomic_write(path, csv_text(header, rows))
 
 
 def _previous_gamma_c_solve(tol, *, bracket=(0.1, 0.5)):
@@ -147,17 +154,18 @@ def _previous_gamma_c_solve(tol, *, bracket=(0.1, 0.5)):
 
 @contextlib.contextmanager
 def _previous_code():
-    saved = (lg._newton_moments, lg._zeros_inside, el._column_contour,
-             el.gamma_c_solve)
+    saved = (lg._newton_moments, lg._zeros_inside, el.phase_diagram,
+             cli.write_csv, el.gamma_c_solve)
     lg._newton_moments = _previous_newton
     lg._zeros_inside = _previous_zeros_inside
-    el._column_contour = _previous_column_contour
+    el.phase_diagram = leaf_oracle.phase_diagram
+    cli.write_csv = _previous_write_csv
     el.gamma_c_solve = _previous_gamma_c_solve
     try:
         yield
     finally:
-        (lg._newton_moments, lg._zeros_inside, el._column_contour,
-         el.gamma_c_solve) = saved
+        (lg._newton_moments, lg._zeros_inside, el.phase_diagram,
+         cli.write_csv, el.gamma_c_solve) = saved
 
 
 def _per_call(fn, batch, repeats):
@@ -205,34 +213,60 @@ def _case(leaf, r, a, repeats):
     }
 
 
-def _phase(kind, repeats):
+def _rel_diff(new, old):
+    """Largest |new - old| / |old| over the entries not NaN in both."""
+    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    ok = ~(np.isnan(new) & np.isnan(old))
+    if not ok.any():
+        return 0.0
+    return float(np.max(np.abs(new[ok] - old[ok]) / np.abs(old[ok])))
+
+
+def _phase(kind, repeats, out_dir):
     (b_lo, b_hi, b_n), (s_lo, s_hi, s_n) = GRIDS[kind]
     bs, seconds = np.linspace(b_lo, b_hi, b_n), np.linspace(s_lo, s_hi, s_n)
-    now, before = _row(
-        {"phase_diagram": lambda: el.phase_diagram(kind, bs, seconds)},
-        BATCH, repeats)["phase_diagram"]
+    table = el.phase_diagram(kind, bs, seconds)
+    path = out_dir / f"phase_{kind}.csv"
+    rows = _row({"phase_diagram": lambda: el.phase_diagram(kind, bs, seconds),
+                 "write_csv": lambda: cli.write_csv(path, cli.PHASE_HEADER,
+                                                    table.cells)},
+                BATCH, repeats)
+    now, before = rows["phase_diagram"][0][0], rows["phase_diagram"][1][0]
+    csv_bytes = path.read_bytes()
+    _previous_write_csv(path, cli.PHASE_HEADER, table.cells)
     return {"grid": [b_n, s_n],
-            "calls": {"phase_diagram": _timing(now, before,
-                                               BATCH["phase_diagram"])},
-            # repr, since NaN cells never compare equal
-            "table_identical": repr(now[0]) == repr(before[0])}
+            "calls": {name: _timing(n, b, BATCH[name])
+                      for name, (n, b) in rows.items()},
+            "flags_and_codes_identical": (
+                [(c.conjugate_pair, c.error_code) for c in now.cells]
+                == [(c.conjugate_pair, c.error_code) for c in before.cells]),
+            "values_max_rel_diff": _rel_diff([c[2:5] for c in now.cells],
+                                             [c[2:5] for c in before.cells]),
+            "contour_columns_identical": ([b for b, _ in now.contour]
+                                          == [b for b, _ in before.contour]),
+            "contour_max_rel_diff": _rel_diff([s for _, s in now.contour],
+                                              [s for _, s in before.contour]),
+            "csv_bytes_identical": csv_bytes == path.read_bytes()}
 
 
 def _log_char_calls(fn):
-    # rho_char evaluations of the log leaf made by one call of fn
+    # rho_char evaluations of the log leaf made by one call of fn: calls
+    # of the kernel, or of the scalar closed form the previous code asks
     count = 0
-    inner = el._log_char
 
-    def counted(*args):
-        nonlocal count
-        count += 1
-        return inner(*args)
+    def counting(inner):
+        def counted(*args):
+            nonlocal count
+            count += 1
+            return inner(*args)
+        return counted
 
-    el._log_char = counted
+    saved = el._log_kernel, leaf_oracle.log_char
+    el._log_kernel, leaf_oracle.log_char = map(counting, saved)
     try:
         fn()
     finally:
-        el._log_char = inner
+        el._log_kernel, leaf_oracle.log_char = saved
     return count
 
 
@@ -278,21 +312,24 @@ def main(argv=None) -> int:
     for name, (leaf, r, a) in CASES.items():
         cases[name] = _case(leaf, r, a, args.repeats)
         print(name, json.dumps(cases[name]), file=sys.stderr)
-    for kind in GRIDS:
-        cases[f"phase_{kind}"] = _phase(kind, args.repeats)
-        print(kind, json.dumps(cases[f"phase_{kind}"]), file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind in GRIDS:
+            cases[f"phase_{kind}"] = _phase(kind, args.repeats, Path(tmp))
+            print(kind, json.dumps(cases[f"phase_{kind}"]), file=sys.stderr)
     cases["gamma_c"] = _gamma_c(args.repeats)
     print("gamma_c", json.dumps(cases["gamma_c"]), file=sys.stderr)
     result = {
         "benchmark": "growth_layer",
         "what": "median seconds per call of MomentDriver.state(1.0) on a "
-                "fresh driver, laplacian_growth.univalence_margin and "
-                "explicit_leaves.phase_diagram on the shipped grids and "
+                "fresh driver, laplacian_growth.univalence_margin, "
+                "explicit_leaves.phase_diagram and cli.write_csv of its "
+                "rows on the shipped grids, and "
                 "explicit_leaves.gamma_c_solve(1e-5); previous = moment "
                 "Newton on quadrature residuals with a finite-difference "
-                "Jacobian, margin sign from np.roots, rho_char evaluated "
-                "twice per column, gamma_c by bisecting a bounded interior "
-                "minimum plus a Richardson limit toward b = 1",
+                "Jacobian, margin sign from np.roots, the phase grid cell "
+                "by cell with a scalar brentq per column, CSV values "
+                "rendered one by one, gamma_c by bisecting a bounded "
+                "interior minimum plus a Richardson limit toward b = 1",
         "command": f"python3 scripts/bench_growth.py --repeats {args.repeats}",
         "machine": {"nproc": os.cpu_count(), "numpy": np.__version__,
                     "blas": _blas(),

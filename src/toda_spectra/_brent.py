@@ -2,7 +2,8 @@
 
 ``brentq`` follows the operation order of SciPy's ``brentq.c`` (Brent
 1973, ch. 4) step for step, so that it returns the same floating-point
-results.
+results.  ``brentq_many`` takes the same steps on many brackets at once,
+with one vectorized function call per step.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 import sys
 from typing import Callable
+
+import numpy as np
 
 from .errors import NoConvergence
 
@@ -25,29 +28,22 @@ def _value(f: Callable[[float], float], x: float) -> float:
     return fx
 
 
-def brentq(f: Callable[[float], float], a: float, b: float, *,
-           xtol: float) -> float:
-    """A root of ``f`` in [a, b], where f(a) and f(b) differ in sign, to
-    within xtol + RTOL |x|, by inverse quadratic interpolation, secant
-    steps and bisection.
+def _brent_steps(xpre: float, xcur: float, fpre: float, fcur: float,
+                 xtol: float):
+    """Brent's iteration on the bracket [xpre, xcur] with the (non-NaN)
+    values of f at its ends, as a generator: it yields each next point,
+    is sent the value of f there, and returns the root.
 
-    Raises
-    ------
-    ValueError
-        If f(a) and f(b) have the same sign.
-    NoConvergence
-        If f returns NaN, or MAXITER iterations do not converge.
+    Raises ValueError if the end values have the same sign, and
+    NoConvergence after MAXITER iterations.
     """
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = _value(f, xpre)
-    fcur = _value(f, xcur)
     if fpre == 0:
         return xpre
     if fcur == 0:
         return xcur
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
     for _ in range(MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
@@ -78,7 +74,65 @@ def brentq(f: Callable[[float], float], a: float, b: float, *,
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = _value(f, xcur)
+        fcur = yield xcur
     raise NoConvergence(
         f"brentq did not converge in {MAXITER} iterations (x = {xcur!r})")
 
+
+def brentq(f: Callable[[float], float], a: float, b: float, *,
+           xtol: float) -> float:
+    """A root of ``f`` in [a, b], where f(a) and f(b) differ in sign, to
+    within xtol + RTOL |x|, by inverse quadratic interpolation, secant
+    steps and bisection.
+
+    Raises
+    ------
+    ValueError
+        If f(a) and f(b) have the same sign.
+    NoConvergence
+        If f returns NaN, or MAXITER iterations do not converge.
+    """
+    a, b = float(a), float(b)
+    steps = _brent_steps(a, b, _value(f, a), _value(f, b), xtol)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(_value(f, x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def brentq_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                a: np.ndarray, b: np.ndarray, fa: np.ndarray,
+                fb: np.ndarray, *, xtol: float) -> np.ndarray:
+    """``brentq`` on many brackets [a_i, b_i] in lockstep, given f at
+    their ends, with one call ``f(index, x)`` per step for the brackets
+    numbered ``index`` still running.
+
+    Each bracket takes the scalar solver's steps, so its root is the
+    scalar ``brentq``'s to the bit.  Where that would raise (no sign
+    change, a NaN value, or MAXITER iterations) the root is NaN.
+    """
+    roots = np.full(len(a), np.nan)
+    running = {}  # bracket number -> (its iteration, the point it asks for)
+
+    def advance(i, steps, fx=None):
+        try:
+            running[i] = (steps, next(steps) if fx is None else steps.send(fx))
+        except StopIteration as stop:
+            roots[i] = stop.value
+        except (ValueError, NoConvergence):
+            pass
+
+    ends = (np.asarray(v, dtype=float).tolist() for v in (a, b, fa, fb))
+    for i, (lo, hi, flo, fhi) in enumerate(zip(*ends)):
+        if not (math.isnan(flo) or math.isnan(fhi)):
+            advance(i, _brent_steps(lo, hi, flo, fhi, xtol))
+    while running:
+        index = list(running)
+        values = f(np.array(index), np.array([running[i][1] for i in index]))
+        for i, fx in zip(index, np.asarray(values, dtype=float).tolist()):
+            steps = running.pop(i)[0]
+            if not math.isnan(fx):
+                advance(i, steps, fx)
+    return roots

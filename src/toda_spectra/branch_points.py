@@ -222,9 +222,12 @@ def radius_estimate(u: PowerSeries, s: int) -> tuple[float, float]:
         raise DegenerateSeries(f"coefficient {first} is exactly zero",
                                first_zero_index=first)
     start = (2 * u.order) // 3
-    m = np.arange(start, u.order)
+    x = 1.0 / np.arange(start, u.order)
     q = c[start:-1] / c[start + 1 :]
-    slope, intercept = np.polyfit(1.0 / m, q, 1)
+    # least-squares line q = intercept + slope x, from centred sums
+    dx = x - x.mean()
+    slope = np.dot(dx, q - q.mean()) / np.dot(dx, dx)
+    intercept = q.mean() - slope * x.mean()
     if not intercept > 0:
         raise NoConvergence("ratio extrapolation gave a non-positive radius")
     return float(intercept ** (1.0 / s)), float(-slope / intercept)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -65,14 +66,24 @@ def _g17(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _g17(v)
-    return str(v)
+@functools.cache
+def _row_format(types: tuple) -> tuple[str, tuple[int, ...]]:
+    """The %-template of a CSV row whose values have these types, and the
+    positions of its booleans, which go in as "true"/"false".  Integers
+    print as ``%d`` and floats as ``_g17`` does; booleans are tested
+    before integers, of which they are a subclass."""
+    specs, flags = [], []
+    for i, t in enumerate(types):
+        if issubclass(t, (bool, np.bool_)):
+            specs.append("%s")
+            flags.append(i)
+        elif issubclass(t, (int, np.integer)):
+            specs.append("%d")
+        elif issubclass(t, (float, np.floating)):
+            specs.append("%.17g")
+        else:
+            specs.append("%s")
+    return ",".join(specs), tuple(flags)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -92,7 +103,14 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+    for row in rows:
+        fmt, flags = _row_format(tuple(map(type, row)))
+        if flags or not isinstance(row, tuple):
+            row = list(row)
+            for i in flags:
+                row[i] = "true" if row[i] else "false"
+            row = tuple(row)
+        lines.append(fmt % row)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -640,14 +658,11 @@ def _run_leaves(rc: RunConfig, out: Path, threads):
     bs = np.linspace(b_lo, b_hi, b_n)
     seconds = np.linspace(s_lo, s_hi, s_n)
     table = phase_diagram(v["kind"], bs, seconds)
-    rows, failures = [], []
-    for cell in table.cells:
-        rows.append((cell.b, cell.second, cell.rho_char, cell.x_plus_abs,
-                     cell.x_minus_abs, cell.conjugate_pair, cell.error_code))
-        if cell.error_code:
-            failures.append({"id": f"b={_g17(cell.b)},second={_g17(cell.second)}",
-                             "status": cell.error_code, "detail": ""})
-    write_csv(out / "phase.csv", PHASE_HEADER, rows)
+    failures = [{"id": f"b={_g17(cell.b)},second={_g17(cell.second)}",
+                 "status": cell.error_code, "detail": ""}
+                for cell in table.cells if cell.error_code]
+    # a PhaseCell holds the phase.csv columns in PHASE_HEADER order
+    write_csv(out / "phase.csv", PHASE_HEADER, table.cells)
     extra = {"contour": [[_jf(b), _jf(sec)] for b, sec in table.contour]}
     if v["gamma_c"]:
         gc = gamma_c_solve(GAMMA_C_TOL)
@@ -691,7 +706,9 @@ def _apply_overrides(sections: dict, pairs) -> None:
         sections.setdefault(sec.strip(), {})[key.strip().lower()] = value.strip()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="toda-spectra",
         description="Series, spectral-scan, Laplacian-growth, and explicit-leaf "

@@ -14,18 +14,24 @@ is ambiguous.  The default is to report that as an error; the "split"
 policy instead continues each root family one-sidedly from the
 complex-conjugate regime (upper-half root -> arg = -pi, lower-half root
 -> arg = +pi), which is the convention behind the plotted branch moduli.
+
+Each leaf's closed form is one numpy kernel over arrays of points
+(``_pole_kernel``, ``_log_kernel``) that reports per-point failures by
+masks.  The single-point functions, the phase grids and ``gamma_c_solve``
+all call it.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Iterable, NamedTuple
 
-from ._brent import brentq
-from .errors import (Degenerate, LogBranchCut, NoConvergence, NotBracketed,
-                     TodaSpectraError)
+import numpy as np
+
+from ._brent import brentq, brentq_many
+from .errors import Degenerate, LogBranchCut, NotBracketed
 
 _CUT_TOL = 1e-12
 _CONJ_TOL = 1e-10
@@ -63,17 +69,52 @@ class LogLeafPoint:
             raise ValueError("log strength gamma must be positive")
 
 
+class _Leaf(NamedTuple):
+    """Closed-form values of one leaf at an array of points.
+
+    ``error_code`` is "" where the point succeeds and otherwise the name
+    of the exception the point stands for: "ValueError" outside the
+    leaf's domain, "Degenerate" for a pole-leaf characteristic value at
+    infinity, "LogBranchCut" for a log-leaf characteristic point on the
+    logarithm's cut under ``on_cut="error"``.  The other entries of a
+    failed point are whatever the arithmetic gave.  ``u_plus`` and
+    ``u_minus`` are the log leaf's characteristic points.
+    """
+
+    rho: np.ndarray
+    x_plus: np.ndarray
+    x_minus: np.ndarray
+    conjugate_pair: np.ndarray
+    error_code: np.ndarray
+    u_plus: np.ndarray | None = None
+    u_minus: np.ndarray | None = None
+
+
+def _pole_kernel(b, c) -> _Leaf:
+    """x_*^(+/-) = 1/(b +/- 2 sqrt(c)) at broadcast arrays b, c; a real
+    b stays in real arithmetic."""
+    b, c = np.asarray(b), np.asarray(c, dtype=float)
+    with np.errstate(all="ignore"):
+        root = 2.0 * np.sqrt(c)
+        den_p, den_m = b + root, b - root
+        scale = np.maximum(1.0, np.abs(b) + root)
+        degenerate = np.minimum(np.abs(den_p), np.abs(den_m)) < 1e-15 * scale
+        x_plus, x_minus = 1.0 / den_p, 1.0 / den_m
+        abs_plus = np.abs(x_plus)
+        pair = np.abs(np.conj(x_plus) - x_minus) <= _CONJ_TOL * (1.0 + abs_plus)
+    outside = ~(np.abs(b) < 1.0) | ~(c > 0.0)
+    code = np.where(outside, "ValueError",
+                    np.where(degenerate, "Degenerate", ""))
+    return _Leaf(np.minimum(abs_plus, np.abs(x_minus)), x_plus, x_minus,
+                 pair, code)
+
+
 def pole_rho_char(p: PoleLeafPoint) -> tuple[float, complex, complex]:
     """Characteristic values 1/(b +/- 2 sqrt(c)) and their minimal modulus."""
-    root = 2.0 * math.sqrt(p.c)
-    scale = max(1.0, abs(p.b) + root)
-    den_p = p.b + root
-    den_m = p.b - root
-    if min(abs(den_p), abs(den_m)) < 1e-15 * scale:
+    v = _pole_kernel(p.b, p.c)
+    if v.error_code == "Degenerate":
         raise Degenerate("characteristic value at infinity: b +/- 2 sqrt(c) = 0")
-    x_plus = 1.0 / den_p
-    x_minus = 1.0 / den_m
-    return min(abs(x_plus), abs(x_minus)), x_plus, x_minus
+    return float(v.rho), complex(v.x_plus), complex(v.x_minus)
 
 
 @dataclass(frozen=True)
@@ -93,23 +134,45 @@ class LogCharData:
     conjugate_pair: bool
 
 
-def _on_cut(v: complex) -> bool:
-    scale = max(1.0, abs(v))
-    return v.real < _CUT_TOL * scale and abs(v.imag) <= _CUT_TOL * scale
-
-
-def _log_x_value(u: complex, b: float, gamma: float, on_cut: str,
-                 cut_arg: float) -> complex:
+def _log_x_value(u, b, gamma, cut_arg):
+    """X(u) = u / (1 + gamma u log(1 - b u)) on the principal sheet, with
+    arg(1 - b u) = ``cut_arg`` where 1 - b u lies on the cut; and the
+    mask of those points."""
     w = 1.0 - b * u
-    if _on_cut(w):
-        if on_cut == "error":
-            raise LogBranchCut(
-                f"1 - b u = {w!r} lies on the principal logarithm cut")
-        ell = complex(math.log(abs(w)), cut_arg)
-    else:
-        ell = cmath.log(w)
-    den = 1.0 + gamma * u * ell
-    return u / den
+    abs_w = np.abs(w)
+    scale = np.maximum(1.0, abs_w)
+    on_cut = (w.real < _CUT_TOL * scale) & (np.abs(w.imag) <= _CUT_TOL * scale)
+    # log|w| + i arg w, by real functions: numpy's complex log costs
+    # about ten times as much
+    ell = np.log(abs_w) + 1j * np.where(on_cut, cut_arg,
+                                        np.arctan2(w.imag, w.real))
+    return u / (1.0 + gamma * u * ell), on_cut
+
+
+def _log_kernel(b, gamma, on_cut: str = "split") -> _Leaf:
+    """The log leaf's characteristic points and values (see
+    ``log_rho_char``) at broadcast arrays b, gamma.
+
+    b = 1, the edge of the slice, is evaluated like any other b; only its
+    ``error_code`` says that it lies outside the leaf's domain.
+    """
+    b, gamma = np.asarray(b, dtype=float), np.asarray(gamma, dtype=float)
+    with np.errstate(all="ignore"):
+        disc = 1.0 - 4.0 * gamma / b
+        root = np.sqrt(np.abs(disc))
+        complex_roots = disc < 0.0
+        u_plus = (np.where(complex_roots, 1.0, 1.0 + root) / (2.0 * gamma)
+                  + 1j * (np.where(complex_roots, root, 0.0) / (2.0 * gamma)))
+        # Vieta's product avoids the 1 - root cancellation for real roots
+        u_minus = np.where(complex_roots, np.conj(u_plus),
+                           1.0 / (gamma * b * u_plus.real))
+        x_plus, cut_plus = _log_x_value(u_plus, b, gamma, -math.pi)
+        x_minus, cut_minus = _log_x_value(u_minus, b, gamma, math.pi)
+        rho = np.minimum(np.abs(x_plus), np.abs(x_minus))
+    outside = ~((0.0 < b) & (b < 1.0)) | ~(gamma > 0.0)
+    cut = (cut_plus | cut_minus) & (on_cut == "error")
+    code = np.where(outside, "ValueError", np.where(cut, "LogBranchCut", ""))
+    return _Leaf(rho, x_plus, x_minus, b < 4.0 * gamma, code, u_plus, u_minus)
 
 
 def log_rho_char(p: LogLeafPoint, on_cut: str = "error") -> LogCharData:
@@ -129,29 +192,21 @@ def log_rho_char(p: LogLeafPoint, on_cut: str = "error") -> LogCharData:
     """
     if on_cut not in ("error", "split"):
         raise ValueError("on_cut must be 'error' or 'split'")
-    return _log_char(p.b, p.gamma, on_cut)
+    v = _log_kernel(p.b, p.gamma, on_cut)
+    if v.error_code == "LogBranchCut":
+        raise LogBranchCut(f"1 - b u lies on the principal logarithm cut at "
+                           f"b = {p.b!r}, gamma = {p.gamma!r}")
+    return LogCharData(float(v.rho), complex(v.u_plus), complex(v.u_minus),
+                       complex(v.x_plus), complex(v.x_minus),
+                       bool(v.conjugate_pair))
 
 
-def _log_char(b: float, gamma: float, on_cut: str) -> LogCharData:
-    """``log_rho_char`` on plain floats, so that it also takes b = 1."""
-    disc = 1.0 - 4.0 * gamma / b
-    w = cmath.sqrt(complex(disc))
-    u_plus = (1.0 + w) / (2.0 * gamma)
-    if disc < 0.0:
-        u_minus = (1.0 - w) / (2.0 * gamma)
-    else:
-        # Vieta's product avoids the 1 - w cancellation for real roots
-        u_minus = 1.0 / (gamma * b * u_plus)
-    x_plus = _log_x_value(u_plus, b, gamma, on_cut, -math.pi)
-    x_minus = _log_x_value(u_minus, b, gamma, on_cut, math.pi)
-    return LogCharData(min(abs(x_plus), abs(x_minus)),
-                       u_plus, u_minus, x_plus, x_minus,
-                       conjugate_pair=b < 4.0 * gamma)
+class PhaseCell(NamedTuple):
+    """One grid cell of a phase diagram; ``error_code`` is empty on success.
 
-
-@dataclass(frozen=True)
-class PhaseCell:
-    """One grid cell of a phase diagram; ``error_code`` is empty on success."""
+    A named tuple, fields in the column order of the CLI's phase table,
+    so that a grid of thousands of cells costs one small tuple each.
+    """
 
     b: float
     second: float
@@ -175,77 +230,63 @@ class PhaseTable:
     contour: tuple[tuple[float, float], ...]
 
 
-def _cell(kind: str, b: float, second: float) -> PhaseCell:
-    """rho_char and both characteristic moduli at one point, log cells on
-    the "split" policy; a failure leaves NaN values and the exception's
-    name as ``error_code``."""
-    try:
-        if kind == "pole":
-            rho, xp, xm = pole_rho_char(PoleLeafPoint(b, second))
-            pair = abs(xp.conjugate() - xm) <= _CONJ_TOL * (1.0 + abs(xp))
-        else:
-            data = log_rho_char(LogLeafPoint(b, second), on_cut="split")
-            rho, xp, xm = data.rho, data.x_plus, data.x_minus
-            pair = data.conjugate_pair
-    except (TodaSpectraError, ValueError) as exc:
-        return PhaseCell(b, second, math.nan, math.nan, math.nan, False,
-                         type(exc).__name__)
-    return PhaseCell(b, second, rho, abs(xp), abs(xm), pair, "")
+def _contour(kernel, bs: np.ndarray, seconds: np.ndarray, rho: np.ndarray):
+    """Solve rho_char = 1 along every fixed-b column, each inside the
+    first grid cell that brackets it, by ``brentq_many``.
 
-
-def _column_contour(kind: str, b: float, seconds: Sequence[float],
-                    rhos: Sequence[float]):
-    """Solve rho_char = 1 along one fixed-b column, by ``brentq`` on the
-    first grid cell that brackets it.
-
-    ``rhos`` are the column's grid values of rho_char, NaN where a cell
-    failed.  A cell end exactly at the level is returned as it is; a
-    failed evaluation inside the cell gives NaN, which ``brentq`` reports
-    as NoConvergence, and drops the column's point.  The second axis (c
-    or gamma) is positive, so the root is solved to brentq's relative
-    tolerance alone (xtol = 0).
+    ``rho`` holds the grid's values, NaN where a cell failed.  A cell end
+    exactly at the level is returned as it is; a failed evaluation inside
+    the cell drops the column's point, as does the iteration budget.  The
+    second axis (c or gamma) is positive, so roots are solved to brentq's
+    relative tolerance alone (xtol = 0).
     """
-    vals = [rho - 1.0 for rho in rhos]
-    for (s0, v0), (s1, v1) in zip(zip(seconds, vals), zip(seconds[1:], vals[1:])):
-        if math.isnan(v0) or math.isnan(v1) or v0 * v1 > 0.0:
-            continue
-        try:
-            return (b, brentq(
-                lambda sec: _cell(kind, b, sec).rho_char - 1.0,
-                s0, s1, xtol=0.0))
-        except NoConvergence:  # a failed cell's NaN, or the budget
-            return None
-    return None
+    if seconds.size < 2:
+        return ()
+    gap = rho - 1.0
+    lo, hi = gap[:, :-1], gap[:, 1:]
+    brackets = ~(np.isnan(lo) | np.isnan(hi) | (lo * hi > 0.0))
+    cols = np.flatnonzero(brackets.any(axis=1))
+    first = brackets.argmax(axis=1)[cols]
+
+    def unit_gap(i, second):
+        v = kernel(bs[cols[i]], second)
+        return np.where(v.error_code == "", v.rho - 1.0, np.nan)
+
+    roots = brentq_many(unit_gap, seconds[first], seconds[first + 1],
+                        gap[cols, first], gap[cols, first + 1], xtol=0.0)
+    hit = ~np.isnan(roots)
+    return tuple(zip(bs[cols[hit]].tolist(), roots[hit].tolist()))
 
 
 def phase_diagram(kind: str, b_values: Iterable[float],
                   second_values: Iterable[float]) -> PhaseTable:
     """Evaluate rho_char on a rectangular grid and trace its unit level set.
 
-    ``kind`` is "pole" (second axis c) or "log" (second axis gamma).
-    Per-cell failures are recorded in ``error_code`` without aborting the
-    grid.  Each column's contour is solved by ``brentq`` inside the first
-    grid cell that brackets the level, so rho_char is evaluated once per
-    cell plus the root finder's steps.  Log cells take the "split"
-    policy, so the table shows the branch moduli on both sides of the
-    discriminant; ``log_rho_char`` with its default ``on_cut="error"``
+    ``kind`` is "pole" (second axis c) or "log" (second axis gamma).  The
+    leaf's kernel evaluates the whole grid at once; per-cell failures are
+    recorded in ``error_code`` (with NaN values) without aborting the
+    grid.  The contour is solved for all columns together, each inside
+    the first grid cell that brackets the level.  Log cells take the
+    "split" policy, so the table shows the branch moduli on both sides of
+    the discriminant; ``log_rho_char`` with its default ``on_cut="error"``
     reports a single point's cut hit instead.
     """
     if kind not in ("pole", "log"):
         raise ValueError("kind must be 'pole' or 'log'")
-    bs = [float(b) for b in b_values]
-    seconds = [float(s) for s in second_values]
-    cells = []
-    contour = []
-    for b in bs:
-        column = [_cell(kind, b, sec) for sec in seconds]
-        cells.extend(column)
-        if len(seconds) >= 2:
-            hit = _column_contour(kind, b, seconds,
-                                  [cell.rho_char for cell in column])
-            if hit is not None:
-                contour.append(hit)
-    return PhaseTable(kind, tuple(cells), tuple(contour))
+    bs = np.fromiter(b_values, dtype=float)
+    seconds = np.fromiter(second_values, dtype=float)
+    kernel = _pole_kernel if kind == "pole" else _log_kernel
+    v = kernel(bs[:, None], seconds)
+    failed = v.error_code != ""
+    rho = np.where(failed, np.nan, v.rho)
+    columns = (*np.broadcast_arrays(bs[:, None], seconds), rho,
+               np.where(failed, np.nan, np.abs(v.x_plus)),
+               np.where(failed, np.nan, np.abs(v.x_minus)),
+               v.conjugate_pair & ~failed, v.error_code)
+    # tuple.__new__ skips the argument binding of PhaseCell(...)
+    cells = tuple(map(tuple.__new__, repeat(PhaseCell),
+                      zip(*(np.ravel(c).tolist() for c in columns))))
+    return PhaseTable(kind, cells, _contour(kernel, bs, seconds, rho))
 
 
 def gamma_c_solve(tol: float, *, bracket: tuple[float, float] = (0.1, 0.5)) -> float:
@@ -278,7 +319,7 @@ def gamma_c_solve(tol: float, *, bracket: tuple[float, float] = (0.1, 0.5)) -> f
     if not 0.0 < lo < hi:
         raise ValueError("bracket must satisfy 0 < lo < hi")
     try:
-        return brentq(lambda g: _log_char(1.0, g, "split").rho - 1.0,
+        return brentq(lambda g: float(_log_kernel(1.0, g).rho) - 1.0,
                       lo, hi, xtol=tol)
     except ValueError:
         raise NotBracketed(

@@ -6,16 +6,17 @@ at the slice's edge.  Here the envelope b -> rho_char(b, gamma) ("split"
 policy) is examined on b < 1 only: the unit level counts as reached when a
 bounded minimization over interior b (``scipy.optimize.minimize_scalar``)
 finds rho_char at or below 1, or when the limit toward b = 1, taken by
-Richardson extrapolation, lies below 1.
+Richardson extrapolation, lies below 1.  rho_char comes from the scalar
+closed form of ``leaf_oracle``, not from the package's array kernel.
 """
 
 from scipy.optimize import minimize_scalar
 
-from toda_spectra import LogLeafPoint, log_rho_char
+from leaf_oracle import log_point_char
 
 
 def _rho(b, gamma):
-    return log_rho_char(LogLeafPoint(b, gamma), on_cut="split").rho
+    return log_point_char(b, gamma, "split").rho
 
 
 def interior_minimum(gamma):

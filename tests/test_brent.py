@@ -3,13 +3,14 @@ it follows: results must agree to the bit."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toda_spectra import NoConvergence
 from toda_spectra import _brent
-from toda_spectra._brent import brentq
+from toda_spectra._brent import brentq, brentq_many
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -57,3 +58,58 @@ def test_brentq_reports_nan_and_exhaustion(monkeypatch):
         brentq(lambda x: math.copysign(1.0, x - math.pi), 0.0, 10.0,
                xtol=1e-12)
 
+
+
+@settings(max_examples=100, deadline=None)
+@given(kinds=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+       r=st.floats(0.5, 5.0, **finite),
+       k=st.floats(0.05, 50.0, **finite),
+       left=st.floats(1e-6, 10.0, **finite),
+       right=st.floats(1e-6, 10.0, **finite),
+       xtol=st.sampled_from([0.0, 1e-12, 1e-3]))
+def test_brentq_many_matches_brentq_bracket_by_bracket(kinds, r, k, left,
+                                                       right, xtol):
+    # brackets of different widths and families, so they finish at
+    # different steps; roots positive, as on the phase contour's second
+    # axis, which is solved with xtol = 0
+    fs = [_root_family(kind, r + 0.1 * i, k) for i, kind in enumerate(kinds)]
+    a = np.array([r - left * (1 + i) for i in range(len(fs))])
+    b = np.array([r + right for _ in fs])
+    calls = []
+
+    def f(index, x):
+        calls.append(len(index))
+        return [fs[i](xi) for i, xi in zip(index, x)]
+
+    got = brentq_many(f, a, b, f(range(len(fs)), a), f(range(len(fs)), b),
+                      xtol=xtol)
+    for fi, ai, bi, root in zip(fs, a, b, got):
+        try:
+            want = brentq(fi, ai, bi, xtol=xtol)
+        except ValueError:
+            want = math.nan
+        assert root == want or (math.isnan(root) and math.isnan(want))
+    assert all(n > 0 for n in calls)
+
+
+def test_brentq_many_reports_failures_as_nan(monkeypatch):
+    # an exact zero at an end, no sign change, a NaN inside, a NaN end,
+    # a plain root
+    a = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    b = np.array([3.0, 1.0, 1.0, 1.0, 2.0])
+    funcs = [lambda x: x - 1.0, lambda x: x + 1.0,
+             lambda x: math.nan if x > 0.5 else x - 0.7,
+             lambda x: math.nan if x > 0.9 else x - 0.7,
+             lambda x: x * x - 2.0]
+
+    def f(index, x):
+        return [funcs[i](xi) for i, xi in zip(index, x)]
+
+    every = range(len(funcs))
+    got = brentq_many(f, a, b, f(every, a), f(every, b), xtol=0.0)
+    assert got[0] == 1.0 and got[4] == brentq(funcs[4], 0.0, 2.0, xtol=0.0)
+    assert np.isnan(got[1:4]).all()
+    monkeypatch.setattr(_brent, "MAXITER", 20)
+    step = lambda index, x: [math.copysign(1.0, xi - math.pi) for xi in x]
+    assert np.isnan(brentq_many(step, np.array([0.0]), np.array([10.0]),
+                                [-1.0], [1.0], xtol=1e-12)).all()

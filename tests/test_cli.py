@@ -1,6 +1,7 @@
 """Tests for the command-line front end: parsing, artifacts, determinism."""
 
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import read_csv, read_summary
+from csv_oracle import csv_text
 from toda_spectra import NoConvergence, cli
 
 G17 = re.compile(r"^-?(\d+(\.\d+)?([eE][+-]?\d+)?|inf|nan)$")
@@ -126,6 +128,22 @@ def test_repeat_runs_byte_identical(tmp_path):
         == (outs[1] / "series.csv").read_bytes()
     assert (outs[0] / "series_summary.json").read_bytes() \
         == (outs[1] / "series_summary.json").read_bytes()
+
+
+def test_csv_rows_match_value_by_value_rendering(tmp_path):
+    rows = [
+        (True, np.True_, 1, np.int64(-7), 0.1, np.float64(1e-300), "ok"),
+        (False, np.False_, 0, np.int64(2**62), math.nan, math.inf, ""),
+        (np.bool_(True), False, -3, np.int64(0), -math.inf, -0.0, "x y"),
+        (1, True, np.float64(math.nan), 2.5e17, "", np.int64(5), 1 / 3),
+        [np.False_, -0.0, np.float64(-math.inf), 7, "tail", True, 0.0],
+        ("only text",),
+    ]
+    path = tmp_path / "mixed.csv"
+    for _ in range(2):  # the second pass reads every template from the cache
+        cli.write_csv(path, ("h",), rows)
+        assert path.read_bytes() == csv_text(("h",), rows).encode()
+    assert path.read_text().splitlines()[1].startswith("true,true,1,-7,")
 
 
 def test_set_overrides_config_file(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the closed-form pole and log leaf families."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from toda_spectra import (Degenerate, DegenerateSeries, LogBranchCut,
                           LogLeafPoint, NotBracketed, PhaseTable,
                           PoleLeafPoint, gamma_c_solve, log_rho_char,
                           phase_diagram, pole_rho_char)
-from toda_spectra import explicit_leaves
+from toda_spectra import cli, explicit_leaves
 
+import leaf_oracle
 from germ_oracle import (log_germ_envelope_radius, log_germ_radius,
                          pole_germ_radius)
 
@@ -184,17 +186,95 @@ def test_phase_contour_keeps_grid_value_at_level():
 
 def test_phase_contour_drops_column_when_a_solve_fails(monkeypatch):
     grid = [0.2, 0.3]
-    rho_char = explicit_leaves.pole_rho_char
+    kernel = explicit_leaves._pole_kernel
 
-    def fail_off_grid(p):
-        if p.c not in grid:
-            raise Degenerate("off-grid evaluation")
-        return rho_char(p)
+    def fail_off_grid(b, c):
+        v = kernel(b, c)
+        off_grid = ~np.isin(c, grid)
+        return v._replace(error_code=np.where(off_grid, "Degenerate",
+                                              v.error_code))
 
-    monkeypatch.setattr(explicit_leaves, "pole_rho_char", fail_off_grid)
+    monkeypatch.setattr(explicit_leaves, "_pole_kernel", fail_off_grid)
     table = phase_diagram("pole", [0.0, 0.1], grid)
     assert all(cell.error_code == "" for cell in table.cells)
     assert table.contour == ()
+
+
+# Per-cell scalar oracle (tests/leaf_oracle.py) against the grid kernels,
+# on the shipped grids and on grids that meet every failure kind: |b| >= 1,
+# c <= 0, b = +/-2 sqrt(c) exactly at (+/-0.4, 0.04); b outside (0, 1),
+# gamma <= 0, and cells exactly on b = 4 gamma for the log leaf, whose
+# grid also has real roots near 1/gamma b and 1 (gamma = 0.001), where
+# u_- must come from Vieta's product.
+EPS = np.finfo(float).eps
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+FAILURE_GRIDS = {
+    "pole": (np.array([-1.2, -1.0, -0.4, 0.0, 0.3, 0.4, 1.0]),
+             np.array([-0.1, 0.0, 0.04, 0.25, 0.3])),
+    "log": (np.array([-0.2, 0.0, 0.2, 0.4, 0.5, 1.0, 1.3]),
+            np.array([-0.1, 0.0, 0.001, 0.05, 0.1, 0.125, 0.3])),
+}
+
+
+def _shipped_grid(name):
+    sections = cli._load_sections(str(CONFIGS / f"{name}.ini"))
+    v = cli.parse_run_config("leaves", sections).values
+    return v["kind"], np.linspace(*v["b_grid"]), np.linspace(*v["second_grid"])
+
+
+PHASE_GRIDS = {"pole_phase": _shipped_grid("pole_phase"),
+               "log_phase": _shipped_grid("log_phase"),
+               **{f"{kind}_failures": (kind, *grid)
+                  for kind, grid in FAILURE_GRIDS.items()}}
+
+
+@pytest.mark.parametrize("grid", list(PHASE_GRIDS))
+def test_phase_diagram_matches_scalar_oracle(grid):
+    kind, bs, seconds = PHASE_GRIDS[grid]
+    got = phase_diagram(kind, bs, seconds)
+    want = leaf_oracle.phase_diagram(kind, bs, seconds)
+    assert [(c.b, c.second, c.conjugate_pair, c.error_code)
+            for c in got.cells] == [(c.b, c.second, c.conjugate_pair,
+                                     c.error_code) for c in want.cells]
+    new = np.array([c[2:5] for c in got.cells], dtype=float)
+    old = np.array([c[2:5] for c in want.cells], dtype=float)
+    if kind == "pole":
+        assert np.array_equal(new, old, equal_nan=True)
+    else:
+        # numpy's complex products and division against cmath's
+        assert np.array_equal(np.isnan(new), np.isnan(old))
+        ok = ~np.isnan(old)
+        assert np.all(np.abs(new[ok] - old[ok]) <= 4 * EPS * np.abs(old[ok]))
+    assert [b for b, _ in got.contour] == [b for b, _ in want.contour]
+    for (_, s_new), (_, s_old) in zip(got.contour, want.contour):
+        assert abs(s_new - s_old) <= 8 * EPS * abs(s_old)
+
+
+def test_log_rho_char_matches_scalar_oracle():
+    # the characteristic points and values themselves, not only their
+    # moduli: the sign of arg(1 - b u) on the cut shows only here
+    for b in (0.1, 0.3, 0.45, 0.9):
+        for gamma in (0.001, 0.05, 0.1, 0.4):
+            got = log_rho_char(LogLeafPoint(b, gamma), on_cut="split")
+            want = leaf_oracle.log_point_char(b, gamma, "split")
+            assert got.conjugate_pair == want.conjugate_pair
+            for name in ("rho", "u_plus", "u_minus", "x_plus", "x_minus"):
+                new, old = getattr(got, name), getattr(want, name)
+                assert abs(new - old) <= 4 * EPS * abs(old), (b, gamma, name)
+
+
+def test_failure_grids_meet_every_failure_kind():
+    pole = phase_diagram("pole", *FAILURE_GRIDS["pole"])
+    assert {c.error_code for c in pole.cells} == {"", "ValueError",
+                                                   "Degenerate"}
+    bs, gammas = FAILURE_GRIDS["log"]
+    assert sum(b == 4.0 * g for b in bs for g in gammas if g > 0) == 3
+    # the "error" policy, cell by cell
+    got = explicit_leaves._log_kernel(bs[:, None], gammas, "error").error_code
+    want = [[leaf_oracle.cell("log", b, g, on_cut="error").error_code
+             for g in gammas] for b in bs]
+    assert got.tolist() == want
+    assert set(np.ravel(want)) == {"", "ValueError", "LogBranchCut"}
 
 
 def test_phase_diagram_empty_grid():
@@ -250,7 +330,7 @@ def test_gamma_c_matches_envelope_minimum():
     gammas = list(np.linspace(0.1, 0.5, 41)) + [
         limit_root + d for d in (-1e-4, -1e-5, -1e-6, 1e-6, 1e-5, 1e-4)]
     for gamma in gammas:
-        rho_1 = explicit_leaves._log_char(1.0, gamma, "split").rho
+        rho_1 = float(explicit_leaves._log_kernel(1.0, gamma).rho)
         assert unit_level_attained(gamma) == (rho_1 < 1.0), gamma
         # at gamma = 1/4 the discriminant b = 4 gamma sits at b = 1, and
         # its 3/2-power cusp is a correction the extrapolation leaves in
