@@ -17,8 +17,8 @@ blocks q = 1 and 2, alpha = 2, beta = 1), this times
   FFT;
 * on the solved half of the graded table's final grid (nodes 0..n/2; the
   rest are their mirror images), the branch values: seeded, by
-  ``series_engine._branch_values`` from the Taylor polynomial or the
-  square-root germ of the point's ``DominantData``, against the 36-stage
+  ``series_engine._branch_values`` from the order-250 Taylor polynomial or
+  the square-root germ of the point's ``DominantData``, against the 36-stage
   radius ramp it replaced, kept as the test oracle ``tests/ramp_oracle.py``.
 
 Each figure is the median of ``--repeats`` runs.  With the first two go
@@ -58,7 +58,7 @@ import numpy as np
 from ramp_oracle import ramp_branch_values
 from toda_spectra import (CirclePowerTable, Leaf, ParamPoint, RenormConfig,
                           critical_parameter, dominant_data, gram_block,
-                          series_engine)
+                          series_engine, taylor_branch)
 from toda_spectra.hessian_blocks import TAIL_TOL
 
 LEAF = Leaf((3, 6))
@@ -78,14 +78,14 @@ def _uniform_order(rho_star: float) -> int:
     return max(2047, cutoff + CFG.J)
 
 
-def _graded(p, dom):
+def _graded(p, dom, series):
     blocks = {}
 
     def accept(table):
         for q in QS:
             blocks[q] = gram_block(table, replace(CFG, q=q))
 
-    table = CirclePowerTable(p, 0, dom, accept)
+    table = CirclePowerTable(p, 0, dom, accept, series=series)
     return table, blocks
 
 
@@ -94,13 +94,13 @@ def _uniform(p, order):
     return table, {q: gram_block(table, replace(CFG, q=q)) for q in QS}
 
 
-def _seeded_row(p, dom, table, repeats):
+def _seeded_row(p, dom, series, table, repeats):
     """Seeded and ramp values on the solved nodes of ``table``'s grid."""
     n = table.n_grid
     z = series_engine._circle_nodes(np.arange(n // 2 + 1), n, table.depth,
                                     table.rot)[0]
     (seeded, iters), t_seeded = _timed(
-        lambda: series_engine._branch_values(p, z, dom.series, dom), repeats)
+        lambda: series_engine._branch_values(p, z, series, dom), repeats)
     ramp, t_ramp = _timed(lambda: ramp_branch_values(p, z), repeats)
     return {"n_grid": n, "nodes_solved": len(z),
             "seeded": {"seconds": t_seeded, "newton_iterations": iters},
@@ -134,20 +134,20 @@ def main(argv=None) -> int:
                         default=str(ROOT / "BENCH_seeded_newton.json"))
     args = parser.parse_args(argv)
 
-    zc = critical_parameter(lambda t: ParamPoint(LEAF, (t, ZETA2)), 0.05, 0.2,
-                            order=250)
+    zc = critical_parameter(lambda t: ParamPoint(LEAF, (t, ZETA2)), 0.05, 0.2)
     points, seeded_points = [], []
     for delta in DELTAS:
         p = ParamPoint(LEAF, (zc * (1.0 - delta), ZETA2))
-        dom = dominant_data(p, 250)
-        (table, graded), t_graded = _timed(lambda: _graded(p, dom),
+        dom, series = dominant_data(p), taylor_branch(p, 250)
+        (table, graded), t_graded = _timed(lambda: _graded(p, dom, series),
                                            args.repeats)
         row = {"delta": delta, "epsilon": dom.rho_star - 1.0,
                "graded": {"n_grid": table.n_grid,
                           "doublings": table.doublings,
                           "depth": table.depth, "seconds": t_graded}}
         seeded_points.append({"delta": delta, "epsilon": row["epsilon"],
-                              **_seeded_row(p, dom, table, args.repeats)})
+                              **_seeded_row(p, dom, series, table,
+                                            args.repeats)})
         order = _uniform_order(dom.rho_star)
         n_uniform = 2 ** math.ceil(math.log2(2 * (order + 1)))
         if n_uniform > series_engine.MAX_CIRCLE_GRID:

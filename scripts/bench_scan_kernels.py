@@ -4,10 +4,11 @@ On the {3,6} leaf with zeta_2 = 0.01, at delta = 5e-2, 5e-3 and 5e-4 below
 the critical zeta_1 (circle grids of 1024, 2048 and 8192 nodes), this
 times three pieces of one scan point:
 
-* ``table``: ``CirclePowerTable(p, 0, dom)``, whose Taylor seed is
-  evaluated by Paterson-Stockmeyer (``series_engine._taylor_values``) and
-  whose coefficient check sums by baby and giant steps
-  (``series_engine._power_sums``);
+* ``table``: ``CirclePowerTable(p, 0, dom, series=series)``, with the
+  point's order-250 Taylor series as ``scan_path`` passes it; its Taylor
+  seed is evaluated by Paterson-Stockmeyer
+  (``series_engine._taylor_values``) and its coefficient check sums by
+  baby and giant steps (``series_engine._power_sums``);
 * ``gram_block``: the q = 1 block at J = 70, whose rows come by doubling
   (``series_engine._power_rows``);
 * ``eigensolves``: the point's four solves (G and the deflated C of the
@@ -56,7 +57,7 @@ from bench_graded import _blas
 from loop_oracle import horner_values, power_sums_loop
 from toda_spectra import (CirclePowerTable, Leaf, ParamPoint, RenormConfig,
                           critical_parameter, dominant_data, gram_block,
-                          log_scale, spike_vector)
+                          log_scale, spike_vector, taylor_branch)
 from toda_spectra import hessian_blocks, series_engine
 from toda_spectra.errors import TailNotConverged
 from toda_spectra.hessian_blocks import eigenvalues
@@ -150,9 +151,10 @@ def _eigensolves(grams, dom, real):
     return out
 
 
-def _side(p, dom, repeats):
-    table, t_table = _per_call(lambda: CirclePowerTable(p, 0, dom),
-                               BATCH["table"], repeats)
+def _side(p, dom, series, repeats):
+    table, t_table = _per_call(
+        lambda: CirclePowerTable(p, 0, dom, series=series), BATCH["table"],
+        repeats)
     gram, t_gram = _per_call(lambda: hessian_blocks.gram_block(table,
                                                                BLOCKS[0]),
                              BATCH["gram_block"], repeats)
@@ -166,10 +168,10 @@ def _timing(now, before, batch):
 
 def _point(zc, delta, repeats):
     p = ParamPoint(LEAF, (zc * (1.0 - delta), ZETA2))
-    dom = dominant_data(p, 250)
-    table, gram, t_table, t_gram = _side(p, dom, repeats)
+    dom, series = dominant_data(p), taylor_branch(p, 250)
+    table, gram, t_table, t_gram = _side(p, dom, series, repeats)
     with _previous_code():
-        table0, gram0, t_table0, t_gram0 = _side(p, dom, repeats)
+        table0, gram0, t_table0, t_gram0 = _side(p, dom, series, repeats)
     grams = [gram_block(table, cfg) for cfg in BLOCKS]
     spectra, t_eig = _per_call(lambda: _eigensolves(grams, dom, True),
                                BATCH["eigensolves"], repeats)
@@ -209,8 +211,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=str(ROOT / "BENCH_scan_kernels.json"))
     args = parser.parse_args(argv)
 
-    zc = critical_parameter(lambda t: ParamPoint(LEAF, (t, ZETA2)), 0.05, 0.2,
-                            order=250)
+    zc = critical_parameter(lambda t: ParamPoint(LEAF, (t, ZETA2)), 0.05, 0.2)
     points = []
     for delta in DELTAS:
         points.append(_point(zc, delta, args.repeats))
@@ -218,7 +219,8 @@ def main(argv=None) -> int:
     result = {
         "benchmark": "scan_kernels",
         "what": "median seconds per call, at one {3,6} scan point per delta, "
-                "of CirclePowerTable(p, 0, dom), gram_block of the q = 1 "
+                "of CirclePowerTable(p, 0, dom, series=taylor_branch(p, 250)), "
+                "gram_block of the q = 1 "
                 "block (J = 70) and the point's four eigensolves; previous = "
                 "the loops of tests/loop_oracle.py in place of "
                 "_taylor_values and _power_sums, gram_block with one product "

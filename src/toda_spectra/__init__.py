@@ -30,7 +30,6 @@ from .branch_points import (
     CharPoint,
     DominantData,
     solve_characteristic,
-    radius_estimate,
     amplitude_A,
     dominant_data,
     continue_critical,

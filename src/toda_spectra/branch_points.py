@@ -11,34 +11,32 @@ and x_* = u / lambda, where Psi(u) = sum_n zeta_n u^{s_n}.  Roots with
 lambda = 0 correspond to solutions at infinity and are discarded.
 
 The module classifies the finite solutions (square-root coefficient kappa,
-simple/fold flags), matches them against a coefficient-based radius
-estimate to identify the dominant s-orbit, continues the dominant point
-along parameter paths, and solves rho_*(zeta(t)) = 1 for critical loci.
+simple/fold flags) and identifies the dominant s-orbit, the one of least
+modulus on the Taylor branch itself: it continues F(y, t x_*) = 0 from
+(t, y) = (0, 1) toward each orbit in turn, in order of modulus, and takes
+the first whose square-root germ lambda +- kappa sqrt(1 - t) the branch
+meets (the connection problem of Flajolet and Sedgewick, *Analytic
+Combinatorics*, VII.7).  It then continues the dominant point along
+parameter paths and solves rho_*(zeta(t)) = 1 for critical loci.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._brent import brentq
-from .errors import (
-    BranchJump,
-    DegenerateSeries,
-    NoConvergence,
-    NoDominantOrbit,
-    NotBracketed,
-)
-from .series_engine import Leaf, ParamPoint, PowerSeries, taylor_branch
+from .errors import BranchJump, NoConvergence, NoDominantOrbit, NotBracketed
+from .series_engine import ParamPoint
+from .series_engine import taylor_branch  # noqa: F401  (looked up by perfbench/tracer.py)
 
 __all__ = [
     "CharPoint",
     "DominantData",
     "solve_characteristic",
-    "radius_estimate",
     "dominant_data",
     "continue_critical",
     "critical_parameter",
@@ -50,8 +48,15 @@ SIMPLE_TOL = 1e-8
 CLUSTER_RADIUS = 1e-8
 # relative modulus gap below which two orbits count as tied
 SEP_MIN = 1e-6
-TOL_MATCH_DEFAULT = 5e-3
-EXPONENT_WINDOW = 0.3
+# w = (U - lam)/(kappa sqrt(h)) at t = 1 - CERT_H on the ray t x_* is
+# +-1 + O(sqrt(h)) at the branch's own singularity (within 0.05 of +-1
+# over random points) and O(1/sqrt(h)) off it (at least 12 away)
+CERT_H = 1e-4
+CERT_TOL = 0.3
+# ray step accepted when its first Newton step d has |d Fyy / Fy| <=
+# RAY_ALPHA (Smale's alpha test with gamma from Fyy, inside his bound)
+RAY_ALPHA = 0.25
+RAY_STEP_MIN = 1e-13
 # continuation step accepted when x_* moves by at most this fraction of |x_*|
 JUMP_MAX = 0.1
 # bracketing grid and Brent tolerance of critical_parameter
@@ -198,56 +203,18 @@ def solve_characteristic(p: ParamPoint) -> list[CharPoint]:
     return out
 
 
-def radius_estimate(u: PowerSeries, s: int) -> tuple[float, float]:
-    """Analyticity-radius and singularity-exponent estimate from coefficients.
-
-    Fits the ratio sequence q_m = |u_m / u_{m+1}| linearly against 1/m over
-    the top third of available orders.  The intercept estimates the radius
-    in z = x**s (so rho_hat = intercept**(1/s)); the ratio -slope/intercept
-    estimates the coefficient exponent a in u_m ~ m**a * radius**(-m),
-    which is -3/2 at a square-root branch point.
-
-    Raises
-    ------
-    DegenerateSeries
-        If a coefficient past the constant term is exactly zero
-        (terminating or lacunary series); carries the first such index.
-    """
-    if u.order < 50:
-        raise ValueError("radius_estimate needs order >= 50")
-    c = np.abs(u.coeffs)
-    zero_idx = np.nonzero(c[1:] == 0.0)[0]
-    if zero_idx.size:
-        first = int(zero_idx[0] + 1)
-        raise DegenerateSeries(f"coefficient {first} is exactly zero",
-                               first_zero_index=first)
-    start = (2 * u.order) // 3
-    x = 1.0 / np.arange(start, u.order)
-    q = c[start:-1] / c[start + 1 :]
-    # least-squares line q = intercept + slope x, from centred sums
-    dx = x - x.mean()
-    slope = np.dot(dx, q - q.mean()) / np.dot(dx, dx)
-    intercept = q.mean() - slope * x.mean()
-    if not intercept > 0:
-        raise NoConvergence("ratio extrapolation gave a non-positive radius")
-    return float(intercept ** (1.0 / s)), float(-slope / intercept)
-
-
 @dataclass
 class DominantData:
     """Dominant s-orbit of characteristic points with transfer amplitudes.
 
-    ``rho_star`` is the matched characteristic modulus (exact, not the
-    coefficient estimate); ``phi`` = arg(x_*^s) is shared by the whole
-    orbit.  The representative's kappa is re-oriented here to the sign the
-    Taylor sheet actually realizes (the branch expands as
-    U = lam + kappa*sqrt(1 - x/x_*) + ...), so the amplitudes
+    The orbit is the least one whose square-root germ the continued
+    Taylor branch meets (``dominant_data``); ``rho_star`` is its exact
+    characteristic modulus, and ``phi`` = arg(x_*^s) is shared by the whole
+    orbit.  The same continuation gives kappa the sign the Taylor sheet
+    realizes (U = lam + kappa*sqrt(1 - x/x_*) + ...), so the amplitudes
     A_p = -(s^{-1/2}/(2 sqrt(pi))) p kappa lam^{p-1} are asymptotically
     exact, not just up to phase; ``amplitude_A`` computes A_p from the
     representative's kappa and lam.
-    ``series`` is the Taylor series the radius estimate was fitted to, and
-    ``rho_hat``, ``exponent_hat`` are that estimate's radius and fitted
-    coefficient exponent.
     """
 
     rho_star: float
@@ -256,9 +223,6 @@ class DominantData:
     separation: float
     phi: float
     s: int
-    series: PowerSeries = field(repr=False)
-    rho_hat: float
-    exponent_hat: float
 
 
 def amplitude_A(s: int, kappa: complex, lam: complex, p: int) -> complex:
@@ -280,97 +244,110 @@ def _group_orbits(points: list[CharPoint], s: int) -> list[list[CharPoint]]:
     return [members for _, members in groups]
 
 
-def dominant_data(p: ParamPoint, order: int, *,
-                  tol_match: float = TOL_MATCH_DEFAULT,
-                  points: list[CharPoint] | None = None) -> DominantData:
-    """Identify the dominant orbit by matching series data to characteristic moduli.
+def _ray_value(p: ParamPoint, x_star: complex) -> complex:
+    """U(t x_*) at t = 1 - CERT_H, continued from U(0) = 1 along the ray.
 
-    Runs the coefficient-ratio radius estimate at the given truncation order,
-    finds the characteristic orbit whose modulus agrees within ``tol_match``
-    (relative), and certifies dominance when that orbit is alone at its
-    modulus with the next modulus at least SEP_MIN (relative) above.
-    The fitted coefficient exponent must also sit within 0.3 of -3/2 — the
-    signature of a square-root point on the relevant sheet.  ``points``
-    passes in ``solve_characteristic(p)`` when the caller already has it.
+    The path runs in r = sqrt(1 - t), from 1 down to sqrt(CERT_H): the
+    branch is analytic in r even where x_* is its singularity, so the
+    steps need not crowd toward it.  Each step predicts along the tangent
+    dy/dr = 2 r x_* Fx/Fy and corrects by Newton's method at fixed r.  A
+    step whose predictor fails the RAY_ALPHA test, or whose corrector has
+    not converged in eight evaluations, halves; one that converged within
+    three doubles the next.
 
     Raises
     ------
     NoDominantOrbit
-        Two orbits tied at the minimal modulus, no modulus match, exponent
-        far from -3/2, or undecidable square-root sign.
+        If the step falls below RAY_STEP_MIN.
+    """
+    r, y, dydr, dr = 1.0, 1.0 + 0.0j, 0.0j, 0.25
+    end = math.sqrt(CERT_H)
+    while r > end:
+        r1 = max(r - dr, end)
+        y1 = y + (r1 - r) * dydr
+        for evals in range(1, 9):
+            F, Fy, Fx, Fyy, _, _ = _char_derivs(p, (1.0 - r1 * r1) * x_star,
+                                                y1)
+            step = F / Fy
+            if evals == 1 and abs(step * Fyy) > RAY_ALPHA * abs(Fy):
+                break
+            y1 -= step
+            if abs(step) <= 1e-10 * (1.0 + abs(y1)):
+                dr = (r - r1) * (2.0 if evals <= 3 else 1.0)
+                r, y, dydr = r1, y1, 2.0 * r1 * x_star * Fx / Fy
+                break
+        if r > r1:  # rejected
+            dr = 0.5 * (r - r1)
+            if dr < RAY_STEP_MIN:
+                raise NoDominantOrbit(
+                    f"continuation toward x_*={x_star:.6g} stalled at "
+                    f"t={1.0 - r * r:.6g}: the step fell below "
+                    f"{RAY_STEP_MIN:g}")
+    return y
+
+
+def dominant_data(p: ParamPoint, *,
+                  points: list[CharPoint] | None = None) -> DominantData:
+    """Identify the dominant orbit by continuing the Taylor branch to it.
+
+    Takes the characteristic orbits in order of modulus and continues the
+    branch along the ray to each representative x_* up to t = 1 - CERT_H
+    (``_ray_value``).  The first orbit where
+    w = (U - lam)/(kappa sqrt(CERT_H)) lies within CERT_TOL of +1 or -1 is
+    dominant: the branch meets its germ lam +- kappa sqrt(1 - t), and every
+    orbit of smaller modulus was shown to be off the sheet.  The sign of
+    Re w orients kappa.  The orbit must have s members and no other orbit
+    may share its modulus within SEP_MIN (relative); ``separation`` is the
+    relative gap to the next larger one.  ``points`` passes in
+    ``solve_characteristic(p)`` when the caller already has it.
+
+    Raises
+    ------
+    NoDominantOrbit
+        No orbit is met, a candidate before the dominant one is not a
+        simple square-root point, the dominant orbit ties with another or
+        has the wrong size, or a continuation stalls.
     """
     s = p.leaf.s
     if points is None:
         points = solve_characteristic(p)
     orbits = _group_orbits(points, s)
     orbits.sort(key=lambda g: g[0].modulus)
-    if (len(orbits) > 1
-            and orbits[1][0].modulus - orbits[0][0].modulus
-            <= SEP_MIN * orbits[0][0].modulus):
+    sector = lambda c: cmath.phase(c.x_star) % (2.0 * math.pi)
+    for best in orbits:
+        # orbit arguments are spaced by 2*pi/s, so the member with the
+        # smallest non-negative argument is the (unique) one in [0, 2*pi/s)
+        rep = min(best, key=sector)
+        if not rep.simple:
+            raise NoDominantOrbit(
+                f"characteristic point x_*={rep.x_star:.6g} is not a simple "
+                f"square-root point; its germ cannot be compared")
+        w = ((_ray_value(p, complex(rep.x_star)) - rep.lam)
+             / (rep.kappa * math.sqrt(CERT_H)))
+        sign = 1.0 if w.real >= 0 else -1.0
+        if abs(w - sign) <= CERT_TOL:
+            break
+    else:
         raise NoDominantOrbit(
-            f"two orbits share the minimal modulus {orbits[0][0].modulus:.6g} "
-            f"within SEP_MIN={SEP_MIN:g}"
-        )
-
-    series = taylor_branch(p, order)
-    rho_hat, exponent_hat = radius_estimate(series, s)
-    matched = [g for g in orbits
-               if abs(g[0].modulus - rho_hat) <= tol_match * rho_hat]
-    if not matched:
-        moduli = [g[0].modulus for g in orbits]
-        raise NoDominantOrbit(
-            f"no characteristic modulus within {tol_match:g} of the series "
-            f"estimate {rho_hat:.6g} (moduli: {moduli})"
-        )
-    if abs(exponent_hat + 1.5) > EXPONENT_WINDOW:
-        raise NoDominantOrbit(
-            f"fitted coefficient exponent {exponent_hat:.3f} is not the "
-            f"square-root value -1.5 (window {EXPONENT_WINDOW:g})"
-        )
-    best = matched[0]
+            f"the Taylor branch meets no characteristic orbit (moduli: "
+            f"{[g[0].modulus for g in orbits]})")
     rho = best[0].modulus
-    higher = [g[0].modulus for g in orbits if g[0].modulus - rho > SEP_MIN * rho]
-    separation = (min(higher) - rho) / rho if higher else math.inf
+    others = [g[0].modulus for g in orbits if g is not best]
+    if any(abs(m - rho) <= SEP_MIN * rho for m in others):
+        raise NoDominantOrbit(
+            f"two orbits share the dominant modulus {rho:.6g} within "
+            f"SEP_MIN={SEP_MIN:g}")
     if len(best) != s:
         raise NoDominantOrbit(
-            f"matched orbit has {len(best)} members, expected s = {s}"
-        )
-    # orbit arguments are spaced by 2*pi/s, so the member with the smallest
-    # non-negative argument is the (unique) one in [0, 2*pi/s)
-    rep = min(best, key=lambda c: cmath.phase(c.x_star) % (2.0 * math.pi))
-    sign = _sheet_sign(series, rep, s)
-    if sign < 0:
-        best = [CharPoint(c.x_star, c.lam, -c.kappa, c.modulus, c.simple,
-                          c.fold_ok) for c in best]
-        rep = min(best, key=lambda c: cmath.phase(c.x_star) % (2.0 * math.pi))
-    phi = cmath.phase(rep.x_star**s)
+            f"dominant orbit has {len(best)} members, expected s = {s}")
+    best = [replace(c, kappa=sign * c.kappa) for c in best]
+    rep = min(best, key=sector)
+    higher = [m for m in others if m > rho]
+    separation = (min(higher) - rho) / rho if higher else math.inf
     return DominantData(
         rho_star=rho, representative=rep, orbit=tuple(best),
-        separation=separation, phi=phi, s=s, series=series,
-        rho_hat=rho_hat, exponent_hat=exponent_hat,
+        separation=separation, phi=cmath.phase(rep.x_star**s), s=s,
     )
-
-
-def _sheet_sign(series: PowerSeries, rep: CharPoint, s: int) -> int:
-    """Orient kappa to the Taylor sheet's actual square-root coefficient.
-
-    kappa**2 is branch-agnostic; the sign realized on the Taylor sheet is
-    read off by comparing a deep series coefficient with the two candidate
-    transfer predictions A_1 * m**(-3/2) * x_***(-m*s).
-    """
-    m = series.order
-    pred = (amplitude_A(s, rep.kappa, rep.lam, 1)
-            * m**-1.5 * rep.x_star ** (-m * s))
-    if pred == 0 or not np.isfinite(abs(pred)):
-        raise NoDominantOrbit("transfer prediction under/overflowed; "
-                              "cannot orient the square-root branch")
-    ratio = complex(series.coeffs[m]) / pred
-    if abs(ratio.real) < 0.2:
-        raise NoDominantOrbit(
-            f"square-root sign undecidable (coefficient/prediction ratio "
-            f"{ratio:.3g} at order {m})"
-        )
-    return 1 if ratio.real > 0 else -1
 
 
 def _newton_char(p: ParamPoint, x: complex,
@@ -400,8 +377,7 @@ def _newton_char(p: ParamPoint, x: complex,
     return None
 
 
-def continue_critical(path, t_grid, *,
-                      order: int = 200) -> list[tuple[float, CharPoint, float]]:
+def continue_critical(path, t_grid) -> list[tuple[float, CharPoint, float]]:
     """Continue the dominant characteristic point along zeta(t).
 
     ``path`` maps t to a ParamPoint.  The dominant orbit is identified at the
@@ -420,7 +396,7 @@ def continue_critical(path, t_grid, *,
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
         return []
-    dom = dominant_data(path(t_grid[0]), order)
+    dom = dominant_data(path(t_grid[0]))
     cp0 = dom.representative
     out = [(t_grid[0], cp0, cp0.modulus)]
     prev_t, prev = t_grid[0], cp0
@@ -446,8 +422,7 @@ def continue_critical(path, t_grid, *,
     return out
 
 
-def critical_parameter(path, t_lo: float, t_hi: float, *,
-                       order: int = 200) -> float:
+def critical_parameter(path, t_lo: float, t_hi: float) -> float:
     """Solve rho_*(zeta(t)) = 1 on [t_lo, t_hi] by continuation plus Brent.
 
     Marches the dominant point over a CRIT_COARSE-point grid to bracket a
@@ -460,7 +435,7 @@ def critical_parameter(path, t_lo: float, t_hi: float, *,
         rho_* - 1 does not change sign on the interval.
     """
     grid = np.linspace(t_lo, t_hi, CRIT_COARSE)
-    track = continue_critical(path, grid, order=order)
+    track = continue_critical(path, grid)
     vals = [rho - 1.0 for _, _, rho in track]
     bracket = None
     for i in range(len(vals) - 1):

@@ -344,8 +344,6 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
         zeta = _zeta_from(conf, "char", leaf, nonzero=True)
         values.update(
             leaf=leaf, zeta=zeta,
-            order=conf.num("char", "order", default=250, lo=50,
-                           hi=MAX_ORDER),
             dominant=conf.flag("char", "dominant", default=True),
         )
     elif command == "spectrum":
@@ -396,8 +394,6 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
             t_max=conf.flt("lg", "t_max", default=1.0, lo=0.0, lo_open=True),
             steps=conf.num("lg", "steps", default=20, lo=1),
             detect=conf.flag("lg", "detect", default=True),
-            detect_order=conf.num("lg", "detect_order", default=200,
-                                  lo=50, hi=MAX_ORDER),
         )
         if driver == "moments":
             r0 = conf.flt("lg", "r0", default=1.0, lo=0.0, lo_open=True)
@@ -525,7 +521,7 @@ def _run_char(rc: RunConfig, out: Path, threads):
                      cp.simple, cp.fold_ok))
     if v["dominant"] and cps:
         try:
-            dom = dominant_data(point, v["order"], points=cps)
+            dom = dominant_data(point, points=cps)
             extra["dominant"] = {"rho_star": _jf(dom.rho_star),
                                  "epsilon": _jf(dom.rho_star - 1.0),
                                  "phi": _jf(dom.phi)}
@@ -556,7 +552,7 @@ def _run_scan(rc: RunConfig, out: Path, threads):
         lo, hi = v["crit_bracket"]
         ray = lambda t: ParamPoint(leaf, (t,) + tuple(fixed))
         try:
-            zc = critical_parameter(ray, lo, hi, order=v["order"])
+            zc = critical_parameter(ray, lo, hi)
         except TodaSpectraError as exc:
             write_csv(out / "spectra.csv", SPECTRA_HEADER, [])
             return ["spectra.csv"], extra, [_failure("zeta_critical", exc)], 1
@@ -591,10 +587,10 @@ def _run_scan(rc: RunConfig, out: Path, threads):
     return ["spectra.csv"], extra, failures, len(points)
 
 
-def _trajectory_rows(states, order: int):
+def _trajectory_rows(states):
     rows = []
     for st in states:
-        excess = radius_excess(st, order=order)
+        excess = radius_excess(st)
         rho = math.inf if math.isinf(excess) else 1.0 + excess
         row = [st.t, st.r]
         row.extend(float(a) for a in np.atleast_1d(st.a).real)
@@ -635,11 +631,11 @@ def _run_lg(rc: RunConfig, out: Path, threads):
             failures.append(_failure(f"T={_g17(t)}", exc))
             break
     write_csv(out / "trajectory.csv", header,
-              _trajectory_rows(states, v["detect_order"]))
+              _trajectory_rows(states))
 
     if v["detect"]:
         try:
-            rep = detect_thresholds(driver, v["t_max"], order=v["detect_order"])
+            rep = detect_thresholds(driver, v["t_max"])
             extra["thresholds"] = {
                 "T_c": _jf(rep.t_c), "T_univ": _jf(rep.t_univ),
                 "margin_at_Tc": _jf(rep.margin_at_tc),

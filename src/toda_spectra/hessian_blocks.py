@@ -40,6 +40,7 @@ from .series_engine import (
     NODE_CHUNK,
     CirclePowerTable,
     ParamPoint,
+    PowerSeries,
     _branch_values_on_circle,
     _int_pow_values,
     _power_rows,
@@ -232,19 +233,19 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
 
 
 def check_alpha_admissible(p: ParamPoint, dom: "DominantData",
-                           alpha: float) -> float:
+                           series: PowerSeries, alpha: float) -> float:
     """Estimate the branch bound on the midpoint circle and warn if alpha
     does not clear it.
 
     Samples |U| on |x| = (1 + rho_*)/2, with rho_* from ``dom``, and returns
     the maximum; the samples lie inside the disk of convergence and start
-    from the Taylor polynomial of ``dom.series`` alone.  The
+    from the Taylor polynomial of the point's ``series`` alone.  The
     weighted renormalization is only guaranteed to tame the blocks when
     alpha exceeds this scale, so alpha <= max|U| triggers a warning rather
     than an error (the truncated numerics stay finite either way).
     """
     radius_z = ((1.0 + dom.rho_star) / 2.0) ** p.leaf.s
-    vals, _ = _branch_values_on_circle(p, np.arange(512), 512, dom.series,
+    vals, _ = _branch_values_on_circle(p, np.arange(512), 512, series,
                                        radius=radius_z)
     m0 = float(np.abs(vals).max())
     if alpha <= m0:

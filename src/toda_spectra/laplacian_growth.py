@@ -508,15 +508,15 @@ class SliceDriver:
                                univalence_margin(r, a, self.leaf))
 
 
-def radius_excess(state: TrajectoryState, *, order: int = 200) -> float:
+def radius_excess(state: TrajectoryState) -> float:
     """rho_*(zeta) - 1 for the state's reduced parameters.
 
     The circle (zeta = 0, up to solver roundoff) has an entire branch,
     reported as +inf.  Deeply subcritical points — smallest
     characteristic modulus above ``_VALIDATE_BELOW`` — return the plain
     characteristic minimum, which is all a monotone threshold monitor
-    needs there; closer to the threshold the fully validated dominant
-    modulus is used.
+    needs there; closer to the threshold the modulus of the orbit that
+    the continued Taylor branch meets (``dominant_data``) is used.
     """
     point = state.param_point()
     if max(abs(z) for z in point.zeta) < 1e-12:
@@ -525,7 +525,7 @@ def radius_excess(state: TrajectoryState, *, order: int = 200) -> float:
     rho_min = min(cp.modulus for cp in points)
     if rho_min > _VALIDATE_BELOW:
         return rho_min - 1.0
-    return dominant_data(point, order, points=points).rho_star - 1.0
+    return dominant_data(point, points=points).rho_star - 1.0
 
 
 @dataclass(frozen=True)
@@ -561,7 +561,7 @@ def _first_zero(fun, grid, vals, xtol):
     return None
 
 
-def detect_thresholds(driver, t_max: float, *, order: int = 200,
+def detect_thresholds(driver, t_max: float, *,
                       coarse: int = 64) -> ThresholdReport:
     """Locate the first spectral (t_c) and geometric (t_univ) thresholds.
 
@@ -576,8 +576,8 @@ def detect_thresholds(driver, t_max: float, *, order: int = 200,
     for t in grid:
         st = driver.state(float(t))
         u_vals.append(st.univalence_margin)
-        g_vals.append(radius_excess(st, order=order))
-    t_c = _first_zero(lambda t: radius_excess(driver.state(t), order=order),
+        g_vals.append(radius_excess(st))
+    t_c = _first_zero(lambda t: radius_excess(driver.state(t)),
                       grid, g_vals, T_XTOL)
     t_univ = _first_zero(lambda t: driver.state(t).univalence_margin,
                          grid, u_vals, T_XTOL)

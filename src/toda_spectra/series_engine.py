@@ -516,22 +516,22 @@ class CirclePowerTable:
     z_* = rho_*^s e^{i phi}: the grid is centred on e^{i phi} with depth
     d = min(1, GRADE * sqrt(2 (|z_*| - 1))) (for real zeta on +1 or -1, by
     the sign of Re z_*, so that the grid stays closed under conjugation).
-    Its series and germ seed the samples (``_branch_values``).  Without
-    ``dom``, or when its series stops short of _VALIDATE_ORDERS, the series
-    is ``taylor_branch`` to that order; without ``dom`` the grid is uniform and
-    the samples start from the Taylor polynomial alone.
+    Its germ and ``series``, the point's Taylor branch (``taylor_branch``
+    to _VALIDATE_ORDERS when absent or shorter), seed the samples
+    (``_branch_values``); without ``dom`` the grid is uniform and the
+    samples start from the Taylor polynomial alone.
 
     The first grid has N_START nodes, or the smallest power of two with at
     least 2*(order+1) if that is more.  The grid doubles, solving only the
     new odd nodes, until two checks hold: the first _VALIDATE_ORDERS
     coefficients of U, as weighted sums (1/n) sum_k |dz/dw|_k U(z_k) z_k^-m,
-    agree with the Taylor series (the leading coefficients of
-    ``dom.series``) to 1e-8 relative; and ``accept(table)``, when given,
-    returns without raising TailNotConverged.  ``n_grid`` is the final node
-    count, ``doublings`` the number of doublings, ``newton_iterations``
-    the most Newton iterations any node took and ``check_error`` the
-    coefficient check's relative error on the final grid.  Requires the
-    Taylor branch to be analytic beyond |z| = 1, i.e. rho_*(zeta)**s > 1.
+    agree with the leading coefficients of the series to 1e-8 relative;
+    and ``accept(table)``, when given, returns without raising
+    TailNotConverged.  ``n_grid`` is the final node count, ``doublings``
+    the number of doublings, ``newton_iterations`` the most Newton
+    iterations any node took and ``check_error`` the coefficient check's
+    relative error on the final grid.  Requires the Taylor branch to be
+    analytic beyond |z| = 1, i.e. rho_*(zeta)**s > 1.
 
     Raises
     ------
@@ -549,18 +549,17 @@ class CirclePowerTable:
 
     def __init__(self, p: ParamPoint, order: int,
                  dom: "DominantData | None" = None,
-                 accept: Callable[["CirclePowerTable"], object] | None = None):
+                 accept: Callable[["CirclePowerTable"], object] | None = None,
+                 *, series: PowerSeries | None = None):
         self.param = p
         self.order = order
         self.dom = dom
         self.depth, self.rot = 1.0, 1.0
-        series = None
         if dom is not None:
             z_star = dom.rho_star**dom.s * cmath.exp(1j * dom.phi)
             self.depth = min(1.0, GRADE * math.sqrt(2.0 * (abs(z_star) - 1.0)))
             self.rot = (math.copysign(1.0, z_star.real) if p.is_real()
                         else z_star / abs(z_star))
-            series = dom.series
         if series is None or series.order < _VALIDATE_ORDERS:
             series = taylor_branch(p, _VALIDATE_ORDERS)
         self.series = series

@@ -30,7 +30,7 @@ from .hessian_blocks import (
     eigenvalues,
     gram_block,
 )
-from .series_engine import CirclePowerTable
+from .series_engine import CirclePowerTable, taylor_branch
 
 __all__ = [
     "BlockSpectrum",
@@ -138,15 +138,15 @@ def scan_path(path, delta_grid, blocks: list[RenormConfig],
     and equal in everything but q, and the scan's points list them in
     that order; each block keeps its ``K_MAX`` leading eigenvalues.  Each
     point evaluates U once, on a circle grid graded toward its dominant
-    singularity z_* = rho_*^s e^{i phi} and seeded from its
-    ``dominant_data`` (``CirclePowerTable``), and shares it across the
-    blocks: the grid doubles until its coefficient check and every
-    block's aliasing contract (``gram_block``) hold.  Its node count grows like
-    eps^(-1/2).  Grid points are independent jobs, run on ``threads``
-    threads (default: the CPU count, at most 4); with more than one
-    thread they are submitted deepest (smallest delta) first,
-    and output order follows the grid either way, so results do not depend
-    on scheduling.  A point or block that fails certification, convergence,
+    singularity z_* = rho_*^s e^{i phi} (``dominant_data``) and seeded from
+    that point's germ and its order-``order`` Taylor series
+    (``CirclePowerTable``), and shares it across the blocks: the grid
+    doubles until its coefficient check and every block's aliasing
+    contract (``gram_block``) hold.  Its node count grows like eps^(-1/2).
+    Grid points are independent jobs, run on ``threads`` threads (default:
+    the CPU count, at most 4); with more than one thread they are submitted
+    deepest (smallest delta) first, and output order follows the grid
+    either way, so results do not depend on scheduling.  A point or block that fails certification, convergence,
     the sheet check or the grid ceiling is recorded with the error's name
     and skipped.  For real zeta the blocks are real symmetric (the spike's
     phases e^{-ij phi} are +-1 up to rounding), and their real parts are
@@ -175,12 +175,13 @@ def scan_path(path, delta_grid, blocks: list[RenormConfig],
             if blocks[0].s != param.leaf.s:
                 raise ValueError(f"block configs have s={blocks[0].s}, the "
                                  f"leaf at delta={delta:g} has s={param.leaf.s}")
-            dom = dominant_data(param, order)
+            dom = dominant_data(param)
             if not dom.rho_star > 1:
                 return [ScanPoint(delta, c.q, None, "supercritical",
                                   f"rho_*={dom.rho_star:.6g}") for c in blocks]
+            series = taylor_branch(param, order)
             if idx == deepest:
-                check_alpha_admissible(param, dom, blocks[0].alpha)
+                check_alpha_admissible(param, dom, series, blocks[0].alpha)
             _, L = log_scale(dom.rho_star, dom.s)
             eps = dom.rho_star - 1.0
             grams = []
@@ -189,7 +190,7 @@ def scan_path(path, delta_grid, blocks: list[RenormConfig],
                 grams[:] = [gram_block(table, c) for c in blocks]
 
             # order 0: the blocks need the samples only, no coefficient rows
-            table = CirclePowerTable(param, 0, dom, accept)
+            table = CirclePowerTable(param, 0, dom, accept, series=series)
         except TodaSpectraError as e:
             return [ScanPoint(delta, c.q, None, type(e).__name__, str(e))
                     for c in blocks]

@@ -3,7 +3,7 @@ closed-form characteristic radii of ``explicit_leaves``.
 
 Each runs the germ's own coefficient recursion, which knows nothing of the
 characteristic points, and reads a radius off the coefficients: by the
-ratio fit of ``branch_points.radius_estimate`` (``pole_germ_radius``,
+ratio fit of ``radius_oracle.radius_estimate`` (``pole_germ_radius``,
 ``log_germ_radius``), or by the upper envelope of the coefficient moduli
 (``log_germ_envelope_radius``).  Agreement with ``pole_rho_char`` and
 ``log_rho_char`` is the check on the closed forms.
@@ -16,7 +16,9 @@ import math
 import numpy as np
 
 from toda_spectra import (InsufficientData, LogLeafPoint, PoleLeafPoint,
-                          PowerSeries, log_rho_char, radius_estimate)
+                          PowerSeries, log_rho_char)
+
+from radius_oracle import radius_estimate
 
 
 def _pole_germ_coeffs(b: complex, c: float, order: int) -> np.ndarray:

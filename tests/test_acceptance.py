@@ -23,11 +23,13 @@ from toda_spectra import (Leaf, LogLeafPoint, ParamPoint, PoleLeafPoint,
                           approach_path, branch_power_rows, critical_parameter,
                           dominant_data, fit_log_scaling, gamma_c_solve,
                           log_rho_char, log_scale, phase_diagram,
-                          pole_rho_char, scan_path, solve_characteristic)
+                          pole_rho_char, scan_path, solve_characteristic,
+                          taylor_branch)
 from toda_spectra.spectral_scan import BOUNDED_TOL
 
 from germ_oracle import pole_germ_radius
 from kernel_oracle import kernel_hessian_oracle, mode_gram_vectors
+from radius_oracle import radius_estimate
 from recursion_oracle import raney_oracle
 
 
@@ -126,10 +128,11 @@ def test_criterion_04_radius_cross_validation():
     worst_rho = 0.0
     worst_exp = 0.0
     for pt in points:
-        dom = dominant_data(pt, 320)
-        worst_rho = max(worst_rho,
-                        abs(dom.rho_hat - dom.rho_star) / dom.rho_star)
-        worst_exp = max(worst_exp, abs(dom.exponent_hat + 1.5))
+        rho_star = dominant_data(pt).rho_star
+        rho_hat, exponent_hat = radius_estimate(taylor_branch(pt, 320),
+                                                pt.leaf.s)
+        worst_rho = max(worst_rho, abs(rho_hat - rho_star) / rho_star)
+        worst_exp = max(worst_exp, abs(exponent_hat + 1.5))
     secs = time.perf_counter() - t0
     _verdict("04", "series radius matches characteristic radius",
              worst_rho <= 1e-3 and worst_exp <= 0.3 and secs < 10.0,
@@ -140,7 +143,7 @@ def test_criterion_04_radius_cross_validation():
 def test_criterion_05_uniform_transfer_law():
     t0 = time.perf_counter()
     point = ParamPoint(Leaf((2,)), (0.2,))
-    dom = dominant_data(point, 430)
+    dom = dominant_data(point)
     rep = dom.representative
     z_star = complex(rep.x_star) ** dom.s
     p_list = (1, 2, 5)

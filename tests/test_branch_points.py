@@ -6,11 +6,15 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toda_spectra import (DegenerateSeries, Leaf, NoDominantOrbit,
                           NotBracketed, ParamPoint, PowerSeries, amplitude_A,
-                          continue_critical, critical_parameter, dominant_data,
-                          radius_estimate, solve_characteristic, taylor_branch)
+                          branch_points, continue_critical, critical_parameter,
+                          dominant_data, solve_characteristic, taylor_branch)
+
+from radius_oracle import radius_estimate, ratio_orbit
 
 
 def _one_mode(zeta, s=2):
@@ -107,11 +111,13 @@ def test_radius_estimate_flags_vanishing_coefficients():
 
 
 def test_dominant_data_one_mode():
-    dom = dominant_data(_one_mode(0.2), 260)
+    dom = dominant_data(_one_mode(0.2))
     assert dom.s == 2 and len(dom.orbit) == 2
     npt.assert_allclose(dom.rho_star, 1.0 / (2.0 * math.sqrt(0.2)),
                         rtol=1e-12)
-    assert abs(dom.rho_hat - dom.rho_star) < 1e-3 * dom.rho_star
+    # the Taylor coefficients are positive, so U rises to lam along the
+    # positive axis: U = lam - |kappa| sqrt(1 - x/x_*) + ...
+    assert dom.representative.kappa.real < 0
     assert abs(dom.phi) < 1e-10          # z_* on the positive axis
     assert math.isinf(dom.separation)    # single orbit
     # representative sits in the fundamental phase sector [0, 2 pi / s)
@@ -120,7 +126,7 @@ def test_dominant_data_one_mode():
 
 
 def test_dominant_data_two_mode_orbit_size():
-    dom = dominant_data(ParamPoint(Leaf((3, 6)), (0.08, 0.01)), 260)
+    dom = dominant_data(ParamPoint(Leaf((3, 6)), (0.08, 0.01)))
     assert len(dom.orbit) == 3 and dom.s == 3
     assert dom.separation > 0.0
 
@@ -136,18 +142,86 @@ def test_amplitude_formula_hand_value():
                         rtol=1e-14)
 
 
-def test_dominant_data_needs_modulus_match():
-    # shrinking the match tolerance below the fit accuracy must refuse
-    # to certify rather than pick the nearest orbit anyway
-    with pytest.raises(NoDominantOrbit):
-        dominant_data(_one_mode(0.2), 260, tol_match=1e-9)
+def test_dominant_data_takes_the_orbit_on_the_taylor_sheet():
+    # the least orbit, 1.0538080, is 2.2e-3 from the ratio fit's radius,
+    # within its 5e-3 window, but the branch continued toward it stays
+    # 2.3 |kappa| from its lam: it is off the Taylor sheet.  The fit itself
+    # converges to the next orbit (1.0561627278 at order 2000)
+    point = ParamPoint(Leaf((4, 8, 12)), (
+        0.06031228598119853 - 0.0045747524662346495j,
+        0.007960749551171273 - 0.0013335265996104323j,
+        -0.00039566520459172064 - 0.000235270918358796j))
+    moduli = sorted(cp.modulus for cp in solve_characteristic(point))
+    assert moduli[0] == pytest.approx(1.0538080, rel=1e-7)
+    dom = dominant_data(point)
+    assert dom.rho_star == pytest.approx(1.0561627261, rel=1e-9)
+    assert 0.0 < dom.separation
 
 
-def test_dominant_data_lacunary_bottom_raises():
-    # gcd 1 with smallest exponent 2 leaves u_1 structurally zero, which
-    # the ratio fit refuses (callers must strip structural zeros first)
-    with pytest.raises(DegenerateSeries):
-        dominant_data(ParamPoint(Leaf((2, 3)), (0.05, 0.05)), 260)
+def test_dominant_data_decides_gcd_one_leaves():
+    # on {2,3} the series in z = x has u_1 = 0 structurally; the
+    # continuation needs no coefficients.  P(u) = 1 - 0.05 u^2 - 0.1 u^3
+    # has the root u = 2, so lam = 1.6 and x_* = 1.25
+    dom = dominant_data(ParamPoint(Leaf((2, 3)), (0.05, 0.05)))
+    assert dom.s == 1 and len(dom.orbit) == 1
+    assert dom.rho_star == pytest.approx(1.25, rel=1e-12)
+    assert dom.representative.lam == pytest.approx(1.6, rel=1e-12)
+    assert dom.representative.kappa.real < 0
+
+
+def test_dominant_data_refuses_a_tie_on_the_sheet():
+    # zeta_1 = 0 makes U a series in x^3: the three points x_* = u/1.5,
+    # u^3 = 10, are all on the sheet but, on {2,3}, separate orbits
+    with pytest.raises(NoDominantOrbit, match="share the dominant modulus"):
+        dominant_data(ParamPoint(Leaf((2, 3)), (0.0, 0.05)))
+
+
+def test_dominant_data_refuses_when_the_continuation_stalls(monkeypatch):
+    # a predictor test no step can pass halves the step to RAY_STEP_MIN
+    monkeypatch.setattr(branch_points, "RAY_ALPHA", 0.0)
+    with pytest.raises(NoDominantOrbit, match="stalled"):
+        dominant_data(_one_mode(0.2))
+
+
+def _zetas(leaf, lo, hi, phases=True):
+    """zeta_n = r_n^(s_n/2) e^{i theta_n}, r_n in [lo, hi]: sizes that put
+    rho_* near 1 on every leaf."""
+    scale = st.floats(lo, hi)
+    phase = (st.floats(-math.pi, math.pi) if phases
+             else st.just(0.0))
+    return st.tuples(*[st.builds(lambda r, t, e=e: r ** (e / 2)
+                                 * cmath.exp(1j * t), scale, phase)
+                       for e in leaf.exponents])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(),
+       exps=st.sampled_from([(2,), (3,), (3, 6), (4, 8, 12)]))
+def test_dominant_data_agrees_with_the_ratio_fit(data, exps):
+    # wherever the ratio fit names one orbit, the continuation picks the
+    # same orbit and the same sign of kappa
+    leaf = Leaf(exps)
+    point = ParamPoint(leaf, data.draw(_zetas(leaf, 0.05, 0.4)))
+    want = ratio_orbit(point)
+    if want is None:
+        return
+    dom = dominant_data(point)
+    kappa = dom.representative.kappa
+    sign = 1 if (kappa.real, kappa.imag) >= (0.0, 0.0) else -1
+    assert (dom.rho_star, sign) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), exps=st.sampled_from([(2, 3), (2, 5)]))
+def test_dominant_data_always_decides_gcd_one_leaves(data, exps):
+    # positive coefficients put the dominant point alone on the positive
+    # axis (Pringsheim), which the ratio fit cannot reach on these leaves
+    leaf = Leaf(exps)
+    point = ParamPoint(leaf, data.draw(_zetas(leaf, 0.05, 0.4,
+                                              phases=False)))
+    dom = dominant_data(point)
+    x = dom.representative.x_star
+    assert abs(x.imag) <= 1e-12 * abs(x) and x.real > 0
 
 
 def test_radius_estimate_exponent_discriminates():

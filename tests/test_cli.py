@@ -46,7 +46,6 @@ exponents = 2
 
 [char]
 zeta = 0.2
-order = 220
 """
 
 LEAVES_INI = """\
@@ -114,6 +113,20 @@ def test_char_run_reports_dominant_data(tmp_path):
     assert summary["dominant"]["rho_star"] == pytest.approx(
         1.0 / (2.0 * np.sqrt(0.2)), rel=1e-12)
     assert summary["dominant"]["epsilon"] > 0.0
+
+
+def test_char_run_decides_a_gcd_one_leaf(tmp_path):
+    # {2,3} has gcd 1: u_1 = 0 structurally, and the dominant point
+    # x_* = 1.25 (root u = 2 of 1 - 0.05 u^2 - 0.1 u^3) is still decided
+    cfgfile = _write(tmp_path, "char.ini", CHAR_INI.replace(
+        "exponents = 2", "exponents = 2 3").replace(
+        "zeta = 0.2", "zeta = 0.05 0.05"))
+    out = tmp_path / "out"
+    assert cli.main(["char", "--config", str(cfgfile),
+                     "--out", str(out)]) == 0
+    summary = read_summary(out, "char")
+    assert summary["failures"] == []
+    assert summary["dominant"]["rho_star"] == pytest.approx(1.25, rel=1e-12)
 
 
 def test_repeat_runs_byte_identical(tmp_path):
@@ -376,12 +389,16 @@ SPECTRUM_INI = "[leaf]\nexponents = 2\n\n[spectrum]\nzeta = 0.2\n"
     ("leaves", "log_phase", "leaves.level", "1.0"),
     ("leaves", "pole_phase", "leaves.on_cut", "split"),
     ("leaves", "log_phase", "leaves.gamma_c_tol", "1e-5"),
+    # dominant_data continues the branch and reads no series
+    ("char", None, "char.order", "250"),
+    ("lg", "lg_onemode", "lg.detect_order", "200"),
 ])
 def test_removed_keys_are_config_errors(tmp_path, capsys, command, config,
                                         key, value):
     # constants of the program, not keys: even the value it uses is refused
+    inline = {"spectrum": SPECTRUM_INI, "char": CHAR_INI}
     cfgfile = (CONFIGS / f"{config}.ini" if config
-               else _write(tmp_path, "run.ini", SPECTRUM_INI))
+               else _write(tmp_path, "run.ini", inline[command]))
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(cfgfile),
                      "--out", str(out), "--threads", "1",
@@ -403,10 +420,8 @@ def test_gamma_c_on_the_pole_leaf_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,text,key", [
     ("series", SERIES_INI, "series.order"),
-    ("char", CHAR_INI, "char.order"),
     ("spectrum", SPECTRUM_INI, "spectrum.order"),
     ("scan", SCAN_J12_INI, "scan.order"),
-    ("lg", (CONFIGS / "lg_onemode.ini").read_text(), "lg.detect_order"),
 ])
 def test_orders_above_the_ceiling_are_config_errors(tmp_path, capsys,
                                                     command, text, key):

@@ -10,7 +10,7 @@ import pytest
 from toda_spectra import (CirclePowerTable, Leaf, NoConvergence, ParamPoint,
                           RenormConfig, TailNotConverged, branch_power_rows,
                           check_alpha_admissible, dominant_data, eigenvalues,
-                          gram_block)
+                          gram_block, taylor_branch)
 from toda_spectra import series_engine
 from toda_spectra.hessian_blocks import _mirror_lower
 
@@ -182,8 +182,9 @@ def test_graded_gram_block_matches_uniform_oracle(phase, delta, monkeypatch):
     assert seeded.n_grid == uniform.n_grid
     assert (np.abs(seeded.values - uniform.values).max()
             <= 1e-13 * (1.0 + np.abs(uniform.values).max()))
-    graded = CirclePowerTable(point, 0, dominant_data(point, 250),
-                              lambda t: gram_block(t, cfg))
+    graded = CirclePowerTable(point, 0, dominant_data(point),
+                              lambda t: gram_block(t, cfg),
+                              series=taylor_branch(point, 250))
     got = gram_block(graded, cfg)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert graded.n_grid <= uniform.n_grid
@@ -217,12 +218,13 @@ def test_gram_block_undersized_table_raises():
 
 def test_alpha_admissible_warns_when_too_small():
     with pytest.warns(RuntimeWarning):
-        check_alpha_admissible(POINT2, dominant_data(POINT2, 250), alpha=1.01)
+        check_alpha_admissible(POINT2, dominant_data(POINT2),
+                               taylor_branch(POINT2, 250), alpha=1.01)
 
 
 def test_alpha_admissible_quiet_when_clear():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bound = check_alpha_admissible(POINT2, dominant_data(POINT2, 250),
-                                       alpha=10.0)
+        bound = check_alpha_admissible(POINT2, dominant_data(POINT2),
+                                       taylor_branch(POINT2, 250), alpha=10.0)
     assert 1.0 < bound < 10.0

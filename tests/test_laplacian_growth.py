@@ -16,7 +16,7 @@ from toda_spectra import (Leaf, MomentDriver, MomentMismatch, ParamPoint,
                           SliceDriver, TrajectoryState, UnivalenceLost,
                           approach_path, detect_thresholds,
                           harmonic_moments, initial_state, radius_excess,
-                          univalence_margin)
+                          solve_characteristic, univalence_margin)
 
 LEAF2 = Leaf((2,))
 LEAF3 = Leaf((3,))
@@ -310,8 +310,18 @@ def test_radius_excess_regimes():
         assert radius_excess(st) == pytest.approx(want, rel=1e-10)
     # near threshold: the certified dominant modulus
     st = initial_state(ParamPoint(LEAF2, (0.2,), r=1.0))
-    assert radius_excess(st, order=260) == pytest.approx(
+    assert radius_excess(st) == pytest.approx(
         1.0 / (2.0 * math.sqrt(0.2)) - 1.0, rel=1e-10)
+
+
+def test_radius_excess_on_a_gcd_one_leaf():
+    # {2,3} at zeta = (0.05, 0.05): smallest modulus 1.25, below
+    # _VALIDATE_BELOW, so the dominant orbit is certified, on a leaf whose
+    # series has u_1 = 0 structurally
+    st = initial_state(ParamPoint(Leaf((2, 3)), (0.05, 0.05), r=1.0))
+    assert min(cp.modulus for cp in solve_characteristic(
+        st.param_point())) < laplacian_growth._VALIDATE_BELOW
+    assert radius_excess(st) == pytest.approx(0.25, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +330,7 @@ def test_radius_excess_regimes():
 
 def test_detect_thresholds_on_declared_slice():
     driver = SliceDriver(LEAF2, lambda t: 0.05 + 0.2 * t)
-    report = detect_thresholds(driver, 1.2, order=200, coarse=16)
+    report = detect_thresholds(driver, 1.2, coarse=16)
     assert report.t_c == pytest.approx(1.0, abs=1e-6)
     assert report.margin_at_tc == pytest.approx(0.75, abs=1e-6)
     assert report.t_univ is None          # zeta stays below 1 on [0, 1.2]
@@ -329,7 +339,7 @@ def test_detect_thresholds_on_declared_slice():
 
 def test_detect_thresholds_none_when_not_reached():
     driver = SliceDriver(LEAF2, lambda t: 0.05 + 0.01 * t)
-    report = detect_thresholds(driver, 1.0, order=150, coarse=6)
+    report = detect_thresholds(driver, 1.0, coarse=6)
     assert report.t_c is None and report.t_univ is None
     assert report.margin_at_tc is None and report.separated is None
 

@@ -247,18 +247,20 @@ def test_complex_circle_samples_mirror_exactly():
     leaf = Leaf((2,))
     k = np.arange(n)
     point = ParamPoint(leaf, (zeta,))
-    dom = dominant_data(point, 250)
+    dom = dominant_data(point)
+    series = taylor_branch(point, 250)
     # the mirror point gets the mirror image of the seeds, so that any
     # difference comes from the nodes
     rep = dom.representative
     mirror = dataclasses.replace(
-        dom, phi=-dom.phi, series=PowerSeries.from_coeffs(np.conj(dom.series.coeffs)),
+        dom, phi=-dom.phi,
         representative=dataclasses.replace(
             rep, x_star=np.conj(rep.x_star), lam=np.conj(rep.lam),
             kappa=np.conj(rep.kappa)))
-    u, _ = _branch_values_on_circle(point, k, n, dom.series, dom)
-    v, _ = _branch_values_on_circle(ParamPoint(leaf, (np.conj(zeta),)), k, n,
-                                    mirror.series, mirror)
+    u, _ = _branch_values_on_circle(point, k, n, series, dom)
+    v, _ = _branch_values_on_circle(
+        ParamPoint(leaf, (np.conj(zeta),)), k, n,
+        PowerSeries.from_coeffs(np.conj(series.coeffs)), mirror)
     assert np.abs(u[(n - k) % n] - np.conj(v)).max() <= 1e-15
 
 
@@ -279,10 +281,17 @@ GRADED = [0.25 * (1.0 - 1e-3) * f for f in (1.0, -1.0, np.exp(0.3j))]
 GRADED_IDS = ["real_plus", "real_minus", "complex"]
 
 
+def _seeded_table(point, accept=None):
+    # the scan's table: graded on the dominant point and seeded and
+    # checked by the order-250 Taylor series
+    return CirclePowerTable(point, 0, dominant_data(point), accept,
+                            series=taylor_branch(point, 250))
+
+
 @pytest.mark.parametrize("zeta", GRADED, ids=GRADED_IDS)
 def test_graded_table_matches_one_mode_closed_form(zeta):
     point = ParamPoint(Leaf((2,)), (zeta,))
-    table = CirclePowerTable(point, 0, dominant_data(point, 250))
+    table = _seeded_table(point)
     assert 0.0 < table.depth < 0.2 and table.n_grid > series_engine.N_START
     z, u, _, weight = table.samples(0, table.n_grid)
     npt.assert_allclose(np.abs(z), 1.0, rtol=0, atol=1e-15)
@@ -297,7 +306,6 @@ def test_graded_table_matches_one_mode_closed_form(zeta):
 @pytest.mark.parametrize("zeta", GRADED, ids=GRADED_IDS)
 def test_graded_table_doubles_on_nested_nodes(zeta):
     point = ParamPoint(Leaf((2,)), (zeta,))
-    dom = dominant_data(point, 250)
     levels = []
 
     def reject_first(table):
@@ -305,8 +313,8 @@ def test_graded_table_doubles_on_nested_nodes(zeta):
         if len(levels) == 1:
             raise TailNotConverged("one more doubling")
 
-    first = CirclePowerTable(point, 0, dom)
-    table = CirclePowerTable(point, 0, dom, reject_first)
+    first = _seeded_table(point)
+    table = _seeded_table(point, reject_first)
     assert table.n_grid == 2 * first.n_grid
     assert table.doublings == first.doublings + 1
     npt.assert_array_equal(levels[0], first.values)
@@ -317,7 +325,7 @@ def test_graded_table_doubles_on_nested_nodes(zeta):
 def leaf36_critical():
     """zeta_1 at which the {3,6} leaf with zeta_2 = 0.01 turns critical."""
     ray = lambda t: ParamPoint(LEAF36, (t, 0.01))
-    return critical_parameter(ray, 0.05, 0.2, order=250)
+    return critical_parameter(ray, 0.05, 0.2)
 
 
 LEAF36 = Leaf((3, 6))
@@ -332,7 +340,7 @@ def _assert_matches_ramp(point, table):
 @pytest.mark.parametrize("zeta", GRADED, ids=GRADED_IDS)
 def test_seeded_graded_table_matches_ramp_oracle(zeta):
     point = ParamPoint(Leaf((2,)), (zeta,))
-    table = CirclePowerTable(point, 0, dominant_data(point, 250))
+    table = _seeded_table(point)
     assert 1 <= table.newton_iterations <= 8
     _assert_matches_ramp(point, table)
 
@@ -340,9 +348,8 @@ def test_seeded_graded_table_matches_ramp_oracle(zeta):
 @pytest.mark.parametrize("delta", [1e-1, 1e-3, 1e-4])
 def test_seeded_table_matches_ramp_oracle_on_leaf36(leaf36_critical, delta):
     point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - delta), 0.01))
-    dom = dominant_data(point, 250)
     # the scan's grid sizes: the coefficient check alone sets them
-    table = CirclePowerTable(point, 0, dom)
+    table = _seeded_table(point)
     assert table.n_grid == {1e-1: 1024, 1e-3: 4096, 1e-4: 16384}[delta]
     _assert_matches_ramp(point, table)
 
@@ -369,30 +376,34 @@ def test_uniform_table_matches_ramp_oracle_near_criticality(
     ids=["leaf36_real", "leaf36_complex", "leaf2"])
 def test_table_checks_the_dominant_series(zeta):
     # the coefficient check reads the leading coefficients of the series
-    # dominant_data already has; the recursion is order by order, so they
-    # are those of a recursion stopped at the check's order, to the bit
+    # the scan passes in; the recursion is order by order, so they are
+    # those of a recursion stopped at the check's order, to the bit
     point = ParamPoint(Leaf((3, 6)) if len(zeta) == 2 else Leaf((2,)), zeta)
-    dom = dominant_data(point, 250)
-    table = CirclePowerTable(point, 0, dom)
-    assert table.series is dom.series
+    dom = dominant_data(point)
+    series = taylor_branch(point, 250)
+    table = CirclePowerTable(point, 0, dom, series=series)
+    assert table.series is series
     want = taylor_branch(point, 128).coeffs
-    npt.assert_array_equal(dom.series.coeffs[:129], want)
-    # a series that stops short of the check is recomputed to its order
-    short = CirclePowerTable(point, 0, dominant_data(point, 100))
-    npt.assert_array_equal(short.series.coeffs, want)
+    npt.assert_array_equal(series.coeffs[:129], want)
+    # a series that stops short of the check, or none, is recomputed to
+    # the check's order
+    for short in (taylor_branch(point, 100), None):
+        table = CirclePowerTable(point, 0, dom, series=short)
+        npt.assert_array_equal(table.series.coeffs, want)
 
 
 def test_admissibility_circle_taylor_seed_matches_ramp_oracle(leaf36_critical):
     # check_alpha_admissible's 512 samples, on |x| = (1 + rho_*)/2 inside
     # the disk of convergence, start from the Taylor polynomial alone
     point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - 1e-4), 0.01))
-    dom = dominant_data(point, 250)
+    dom = dominant_data(point)
+    series = taylor_branch(point, 250)
     radius = ((1.0 + dom.rho_star) / 2.0) ** 3
-    got, _ = _branch_values_on_circle(point, np.arange(512), 512, dom.series,
+    got, _ = _branch_values_on_circle(point, np.arange(512), 512, series,
                                       radius=radius)
     want = ramp_branch_values(point, radius * _circle_nodes(np.arange(512), 512)[0])
     assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
-    assert check_alpha_admissible(point, dom, 10.0) == np.abs(got).max()
+    assert check_alpha_admissible(point, dom, series, 10.0) == np.abs(got).max()
 
 
 @pytest.mark.parametrize("count", [1, 2, 71, 129])
@@ -410,7 +421,7 @@ def test_power_rows_match_sequential_products(count):
 
 def _graded_nodes(point, n):
     # the n-node grid graded on the point's dominant singularity
-    table = CirclePowerTable(point, 0, dominant_data(point, 250))
+    table = _seeded_table(point)
     return _circle_nodes(np.arange(n), n, table.depth, table.rot)
 
 
@@ -420,7 +431,7 @@ def test_taylor_seed_matches_horner(leaf36_critical, monkeypatch, length):
     monkeypatch.setattr(series_engine, "NODE_CHUNK", 1500)
     point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - 1e-4), 0.01))
     z, _ = _graded_nodes(point, 4096)
-    coeffs = dominant_data(point, 250).series.coeffs[:length]
+    coeffs = taylor_branch(point, 250).coeffs[:length]
     want = horner_values(coeffs, z)
     got = series_engine._taylor_values(coeffs, z)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -430,7 +441,7 @@ def test_check_sums_match_per_m_loop_on_doubled_table(leaf36_critical,
                                                      monkeypatch):
     monkeypatch.setattr(series_engine, "NODE_CHUNK", 1500)
     point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - 1e-3), 0.01))
-    table = CirclePowerTable(point, 0, dominant_data(point, 250))
+    table = _seeded_table(point)
     assert table.doublings >= 1
     n = table.n_grid
     z, weight = _circle_nodes(np.arange(n), n, table.depth, table.rot)

@@ -61,7 +61,7 @@ def test_log_scale_rejects_supercritical():
 
 
 def _dom_and_cfg(zeta=0.2, J=10, q=1, beta=1.0):
-    dom = dominant_data(ParamPoint(LEAF2, (zeta,)), 260)
+    dom = dominant_data(ParamPoint(LEAF2, (zeta,)))
     cfg = RenormConfig(q=q, s=2, J=J, alpha=2.0, beta=beta)
     return dom, cfg
 
@@ -243,8 +243,8 @@ def test_scan_records_flipped_germ_seed_as_wrong_sheet(monkeypatch):
     # with no spectrum, instead of ending in a crash or a stale value
     real = spectral_scan.dominant_data
 
-    def flipped(p, order):
-        dom = real(p, order)
+    def flipped(p):
+        dom = real(p)
         rep = dom.representative
         return dataclasses.replace(
             dom, representative=dataclasses.replace(rep, kappa=-rep.kappa))
@@ -266,8 +266,9 @@ def test_scan_records_flipped_germ_seed_as_wrong_sheet(monkeypatch):
 
 
 def test_scan_runs_the_taylor_recursion_once_per_point(monkeypatch):
-    # the circle table checks and seeds its samples with the series
-    # dominant_data computed, instead of running the recursion again
+    # the circle table checks and seeds its samples with the series the
+    # scan computed for the point, instead of running the recursion again,
+    # and dominant_data continues the branch without one
     calls = []
     real = series_engine.taylor_branch
 
@@ -275,6 +276,7 @@ def test_scan_runs_the_taylor_recursion_once_per_point(monkeypatch):
         calls.append(order)
         return real(p, order)
 
+    monkeypatch.setattr(spectral_scan, "taylor_branch", counted)
     monkeypatch.setattr(branch_points, "taylor_branch", counted)
     monkeypatch.setattr(series_engine, "taylor_branch", counted)
     scan = scan_path(_critical_path, [1e-3, 1e-2, 1e-1], SCAN_BLOCKS,
@@ -355,7 +357,7 @@ def test_real_zeta_scan_point_real_solves_match_complex_eigvalsh(monkeypatch):
     delta = 3e-3
     scan = scan_path(_critical_path, [delta], SCAN_BLOCKS, order=250,
                      threads=1)
-    dom = dominant_data(_critical_path(delta), 250)
+    dom = dominant_data(_critical_path(delta))
     _, L = log_scale(dom.rho_star, dom.s)
     for pt, cfg, G in zip(scan, SCAN_BLOCKS, grams[-len(SCAN_BLOCKS):]):
         assert G.dtype == np.complex128 and not G.imag.any()
