@@ -48,7 +48,7 @@ ORDERS = (128, 200, 250, 1000, 1024, 4096)
 
 
 def _row(point, order, repeats):
-    newton = lambda: taylor_branch(point, order).coeffs
+    newton = lambda: taylor_branch(point, order)
     previous = lambda: recursion_branch(point, order)
     newton()
     previous()

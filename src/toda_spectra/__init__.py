@@ -21,7 +21,6 @@ from .errors import (
 from .series_engine import (
     Leaf,
     ParamPoint,
-    PowerSeries,
     CirclePowerTable,
     taylor_branch,
     branch_power_rows,

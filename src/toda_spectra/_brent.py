@@ -21,6 +21,19 @@ RTOL = 4 * sys.float_info.epsilon
 MAXITER = 100
 
 
+def _div(a: float, b: float) -> float:
+    """a / b as C divides: by zero, an infinity or NaN, not an exception."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        return a * math.copysign(math.inf, b) if a else math.nan
+
+
+def _check_xtol(xtol: float) -> None:
+    if not xtol > 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+
+
 def _value(f: Callable[[float], float], x: float) -> float:
     fx = float(f(x))
     if math.isnan(fx):
@@ -57,12 +70,12 @@ def _brent_steps(xpre: float, xcur: float, fpre: float, fcur: float,
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
             else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre),
+                            dblk * dpre * (fblk - fpre))
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry  # good short step
             else:
@@ -88,10 +101,11 @@ def brentq(f: Callable[[float], float], a: float, b: float, *,
     Raises
     ------
     ValueError
-        If f(a) and f(b) have the same sign.
+        If f(a) and f(b) have the same sign, or xtol <= 0.
     NoConvergence
         If f returns NaN, or MAXITER iterations do not converge.
     """
+    _check_xtol(xtol)
     a, b = float(a), float(b)
     steps = _brent_steps(a, b, _value(f, a), _value(f, b), xtol)
     try:
@@ -111,8 +125,10 @@ def brentq_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     Each bracket takes the scalar solver's steps, so its root is the
     scalar ``brentq``'s to the bit.  Where that would raise (no sign
-    change, a NaN value, or MAXITER iterations) the root is NaN.
+    change, a NaN value, or MAXITER iterations) the root is NaN; xtol <= 0
+    raises ValueError, as there.
     """
+    _check_xtol(xtol)
     roots = np.full(len(a), np.nan)
     running = {}  # bracket number -> (its iteration, the point it asks for)
 

@@ -110,8 +110,10 @@ def _kappa_branch(k2: complex) -> complex:
     return k
 
 
-def _char_point_at(p: ParamPoint, x: complex, y: complex) -> CharPoint:
-    _, _, Fx, Fyy, _, scale = _char_derivs(p, x, y)
+def _char_point_at(x: complex, y: complex, derivs) -> CharPoint:
+    """The characteristic point (x, y), classified by ``derivs``, the
+    values of ``_char_derivs`` there."""
+    _, _, Fx, Fyy, _, scale = derivs
     simple = abs(Fyy) > SIMPLE_TOL * scale
     fold_ok = abs(Fx) > SIMPLE_TOL * scale / max(abs(x), 1e-300)
     kappa = _kappa_branch(2.0 * x * Fx / Fyy) if simple else 0.0 + 0.0j
@@ -188,12 +190,11 @@ def solve_characteristic(p: ParamPoint) -> list[CharPoint]:
             at_infinity += 1
             continue
         x = u / lam
-        cp = _char_point_at(p, x, lam)
-        F, Fy, *_ = _char_derivs(p, x, lam)
+        F, Fy, *_ = derivs = _char_derivs(p, x, lam)
         tol = TOL_CHAR * (1.0 + abs(lam))
         if abs(F) > tol or abs(Fy) > tol:
             continue
-        out.append(cp)
+        out.append(_char_point_at(x, lam, derivs))
     if len(out) + at_infinity < len(kept_u) or not out:
         raise NoConvergence(
             f"characteristic solve kept {len(out)} of {len(kept_u)} clustered "
@@ -350,9 +351,9 @@ def dominant_data(p: ParamPoint, *,
     )
 
 
-def _newton_char(p: ParamPoint, x: complex,
-                 y: complex) -> tuple[complex, complex] | None:
-    """Damped Newton on (F, dF/dy) = 0 in the unknowns (y, x)."""
+def _newton_char(p: ParamPoint, x: complex, y: complex):
+    """Damped Newton on (F, dF/dy) = 0 in the unknowns (y, x): the root
+    (x, y) with the values of ``_char_derivs`` there, or None."""
     for _ in range(60):
         F, Fy, Fx, Fyy, Fyx, _ = _char_derivs(p, x, y)
         det = Fy * Fyx - Fx * Fyy
@@ -369,10 +370,10 @@ def _newton_char(p: ParamPoint, x: complex,
             dy *= damp
         x, y = x - dx, y - dy
         if max(abs(dx), abs(dy)) < 1e-14 * (1.0 + max(abs(x), abs(y))):
-            F, Fy, *_ = _char_derivs(p, x, y)
+            F, Fy, *_ = derivs = _char_derivs(p, x, y)
             tol = TOL_CHAR * (1.0 + abs(y))
             if abs(F) <= tol and abs(Fy) <= tol:
-                return x, y
+                return x, y, derivs
             return None
     return None
 
@@ -404,9 +405,9 @@ def continue_critical(path, t_grid) -> list[tuple[float, CharPoint, float]]:
     def step(t0: float, cp: CharPoint, t1: float, depth: int) -> CharPoint:
         sol = _newton_char(path(t1), cp.x_star, cp.lam)
         if sol is not None:
-            x, y = sol
+            x, y, derivs = sol
             if abs(x - cp.x_star) <= JUMP_MAX * abs(cp.x_star):
-                return _char_point_at(path(t1), x, y)
+                return _char_point_at(x, y, derivs)
         if depth >= 48:
             raise BranchJump(
                 f"continuation lost the orbit between t={t0:.6g} and t={t1:.6g}"
@@ -457,8 +458,8 @@ def critical_parameter(path, t_lo: float, t_hi: float) -> float:
         sol = _newton_char(path(t), seed["cp"].x_star, seed["cp"].lam)
         if sol is None:
             raise NoConvergence(f"characteristic Newton failed at t={t:.6g}")
-        x, y = sol
-        seed["cp"] = _char_point_at(path(t), x, y)
+        x, y, derivs = sol
+        seed["cp"] = _char_point_at(x, y, derivs)
         return abs(x) - 1.0
 
     return float(brentq(g, grid[bracket], grid[bracket + 1], xtol=CRIT_XTOL))

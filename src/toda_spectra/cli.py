@@ -351,8 +351,6 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
         zeta = _zeta_from(conf, "spectrum", leaf, nonzero=True)
         values.update(
             leaf=leaf, zeta=zeta, blocks=_renorm_from(conf, leaf),
-            order=conf.num("spectrum", "order", default=250, lo=50,
-                           hi=MAX_ORDER),
         )
     elif command == "scan":
         leaf = _leaf_from(conf)
@@ -371,8 +369,6 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
             delta_max=conf.flt("scan", "delta_max", default=1e-1,
                                lo=0.0, lo_open=True, hi=1.0, hi_open=True),
             points=conf.num("scan", "points", default=25, lo=2),
-            order=conf.num("scan", "order", default=250, lo=50,
-                           hi=MAX_ORDER),
         )
         if values["delta_min"] >= values["delta_max"]:
             raise ConfigError("[scan] delta_min: must be below delta_max")
@@ -534,8 +530,7 @@ def _run_char(rc: RunConfig, out: Path, threads):
 def _run_spectrum(rc: RunConfig, out: Path, threads):
     v = rc.values
     point = ParamPoint(v["leaf"], tuple(v["zeta"]))
-    points = scan_path(lambda d: point, [0.0], v["blocks"],
-                       order=v["order"], threads=threads)
+    points = scan_path(lambda d: point, [0.0], v["blocks"], threads=threads)
     rows, failures = _spectra_rows(points)
     write_csv(out / "spectra.csv", SPECTRA_HEADER, rows)
     extra = {"circle_grids": _grid_facts(points)}
@@ -562,8 +557,7 @@ def _run_scan(rc: RunConfig, out: Path, threads):
         return ParamPoint(leaf, (zc * (1.0 - delta),) + tuple(fixed))
 
     grid = np.geomspace(v["delta_min"], v["delta_max"], v["points"])
-    points = scan_path(path, grid, v["blocks"],
-                       order=v["order"], threads=threads)
+    points = scan_path(path, grid, v["blocks"], threads=threads)
     rows, failures = _spectra_rows(points)
     write_csv(out / "spectra.csv", SPECTRA_HEADER, rows)
     extra["circle_grids"] = _grid_facts(points)
@@ -587,11 +581,17 @@ def _run_scan(rc: RunConfig, out: Path, threads):
     return ["spectra.csv"], extra, failures, len(points)
 
 
-def _trajectory_rows(states):
+def _trajectory_rows(states, failures: list) -> list:
+    """CSV rows of the recorded states.  A state whose rho_* fails keeps
+    its row, with rho_star NaN, and the failure joins ``failures``."""
     rows = []
     for st in states:
-        excess = radius_excess(st)
-        rho = math.inf if math.isinf(excess) else 1.0 + excess
+        try:
+            excess = radius_excess(st)
+            rho = math.inf if math.isinf(excess) else 1.0 + excess
+        except TodaSpectraError as exc:
+            rho = math.nan
+            failures.append(_failure(f"rho_star,T={_g17(st.t)}", exc))
         row = [st.t, st.r]
         row.extend(float(a) for a in np.atleast_1d(st.a).real)
         row.extend(float(m) for m in np.asarray(st.moments).real)
@@ -631,7 +631,7 @@ def _run_lg(rc: RunConfig, out: Path, threads):
             failures.append(_failure(f"T={_g17(t)}", exc))
             break
     write_csv(out / "trajectory.csv", header,
-              _trajectory_rows(states))
+              _trajectory_rows(states, failures))
 
     if v["detect"]:
         try:

@@ -24,6 +24,7 @@ all call it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, NamedTuple
@@ -35,6 +36,11 @@ from .errors import Degenerate, LogBranchCut, NotBracketed
 
 _CUT_TOL = 1e-12
 _CONJ_TOL = 1e-10
+# gamma interval of gamma_c_solve, around gamma_c ~ 0.28
+GAMMA_C_BRACKET = (0.1, 0.5)
+# brentq_many's (positive) xtol on the phase contour: xtol + RTOL * c
+# rounds to RTOL * c for every c above 1e-276
+_CONTOUR_XTOL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -238,7 +244,8 @@ def _contour(kernel, bs: np.ndarray, seconds: np.ndarray, rho: np.ndarray):
     exactly at the level is returned as it is; a failed evaluation inside
     the cell drops the column's point, as does the iteration budget.  The
     second axis (c or gamma) is positive, so roots are solved to brentq's
-    relative tolerance alone (xtol = 0).
+    relative tolerance alone: xtol = _CONTOUR_XTOL lies far below its
+    RTOL * c.
     """
     if seconds.size < 2:
         return ()
@@ -253,7 +260,8 @@ def _contour(kernel, bs: np.ndarray, seconds: np.ndarray, rho: np.ndarray):
         return np.where(v.error_code == "", v.rho - 1.0, np.nan)
 
     roots = brentq_many(unit_gap, seconds[first], seconds[first + 1],
-                        gap[cols, first], gap[cols, first + 1], xtol=0.0)
+                        gap[cols, first], gap[cols, first + 1],
+                        xtol=_CONTOUR_XTOL)
     hit = ~np.isnan(roots)
     return tuple(zip(bs[cols[hit]].tolist(), roots[hit].tolist()))
 
@@ -289,12 +297,12 @@ def phase_diagram(kind: str, b_values: Iterable[float],
     return PhaseTable(kind, cells, _contour(kernel, bs, seconds, rho))
 
 
-def gamma_c_solve(tol: float, *, bracket: tuple[float, float] = (0.1, 0.5)) -> float:
+def gamma_c_solve(tol: float) -> float:
     """Threshold gamma_c above which the unit level reaches interior b.
 
     gamma_c is the root of rho_char(1, gamma) = 1, where rho_char(1, .)
     is the log leaf's closed form at the slice's edge b = 1 ("split"
-    policy), solved by ``brentq`` over ``bracket`` to ``tol``.  For
+    policy), solved by ``brentq`` over ``GAMMA_C_BRACKET`` to ``tol``.  For
     gamma > 1/4 the roots are complex and 1 - u is off the cut, so the
     closed form is analytic there; across gamma = 1/4 it is continuous.
 
@@ -311,13 +319,11 @@ def gamma_c_solve(tol: float, *, bracket: tuple[float, float] = (0.1, 0.5)) -> f
     ------
     NotBracketed
         If rho_char(1, gamma) - 1 has the same sign at both ends of
-        ``bracket``.
+        ``GAMMA_C_BRACKET``.
     """
     if not tol >= 1e-6:
         raise ValueError("gamma_c_solve needs tol >= 1e-6")
-    lo, hi = bracket
-    if not 0.0 < lo < hi:
-        raise ValueError("bracket must satisfy 0 < lo < hi")
+    lo, hi = GAMMA_C_BRACKET
     try:
         return brentq(lambda g: float(_log_kernel(1.0, g).rho) - 1.0,
                       lo, hi, xtol=tol)

@@ -40,7 +40,6 @@ from .series_engine import (
     NODE_CHUNK,
     CirclePowerTable,
     ParamPoint,
-    PowerSeries,
     _branch_values_on_circle,
     _int_pow_values,
     _power_rows,
@@ -233,13 +232,14 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
 
 
 def check_alpha_admissible(p: ParamPoint, dom: "DominantData",
-                           series: PowerSeries, alpha: float) -> float:
+                           series: np.ndarray, alpha: float) -> float:
     """Estimate the branch bound on the midpoint circle and warn if alpha
     does not clear it.
 
     Samples |U| on |x| = (1 + rho_*)/2, with rho_* from ``dom``, and returns
     the maximum; the samples lie inside the disk of convergence and start
-    from the Taylor polynomial of the point's ``series`` alone.  The
+    from the Taylor polynomial of the point's ``series`` (its coefficient
+    array, ``taylor_branch``) alone.  The
     weighted renormalization is only guaranteed to tame the blocks when
     alpha exceeds this scale, so alpha <= max|U| triggers a warning rather
     than an error (the truncated numerics stay finite either way).

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._brent import brentq
-from .branch_points import dominant_data, solve_characteristic
+from .branch_points import dominant_data
 from .errors import (MomentMismatch, QuadratureNotConverged, TrajectoryStalled,
                      UnivalenceLost)
 from .series_engine import Leaf, ParamPoint
@@ -44,11 +44,11 @@ CONS_TOL = 1e-8
 DT_MIN = 1e-9
 # brentq step tolerance on threshold times, 1% of their 1e-6 target
 T_XTOL = 1e-8
+# steps of detect_thresholds' bracketing grid over [0, t_max]
+DETECT_STEPS = 64
 
 # coarse circle grid of univalence_margin, refined around its best cell
 _CUSP_GRID = 2048
-# characteristic modulus above which radius_excess skips dominant_data
-_VALIDATE_BELOW = 4.0
 # iteration cap of the margin's safeguarded Newton: 2 to 4 steps are
 # typical, and bisection alone shrinks the bracket to rounding in about 45
 _NEWTON_MAX = 60
@@ -512,20 +512,14 @@ def radius_excess(state: TrajectoryState) -> float:
     """rho_*(zeta) - 1 for the state's reduced parameters.
 
     The circle (zeta = 0, up to solver roundoff) has an entire branch,
-    reported as +inf.  Deeply subcritical points — smallest
-    characteristic modulus above ``_VALIDATE_BELOW`` — return the plain
-    characteristic minimum, which is all a monotone threshold monitor
-    needs there; closer to the threshold the modulus of the orbit that
-    the continued Taylor branch meets (``dominant_data``) is used.
+    reported as +inf.  Any other state, however far subcritical, takes
+    rho_* from ``dominant_data`` and raises as it does: its least
+    characteristic modulus may belong to an orbit off the Taylor sheet.
     """
     point = state.param_point()
     if max(abs(z) for z in point.zeta) < 1e-12:
         return math.inf
-    points = solve_characteristic(point)
-    rho_min = min(cp.modulus for cp in points)
-    if rho_min > _VALIDATE_BELOW:
-        return rho_min - 1.0
-    return dominant_data(point, points=points).rho_star - 1.0
+    return dominant_data(point).rho_star - 1.0
 
 
 @dataclass(frozen=True)
@@ -561,16 +555,15 @@ def _first_zero(fun, grid, vals, xtol):
     return None
 
 
-def detect_thresholds(driver, t_max: float, *,
-                      coarse: int = 64) -> ThresholdReport:
+def detect_thresholds(driver, t_max: float) -> ThresholdReport:
     """Locate the first spectral (t_c) and geometric (t_univ) thresholds.
 
-    Marches ``driver.state`` over [0, t_max] on a coarse grid, then
+    Marches ``driver.state`` over [0, t_max] in DETECT_STEPS steps, then
     brackets and bisects the first sign change of g(T) = rho_* - 1 and of
     the univalence margin, each to ``T_XTOL``.  Thresholds not reached by
     ``t_max`` come back as None.
     """
-    grid = np.linspace(0.0, float(t_max), coarse + 1)
+    grid = np.linspace(0.0, float(t_max), DETECT_STEPS + 1)
     g_vals = []
     u_vals = []
     for t in grid:

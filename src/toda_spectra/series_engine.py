@@ -40,7 +40,6 @@ if TYPE_CHECKING:
 __all__ = [
     "Leaf",
     "ParamPoint",
-    "PowerSeries",
     "taylor_branch",
     "branch_power_rows",
     "CirclePowerTable",
@@ -99,27 +98,6 @@ class ParamPoint:
     def is_real(self) -> bool:
         """True when every zeta_n is real, so that U(conj z) = conj U(z)."""
         return all(v.imag == 0 for v in self.zeta)
-
-
-@dataclass
-class PowerSeries:
-    """Truncated series in z = x**s: ``coeffs[m]`` is the coefficient of
-    ``x**(m*s)``."""
-
-    coeffs: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != (self.order + 1,):
-            raise ValueError(
-                f"coeffs has {self.coeffs.shape[0]} entries, expected order+1 = {self.order + 1}"
-            )
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "PowerSeries":
-        arr = np.asarray(coeffs, dtype=np.complex128)
-        return cls(arr, order=len(arr) - 1)
 
 
 def _mul_trunc(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
@@ -203,7 +181,7 @@ def _newton_coeffs(zetas: Sequence[complex], shifts: Sequence[int],
 MAX_ORDER = 4096
 
 
-def taylor_branch(p: ParamPoint, order: int) -> PowerSeries:
+def taylor_branch(p: ParamPoint, order: int) -> np.ndarray:
     """Taylor branch of the inverse-map equation, collapsed to z = x**s.
 
     Parameters
@@ -215,15 +193,16 @@ def taylor_branch(p: ParamPoint, order: int) -> PowerSeries:
 
     Returns
     -------
-    PowerSeries
-        Coefficients u_m with u_0 = 1 satisfying
-        U = 1 + sum_n zeta_n x**s_n U**s_n through order ``order``; those of
-        a lower order are a prefix of them, to the bit.
+    np.ndarray
+        The complex128 coefficients u_0..u_order (u_0 = 1, entry m that of
+        x**(m*s)) satisfying U = 1 + sum_n zeta_n x**s_n U**s_n through
+        order ``order``; those of a lower order are a prefix of them, to
+        the bit.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must lie in 0..{MAX_ORDER}, got {order}")
-    u = _newton_coeffs(p.zeta, p.leaf.collapsed_shifts, p.leaf.exponents, order)
-    return PowerSeries(u, order=order)
+    return _newton_coeffs(p.zeta, p.leaf.collapsed_shifts, p.leaf.exponents,
+                          order)
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +404,13 @@ def _circle_nodes(k: np.ndarray, n: int, depth: float = 1.0,
     return rot * np.exp(1j * psi), weight
 
 
-def _branch_values(p: ParamPoint, z: np.ndarray, series: PowerSeries,
+def _branch_values(p: ParamPoint, z: np.ndarray, series: np.ndarray,
                    dom: "DominantData | None" = None) -> tuple[np.ndarray, int]:
     """Values of the Taylor branch at the points ``z`` of the closed disk,
     and the number of Newton iterations the slowest of them took.
 
-    Each sample starts from the Taylor polynomial of ``series`` at its
-    point or, when ``dom`` is given, from the germ
+    Each sample starts from the Taylor polynomial with the coefficients
+    ``series`` at its point or, when ``dom`` is given, from the germ
     lam + kappa sqrt(1 - (z/z_*)^(1/s)) of its representative (z_* = x_*^s),
     whichever leaves the smaller residual in y = 1 + sum zeta_n z^shift_n
     y^k_n.  Newton's method on that equation then runs at the points
@@ -454,7 +433,7 @@ def _branch_values(p: ParamPoint, z: np.ndarray, series: PowerSeries,
             f -= a * _int_pow_values(y, k)
         return np.abs(f)
 
-    y = _taylor_values(series.coeffs, z)
+    y = _taylor_values(series, z)
     if dom is not None:
         rep = dom.representative
         germ = rep.lam + rep.kappa * np.sqrt(
@@ -488,7 +467,7 @@ def _branch_values(p: ParamPoint, z: np.ndarray, series: PowerSeries,
 
 
 def _branch_values_on_circle(p: ParamPoint, k: np.ndarray, n: int,
-                             series: PowerSeries,
+                             series: np.ndarray,
                              dom: "DominantData | None" = None,
                              depth: float = 1.0, rot: complex = 1.0,
                              radius: float = 1.0) -> tuple[np.ndarray, int]:
@@ -516,8 +495,9 @@ class CirclePowerTable:
     z_* = rho_*^s e^{i phi}: the grid is centred on e^{i phi} with depth
     d = min(1, GRADE * sqrt(2 (|z_*| - 1))) (for real zeta on +1 or -1, by
     the sign of Re z_*, so that the grid stays closed under conjugation).
-    Its germ and ``series``, the point's Taylor branch (``taylor_branch``
-    to _VALIDATE_ORDERS when absent or shorter), seed the samples
+    Its germ and ``series``, the coefficient array of the point's Taylor
+    branch (``taylor_branch(p, _VALIDATE_ORDERS)`` in its place when it is
+    absent or has at most _VALIDATE_ORDERS entries), seed the samples
     (``_branch_values``); without ``dom`` the grid is uniform and the
     samples start from the Taylor polynomial alone.
 
@@ -550,7 +530,7 @@ class CirclePowerTable:
     def __init__(self, p: ParamPoint, order: int,
                  dom: "DominantData | None" = None,
                  accept: Callable[["CirclePowerTable"], object] | None = None,
-                 *, series: PowerSeries | None = None):
+                 *, series: np.ndarray | None = None):
         self.param = p
         self.order = order
         self.dom = dom
@@ -560,7 +540,7 @@ class CirclePowerTable:
             self.depth = min(1.0, GRADE * math.sqrt(2.0 * (abs(z_star) - 1.0)))
             self.rot = (math.copysign(1.0, z_star.real) if p.is_real()
                         else z_star / abs(z_star))
-        if series is None or series.order < _VALIDATE_ORDERS:
+        if series is None or len(series) <= _VALIDATE_ORDERS:
             series = taylor_branch(p, _VALIDATE_ORDERS)
         self.series = series
         n = N_START
@@ -625,7 +605,7 @@ class CirclePowerTable:
         """Largest error of the first _VALIDATE_ORDERS + 1 coefficients of U,
         (1/n) sum_k |dz/dw|_k U(z_k) z_k^-m, relative to the largest one."""
         got = self._sums / self.n_grid
-        want = self.series.coeffs[: _VALIDATE_ORDERS + 1]
+        want = self.series[: _VALIDATE_ORDERS + 1]
         return float(np.abs(got - want).max() / np.abs(want).max())
 
     def samples(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray,
@@ -685,7 +665,7 @@ def branch_power_rows(p: ParamPoint, p_list: Sequence[int], order: int,
     """
     if not p_list:
         raise ValueError("p_list must be nonempty")
-    base = taylor_branch(p, order).coeffs / alpha
+    base = taylor_branch(p, order) / alpha
     out = np.empty((len(p_list), order + 1), dtype=np.complex128)
     wanted = {}
     for i, pv in enumerate(p_list):

@@ -44,6 +44,10 @@ __all__ = [
 
 K_MAX = 8
 BOUNDED_TOL = 0.10
+# order of the Taylor series that seeds a point's circle samples and checks
+# their first 128 coefficients (``CirclePowerTable``).  Any order above 128
+# would do; the seed decides the samples' last bits, so it is fixed
+SEED_ORDER = 250
 
 
 def log_scale(rho_star: float, s: int) -> tuple[float, float]:
@@ -130,7 +134,7 @@ class ScanPoint:
 
 
 def scan_path(path, delta_grid, blocks: list[RenormConfig],
-              *, order: int = 250, threads: int | None = None) -> list[ScanPoint]:
+              *, threads: int | None = None) -> list[ScanPoint]:
     """Run the block-spectrum scan over a delta grid.
 
     ``path`` maps delta to a ParamPoint; ``blocks`` holds one
@@ -139,7 +143,7 @@ def scan_path(path, delta_grid, blocks: list[RenormConfig],
     that order; each block keeps its ``K_MAX`` leading eigenvalues.  Each
     point evaluates U once, on a circle grid graded toward its dominant
     singularity z_* = rho_*^s e^{i phi} (``dominant_data``) and seeded from
-    that point's germ and its order-``order`` Taylor series
+    that point's germ and its Taylor series to order ``SEED_ORDER``
     (``CirclePowerTable``), and shares it across the blocks: the grid
     doubles until its coefficient check and every block's aliasing
     contract (``gram_block``) hold.  Its node count grows like eps^(-1/2).
@@ -179,7 +183,7 @@ def scan_path(path, delta_grid, blocks: list[RenormConfig],
             if not dom.rho_star > 1:
                 return [ScanPoint(delta, c.q, None, "supercritical",
                                   f"rho_*={dom.rho_star:.6g}") for c in blocks]
-            series = taylor_branch(param, order)
+            series = taylor_branch(param, SEED_ORDER)
             if idx == deepest:
                 check_alpha_admissible(param, dom, series, blocks[0].alpha)
             _, L = log_scale(dom.rho_star, dom.s)

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from toda_spectra import (InsufficientData, LogLeafPoint, PoleLeafPoint,
-                          PowerSeries, log_rho_char)
+                          log_rho_char)
 
 from radius_oracle import radius_estimate
 
@@ -50,12 +50,12 @@ def pole_germ_radius(p: PoleLeafPoint, order: int) -> float:
         raise ValueError("pole germ radius needs order >= 100")
     u = _pole_germ_coeffs(p.b, p.c, order)
     if p.b == 0:
-        rho, _ = radius_estimate(PowerSeries.from_coeffs(u[1::2]), 2)
+        rho, _ = radius_estimate(u[1::2], 2)
     else:
         # u_2 vanishes identically (u = x + c x^3 + b c x^4 + ...), so the
         # ratio fit starts at u_3; a fixed index shift leaves the large-m
         # ratio limit, hence the radius, unchanged.
-        rho, _ = radius_estimate(PowerSeries.from_coeffs(u[3:]), 1)
+        rho, _ = radius_estimate(u[3:], 1)
     return rho
 
 
@@ -97,7 +97,7 @@ def log_germ_radius(p: LogLeafPoint, order: int) -> float:
     u = _log_germ_coeffs(p.b, p.gamma, order)
     # The quadratic coefficient vanishes identically (u = x - gamma b x^3
     # - ...), so the fit window starts at the cubic term.
-    rho, _ = radius_estimate(PowerSeries.from_coeffs(u[3:]), 1)
+    rho, _ = radius_estimate(u[3:], 1)
     return rho
 
 

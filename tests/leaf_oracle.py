@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Iterable, Sequence
 
 from toda_spectra._brent import brentq
@@ -113,7 +114,8 @@ def cell(kind: str, b: float, second: float, on_cut: str = "split") -> PhaseCell
 
 def column_contour(kind: str, b: float, seconds: Sequence[float],
                    rhos: Sequence[float]):
-    """rho_char = 1 along one fixed-b column, by ``brentq`` (xtol = 0) on
+    """rho_char = 1 along one fixed-b column, by ``brentq`` (xtol the least
+    normal float, far below its relative tolerance on c > 0) on
     the first grid cell that brackets it; None when no cell brackets it
     or the solve meets a failed evaluation."""
     vals = [rho - 1.0 for rho in rhos]
@@ -122,7 +124,7 @@ def column_contour(kind: str, b: float, seconds: Sequence[float],
             continue
         try:
             return (b, brentq(lambda sec: cell(kind, b, sec).rho_char - 1.0,
-                              s0, s1, xtol=0.0))
+                              s0, s1, xtol=sys.float_info.min))
         except NoConvergence:
             return None
     return None

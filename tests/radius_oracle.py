@@ -16,13 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from toda_spectra import (DegenerateSeries, NoConvergence, ParamPoint,
-                          PowerSeries, amplitude_A, solve_characteristic,
-                          taylor_branch)
+                          amplitude_A, solve_characteristic, taylor_branch)
 from toda_spectra.branch_points import _group_orbits
 
 
-def radius_estimate(u: PowerSeries, s: int) -> tuple[float, float]:
-    """Analyticity-radius and singularity-exponent estimate from coefficients.
+def radius_estimate(u: np.ndarray, s: int) -> tuple[float, float]:
+    """Analyticity-radius and singularity-exponent estimate from the
+    coefficients ``u`` of a series in z = x**s.
 
     Fits the ratio sequence q_m = |u_m / u_{m+1}| linearly against 1/m over
     the top third of available orders.  The intercept estimates the radius
@@ -36,16 +36,17 @@ def radius_estimate(u: PowerSeries, s: int) -> tuple[float, float]:
         If a coefficient past the constant term is exactly zero
         (terminating or lacunary series); carries the first such index.
     """
-    if u.order < 50:
+    order = len(u) - 1
+    if order < 50:
         raise ValueError("radius_estimate needs order >= 50")
-    c = np.abs(u.coeffs)
+    c = np.abs(u)
     zero_idx = np.nonzero(c[1:] == 0.0)[0]
     if zero_idx.size:
         first = int(zero_idx[0] + 1)
         raise DegenerateSeries(f"coefficient {first} is exactly zero",
                                first_zero_index=first)
-    start = (2 * u.order) // 3
-    x = 1.0 / np.arange(start, u.order)
+    start = (2 * order) // 3
+    x = 1.0 / np.arange(start, order)
     q = c[start:-1] / c[start + 1 :]
     # least-squares line q = intercept + slope x, from centred sums
     dx = x - x.mean()
@@ -84,7 +85,7 @@ def ratio_orbit(p: ParamPoint, order: int = 250) -> tuple[float, int] | None:
                 * cp.x_star ** (-order * s))
         if pred == 0 or not np.isfinite(abs(pred)):
             return None
-        ratio = complex(series.coeffs[order]) / pred
+        ratio = complex(series[order]) / pred
     if abs(ratio.real) < 0.2:
         return None
     return float(cp.modulus), 1 if ratio.real > 0 else -1

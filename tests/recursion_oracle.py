@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from toda_spectra import ParamPoint, PowerSeries
+from toda_spectra import ParamPoint
 
 
 def recursion_coeffs(zetas: Sequence[complex], shifts: Sequence[int],
@@ -74,11 +74,11 @@ def raney_oracle(s: int, p: int, m: int) -> Fraction:
     return Fraction(p * math.comb(n, m), n)
 
 
-def functional_residual(p: ParamPoint, u: PowerSeries) -> float:
+def functional_residual(p: ParamPoint, coeffs: np.ndarray) -> float:
     """Max coefficient residual of U - 1 - sum_n zeta_n x^{s_n} U^{s_n},
-    relative to the largest coefficient of U."""
-    order = u.order
-    coeffs = u.coeffs
+    relative to the largest coefficient of U, for the coefficients
+    ``coeffs`` of U in z = x**s."""
+    order = len(coeffs) - 1
     res = coeffs.copy()
     res[0] -= 1.0
     for zn, shift, k in zip(p.zeta, p.leaf.collapsed_shifts, p.leaf.exponents):

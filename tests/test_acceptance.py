@@ -393,8 +393,7 @@ def test_criterion_10d_approach_scaling(lg_slice_runs):
     path = approach_path(driver, t_c)
     blocks = [RenormConfig(q=q, s=2, J=40, alpha=2.0, beta=1.0)
               for q in (1, 2)]
-    scan = scan_path(path, np.geomspace(1e-4, 1e-1, 13), blocks,
-                     order=250, threads=1)
+    scan = scan_path(path, np.geomspace(1e-4, 1e-1, 13), blocks, threads=1)
     fits = fit_log_scaling(scan)
     secs = time.perf_counter() - t0
     budget = secs + lg_slice_runs[0][1] + lg_slice_runs[1][1]

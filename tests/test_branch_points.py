@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toda_spectra import (DegenerateSeries, Leaf, NoDominantOrbit,
-                          NotBracketed, ParamPoint, PowerSeries, amplitude_A,
+                          NotBracketed, ParamPoint, amplitude_A,
                           branch_points, continue_critical, critical_parameter,
                           dominant_data, solve_characteristic, taylor_branch)
 
@@ -52,6 +52,21 @@ def test_characteristic_sorted_by_modulus_then_phase():
     keys = [(cp.modulus, cmath.phase(cp.x_star) % (2 * math.pi))
             for cp in pts]
     assert keys == sorted(keys)
+
+
+def test_characteristic_evaluates_each_root_once(monkeypatch):
+    # one _char_derivs evaluation per finite root: its values both filter
+    # the root by residual and classify it
+    calls = []
+    real = branch_points._char_derivs
+
+    def counted(p, x, y):
+        calls.append((x, y))
+        return real(p, x, y)
+
+    monkeypatch.setattr(branch_points, "_char_derivs", counted)
+    pts = solve_characteristic(ParamPoint(Leaf((3, 6)), (0.1, 0.01)))
+    assert len(pts) == 6 and len(calls) == 6
 
 
 def test_characteristic_rejects_zero_point():
@@ -102,7 +117,7 @@ def test_radius_estimate_flags_vanishing_coefficients():
     coeffs = np.ones(101)
     coeffs[7] = 0.0
     with pytest.raises(DegenerateSeries) as exc:
-        radius_estimate(PowerSeries.from_coeffs(coeffs), 1)
+        radius_estimate(coeffs, 1)
     assert exc.value.first_zero_index == 7
 
 
@@ -226,7 +241,7 @@ def test_dominant_data_always_decides_gcd_one_leaves(data, exps):
 
 def test_radius_estimate_exponent_discriminates():
     # a geometric series has exponent 0, not the square-root value -3/2
-    geom = PowerSeries.from_coeffs(0.5 ** np.arange(121))
+    geom = 0.5 ** np.arange(121)
     rho_hat, exponent = radius_estimate(geom, 1)
     assert abs(rho_hat - 2.0) < 1e-6
     assert abs(exponent) < 0.05

@@ -2,6 +2,7 @@
 it follows: results must agree to the bit."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -66,12 +67,12 @@ def test_brentq_reports_nan_and_exhaustion(monkeypatch):
        k=st.floats(0.05, 50.0, **finite),
        left=st.floats(1e-6, 10.0, **finite),
        right=st.floats(1e-6, 10.0, **finite),
-       xtol=st.sampled_from([0.0, 1e-12, 1e-3]))
+       xtol=st.sampled_from([sys.float_info.min, 1e-12, 1e-3]))
 def test_brentq_many_matches_brentq_bracket_by_bracket(kinds, r, k, left,
                                                        right, xtol):
     # brackets of different widths and families, so they finish at
     # different steps; roots positive, as on the phase contour's second
-    # axis, which is solved with xtol = 0
+    # axis, which is solved with xtol = sys.float_info.min
     fs = [_root_family(kind, r + 0.1 * i, k) for i, kind in enumerate(kinds)]
     a = np.array([r - left * (1 + i) for i in range(len(fs))])
     b = np.array([r + right for _ in fs])
@@ -92,6 +93,30 @@ def test_brentq_many_matches_brentq_bracket_by_bracket(kinds, r, k, left,
     assert all(n > 0 for n in calls)
 
 
+def test_brentq_matches_scipy_at_a_root_near_zero():
+    # the root lies 7e-315 from 0, where RTOL |x| underflows: with
+    # xtol = 5e-324 the step tolerance rounds to 0 and the secant steps
+    # divide by zero, which SciPy's C code takes as inf or NaN
+    f = _root_family(1, -7e-315, 0.3004762971347222)
+    a, b = -6.389263620209438, 5.276922107214699
+    assert brentq(f, a, b, xtol=5e-324) == -7e-315
+    for xtol in (5e-324, sys.float_info.min):
+        assert (brentq(f, a, b, xtol=xtol)
+                == optimize.brentq(f, a, b, xtol=xtol))
+
+
+@pytest.mark.parametrize("xtol", [0.0, -1e-12])
+def test_brentq_refuses_a_nonpositive_xtol(xtol):
+    f = _root_family(1, -7e-315, 0.3004762971347222)
+    with pytest.raises(ValueError, match="xtol"):
+        optimize.brentq(f, -1.0, 1.0, xtol=xtol)
+    with pytest.raises(ValueError, match="xtol"):
+        brentq(f, -1.0, 1.0, xtol=xtol)
+    with pytest.raises(ValueError, match="xtol"):
+        brentq_many(lambda index, x: [f(v) for v in x], np.array([-1.0]),
+                    np.array([1.0]), [f(-1.0)], [f(1.0)], xtol=xtol)
+
+
 def test_brentq_many_reports_failures_as_nan(monkeypatch):
     # an exact zero at an end, no sign change, a NaN inside, a NaN end,
     # a plain root
@@ -106,8 +131,9 @@ def test_brentq_many_reports_failures_as_nan(monkeypatch):
         return [funcs[i](xi) for i, xi in zip(index, x)]
 
     every = range(len(funcs))
-    got = brentq_many(f, a, b, f(every, a), f(every, b), xtol=0.0)
-    assert got[0] == 1.0 and got[4] == brentq(funcs[4], 0.0, 2.0, xtol=0.0)
+    tiny = sys.float_info.min
+    got = brentq_many(f, a, b, f(every, a), f(every, b), xtol=tiny)
+    assert got[0] == 1.0 and got[4] == brentq(funcs[4], 0.0, 2.0, xtol=tiny)
     assert np.isnan(got[1:4]).all()
     monkeypatch.setattr(_brent, "MAXITER", 20)
     step = lambda index, x: [math.copysign(1.0, xi - math.pi) for xi in x]

@@ -218,6 +218,34 @@ def test_lg_nonunivalent_start_is_recorded(tmp_path):
                           "UnivalenceLost")
 
 
+def test_lg_state_whose_rho_star_fails_keeps_its_row(tmp_path):
+    # {2,3} at zeta = (-0.05, -0.05): a complex pair ties for the least
+    # modulus 1.32048, so dominant_data refuses every state
+    cfgfile = _write(tmp_path, "lg.ini", """\
+[leaf]
+exponents = 2 3
+
+[lg]
+driver = slice
+zeta0 = -0.05 -0.05
+rate = 0 0
+t_max = 0.1
+steps = 2
+detect = false
+""")
+    out = tmp_path / "out"
+    assert cli.main(["lg", "--config", str(cfgfile), "--out", str(out),
+                     "--threads", "1"]) == 2
+    csv = read_csv(out / "trajectory.csv")
+    assert len(csv["T"]) == 3 and np.isnan(csv["rho_star"]).all()
+    assert np.isfinite(csv["univalence_margin"]).all()
+    summary = read_summary(out, "lg")
+    assert [(f["id"], f["status"]) for f in summary["failures"]] == [
+        (f"rho_star,T={cli._g17(t)}", "NoDominantOrbit")
+        for t in (0.0, 0.05, 0.1)]
+    assert "1.32048" in summary["failures"][0]["detail"]
+
+
 def test_scan_unbracketed_critical_parameter_is_recorded(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["scan", "--config",
@@ -392,6 +420,9 @@ SPECTRUM_INI = "[leaf]\nexponents = 2\n\n[spectrum]\nzeta = 0.2\n"
     # dominant_data continues the branch and reads no series
     ("char", None, "char.order", "250"),
     ("lg", "lg_onemode", "lg.detect_order", "200"),
+    # a scan point seeds from spectral_scan.SEED_ORDER
+    ("spectrum", None, "spectrum.order", "250"),
+    ("scan", "scan_near_critical", "scan.order", "250"),
 ])
 def test_removed_keys_are_config_errors(tmp_path, capsys, command, config,
                                         key, value):
@@ -420,8 +451,6 @@ def test_gamma_c_on_the_pole_leaf_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,text,key", [
     ("series", SERIES_INI, "series.order"),
-    ("spectrum", SPECTRUM_INI, "spectrum.order"),
-    ("scan", SCAN_J12_INI, "scan.order"),
 ])
 def test_orders_above_the_ceiling_are_config_errors(tmp_path, capsys,
                                                     command, text, key):

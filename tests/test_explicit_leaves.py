@@ -303,11 +303,12 @@ def test_radius_profile_has_discriminant_cusp():
 # critical gamma
 
 
-def test_gamma_c_solver_guards():
+def test_gamma_c_solver_guards(monkeypatch):
     with pytest.raises(ValueError):
         gamma_c_solve(1e-7)
+    monkeypatch.setattr(explicit_leaves, "GAMMA_C_BRACKET", (0.3, 0.5))
     with pytest.raises(NotBracketed):
-        gamma_c_solve(1e-3, bracket=(0.3, 0.5))
+        gamma_c_solve(1e-3)
 
 
 def test_gamma_c_refines_consistently():

@@ -303,7 +303,7 @@ def test_radius_excess_regimes():
     # circle: entire branch
     circ = initial_state(ParamPoint(LEAF2, (0.0,), r=1.0))
     assert math.isinf(radius_excess(circ))
-    # deep subcritical: characteristic minimum only
+    # deep subcritical: the certified modulus, as near the threshold
     for zeta in (0.01, 0.02):
         st = initial_state(ParamPoint(LEAF2, (zeta,), r=1.0))
         want = 1.0 / (2.0 * math.sqrt(zeta)) - 1.0
@@ -315,31 +315,48 @@ def test_radius_excess_regimes():
 
 
 def test_radius_excess_on_a_gcd_one_leaf():
-    # {2,3} at zeta = (0.05, 0.05): smallest modulus 1.25, below
-    # _VALIDATE_BELOW, so the dominant orbit is certified, on a leaf whose
-    # series has u_1 = 0 structurally
+    # {2,3} at zeta = (0.05, 0.05): the dominant orbit is certified on a
+    # leaf whose series has u_1 = 0 structurally
     st = initial_state(ParamPoint(Leaf((2, 3)), (0.05, 0.05), r=1.0))
-    assert min(cp.modulus for cp in solve_characteristic(
-        st.param_point())) < laplacian_growth._VALIDATE_BELOW
     assert radius_excess(st) == pytest.approx(0.25, rel=1e-10)
+
+
+def test_radius_excess_certifies_far_from_the_threshold():
+    # the {4,8,12} point whose least orbit is off the Taylor sheet
+    # (test_dominant_data_takes_the_orbit_on_the_taylor_sheet), with
+    # zeta_n scaled by c^(s_n): U(x) becomes U(c x), and every modulus is
+    # divided by c, here to put the least one at 4.5
+    c = 1.053808 / 4.5
+    zeta = (0.06031228598119853 - 0.0045747524662346495j,
+            0.007960749551171273 - 0.0013335265996104323j,
+            -0.00039566520459172064 - 0.000235270918358796j)
+    leaf = Leaf((4, 8, 12))
+    st = SliceDriver(leaf, lambda t: tuple(
+        z * c**k for z, k in zip(zeta, leaf.exponents))).state(0.0)
+    moduli = sorted(cp.modulus for cp in solve_characteristic(
+        st.param_point()))
+    assert moduli[0] == pytest.approx(4.500000007, rel=1e-9)
+    assert radius_excess(st) == pytest.approx(3.510055216, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
 # thresholds
 
 
-def test_detect_thresholds_on_declared_slice():
+def test_detect_thresholds_on_declared_slice(monkeypatch):
+    monkeypatch.setattr(laplacian_growth, "DETECT_STEPS", 16)
     driver = SliceDriver(LEAF2, lambda t: 0.05 + 0.2 * t)
-    report = detect_thresholds(driver, 1.2, coarse=16)
+    report = detect_thresholds(driver, 1.2)
     assert report.t_c == pytest.approx(1.0, abs=1e-6)
     assert report.margin_at_tc == pytest.approx(0.75, abs=1e-6)
     assert report.t_univ is None          # zeta stays below 1 on [0, 1.2]
     assert report.separated is True
 
 
-def test_detect_thresholds_none_when_not_reached():
+def test_detect_thresholds_none_when_not_reached(monkeypatch):
+    monkeypatch.setattr(laplacian_growth, "DETECT_STEPS", 6)
     driver = SliceDriver(LEAF2, lambda t: 0.05 + 0.01 * t)
-    report = detect_thresholds(driver, 1.0, coarse=6)
+    report = detect_thresholds(driver, 1.0)
     assert report.t_c is None and report.t_univ is None
     assert report.margin_at_tc is None and report.separated is None
 

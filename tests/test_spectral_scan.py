@@ -111,8 +111,7 @@ SCAN_BLOCKS = [RenormConfig(q=q, s=2, J=12, alpha=2.0, beta=1.0)
 
 def test_scan_points_satisfy_sandwich():
     grid = np.geomspace(1e-3, 1e-1, 7)
-    scan = scan_path(_critical_path, grid, SCAN_BLOCKS, order=250,
-                     threads=1)
+    scan = scan_path(_critical_path, grid, SCAN_BLOCKS, threads=1)
     assert len(scan) == 14
     assert all(pt.ok for pt in scan)
     for pt in scan:
@@ -127,10 +126,8 @@ def test_scan_points_satisfy_sandwich():
 
 def test_scan_is_deterministic_and_thread_invariant():
     grid = np.geomspace(1e-3, 1e-1, 5)
-    one = scan_path(_critical_path, grid, SCAN_BLOCKS[:1], order=250,
-                    threads=1)
-    two = scan_path(_critical_path, grid, SCAN_BLOCKS[:1], order=250,
-                    threads=3)
+    one = scan_path(_critical_path, grid, SCAN_BLOCKS[:1], threads=1)
+    two = scan_path(_critical_path, grid, SCAN_BLOCKS[:1], threads=3)
     assert [pt.delta for pt in one] == [pt.delta for pt in two]
     for a, b in zip(one, two):
         npt.assert_array_equal(a.spectrum.mu, b.spectrum.mu)
@@ -159,9 +156,8 @@ def test_scan_runs_deepest_first_in_grid_order():
         calls.append(delta)
         return _critical_path(delta)
 
-    one = scan_path(_critical_path, grid, SCAN_BLOCKS, order=250,
-                    threads=1)
-    two = scan_path(path, grid, SCAN_BLOCKS, order=250, threads=2)
+    one = scan_path(_critical_path, grid, SCAN_BLOCKS, threads=1)
+    two = scan_path(path, grid, SCAN_BLOCKS, threads=2)
     _assert_same_points(one, two)
     assert [pt.delta for pt in two] == [d for d in grid for _ in (1, 2)]
     # the two deepest points start first, one per thread
@@ -172,7 +168,7 @@ def test_scan_records_supercritical_points():
     def path(delta):
         return ParamPoint(LEAF2, (0.25 * (1.0 + float(delta)),))
 
-    scan = scan_path(path, [0.05, 0.2], SCAN_BLOCKS[:1], order=250, threads=1)
+    scan = scan_path(path, [0.05, 0.2], SCAN_BLOCKS[:1], threads=1)
     assert all(not pt.ok for pt in scan)
     assert all(pt.status in ("supercritical", "NoDominantOrbit")
                for pt in scan)
@@ -184,8 +180,7 @@ def test_scan_records_undersized_grid_as_failed_cells(monkeypatch):
     # a 1024-node ceiling stops the doubling: the first grid is too coarse
     # at delta = 3e-3 (it needs 2048 nodes) but enough at 3e-2
     monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 1024)
-    scan = scan_path(_critical_path, [3e-3, 3e-2], SCAN_BLOCKS,
-                     order=250, threads=1)
+    scan = scan_path(_critical_path, [3e-3, 3e-2], SCAN_BLOCKS, threads=1)
     assert [(pt.delta, pt.q) for pt in scan] == [
         (3e-3, 1), (3e-3, 2), (3e-2, 1), (3e-2, 2)]
     assert [pt.status for pt in scan] == [
@@ -200,8 +195,7 @@ def test_scan_records_undersized_grid_as_failed_cells(monkeypatch):
 def test_scan_records_grid_over_ceiling_as_failed_cells(monkeypatch):
     # delta = 1e-3 needs a 4096-node grid; 3e-2 fits in 1024
     monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 2048)
-    scan = scan_path(_critical_path, [1e-3, 3e-2], SCAN_BLOCKS,
-                     order=250, threads=1)
+    scan = scan_path(_critical_path, [1e-3, 3e-2], SCAN_BLOCKS, threads=1)
     assert [pt.status for pt in scan] == [
         "GridTooLarge", "GridTooLarge", "ok", "ok"]
     assert "MAX_CIRCLE_GRID = 2048" in scan[0].detail
@@ -224,8 +218,7 @@ def test_scan_records_wrong_sheet_sample_as_failed_cells(monkeypatch):
 
     monkeypatch.setattr(series_engine, "_branch_values", one_wrong)
     monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 8192)
-    scan = scan_path(_critical_path, [3e-2], SCAN_BLOCKS, order=250,
-                     threads=1)
+    scan = scan_path(_critical_path, [3e-2], SCAN_BLOCKS, threads=1)
     assert [pt.status for pt in scan] == ["WrongSheet", "WrongSheet"]
     assert "stalled at 4096 nodes" in scan[0].detail
     assert "Taylor series" in scan[0].detail
@@ -250,16 +243,14 @@ def test_scan_records_flipped_germ_seed_as_wrong_sheet(monkeypatch):
             dom, representative=dataclasses.replace(rep, kappa=-rep.kappa))
 
     monkeypatch.setattr(spectral_scan, "dominant_data", flipped)
-    scan = scan_path(_critical_path, [1e-3, 1e-1], SCAN_BLOCKS,
-                     order=250, threads=1)
+    scan = scan_path(_critical_path, [1e-3, 1e-1], SCAN_BLOCKS, threads=1)
     assert [pt.status for pt in scan] == ["WrongSheet"] * 2 + ["ok"] * 2
     assert all(pt.spectrum is None for pt in scan[:2])
     assert "stalled" in scan[0].detail
     # far from criticality the germ never wins and the samples, hence the
     # blocks, are those of the true seeds (the spike only changes sign)
     monkeypatch.undo()
-    want = scan_path(_critical_path, [1e-1], SCAN_BLOCKS, order=250,
-                     threads=1)
+    want = scan_path(_critical_path, [1e-1], SCAN_BLOCKS, threads=1)
     for a, b in zip(scan[2:], want):
         npt.assert_array_equal(a.spectrum.mu, b.spectrum.mu)
         npt.assert_array_equal(a.spectrum.spike, -b.spectrum.spike)
@@ -280,17 +271,15 @@ def test_scan_runs_the_taylor_recursion_once_per_point(monkeypatch):
     monkeypatch.setattr(branch_points, "taylor_branch", counted)
     monkeypatch.setattr(series_engine, "taylor_branch", counted)
     scan = scan_path(_critical_path, [1e-3, 1e-2, 1e-1], SCAN_BLOCKS,
-                     order=250, threads=1)
+                     threads=1)
     assert all(pt.ok for pt in scan)
     assert calls == [250, 250, 250]
 
 
 def test_scan_q_list_order_is_cosmetic():
     grid = np.geomspace(1e-2, 1e-1, 3)
-    fwd = scan_path(_critical_path, grid, SCAN_BLOCKS, order=250,
-                    threads=1)
-    rev = scan_path(_critical_path, grid, SCAN_BLOCKS[::-1], order=250,
-                    threads=1)
+    fwd = scan_path(_critical_path, grid, SCAN_BLOCKS, threads=1)
+    rev = scan_path(_critical_path, grid, SCAN_BLOCKS[::-1], threads=1)
     key = lambda pt: (pt.delta, pt.q)
     for a, b in zip(sorted(fwd, key=key), sorted(rev, key=key)):
         assert (a.delta, a.q) == (b.delta, b.q)
@@ -355,8 +344,7 @@ def test_real_zeta_scan_point_real_solves_match_complex_eigvalsh(monkeypatch):
 
     monkeypatch.setattr(spectral_scan, "gram_block", kept)
     delta = 3e-3
-    scan = scan_path(_critical_path, [delta], SCAN_BLOCKS, order=250,
-                     threads=1)
+    scan = scan_path(_critical_path, [delta], SCAN_BLOCKS, threads=1)
     dom = dominant_data(_critical_path(delta))
     _, L = log_scale(dom.rho_star, dom.s)
     for pt, cfg, G in zip(scan, SCAN_BLOCKS, grams[-len(SCAN_BLOCKS):]):
