@@ -13,6 +13,17 @@ at r = 1, a = (0.05, 0.005)) this times two calls of
   ``previous`` takes the sign from the moduli of ``np.roots``
   (``tests/margin_oracle.py``).
 
+For the drivers of the two shipped ``lg`` configs (the {2} slice
+zeta = 0.05 + 0.2 T of ``configs/lg_demo.ini`` up to T = 1.2, and the
+moment trajectory from (r, a) = (1, 0.05) of ``configs/lg_onemode.ini``
+up to T = 2, on a fresh driver each call) it times
+
+* ``detect_thresholds``: the probes carry the certified dominant orbit
+  from one to the next, and the slice's probes skip the moment
+  quadrature; ``previous`` certifies every probe afresh and integrates
+  the slice's moments at each.  Both reports must agree to the bit, and
+  the calls of ``branch_points._ray_value`` per detection are counted.
+
 For the two shipped phase grids (``configs/pole_phase.ini`` and
 ``configs/log_phase.ini``) it times
 
@@ -71,7 +82,9 @@ from bench_graded import _blas
 from csv_oracle import csv_text
 from envelope_oracle import unit_level_attained
 from margin_oracle import fprime_root_moduli
-from toda_spectra import Leaf, MomentDriver, ParamPoint, cli, initial_state
+from toda_spectra import (Leaf, MomentDriver, ParamPoint, SliceDriver, cli,
+                          initial_state)
+from toda_spectra import branch_points as bp
 from toda_spectra import explicit_leaves as el
 from toda_spectra import laplacian_growth as lg
 from toda_spectra.errors import NotBracketed
@@ -86,8 +99,15 @@ GRIDS = {
     "pole": ((-0.9, 0.9, 37), (0.002, 0.6, 60)),
     "log": ((0.05, 0.95, 31), (0.02, 0.45, 44)),
 }
+# the threshold detections of the shipped lg configs: (fresh driver, t_max)
+DETECT = {
+    "lg_demo": (lambda: SliceDriver(Leaf((2,)), lambda t: 0.05 + 0.2 * t),
+                1.2),
+    "lg_onemode": (lambda: MomentDriver(initial_state(
+        ParamPoint(Leaf((2,)), (0.05,), r=1.0))), 2.0),
+}
 BATCH = {"march": 5, "univalence_margin": 200, "phase_diagram": 1,
-         "write_csv": 1, "gamma_c_solve": 10}
+         "write_csv": 1, "gamma_c_solve": 10, "detect_thresholds": 3}
 GAMMA_C_TOL = 1e-5
 SIGN_LEAVES = [(2,), (3,), (2, 3), (3, 6), (4, 8, 12)]
 SIGN_DRAWS = 2000
@@ -152,20 +172,29 @@ def _previous_gamma_c_solve(tol, *, bracket=(0.1, 0.5)):
     return 0.5 * (lo + hi)
 
 
+def _previous_dominant_data(p, *, points=None, near=None):
+    # every probe certified afresh
+    return bp.dominant_data(p, points=points)
+
+
 @contextlib.contextmanager
 def _previous_code():
     saved = (lg._newton_moments, lg._zeros_inside, el.phase_diagram,
-             cli.write_csv, el.gamma_c_solve)
+             cli.write_csv, el.gamma_c_solve, lg.dominant_data,
+             SliceDriver.probe)
     lg._newton_moments = _previous_newton
     lg._zeros_inside = _previous_zeros_inside
     el.phase_diagram = leaf_oracle.phase_diagram
     cli.write_csv = _previous_write_csv
     el.gamma_c_solve = _previous_gamma_c_solve
+    lg.dominant_data = _previous_dominant_data
+    SliceDriver.probe = SliceDriver.state
     try:
         yield
     finally:
         (lg._newton_moments, lg._zeros_inside, el.phase_diagram,
-         cli.write_csv, el.gamma_c_solve) = saved
+         cli.write_csv, el.gamma_c_solve, lg.dominant_data,
+         SliceDriver.probe) = saved
 
 
 def _per_call(fn, batch, repeats):
@@ -211,6 +240,40 @@ def _case(leaf, r, a, repeats):
         "margin_bit_identical": (rows["univalence_margin"][0][0]
                                  == rows["univalence_margin"][1][0]),
     }
+
+
+def _ray_calls(fn):
+    # branch_points._ray_value calls made by one call of fn
+    count = 0
+    inner = bp._ray_value
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return inner(*args)
+
+    bp._ray_value = counted
+    try:
+        fn()
+    finally:
+        bp._ray_value = inner
+    return count
+
+
+def _detect(name, repeats):
+    make, t_max = DETECT[name]
+    detect = lambda: lg.detect_thresholds(make(), t_max)
+    now, before = _row({"detect_thresholds": detect}, BATCH,
+                       repeats)["detect_thresholds"]
+    rays = _ray_calls(detect)
+    with _previous_code():
+        previous_rays = _ray_calls(detect)
+    return {"t_max": t_max,
+            "calls": {"detect_thresholds": _timing(
+                now, before, BATCH["detect_thresholds"])},
+            "report": vars(now[0]),
+            "reports_bit_identical": now[0] == before[0],
+            "ray_calls": rays, "previous": {"ray_calls": previous_rays}}
 
 
 def _rel_diff(new, old):
@@ -312,6 +375,9 @@ def main(argv=None) -> int:
     for name, (leaf, r, a) in CASES.items():
         cases[name] = _case(leaf, r, a, args.repeats)
         print(name, json.dumps(cases[name]), file=sys.stderr)
+    for name in DETECT:
+        cases[f"detect_{name}"] = _detect(name, args.repeats)
+        print(name, json.dumps(cases[f"detect_{name}"]), file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         for kind in GRIDS:
             cases[f"phase_{kind}"] = _phase(kind, args.repeats, Path(tmp))
@@ -322,11 +388,15 @@ def main(argv=None) -> int:
         "benchmark": "growth_layer",
         "what": "median seconds per call of MomentDriver.state(1.0) on a "
                 "fresh driver, laplacian_growth.univalence_margin, "
+                "laplacian_growth.detect_thresholds on the drivers of the "
+                "shipped lg configs, "
                 "explicit_leaves.phase_diagram and cli.write_csv of its "
                 "rows on the shipped grids, and "
                 "explicit_leaves.gamma_c_solve(1e-5); previous = moment "
                 "Newton on quadrature residuals with a finite-difference "
-                "Jacobian, margin sign from np.roots, the phase grid cell "
+                "Jacobian, margin sign from np.roots, every detection probe "
+                "certified afresh and the slice's moments integrated at "
+                "each, the phase grid cell "
                 "by cell with a scalar brentq per column, CSV values "
                 "rendered one by one, gamma_c by bisecting a bounded "
                 "interior minimum plus a Richardson limit toward b = 1",

@@ -215,7 +215,10 @@ class DominantData:
     realizes (U = lam + kappa*sqrt(1 - x/x_*) + ...), so the amplitudes
     A_p = -(s^{-1/2}/(2 sqrt(pi))) p kappa lam^{p-1} are asymptotically
     exact, not just up to phase; ``amplitude_A`` computes A_p from the
-    representative's kappa and lam.
+    representative's kappa and lam.  ``rank`` is the orbit's place among
+    all orbits in order of modulus (0 = least) and ``gaps`` holds
+    (m - rho_star)/rho_star for every other orbit, in that order: what a
+    nearby point needs to inherit the certificate (``dominant_data``).
     """
 
     rho_star: float
@@ -224,6 +227,8 @@ class DominantData:
     separation: float
     phi: float
     s: int
+    rank: int
+    gaps: tuple[float, ...]
 
 
 def amplitude_A(s: int, kappa: complex, lam: complex, p: int) -> complex:
@@ -287,8 +292,47 @@ def _ray_value(p: ParamPoint, x_star: complex) -> complex:
     return y
 
 
-def dominant_data(p: ParamPoint, *,
-                  points: list[CharPoint] | None = None) -> DominantData:
+def _sector(c: CharPoint) -> float:
+    # orbit arguments are spaced by 2*pi/s, so the member with the least
+    # sector is the (unique) one in [0, 2*pi/s): the representative
+    return cmath.phase(c.x_star) % (2.0 * math.pi)
+
+
+def _inherited(orbits: list[list[CharPoint]], near: DominantData):
+    """(rank, kappa sign) of the orbit that continues ``near``'s, or None
+    where its certificate cannot be carried over (``dominant_data``)."""
+    if len(orbits) != len(near.gaps) + 1:
+        return None
+    ref = near.representative
+    # match on any member: the representative changes member when the
+    # orbit's phase wraps past the sector boundary
+    dist, rank = min(((abs(c.x_star - ref.x_star), i)
+                      for i, g in enumerate(orbits) for c in g),
+                     key=lambda m: m[0])
+    best = orbits[rank]
+    if (rank != near.rank or dist > JUMP_MAX * ref.modulus
+            or len(best) != near.s or not all(c.simple for c in best)
+            or not all(c.simple and c.fold_ok
+                       for g in orbits[:rank] for c in g)):
+        return None
+    rho = best[0].modulus
+    gaps = [(g[0].modulus - rho) / rho for g in orbits if g is not best]
+    for new, old in zip(gaps, near.gaps):
+        if (new * old <= 0.0 or abs(new) <= SEP_MIN
+                or abs(new - old) >= 0.5 * min(abs(new), abs(old))):
+            return None
+    # the members of an orbit share kappa (x Fx and Fyy are invariant
+    # under x -> x e^{2 pi i/s}), so the representative's canonical kappa
+    # against near's oriented one decides the sign, as its ray would
+    turn = min(best, key=_sector).kappa * ref.kappa.conjugate()
+    cos = turn.real / abs(turn)
+    if abs(cos) < 0.5:  # more than 60 degrees from either sign
+        return None
+    return rank, (1.0 if cos > 0.0 else -1.0)
+
+
+def dominant_data(p: ParamPoint, *, points: list[CharPoint] | None = None,
+                  near: DominantData | None = None) -> DominantData:
     """Identify the dominant orbit by continuing the Taylor branch to it.
 
     Takes the characteristic orbits in order of modulus and continues the
@@ -302,6 +346,20 @@ def dominant_data(p: ParamPoint, *,
     relative gap to the next larger one.  ``points`` passes in
     ``solve_characteristic(p)`` when the caller already has it.
 
+    ``near`` is the certified data of a nearby point on the same parameter
+    path.  Its certificate is inherited, and no ray runs, when the orbit
+    nearest to ``near``'s representative (on any member) moved by at most
+    JUMP_MAX * |x_*|; it keeps its rank and the number of orbits is
+    unchanged; every other orbit's signed relative gap keeps its sign,
+    stays above SEP_MIN and changes by less than half its smaller size;
+    the orbit has s simple members and every orbit below it is simple and
+    fold_ok; and kappa lies within 60 degrees of +- ``near``'s kappa,
+    whose sheet sign it takes by continuity.  Otherwise the rays run as
+    without ``near``.  Inside its disc of convergence U is analytic, and
+    F_y U' + F_x = 0 bars it from a characteristic point with F_y = 0 and
+    F_x != 0, so dominance can pass to another orbit only where some
+    orbit's modulus crosses the tracked one's, which the gap rule sees.
+
     Raises
     ------
     NoDominantOrbit
@@ -314,27 +372,29 @@ def dominant_data(p: ParamPoint, *,
         points = solve_characteristic(p)
     orbits = _group_orbits(points, s)
     orbits.sort(key=lambda g: g[0].modulus)
-    sector = lambda c: cmath.phase(c.x_star) % (2.0 * math.pi)
-    for best in orbits:
-        # orbit arguments are spaced by 2*pi/s, so the member with the
-        # smallest non-negative argument is the (unique) one in [0, 2*pi/s)
-        rep = min(best, key=sector)
-        if not rep.simple:
-            raise NoDominantOrbit(
-                f"characteristic point x_*={rep.x_star:.6g} is not a simple "
-                f"square-root point; its germ cannot be compared")
-        w = ((_ray_value(p, complex(rep.x_star)) - rep.lam)
-             / (rep.kappa * math.sqrt(CERT_H)))
-        sign = 1.0 if w.real >= 0 else -1.0
-        if abs(w - sign) <= CERT_TOL:
-            break
+    inherited = None if near is None else _inherited(orbits, near)
+    if inherited is not None:
+        rank, sign = inherited
+        best = orbits[rank]
     else:
-        raise NoDominantOrbit(
-            f"the Taylor branch meets no characteristic orbit (moduli: "
-            f"{[g[0].modulus for g in orbits]})")
+        for rank, best in enumerate(orbits):
+            rep = min(best, key=_sector)
+            if not rep.simple:
+                raise NoDominantOrbit(
+                    f"characteristic point x_*={rep.x_star:.6g} is not a "
+                    f"simple square-root point; its germ cannot be compared")
+            w = ((_ray_value(p, complex(rep.x_star)) - rep.lam)
+                 / (rep.kappa * math.sqrt(CERT_H)))
+            sign = 1.0 if w.real >= 0 else -1.0
+            if abs(w - sign) <= CERT_TOL:
+                break
+        else:
+            raise NoDominantOrbit(
+                f"the Taylor branch meets no characteristic orbit (moduli: "
+                f"{[g[0].modulus for g in orbits]})")
     rho = best[0].modulus
-    others = [g[0].modulus for g in orbits if g is not best]
-    if any(abs(m - rho) <= SEP_MIN * rho for m in others):
+    gaps = tuple((g[0].modulus - rho) / rho for g in orbits if g is not best)
+    if any(abs(gap) <= SEP_MIN for gap in gaps):
         raise NoDominantOrbit(
             f"two orbits share the dominant modulus {rho:.6g} within "
             f"SEP_MIN={SEP_MIN:g}")
@@ -342,12 +402,12 @@ def dominant_data(p: ParamPoint, *,
         raise NoDominantOrbit(
             f"dominant orbit has {len(best)} members, expected s = {s}")
     best = [replace(c, kappa=sign * c.kappa) for c in best]
-    rep = min(best, key=sector)
-    higher = [m for m in others if m > rho]
-    separation = (min(higher) - rho) / rho if higher else math.inf
+    rep = min(best, key=_sector)
+    separation = min((gap for gap in gaps if gap > 0.0), default=math.inf)
     return DominantData(
         rho_star=rho, representative=rep, orbit=tuple(best),
         separation=separation, phi=cmath.phase(rep.x_star**s), s=s,
+        rank=rank, gaps=gaps,
     )
 
 

@@ -36,7 +36,7 @@ from .errors import InsufficientData, TodaSpectraError
 from .explicit_leaves import gamma_c_solve, phase_diagram
 from .hessian_blocks import RenormConfig
 from .laplacian_growth import (MomentDriver, SliceDriver, detect_thresholds,
-                               initial_state, radius_excess)
+                               dominant_at, initial_state)
 from .series_engine import MAX_ORDER, Leaf, ParamPoint, branch_power_rows
 from .spectral_scan import fit_log_scaling, scan_path
 
@@ -449,7 +449,10 @@ def config_sha256(sections: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command runners: each returns (csv files written, extra summary, failures)
+# command runners: each returns (csv files written, extra summary, failures,
+# points, points ok).  A point fails if it has a failure or was never
+# reached; run-level failures (the initial state, zeta_critical, the fit,
+# the thresholds, the dominant orbit of ``char``) are no points.
 
 
 def _failure(ident: str, exc: Exception) -> dict:
@@ -499,7 +502,9 @@ def _run_series(rc: RunConfig, out: Path, threads):
     except TodaSpectraError as exc:
         failures.append(_failure("series", exc))
     write_csv(out / "series.csv", ("p", "m", "value"), rows)
-    return ["series.csv"], {"n_rows": len(rows)}, failures, len(v["p_list"])
+    n = len(v["p_list"])
+    return (["series.csv"], {"n_rows": len(rows)}, failures, n,
+            0 if failures else n)
 
 
 def _run_char(rc: RunConfig, out: Path, threads):
@@ -524,7 +529,7 @@ def _run_char(rc: RunConfig, out: Path, threads):
         except TodaSpectraError as exc:
             failures.append(_failure("dominant", exc))
     write_csv(out / "char_points.csv", CHAR_HEADER, rows)
-    return ["char_points.csv"], extra, failures, max(1, len(cps))
+    return ["char_points.csv"], extra, failures, max(1, len(cps)), len(cps)
 
 
 def _run_spectrum(rc: RunConfig, out: Path, threads):
@@ -534,7 +539,8 @@ def _run_spectrum(rc: RunConfig, out: Path, threads):
     rows, failures = _spectra_rows(points)
     write_csv(out / "spectra.csv", SPECTRA_HEADER, rows)
     extra = {"circle_grids": _grid_facts(points)}
-    return ["spectra.csv"], extra, failures, len(points)
+    return (["spectra.csv"], extra, failures, len(points),
+            sum(pt.ok for pt in points))
 
 
 def _run_scan(rc: RunConfig, out: Path, threads):
@@ -550,7 +556,8 @@ def _run_scan(rc: RunConfig, out: Path, threads):
             zc = critical_parameter(ray, lo, hi)
         except TodaSpectraError as exc:
             write_csv(out / "spectra.csv", SPECTRA_HEADER, [])
-            return ["spectra.csv"], extra, [_failure("zeta_critical", exc)], 1
+            return (["spectra.csv"], extra, [_failure("zeta_critical", exc)],
+                    1, 0)
         extra["zeta_critical_solved"] = _jf(zc)
 
     def path(delta):
@@ -578,18 +585,25 @@ def _run_scan(rc: RunConfig, out: Path, threads):
             for q, f in sorted(fits.items())}
     except InsufficientData as exc:
         failures.append(_failure("fit", exc))
-    return ["spectra.csv"], extra, failures, len(points)
+    return (["spectra.csv"], extra, failures, len(points),
+            sum(pt.ok for pt in points))
 
 
 def _trajectory_rows(states, failures: list) -> list:
     """CSV rows of the recorded states.  A state whose rho_* fails keeps
-    its row, with rho_star NaN, and the failure joins ``failures``."""
+    its row, with rho_star NaN, and the failure joins ``failures``.  Each
+    state's dominant orbit is certified with the previous row's data as
+    ``near``, and afresh after a failed row."""
     rows = []
+    near = None
     for st in states:
         try:
-            excess = radius_excess(st)
-            rho = math.inf if math.isinf(excess) else 1.0 + excess
+            near = dominant_at(st, near)
+            # 1 + (rho_* - 1), so that rho_star prints with the rounding
+            # of radius_excess, to the bit
+            rho = math.inf if near is None else 1.0 + (near.rho_star - 1.0)
         except TodaSpectraError as exc:
+            near = None
             rho = math.nan
             failures.append(_failure(f"rho_star,T={_g17(st.t)}", exc))
         row = [st.t, st.r]
@@ -616,7 +630,7 @@ def _run_lg(rc: RunConfig, out: Path, threads):
                 initial_state(ParamPoint(leaf, zeta0, r=v["r0"])))
         except TodaSpectraError as exc:
             write_csv(out / "trajectory.csv", header, [])
-            return ["trajectory.csv"], extra, [_failure("initial", exc)], 1
+            return ["trajectory.csv"], extra, [_failure("initial", exc)], 1, 0
     else:
         zeta0, rate = v["zeta0"], v["rate"]
         zfun = lambda t: tuple(z + r * t for z, r in zip(zeta0, rate))
@@ -630,8 +644,10 @@ def _run_lg(rc: RunConfig, out: Path, threads):
         except TodaSpectraError as exc:
             failures.append(_failure(f"T={_g17(t)}", exc))
             break
+    state_failures = len(failures)
     write_csv(out / "trajectory.csv", header,
               _trajectory_rows(states, failures))
+    ok = len(states) - (len(failures) - state_failures)
 
     if v["detect"]:
         try:
@@ -644,7 +660,7 @@ def _run_lg(rc: RunConfig, out: Path, threads):
             }
         except TodaSpectraError as exc:
             failures.append(_failure("thresholds", exc))
-    return ["trajectory.csv"], extra, failures, len(times)
+    return ["trajectory.csv"], extra, failures, len(times), ok
 
 
 def _run_leaves(rc: RunConfig, out: Path, threads):
@@ -664,7 +680,8 @@ def _run_leaves(rc: RunConfig, out: Path, threads):
         gc = gamma_c_solve(GAMMA_C_TOL)
         extra["gamma_c"] = {"value": _jf(gc), "tol": _jf(GAMMA_C_TOL),
                             "status": "root of rho_char(1, gamma) = 1"}
-    return ["phase.csv"], extra, failures, len(table.cells)
+    return (["phase.csv"], extra, failures, len(table.cells),
+            len(table.cells) - len(failures))
 
 
 _RUNNERS = {"series": _run_series, "char": _run_char, "spectrum": _run_spectrum,
@@ -754,15 +771,14 @@ def main(argv=None) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    csvs, extra, failures, total = _RUNNERS[rc.command](rc, out, threads)
+    csvs, extra, failures, total, ok = _RUNNERS[rc.command](rc, out, threads)
     summary = {
         "schema": 1,
         "command": rc.command,
         "config": rc.sections,
         "config_sha256": config_sha256(rc.sections),
         "outputs": {"csv": csvs},
-        "points": {"total": total, "failed": len(failures),
-                   "ok": max(0, total - len(failures))},
+        "points": {"total": total, "failed": total - ok, "ok": ok},
         "failures": failures,
     }
     summary.update(extra)

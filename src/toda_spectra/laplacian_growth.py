@@ -12,8 +12,9 @@ holds by construction rather than by accumulation of small integration
 errors.  Every recorded state's moments are recomputed by quadrature and
 checked against the targets the state was solved for.
 
-Threshold detection marches a trajectory driver in T while monitoring the
-excess dominant-singularity modulus rho_*(zeta(T)) - 1 and the univalence
+Threshold detection marches a trajectory driver's probes in T while
+monitoring the excess dominant-singularity modulus rho_*(zeta(T)) - 1, its
+certified dominant orbit carried from probe to probe, and the univalence
 margin min_{|w|=1} |f'(w)|, then brackets and bisects the first zero of
 each.  The margin is a grid minimum refined by safeguarded Newton on the
 smooth |f'|^2, its sign a Schur-Cohn test on the zeros of f', and every
@@ -33,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._brent import brentq
-from .branch_points import dominant_data
+from .branch_points import DominantData, dominant_data
 from .errors import (MomentMismatch, QuadratureNotConverged, TrajectoryStalled,
                      UnivalenceLost)
 from .series_engine import Leaf, ParamPoint
@@ -460,6 +461,10 @@ class MomentDriver:
         self._states.insert(j, st)
         return st
 
+    def probe(self, t: float) -> TrajectoryState:
+        """``state(t)``: the accepted state is already cached and checked."""
+        return self.state(t)
+
     def _targets(self, t: float) -> np.ndarray:
         # t_0 on the unit-rate ramp through the initial state, t_k pinned
         t_ref, t0_ref = self._ramp
@@ -480,20 +485,34 @@ class SliceDriver:
     Near a cusp the boundary approaches z = 0 and their quadrature slows
     down, so the driver escalates the node count a few times and then
     records NaN instead of blocking threshold detection; the univalence
-    margin itself is unaffected.
+    margin itself is unaffected.  ``probe(t)`` skips the quadrature
+    altogether.
     """
 
     def __init__(self, leaf: Leaf, zeta_of_t: Callable):
         self.leaf = leaf
         self._zeta = zeta_of_t
 
-    def state(self, t: float) -> TrajectoryState:
-        t = float(t)
-        r = 1.0
+    def _coefficients(self, t: float) -> tuple[complex, ...]:
         z = self._zeta(t)
         if np.isscalar(z) or isinstance(z, complex):
             z = (z,)
-        a = tuple(complex(v) for v in z)
+        return tuple(complex(v) for v in z)
+
+    def probe(self, t: float) -> TrajectoryState:
+        """The state at T = t without its moments (NaN): threshold
+        detection reads only zeta(T) and the univalence margin, so the
+        quadrature that recorded states print is skipped."""
+        t = float(t)
+        a = self._coefficients(t)
+        moms = (complex("nan+nanj"),) * (1 + len(self.leaf.exponents))
+        return TrajectoryState(self.leaf, t, 1.0, a, moms,
+                               univalence_margin(1.0, a, self.leaf))
+
+    def state(self, t: float) -> TrajectoryState:
+        t = float(t)
+        r = 1.0
+        a = self._coefficients(t)
         moms = None
         n = N_QUAD_DEFAULT
         for _ in range(5):
@@ -508,18 +527,34 @@ class SliceDriver:
                                univalence_margin(r, a, self.leaf))
 
 
+def dominant_at(state: TrajectoryState,
+                near: DominantData | None = None) -> DominantData | None:
+    """Certified dominant orbit of the state's reduced parameters, or None
+    for the circle (zeta = 0, up to solver roundoff), whose branch is
+    entire.  ``near`` is the data of a nearby state on the same trajectory,
+    whose certificate ``dominant_data`` inherits where the orbits show it
+    may; a trajectory passes each state's data on to the next."""
+    point = state.param_point()
+    if max(abs(z) for z in point.zeta) < 1e-12:
+        return None
+    return dominant_data(point, near=near)
+
+
+def _excess(dom: DominantData | None) -> float:
+    return math.inf if dom is None else dom.rho_star - 1.0
+
+
 def radius_excess(state: TrajectoryState) -> float:
     """rho_*(zeta) - 1 for the state's reduced parameters.
 
-    The circle (zeta = 0, up to solver roundoff) has an entire branch,
-    reported as +inf.  Any other state, however far subcritical, takes
-    rho_* from ``dominant_data`` and raises as it does: its least
-    characteristic modulus may belong to an orbit off the Taylor sheet.
+    The circle has an entire branch, reported as +inf.  Any other state,
+    however far subcritical, takes rho_* from a fresh ``dominant_data``
+    and raises as it does: its least characteristic modulus may belong to
+    an orbit off the Taylor sheet.  Along a trajectory, ``dominant_at``
+    with the previous state's data gives the same value, bit for bit, and
+    mostly skips the certifying rays.
     """
-    point = state.param_point()
-    if max(abs(z) for z in point.zeta) < 1e-12:
-        return math.inf
-    return dominant_data(point).rho_star - 1.0
+    return _excess(dominant_at(state))
 
 
 @dataclass(frozen=True)
@@ -540,41 +575,63 @@ class ThresholdReport:
     separated: bool | None
 
 
-def _first_zero(fun, grid, vals, xtol):
+def _brackets(vlo: float, vhi: float) -> bool:
+    """Whether samples vlo, vhi at the ends of a grid step hold the first
+    zero of a function positive before it: vhi = 0 or a sign change."""
+    return (math.isfinite(vlo) and math.isfinite(vhi)
+            and (vhi == 0.0 or vlo > 0.0 > vhi))
+
+
+def _first_zero(fun_on, grid, vals, xtol):
+    """First zero of the sampled function: a grid point where it is 0, or
+    the ``brentq`` root of ``fun_on(j)`` on the first sign-changing bracket
+    [grid[j-1], grid[j]]."""
     if math.isfinite(vals[0]) and vals[0] <= 0.0:
         return float(grid[0])
     for j in range(1, len(vals)):
-        vlo, vhi = vals[j - 1], vals[j]
-        if not (math.isfinite(vlo) and math.isfinite(vhi)):
+        if not _brackets(vals[j - 1], vals[j]):
             continue
-        if vhi == 0.0:
+        if vals[j] == 0.0:
             return float(grid[j])
-        if vlo > 0.0 > vhi:
-            return float(brentq(fun, float(grid[j - 1]), float(grid[j]),
-                                xtol=xtol))
+        return float(brentq(fun_on(j), float(grid[j - 1]), float(grid[j]),
+                            xtol=xtol))
     return None
 
 
 def detect_thresholds(driver, t_max: float) -> ThresholdReport:
     """Locate the first spectral (t_c) and geometric (t_univ) thresholds.
 
-    Marches ``driver.state`` over [0, t_max] in DETECT_STEPS steps, then
+    Marches ``driver.probe`` over [0, t_max] in DETECT_STEPS steps, then
     brackets and bisects the first sign change of g(T) = rho_* - 1 and of
     the univalence margin, each to ``T_XTOL``.  Thresholds not reached by
-    ``t_max`` come back as None.
+    ``t_max`` come back as None.  The probes carry zeta(T) and the margin
+    only (a ``SliceDriver`` skips the moment quadrature).  Each grid
+    probe's dominant orbit is certified with the previous probe's data as
+    ``near``, and each Brent iterate with the data at its bracket's left
+    end, so the certifying rays run at the first probe and where orbits
+    cross, and the result does not depend on the order of Brent's
+    iterates.
     """
     grid = np.linspace(0.0, float(t_max), DETECT_STEPS + 1)
     g_vals = []
     u_vals = []
-    for t in grid:
-        st = driver.state(float(t))
+    # the data at the left end of each bracket, and only there: holding
+    # every probe's orbits would raise the peak memory for nothing
+    lefts = {}
+    near = None
+    for j, t in enumerate(grid):
+        st = driver.probe(float(t))
         u_vals.append(st.univalence_margin)
-        g_vals.append(radius_excess(st))
-    t_c = _first_zero(lambda t: radius_excess(driver.state(t)),
-                      grid, g_vals, T_XTOL)
-    t_univ = _first_zero(lambda t: driver.state(t).univalence_margin,
-                         grid, u_vals, T_XTOL)
-    margin = driver.state(t_c).univalence_margin if t_c is not None else None
+        prev, near = near, dominant_at(st, near)
+        g_vals.append(_excess(near))
+        if j and _brackets(g_vals[j - 1], g_vals[j]):
+            lefts[j] = prev
+    t_c = _first_zero(
+        lambda j: lambda t: _excess(dominant_at(driver.probe(t), lefts[j])),
+        grid, g_vals, T_XTOL)
+    margin_at = lambda t: driver.probe(t).univalence_margin
+    t_univ = _first_zero(lambda j: margin_at, grid, u_vals, T_XTOL)
+    margin = margin_at(t_c) if t_c is not None else None
     separated = None
     if t_c is not None:
         separated = margin > 0.0 and (t_univ is None or t_univ > t_c)
@@ -586,7 +643,8 @@ def approach_path(driver, t_c: float):
 
     Adapts a trajectory driver to the path convention of the spectral
     scanner, with delta = t_c - T the time remaining to the threshold.
+    Only zeta(T) is read, so the path takes the driver's probes.
     """
     def path(delta: float) -> ParamPoint:
-        return driver.state(t_c - float(delta)).param_point()
+        return driver.probe(t_c - float(delta)).param_point()
     return path

@@ -239,6 +239,97 @@ def test_dominant_data_always_decides_gcd_one_leaves(data, exps):
     assert abs(x.imag) <= 1e-12 * abs(x) and x.real > 0
 
 
+def _tracked_and_fresh(path, steps):
+    """(fresh, tracked) per point of ``path``: its certification without
+    ``near`` and with the previous tracked data as ``near``, each a
+    DominantData or the exception raised.  The tracked chain restarts
+    after a failure, as callers do."""
+    out, near = [], None
+    for t in np.linspace(0.0, 1.0, steps):
+        point = path(float(t))
+        pair = []
+        for kwargs in ({}, {"near": near}):
+            try:
+                pair.append(dominant_data(point, **kwargs))
+            except NoDominantOrbit as exc:
+                pair.append(exc)
+        near = pair[1] if not isinstance(pair[1], Exception) else None
+        out.append(tuple(pair))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       exps=st.sampled_from([(2,), (3,), (3, 6), (4, 8, 12), (2, 5)]),
+       phases=st.booleans())
+def test_dominant_data_near_agrees_with_fresh_certification(data, exps,
+                                                             phases):
+    # along a straight path between two random points, the inherited
+    # certificate gives the fresh one bit for bit, or both refuse
+    leaf = Leaf(exps)
+    z0, z1 = (data.draw(_zetas(leaf, 0.02, 0.5, phases=phases))
+              for _ in range(2))
+    path = lambda t: ParamPoint(leaf, tuple(a + t * (b - a)
+                                            for a, b in zip(z0, z1)))
+    for fresh, tracked in _tracked_and_fresh(path, 24):
+        if isinstance(fresh, Exception):
+            assert isinstance(tracked, Exception)
+        else:
+            assert tracked == fresh
+
+
+def test_dominant_data_near_keeps_the_orbit_on_the_taylor_sheet(
+        monkeypatch):
+    # the {4,8,12} point whose least orbit is off the sheet, with zeta_n
+    # scaled by c^(s_n): U(x) becomes U(c x), every modulus is divided by
+    # c and the gaps stay put, so the certificate is inherited all along
+    zeta = (0.06031228598119853 - 0.0045747524662346495j,
+            0.007960749551171273 - 0.0013335265996104323j,
+            -0.00039566520459172064 - 0.000235270918358796j)
+    leaf = Leaf((4, 8, 12))
+    rays = []
+    ray_value = branch_points._ray_value
+    monkeypatch.setattr(branch_points, "_ray_value",
+                        lambda p, x: rays.append(x) or ray_value(p, x))
+    near = None
+    for c in np.linspace(0.9, 1.1, 21):
+        point = ParamPoint(leaf, tuple(z * c**k for z, k
+                                       in zip(zeta, leaf.exponents)))
+        near = dominant_data(point, near=near)
+        assert near.rank == 1
+        assert near.rho_star == pytest.approx(1.0561627261 / c, rel=1e-9)
+        if c == 0.9:
+            assert len(rays) == 2        # off the sheet, then on it
+    assert len(rays) == 2
+
+
+def test_dominant_data_near_recertifies_where_orbits_cross(monkeypatch):
+    # a complex {3,6} path on which the two orbits' moduli cross at
+    # t = 0.35 ... 0.375 and dominance passes from one to the other: the
+    # gap rule stops the inheritance around the crossing, the rays decide
+    # there, and every step agrees with a fresh certification
+    leaf = Leaf((3, 6))
+    z0, z1 = (0.054 - 0.1389j, 0.0265 + 0.068j), (0.0772 + 0.0422j,
+                                                  -0.02 + 0.0224j)
+    path = lambda t: ParamPoint(leaf, tuple(a + t * (b - a)
+                                            for a, b in zip(z0, z1)))
+    steps = list(_tracked_and_fresh(path, 41))
+    assert all(tracked == fresh for fresh, tracked in steps)
+    before, after = steps[14][0], steps[15][0]
+    assert min(abs(c.x_star - before.representative.x_star)
+               for c in after.orbit) > 0.1 * before.rho_star
+    rays = []
+    ray_value = branch_points._ray_value
+    monkeypatch.setattr(branch_points, "_ray_value",
+                        lambda p, x: rays.append(x) or ray_value(p, x))
+    ts = np.linspace(0.0, 1.0, 41)
+    assert dominant_data(path(float(ts[15])), near=steps[14][1]) == after
+    assert rays
+    rays.clear()
+    assert dominant_data(path(float(ts[2])), near=steps[1][1]) == steps[2][0]
+    assert not rays
+
+
 def test_radius_estimate_exponent_discriminates():
     # a geometric series has exponent 0, not the square-root value -3/2
     geom = 0.5 ** np.arange(121)

@@ -13,7 +13,8 @@ import pytest
 
 from conftest import read_csv, read_summary
 from csv_oracle import csv_text
-from toda_spectra import NoConvergence, cli
+from toda_spectra import (NoConvergence, NoDominantOrbit, branch_points, cli,
+                          laplacian_growth)
 
 G17 = re.compile(r"^-?(\d+(\.\d+)?([eE][+-]?\d+)?|inf|nan)$")
 
@@ -244,6 +245,80 @@ detect = false
         (f"rho_star,T={cli._g17(t)}", "NoDominantOrbit")
         for t in (0.0, 0.05, 0.1)]
     assert "1.32048" in summary["failures"][0]["detail"]
+
+
+def test_summary_points_count_points_not_failures(tmp_path):
+    # the {2,3} slice whose every state is refused (above), with
+    # detection: three failed states and the run-level thresholds failure
+    # make three failed points of three
+    cfgfile = _write(tmp_path, "lg.ini", """\
+[leaf]
+exponents = 2 3
+
+[lg]
+driver = slice
+zeta0 = -0.05 -0.05
+rate = 0 0
+t_max = 0.1
+steps = 2
+detect = true
+""")
+    out = tmp_path / "out"
+    assert cli.main(["lg", "--config", str(cfgfile), "--out", str(out),
+                     "--threads", "1"]) == 2
+    summary = read_summary(out, "lg")
+    assert summary["points"] == {"total": 3, "failed": 3, "ok": 0}
+    assert [f["id"] for f in summary["failures"]][-1] == "thresholds"
+
+
+def _counting(monkeypatch, owner, name, counts):
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("config,rays,moments", [
+    ("lg_demo.ini", 2, 25), ("lg_onemode.ini", 2, 81)])
+def test_growth_runs_certify_once_per_chain(tmp_path, monkeypatch, config,
+                                            rays, moments):
+    # the recorded rows and the threshold probes are two chains, each
+    # certified by rays at its first state only.  The slice's probes skip
+    # the moment quadrature, so only its 25 recorded rows integrate; the
+    # moment driver's probes are its cached, quadrature-checked states
+    counts = {}
+    _counting(monkeypatch, branch_points, "_ray_value", counts)
+    _counting(monkeypatch, laplacian_growth, "harmonic_moments", counts)
+    assert cli.main(["lg", "--config", str(CONFIGS / config), "--out",
+                     str(tmp_path / "out"), "--threads", "1"]) == 0
+    assert (counts["_ray_value"], counts["harmonic_moments"]) \
+        == (rays, moments)
+
+
+def test_trajectory_rows_recertify_after_a_failed_row(tmp_path,
+                                                      monkeypatch):
+    # the chain of recorded rows restarts from a fresh certification after
+    # a row whose rho_* failed
+    nears = []
+    inner = laplacian_growth.dominant_data
+
+    def flaky(point, *, near=None):
+        nears.append(near)
+        if len(nears) == 2:
+            raise NoDominantOrbit("refused for the test")
+        return inner(point, near=near)
+
+    monkeypatch.setattr(laplacian_growth, "dominant_data", flaky)
+    out = tmp_path / "out"
+    assert cli.main(["lg", "--config", str(CONFIGS / "lg_demo.ini"),
+                     "--set", "lg.steps=3", "--set", "lg.detect=false",
+                     "--out", str(out), "--threads", "1"]) == 2
+    assert [near is None for near in nears] == [True, False, True, False]
+    assert read_summary(out, "lg")["points"] == {"total": 4, "failed": 1,
+                                                 "ok": 3}
 
 
 def test_scan_unbracketed_critical_parameter_is_recorded(tmp_path):

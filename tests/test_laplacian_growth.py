@@ -1,5 +1,6 @@
 """Tests for harmonic moments, trajectory drivers, and threshold detection."""
 
+import cmath
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from margin_oracle import golden_margin
 from moment_oracle import two_pass_moments
-from toda_spectra import laplacian_growth
+from toda_spectra import branch_points, laplacian_growth
 from toda_spectra import (Leaf, MomentDriver, MomentMismatch, ParamPoint,
                           QuadratureNotConverged,
                           SliceDriver, TrajectoryState, UnivalenceLost,
@@ -359,6 +360,41 @@ def test_detect_thresholds_none_when_not_reached(monkeypatch):
     report = detect_thresholds(driver, 1.0)
     assert report.t_c is None and report.t_univ is None
     assert report.margin_at_tc is None and report.separated is None
+
+
+def test_slice_probe_is_the_state_without_its_moments(monkeypatch):
+    driver = SliceDriver(Leaf((3, 6)), lambda t: (0.05 + 0.1 * t, 0.005))
+    st = driver.state(0.7)
+    monkeypatch.setattr(laplacian_growth, "harmonic_moments",
+                        lambda *a, **k: pytest.fail("probe integrated"))
+    pr = driver.probe(0.7)
+    assert (pr.t, pr.r, pr.a, pr.univalence_margin) \
+        == (st.t, st.r, st.a, st.univalence_margin)
+    assert len(pr.moments) == 3 and all(cmath.isnan(m) for m in pr.moments)
+
+
+def test_moment_probe_is_the_cached_state():
+    driver = MomentDriver(initial_state(ParamPoint(LEAF2, (0.05,), r=1.0)))
+    assert driver.probe(0.5) is driver.state(0.5)
+
+
+def test_detect_thresholds_inherits_without_changing_the_result(
+        monkeypatch):
+    # the chained certificates run the rays at the first probe only and
+    # give the report of fresh ones, bit for bit
+    monkeypatch.setattr(laplacian_growth, "DETECT_STEPS", 16)
+    driver = SliceDriver(Leaf((2, 5)), lambda t: (0.05 + 0.1 * t, 0.01))
+    rays = []
+    ray_value = branch_points._ray_value
+    monkeypatch.setattr(branch_points, "_ray_value",
+                        lambda p, x: rays.append(x) or ray_value(p, x))
+    tracked = detect_thresholds(driver, 1.5)
+    assert len(rays) == 1
+    fresh = laplacian_growth.dominant_data
+    monkeypatch.setattr(laplacian_growth, "dominant_data",
+                        lambda p, near=None: fresh(p))
+    assert detect_thresholds(driver, 1.5) == tracked
+    assert 0.0 < tracked.t_c < 1.5
 
 
 def test_geometric_breakdown_after_spectral_threshold():
