@@ -172,28 +172,33 @@ def _previous_gamma_c_solve(tol, *, bracket=(0.1, 0.5)):
     return 0.5 * (lo + hi)
 
 
+_dominant_data = bp.dominant_data
+
+
 def _previous_dominant_data(p, *, points=None, near=None):
     # every probe certified afresh
-    return bp.dominant_data(p, points=points)
+    return _dominant_data(p, points=points)
 
 
 @contextlib.contextmanager
 def _previous_code():
+    # detect_thresholds certifies through branch_points.critical_parameter,
+    # which looks dominant_data up in branch_points
     saved = (lg._newton_moments, lg._zeros_inside, el.phase_diagram,
-             cli.write_csv, el.gamma_c_solve, lg.dominant_data,
+             cli.write_csv, el.gamma_c_solve, bp.dominant_data,
              SliceDriver.probe)
     lg._newton_moments = _previous_newton
     lg._zeros_inside = _previous_zeros_inside
     el.phase_diagram = leaf_oracle.phase_diagram
     cli.write_csv = _previous_write_csv
     el.gamma_c_solve = _previous_gamma_c_solve
-    lg.dominant_data = _previous_dominant_data
+    bp.dominant_data = _previous_dominant_data
     SliceDriver.probe = SliceDriver.state
     try:
         yield
     finally:
         (lg._newton_moments, lg._zeros_inside, el.phase_diagram,
-         cli.write_csv, el.gamma_c_solve, lg.dominant_data,
+         cli.write_csv, el.gamma_c_solve, bp.dominant_data,
          SliceDriver.probe) = saved
 
 

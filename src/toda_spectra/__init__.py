@@ -5,7 +5,6 @@ from .errors import (
     NoConvergence,
     DegenerateSeries,
     NoDominantOrbit,
-    BranchJump,
     TailNotConverged,
     GridTooLarge,
     WrongSheet,
@@ -31,7 +30,6 @@ from .branch_points import (
     solve_characteristic,
     amplitude_A,
     dominant_data,
-    continue_critical,
     critical_parameter,
 )
 from .hessian_blocks import (

@@ -3,7 +3,8 @@
 ``brentq`` follows the operation order of SciPy's ``brentq.c`` (Brent
 1973, ch. 4) step for step, so that it returns the same floating-point
 results.  ``brentq_many`` takes the same steps on many brackets at once,
-with one vectorized function call per step.
+with one vectorized function call per step, and ``first_zero`` on the
+first bracket of a function sampled along a grid.
 """
 
 from __future__ import annotations
@@ -107,13 +108,45 @@ def brentq(f: Callable[[float], float], a: float, b: float, *,
     """
     _check_xtol(xtol)
     a, b = float(a), float(b)
-    steps = _brent_steps(a, b, _value(f, a), _value(f, b), xtol)
+    return _solve(f, _brent_steps(a, b, _value(f, a), _value(f, b), xtol))
+
+
+def _solve(f: Callable[[float], float], steps) -> float:
+    """Run Brent's iteration ``steps`` on the values of f."""
     try:
         x = next(steps)
         while True:
             x = steps.send(_value(f, x))
     except StopIteration as stop:
         return stop.value
+
+
+def first_zero(sample: Callable[[int], float], grid, fun_on, *,
+               xtol: float) -> float | None:
+    """First zero along ``grid`` of a function that is positive before it.
+
+    ``sample(j)`` gives the value at grid[j]; it is called in grid order
+    and no further than the zero's step.  The zero is grid[0] if the value
+    there is at most 0.  Otherwise it is the first grid[j] where the value
+    is 0, or the root on the first step [grid[j-1], grid[j]] over which
+    the value falls from above 0 to below, found by ``brentq`` on
+    ``fun_on(j)`` to ``xtol`` from the sampled values at the step's ends.
+    A non-finite value brackets nothing.  None if there is no zero.
+    """
+    _check_xtol(xtol)
+    prev = sample(0)
+    if math.isfinite(prev) and prev <= 0.0:
+        return float(grid[0])
+    for j in range(1, len(grid)):
+        val = sample(j)
+        if math.isfinite(prev) and math.isfinite(val):
+            if val == 0.0:
+                return float(grid[j])
+            if prev > 0.0 > val:
+                return float(_solve(fun_on(j), _brent_steps(
+                    float(grid[j - 1]), float(grid[j]), prev, val, xtol)))
+        prev = val
+    return None
 
 
 def brentq_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],

@@ -16,8 +16,9 @@ modulus on the Taylor branch itself: it continues F(y, t x_*) = 0 from
 (t, y) = (0, 1) toward each orbit in turn, in order of modulus, and takes
 the first whose square-root germ lambda +- kappa sqrt(1 - t) the branch
 meets (the connection problem of Flajolet and Sedgewick, *Analytic
-Combinatorics*, VII.7).  It then continues the dominant point along
-parameter paths and solves rho_*(zeta(t)) = 1 for critical loci.
+Combinatorics*, VII.7).  Along a parameter path it carries that
+certificate from point to point, and ``critical_parameter`` finds the
+first crossing of rho_*(zeta(t)) = 1 on certified values alone.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._brent import brentq
-from .errors import BranchJump, NoConvergence, NoDominantOrbit, NotBracketed
+from ._brent import first_zero
+from .errors import NoConvergence, NoDominantOrbit, NotBracketed
 from .series_engine import ParamPoint
 from .series_engine import taylor_branch  # noqa: F401  (looked up by perfbench/tracer.py)
 
@@ -38,7 +39,6 @@ __all__ = [
     "DominantData",
     "solve_characteristic",
     "dominant_data",
-    "continue_critical",
     "critical_parameter",
     "amplitude_A",
 ]
@@ -57,10 +57,10 @@ CERT_TOL = 0.3
 # RAY_ALPHA (Smale's alpha test with gamma from Fyy, inside his bound)
 RAY_ALPHA = 0.25
 RAY_STEP_MIN = 1e-13
-# continuation step accepted when x_* moves by at most this fraction of |x_*|
+# an inherited orbit moves by at most this fraction of |x_*| (dominant_data)
 JUMP_MAX = 0.1
-# bracketing grid and Brent tolerance of critical_parameter
-CRIT_COARSE = 17
+# grid steps and Brent tolerance of critical_parameter, as the scan uses it
+CRIT_STEPS = 16
 CRIT_XTOL = 1e-12
 
 
@@ -86,7 +86,6 @@ def _char_derivs(p: ParamPoint, x: complex, y: complex):
     Fy = 1.0 + 0.0j
     Fx = 0.0 + 0.0j
     Fyy = 0.0 + 0.0j
-    Fyx = 0.0 + 0.0j
     scale = 1.0
     for zn, sn in zip(p.zeta, p.leaf.exponents):
         if zn == 0:
@@ -98,9 +97,8 @@ def _char_derivs(p: ParamPoint, x: complex, y: complex):
         Fy -= sn * term
         Fx -= sn * term * y / x
         Fyy -= sn * (sn - 1) * term / y
-        Fyx -= sn * sn * term / x
         scale += sn * (sn - 1) * abs(term / y)
-    return F, Fy, Fx, Fyy, Fyx, scale
+    return F, Fy, Fx, Fyy, scale
 
 
 def _kappa_branch(k2: complex) -> complex:
@@ -108,17 +106,6 @@ def _kappa_branch(k2: complex) -> complex:
     if k.real < 0 or (k.real == 0 and k.imag < 0):
         k = -k
     return k
-
-
-def _char_point_at(x: complex, y: complex, derivs) -> CharPoint:
-    """The characteristic point (x, y), classified by ``derivs``, the
-    values of ``_char_derivs`` there."""
-    _, _, Fx, Fyy, _, scale = derivs
-    simple = abs(Fyy) > SIMPLE_TOL * scale
-    fold_ok = abs(Fx) > SIMPLE_TOL * scale / max(abs(x), 1e-300)
-    kappa = _kappa_branch(2.0 * x * Fx / Fyy) if simple else 0.0 + 0.0j
-    return CharPoint(x_star=x, lam=y, kappa=kappa, modulus=abs(x),
-                     simple=simple, fold_ok=fold_ok)
 
 
 def _psi(p: ParamPoint, u: complex) -> complex:
@@ -190,11 +177,15 @@ def solve_characteristic(p: ParamPoint) -> list[CharPoint]:
             at_infinity += 1
             continue
         x = u / lam
-        F, Fy, *_ = derivs = _char_derivs(p, x, lam)
+        F, Fy, Fx, Fyy, scale = _char_derivs(p, x, lam)
         tol = TOL_CHAR * (1.0 + abs(lam))
         if abs(F) > tol or abs(Fy) > tol:
             continue
-        out.append(_char_point_at(x, lam, derivs))
+        simple = abs(Fyy) > SIMPLE_TOL * scale
+        fold_ok = abs(Fx) > SIMPLE_TOL * scale / max(abs(x), 1e-300)
+        kappa = _kappa_branch(2.0 * x * Fx / Fyy) if simple else 0.0 + 0.0j
+        out.append(CharPoint(x_star=x, lam=lam, kappa=kappa, modulus=abs(x),
+                             simple=simple, fold_ok=fold_ok))
     if len(out) + at_infinity < len(kept_u) or not out:
         raise NoConvergence(
             f"characteristic solve kept {len(out)} of {len(kept_u)} clustered "
@@ -272,8 +263,7 @@ def _ray_value(p: ParamPoint, x_star: complex) -> complex:
         r1 = max(r - dr, end)
         y1 = y + (r1 - r) * dydr
         for evals in range(1, 9):
-            F, Fy, Fx, Fyy, _, _ = _char_derivs(p, (1.0 - r1 * r1) * x_star,
-                                                y1)
+            F, Fy, Fx, Fyy, _ = _char_derivs(p, (1.0 - r1 * r1) * x_star, y1)
             step = F / Fy
             if evals == 1 and abs(step * Fyy) > RAY_ALPHA * abs(Fy):
                 break
@@ -343,8 +333,10 @@ def dominant_data(p: ParamPoint, *, points: list[CharPoint] | None = None,
     orbit of smaller modulus was shown to be off the sheet.  The sign of
     Re w orients kappa.  The orbit must have s members and no other orbit
     may share its modulus within SEP_MIN (relative); ``separation`` is the
-    relative gap to the next larger one.  ``points`` passes in
-    ``solve_characteristic(p)`` when the caller already has it.
+    relative gap to the next larger one.  A non-simple orbit has no germ
+    to compare: it is passed over where its ray ends far from its lam, and
+    refused otherwise.  ``points`` passes in ``solve_characteristic(p)``
+    when the caller already has it.
 
     ``near`` is the certified data of a nearby point on the same parameter
     path.  Its certificate is inherited, and no ray runs, when the orbit
@@ -363,9 +355,9 @@ def dominant_data(p: ParamPoint, *, points: list[CharPoint] | None = None,
     Raises
     ------
     NoDominantOrbit
-        No orbit is met, a candidate before the dominant one is not a
-        simple square-root point, the dominant orbit ties with another or
-        has the wrong size, or a continuation stalls.
+        No orbit is met, a non-simple candidate before the dominant one
+        is not ruled out by its ray, the dominant orbit ties with another
+        or has the wrong size, or a continuation stalls.
     """
     s = p.leaf.s
     if points is None:
@@ -379,12 +371,20 @@ def dominant_data(p: ParamPoint, *, points: list[CharPoint] | None = None,
     else:
         for rank, best in enumerate(orbits):
             rep = min(best, key=_sector)
+            u = _ray_value(p, complex(rep.x_star))
             if not rep.simple:
+                # where the branch meets a point, U(t x_*) - lam shrinks
+                # like an m-th root of 1 - t (m = 2 at a simple point), so
+                # at 1 - t = CERT_H it is down to CERT_H^(1/m) of its way
+                # from U(0) = 1: 5% for a cube root, below half up to
+                # m = 13.  A ray ending more than half of |lam - 1| from
+                # lam did not meet the point, so it cannot be dominant
+                if abs(u - rep.lam) > 0.5 * abs(rep.lam - 1.0):
+                    continue
                 raise NoDominantOrbit(
                     f"characteristic point x_*={rep.x_star:.6g} is not a "
                     f"simple square-root point; its germ cannot be compared")
-            w = ((_ray_value(p, complex(rep.x_star)) - rep.lam)
-                 / (rep.kappa * math.sqrt(CERT_H)))
+            w = (u - rep.lam) / (rep.kappa * math.sqrt(CERT_H))
             sign = 1.0 if w.real >= 0 else -1.0
             if abs(w - sign) <= CERT_TOL:
                 break
@@ -411,115 +411,53 @@ def dominant_data(p: ParamPoint, *, points: list[CharPoint] | None = None,
     )
 
 
-def _newton_char(p: ParamPoint, x: complex, y: complex):
-    """Damped Newton on (F, dF/dy) = 0 in the unknowns (y, x): the root
-    (x, y) with the values of ``_char_derivs`` there, or None."""
-    for _ in range(60):
-        F, Fy, Fx, Fyy, Fyx, _ = _char_derivs(p, x, y)
-        det = Fy * Fyx - Fx * Fyy
-        if det == 0:
-            return None
-        # solve [[Fy, Fx], [Fyy, Fyx]] @ [dy, dx] = [F, Fy]
-        dy = (F * Fyx - Fx * Fy) / det
-        dx = (Fy * Fy - Fyy * F) / det
-        limit = 0.5 * max(abs(x), abs(y))
-        norm = max(abs(dx), abs(dy))
-        if norm > limit:
-            damp = limit / norm
-            dx *= damp
-            dy *= damp
-        x, y = x - dx, y - dy
-        if max(abs(dx), abs(dy)) < 1e-14 * (1.0 + max(abs(x), abs(y))):
-            F, Fy, *_ = derivs = _char_derivs(p, x, y)
-            tol = TOL_CHAR * (1.0 + abs(y))
-            if abs(F) <= tol and abs(Fy) <= tol:
-                return x, y, derivs
-            return None
-    return None
+def critical_parameter(path, t_lo: float, t_hi: float,
+                       steps: int = CRIT_STEPS,
+                       xtol: float = CRIT_XTOL) -> float:
+    """First downward crossing of rho_*(zeta(t)) = 1 on [t_lo, t_hi].
 
-
-def continue_critical(path, t_grid) -> list[tuple[float, CharPoint, float]]:
-    """Continue the dominant characteristic point along zeta(t).
-
-    ``path`` maps t to a ParamPoint.  The dominant orbit is identified at the
-    first grid point; after that each step reuses the previous (x_*, lambda)
-    as the Newton seed.  A step whose solution moves by more than
-    ``JUMP_MAX * |x_*|`` is bisected until continuity is restored.
-
-    Returns a list of (t, CharPoint, rho_star) in grid order.
-
-    Raises
-    ------
-    BranchJump
-        Bisection hit depth 48 without restoring continuity (a different
-        orbit captured the iteration).
-    """
-    t_grid = [float(t) for t in t_grid]
-    if not t_grid:
-        return []
-    dom = dominant_data(path(t_grid[0]))
-    cp0 = dom.representative
-    out = [(t_grid[0], cp0, cp0.modulus)]
-    prev_t, prev = t_grid[0], cp0
-
-    def step(t0: float, cp: CharPoint, t1: float, depth: int) -> CharPoint:
-        sol = _newton_char(path(t1), cp.x_star, cp.lam)
-        if sol is not None:
-            x, y, derivs = sol
-            if abs(x - cp.x_star) <= JUMP_MAX * abs(cp.x_star):
-                return _char_point_at(x, y, derivs)
-        if depth >= 48:
-            raise BranchJump(
-                f"continuation lost the orbit between t={t0:.6g} and t={t1:.6g}"
-            )
-        tm = 0.5 * (t0 + t1)
-        mid = step(t0, cp, tm, depth + 1)
-        return step(tm, mid, t1, depth + 1)
-
-    for t in t_grid[1:]:
-        cp = step(prev_t, prev, t, 0)
-        out.append((t, cp, cp.modulus))
-        prev_t, prev = t, cp
-    return out
-
-
-def critical_parameter(path, t_lo: float, t_hi: float) -> float:
-    """Solve rho_*(zeta(t)) = 1 on [t_lo, t_hi] by continuation plus Brent.
-
-    Marches the dominant point over a CRIT_COARSE-point grid to bracket a
-    sign change of rho_*(t) - 1, then refines with a seeded Newton inside
-    brentq to CRIT_XTOL.
+    ``path`` maps t to a ParamPoint, or to None for zeta = 0, whose
+    branch is entire (rho_* - 1 = +inf there).  The dominant orbit is
+    certified at the points of a uniform grid of ``steps`` steps in turn,
+    each with the previous point's data as ``near`` (``dominant_data``),
+    up to the first step over which rho_* - 1 falls from above 0 to 0 or
+    below.  ``brentq`` solves it there to ``xtol``, each iterate certified
+    with the data at the step's left end as ``near``, so the result does
+    not depend on the order of the iterates.  Every rho_* read is a
+    certified one: where orbits cross along the path, the certificate
+    falls back to the rays and dominance may pass to another orbit.
 
     Raises
     ------
     NotBracketed
-        rho_* - 1 does not change sign on the interval.
+        rho_* - 1 is below 0 at t_lo, or does not fall to 0 on the
+        interval.
+    NoDominantOrbit
+        A certification refuses a grid point or an iterate.
     """
-    grid = np.linspace(t_lo, t_hi, CRIT_COARSE)
-    track = continue_critical(path, grid)
-    vals = [rho - 1.0 for _, _, rho in track]
-    bracket = None
-    for i in range(len(vals) - 1):
-        if vals[i] == 0.0:
-            return float(grid[i])
-        if vals[i] * vals[i + 1] < 0:
-            bracket = i
-            break
-    if vals[-1] == 0.0:
-        return float(grid[-1])
-    if bracket is None:
+    grid = np.linspace(t_lo, t_hi, steps + 1)
+    chain = [None, None]  # data at the last two grid points certified
+    vals = []
+
+    def excess(t: float, near: DominantData | None):
+        point = path(t)
+        dom = None if point is None else dominant_data(point, near=near)
+        return dom, (math.inf if dom is None else dom.rho_star - 1.0)
+
+    def sample(j: int) -> float:
+        dom, val = excess(float(grid[j]), chain[1])
+        chain[:] = chain[1], dom
+        vals.append(val)
+        return val
+
+    def on_step(j: int):
+        left = chain[0]  # asked right after sample(j): grid[j - 1]'s data
+        return lambda t: excess(t, left)[1]
+
+    t = first_zero(sample, grid, on_step, xtol=xtol)
+    if t is None or vals[0] < 0.0:
         raise NotBracketed(
-            f"rho_* - 1 keeps sign on [{t_lo:g}, {t_hi:g}] "
-            f"(endpoints {vals[0]:.3e}, {vals[-1]:.3e})"
-        )
-    seed = {"cp": track[bracket][1]}
-
-    def g(t: float) -> float:
-        sol = _newton_char(path(t), seed["cp"].x_star, seed["cp"].lam)
-        if sol is None:
-            raise NoConvergence(f"characteristic Newton failed at t={t:.6g}")
-        x, y, derivs = sol
-        seed["cp"] = _char_point_at(x, y, derivs)
-        return abs(x) - 1.0
-
-    return float(brentq(g, grid[bracket], grid[bracket + 1], xtol=CRIT_XTOL))
+            f"rho_* - 1 does not fall to 0 on [{t_lo:g}, {t_hi:g}] "
+            f"(it is {vals[0]:.3e} at t={t_lo:g} and {vals[-1]:.3e} at "
+            f"t={grid[len(vals) - 1]:g})")
+    return t

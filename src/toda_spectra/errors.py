@@ -26,10 +26,6 @@ class NoDominantOrbit(TodaSpectraError):
     """No single symmetry orbit of characteristic points is dominant."""
 
 
-class BranchJump(TodaSpectraError):
-    """Continuation captured a different solution branch and bisection failed."""
-
-
 class TailNotConverged(TodaSpectraError):
     """A truncated tail sum or its quadrature has not converged to tolerance."""
 

@@ -12,14 +12,13 @@ holds by construction rather than by accumulation of small integration
 errors.  Every recorded state's moments are recomputed by quadrature and
 checked against the targets the state was solved for.
 
-Threshold detection marches a trajectory driver's probes in T while
-monitoring the excess dominant-singularity modulus rho_*(zeta(T)) - 1, its
-certified dominant orbit carried from probe to probe, and the univalence
-margin min_{|w|=1} |f'(w)|, then brackets and bisects the first zero of
-each.  The margin is a grid minimum refined by safeguarded Newton on the
-smooth |f'|^2, its sign a Schur-Cohn test on the zeros of f', and every
-circle grid with its monomials w^p is built once per (node count, powers)
-and then shared.
+Threshold detection finds the first crossing of rho_*(zeta(T)) = 1 by
+the certified solver ``branch_points.critical_parameter`` on a trajectory
+driver's probes, and the first zero of the univalence margin
+min_{|w|=1} |f'(w)| on the same probe times.  The margin is a grid
+minimum refined by safeguarded Newton on the smooth |f'|^2, its sign a
+Schur-Cohn test on the zeros of f', and every circle grid with its
+monomials w^p is built once per (node count, powers) and then shared.
 """
 
 from __future__ import annotations
@@ -33,10 +32,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._brent import brentq
-from .branch_points import DominantData, dominant_data
-from .errors import (MomentMismatch, QuadratureNotConverged, TrajectoryStalled,
-                     UnivalenceLost)
+from ._brent import first_zero
+from .branch_points import DominantData, critical_parameter, dominant_data
+from .errors import (MomentMismatch, NotBracketed, QuadratureNotConverged,
+                     TrajectoryStalled, UnivalenceLost)
 from .series_engine import Leaf, ParamPoint
 
 N_QUAD_DEFAULT = 512
@@ -527,21 +526,22 @@ class SliceDriver:
                                univalence_margin(r, a, self.leaf))
 
 
+def _point(state: TrajectoryState) -> ParamPoint | None:
+    """The state's reduced parameters, or None for the circle (zeta = 0,
+    up to solver roundoff), whose branch is entire."""
+    point = state.param_point()
+    return None if max(abs(z) for z in point.zeta) < 1e-12 else point
+
+
 def dominant_at(state: TrajectoryState,
                 near: DominantData | None = None) -> DominantData | None:
     """Certified dominant orbit of the state's reduced parameters, or None
-    for the circle (zeta = 0, up to solver roundoff), whose branch is
-    entire.  ``near`` is the data of a nearby state on the same trajectory,
-    whose certificate ``dominant_data`` inherits where the orbits show it
-    may; a trajectory passes each state's data on to the next."""
-    point = state.param_point()
-    if max(abs(z) for z in point.zeta) < 1e-12:
-        return None
-    return dominant_data(point, near=near)
-
-
-def _excess(dom: DominantData | None) -> float:
-    return math.inf if dom is None else dom.rho_star - 1.0
+    for the circle.  ``near`` is the data of a nearby state on the same
+    trajectory, whose certificate ``dominant_data`` inherits where the
+    orbits show it may; a trajectory passes each state's data on to the
+    next."""
+    point = _point(state)
+    return None if point is None else dominant_data(point, near=near)
 
 
 def radius_excess(state: TrajectoryState) -> float:
@@ -554,14 +554,16 @@ def radius_excess(state: TrajectoryState) -> float:
     with the previous state's data gives the same value, bit for bit, and
     mostly skips the certifying rays.
     """
-    return _excess(dominant_at(state))
+    dom = dominant_at(state)
+    return math.inf if dom is None else dom.rho_star - 1.0
 
 
 @dataclass(frozen=True)
 class ThresholdReport:
     """First-crossing times of the spectral and geometric thresholds.
 
-    ``t_c``: first zero of rho_*(zeta(T)) - 1 (None if not reached).
+    ``t_c``: first downward crossing of rho_*(zeta(T)) = 1 (None if there
+    is none: not reached, or a trajectory that starts past it).
     ``t_univ``: first zero of the univalence margin (None if not reached).
     ``margin_at_tc``: univalence margin evaluated at t_c.
     ``separated``: True when the margin at t_c is strictly positive and
@@ -575,62 +577,41 @@ class ThresholdReport:
     separated: bool | None
 
 
-def _brackets(vlo: float, vhi: float) -> bool:
-    """Whether samples vlo, vhi at the ends of a grid step hold the first
-    zero of a function positive before it: vhi = 0 or a sign change."""
-    return (math.isfinite(vlo) and math.isfinite(vhi)
-            and (vhi == 0.0 or vlo > 0.0 > vhi))
-
-
-def _first_zero(fun_on, grid, vals, xtol):
-    """First zero of the sampled function: a grid point where it is 0, or
-    the ``brentq`` root of ``fun_on(j)`` on the first sign-changing bracket
-    [grid[j-1], grid[j]]."""
-    if math.isfinite(vals[0]) and vals[0] <= 0.0:
-        return float(grid[0])
-    for j in range(1, len(vals)):
-        if not _brackets(vals[j - 1], vals[j]):
-            continue
-        if vals[j] == 0.0:
-            return float(grid[j])
-        return float(brentq(fun_on(j), float(grid[j - 1]), float(grid[j]),
-                            xtol=xtol))
-    return None
-
-
 def detect_thresholds(driver, t_max: float) -> ThresholdReport:
     """Locate the first spectral (t_c) and geometric (t_univ) thresholds.
 
-    Marches ``driver.probe`` over [0, t_max] in DETECT_STEPS steps, then
-    brackets and bisects the first sign change of g(T) = rho_* - 1 and of
-    the univalence margin, each to ``T_XTOL``.  Thresholds not reached by
+    t_c is ``critical_parameter`` on the path of ``driver.probe``'s zeta(T)
+    over [0, t_max] in DETECT_STEPS steps, to ``T_XTOL``: the certified
+    dominant orbit is carried from probe to probe, so its rays run at the
+    first probe and where orbits cross, and the march stops at the first
+    bracket.  t_univ is the first zero of the univalence margin on the
+    same grid, bracketed and refined by ``brentq`` to ``T_XTOL``, with the
+    margins of the probes already made.  Thresholds not reached by
     ``t_max`` come back as None.  The probes carry zeta(T) and the margin
-    only (a ``SliceDriver`` skips the moment quadrature).  Each grid
-    probe's dominant orbit is certified with the previous probe's data as
-    ``near``, and each Brent iterate with the data at its bracket's left
-    end, so the certifying rays run at the first probe and where orbits
-    cross, and the result does not depend on the order of Brent's
-    iterates.
+    only (a ``SliceDriver`` skips the moment quadrature), and no probe
+    time is probed twice.
     """
-    grid = np.linspace(0.0, float(t_max), DETECT_STEPS + 1)
-    g_vals = []
-    u_vals = []
-    # the data at the left end of each bracket, and only there: holding
-    # every probe's orbits would raise the peak memory for nothing
-    lefts = {}
-    near = None
-    for j, t in enumerate(grid):
-        st = driver.probe(float(t))
-        u_vals.append(st.univalence_margin)
-        prev, near = near, dominant_at(st, near)
-        g_vals.append(_excess(near))
-        if j and _brackets(g_vals[j - 1], g_vals[j]):
-            lefts[j] = prev
-    t_c = _first_zero(
-        lambda j: lambda t: _excess(dominant_at(driver.probe(t), lefts[j])),
-        grid, g_vals, T_XTOL)
-    margin_at = lambda t: driver.probe(t).univalence_margin
-    t_univ = _first_zero(lambda j: margin_at, grid, u_vals, T_XTOL)
+    t_max = float(t_max)
+    margins = {}  # univalence margin by probe time
+
+    def point_at(t: float) -> ParamPoint | None:
+        st = driver.probe(t)
+        margins[t] = st.univalence_margin
+        return _point(st)
+
+    def margin_at(t: float) -> float:
+        if t not in margins:
+            point_at(t)
+        return margins[t]
+
+    try:
+        t_c = critical_parameter(point_at, 0.0, t_max, DETECT_STEPS, T_XTOL)
+    except NotBracketed:
+        t_c = None
+    # the grid of critical_parameter, so that its probes' margins serve
+    grid = np.linspace(0.0, t_max, DETECT_STEPS + 1)
+    t_univ = first_zero(lambda j: margin_at(float(grid[j])), grid,
+                        lambda j: margin_at, xtol=T_XTOL)
     margin = margin_at(t_c) if t_c is not None else None
     separated = None
     if t_c is not None:

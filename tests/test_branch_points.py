@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from toda_spectra import (DegenerateSeries, Leaf, NoDominantOrbit,
                           NotBracketed, ParamPoint, amplitude_A,
-                          branch_points, continue_critical, critical_parameter,
-                          dominant_data, solve_characteristic, taylor_branch)
+                          branch_points, critical_parameter, dominant_data,
+                          solve_characteristic, taylor_branch)
+from toda_spectra._brent import brentq
 
 from radius_oracle import radius_estimate, ratio_orbit
 
@@ -226,6 +227,20 @@ def test_dominant_data_agrees_with_the_ratio_fit(data, exps):
     assert (dom.rho_star, sign) == want
 
 
+def test_dominant_data_passes_a_non_simple_orbit_its_ray_misses():
+    # the tiny zeta_3 puts a non-simple orbit at x_* = 3.9e-9, lam = 8.0e9
+    # below the dominant one: the branch stays near 1 along its ray, so it
+    # does not block the orbit at 0.9705123 that the ratio fit names
+    point = ParamPoint(Leaf((4, 8, 12)), (0.0625, 0.02520233765244484,
+                                          1.7148270359257367e-08))
+    least = min(solve_characteristic(point), key=lambda c: c.modulus)
+    assert not least.simple and abs(least.lam) > 1e9
+    dom = dominant_data(point)
+    assert dom.rank == 1
+    assert (dom.rho_star, -1) == ratio_orbit(point)
+    assert dom.representative.kappa.real < 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), exps=st.sampled_from([(2, 3), (2, 5)]))
 def test_dominant_data_always_decides_gcd_one_leaves(data, exps):
@@ -339,18 +354,7 @@ def test_radius_estimate_exponent_discriminates():
 
 
 # ---------------------------------------------------------------------------
-# continuation and the critical parameter
-
-
-def test_continue_critical_tracks_smoothly():
-    path = (lambda t: _one_mode(0.05 + 0.15 * t))
-    t_grid = np.linspace(0.0, 1.0, 9)
-    tracked = continue_critical(path, t_grid)
-    assert [t for t, _, _ in tracked] == list(t_grid)
-    final = min(solve_characteristic(path(1.0)), key=lambda c: c.modulus)
-    assert abs(tracked[-1][2] - final.modulus) < 1e-10
-    moduli = [rho for _, _, rho in tracked]
-    assert moduli == sorted(moduli, reverse=True)
+# the critical parameter
 
 
 @pytest.mark.parametrize("s,zc", [(2, 0.25), (3, 4.0 / 27.0)])
@@ -361,5 +365,75 @@ def test_critical_parameter_one_mode(s, zc):
 
 
 def test_critical_parameter_needs_a_bracket():
-    with pytest.raises(NotBracketed):
-        critical_parameter(lambda t: _one_mode(t), 0.01, 0.05)
+    # rho_* - 1 > 0 all over the first interval and < 0 all over the
+    # second: neither holds a downward crossing, and t_lo is not one
+    for lo, hi in ((0.01, 0.05), (0.3, 0.5)):
+        with pytest.raises(NotBracketed):
+            critical_parameter(lambda t: _one_mode(t), lo, hi)
+
+
+def test_critical_parameter_takes_the_orbit_that_becomes_dominant():
+    # on this {3,6} path dominance passes to the other orbit near t = 0.36;
+    # the orbit dominant at t = 0.34 stays above the unit circle, while
+    # the certified rho_* falls through 1 between t = 0.95 and 0.975
+    leaf = Leaf((3, 6))
+    z0, z1 = (0.054 - 0.1389j, 0.0265 + 0.068j), (0.0772 + 0.0422j,
+                                                  -0.02 + 0.0224j)
+    path = lambda t: ParamPoint(leaf, tuple(a + t * (b - a)
+                                            for a, b in zip(z0, z1)))
+    t = critical_parameter(path, 0.34, 1.0)
+    assert 0.95 < t < 0.975
+    assert abs(dominant_data(path(t)).rho_star - 1.0) < 1e-12
+
+
+def _fresh_excess(point):
+    try:
+        return dominant_data(point).rho_star - 1.0
+    except NoDominantOrbit:
+        return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(),
+       exps=st.sampled_from([(2,), (3,), (3, 6), (4, 8, 12), (2, 5)]),
+       phases=st.booleans())
+def test_critical_parameter_agrees_with_a_dense_fresh_march(data, exps,
+                                                            phases):
+    # from a random subcritical point toward a random supercritical one:
+    # where fresh certifications on a grid 8 times finer, which holds the
+    # routine's grid, fall through 0 once and refuse nowhere, the crossing
+    # is theirs to within xtol; where the routine refuses a point, a fresh
+    # certification refuses it too
+    leaf = Leaf(exps)
+    z0 = data.draw(_zetas(leaf, 0.02, 0.15, phases=phases))
+    z1 = data.draw(_zetas(leaf, 0.3, 0.6, phases=phases))
+    path = lambda t: ParamPoint(leaf, tuple(a + t * (b - a)
+                                            for a, b in zip(z0, z1)))
+    asked = []
+    try:
+        got = critical_parameter(lambda t: asked.append(t) or path(t),
+                                 0.0, 1.0)
+    except NoDominantOrbit:
+        assert _fresh_excess(path(asked[-1])) is None
+        return
+    except NotBracketed:
+        got = None
+    if got is not None:
+        assert abs(_fresh_excess(path(got))) < 1e-9
+    ts = np.linspace(0.0, 1.0, 8 * branch_points.CRIT_STEPS + 1)
+    fresh = [_fresh_excess(path(float(t))) for t in ts]
+    if None in fresh:
+        return
+    signs = np.sign(fresh)
+    if not (signs[0] > 0 > signs[-1]
+            and np.count_nonzero(np.diff(signs)) == 1):
+        return
+    j = int(np.flatnonzero(np.diff(signs))[0])
+    try:
+        want = brentq(lambda t: dominant_data(path(t)).rho_star - 1.0,
+                      ts[j], ts[j + 1], xtol=branch_points.CRIT_XTOL)
+    except NoDominantOrbit:
+        return
+    assert got is not None
+    assert abs(got - want) <= 2.0 * (branch_points.CRIT_XTOL
+                                     + 4.0 * np.finfo(float).eps)

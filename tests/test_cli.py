@@ -331,6 +331,18 @@ def test_scan_unbracketed_critical_parameter_is_recorded(tmp_path):
                           "NotBracketed")
 
 
+def test_scan_bracket_past_the_critical_parameter_is_recorded(tmp_path):
+    # rho_* < 1 all over [0.15, 0.2]: the crossing, at 0.1184, lies below
+    # the bracket, and its start is not taken for it
+    out = tmp_path / "out"
+    assert cli.main(["scan", "--config",
+                     str(CONFIGS / "scan_near_critical.ini"),
+                     "--set", "scan.crit_bracket=0.15 0.2",
+                     "--out", str(out), "--threads", "1"]) == 2
+    _assert_start_failure(out, "scan", "spectra.csv", "zeta_critical",
+                          "NotBracketed")
+
+
 def test_char_solve_failure_is_recorded(tmp_path, monkeypatch):
     def fail(point):
         raise NoConvergence("no characteristic solutions")

@@ -356,10 +356,12 @@ def test_detect_thresholds_on_declared_slice(monkeypatch):
 
 def test_detect_thresholds_none_when_not_reached(monkeypatch):
     monkeypatch.setattr(laplacian_growth, "DETECT_STEPS", 6)
-    driver = SliceDriver(LEAF2, lambda t: 0.05 + 0.01 * t)
-    report = detect_thresholds(driver, 1.0)
-    assert report.t_c is None and report.t_univ is None
-    assert report.margin_at_tc is None and report.separated is None
+    # the second slice starts past the threshold: no downward crossing
+    for zeta0 in (0.05, 0.3):
+        driver = SliceDriver(LEAF2, lambda t, z=zeta0: z + 0.01 * t)
+        report = detect_thresholds(driver, 1.0)
+        assert report.t_c is None and report.t_univ is None
+        assert report.margin_at_tc is None and report.separated is None
 
 
 def test_slice_probe_is_the_state_without_its_moments(monkeypatch):
@@ -390,10 +392,13 @@ def test_detect_thresholds_inherits_without_changing_the_result(
                         lambda p, x: rays.append(x) or ray_value(p, x))
     tracked = detect_thresholds(driver, 1.5)
     assert len(rays) == 1
-    fresh = laplacian_growth.dominant_data
-    monkeypatch.setattr(laplacian_growth, "dominant_data",
+    # critical_parameter looks dominant_data up in branch_points
+    fresh = branch_points.dominant_data
+    monkeypatch.setattr(branch_points, "dominant_data",
                         lambda p, near=None: fresh(p))
+    rays.clear()
     assert detect_thresholds(driver, 1.5) == tracked
+    assert len(rays) > 1                  # the fresh side ran its rays
     assert 0.0 < tracked.t_c < 1.5
 
 
