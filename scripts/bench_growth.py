@@ -35,6 +35,17 @@ For the two shipped phase grids (``configs/pole_phase.ini`` and
   %-template per row type signature; ``previous`` renders every value on
   its own (``tests/csv_oracle.py``).
 
+On the leaves {2}, {3}, {3,6}, {4,8,12}, {2,3} and {2,5}, at 20 random
+complex points each with rho_* near 1, it times
+
+* ``solve_characteristic``: ``branch_points.solve_characteristic``, one
+  root of Q(w), w = (x lambda)^s, and one classification per s-orbit;
+  ``previous`` solves P(u) and classifies every point
+  (``tests/char_oracle.py``).  With it go the largest relative
+  difference between the orbits' members and the previous points (x_*,
+  lambda, kappa) and the number of points whose least modulus agrees to
+  the bit.
+
 It times ``explicit_leaves.gamma_c_solve(1e-5)``, one ``brentq`` on
 rho_char(1, gamma) - 1; ``previous`` is the bisection it replaced, which
 asks at each gamma whether a bounded minimization of rho_char over
@@ -79,6 +90,7 @@ import numpy as np
 
 import leaf_oracle
 from bench_graded import _blas
+from char_oracle import characteristic_points
 from csv_oracle import csv_text
 from envelope_oracle import unit_level_attained
 from margin_oracle import fprime_root_moduli
@@ -107,10 +119,13 @@ DETECT = {
         ParamPoint(Leaf((2,)), (0.05,), r=1.0))), 2.0),
 }
 BATCH = {"march": 5, "univalence_margin": 200, "phase_diagram": 1,
-         "write_csv": 1, "gamma_c_solve": 10, "detect_thresholds": 3}
+         "write_csv": 1, "gamma_c_solve": 10, "detect_thresholds": 3,
+         "solve_characteristic": 5}
 GAMMA_C_TOL = 1e-5
 SIGN_LEAVES = [(2,), (3,), (2, 3), (3, 6), (4, 8, 12)]
 SIGN_DRAWS = 2000
+SOLVE_LEAVES = [(2,), (3,), (3, 6), (4, 8, 12), (2, 3), (2, 5)]
+SOLVE_POINTS = 20
 
 
 def _quadrature_residual(leaf, v, targets):
@@ -281,6 +296,39 @@ def _detect(name, repeats):
             "ray_calls": rays, "previous": {"ray_calls": previous_rays}}
 
 
+def _solve(exps, repeats):
+    leaf = Leaf(exps)
+    rng = np.random.default_rng(0)
+    points = [ParamPoint(leaf, tuple(
+        rng.uniform(0.05, 0.4) ** (e / 2)
+        * np.exp(1j * rng.uniform(-np.pi, np.pi)) for e in exps))
+        for _ in range(SOLVE_POINTS)]
+    batch = BATCH["solve_characteristic"]
+    orbits, now = _per_call(
+        lambda: [bp.solve_characteristic(p) for p in points], batch, repeats)
+    previous, before = _per_call(
+        lambda: [characteristic_points(p) for p in points], batch, repeats)
+    worst, same_rho = 0.0, 0
+    s = leaf.s
+    for got, want in zip(orbits, previous):
+        members = [(cp.x_star * np.exp(2j * np.pi * k / s), cp)
+                   for cp in got for k in range(s)]
+        for o in want:
+            x, cp = min(members, key=lambda m: abs(m[0] - o.x_star)
+                        + abs(m[1].lam - o.lam))
+            # kappa's sign is fixed by Re kappa >= 0, unresolved near 0
+            dk = min(abs(cp.kappa - o.kappa), abs(cp.kappa + o.kappa))
+            worst = max(worst, abs(x - o.x_star) / o.modulus,
+                        abs(cp.lam - o.lam) / abs(o.lam),
+                        dk / max(abs(o.kappa), 1e-300))
+        same_rho += int(got[0].modulus == want[0].modulus)
+    return {"leaf": list(exps), "points": SOLVE_POINTS,
+            "calls": {"solve_characteristic": _timing(
+                (None, now / SOLVE_POINTS), (None, before / SOLVE_POINTS),
+                batch)},
+            "max_rel_diff": worst, "least_modulus_bit_identical": same_rho}
+
+
 def _rel_diff(new, old):
     """Largest |new - old| / |old| over the entries not NaN in both."""
     new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
@@ -387,6 +435,10 @@ def main(argv=None) -> int:
         for kind in GRIDS:
             cases[f"phase_{kind}"] = _phase(kind, args.repeats, Path(tmp))
             print(kind, json.dumps(cases[f"phase_{kind}"]), file=sys.stderr)
+    for exps in SOLVE_LEAVES:
+        name = "solve_" + "_".join(map(str, exps))
+        cases[name] = _solve(exps, args.repeats)
+        print(name, json.dumps(cases[name]), file=sys.stderr)
     cases["gamma_c"] = _gamma_c(args.repeats)
     print("gamma_c", json.dumps(cases["gamma_c"]), file=sys.stderr)
     result = {
@@ -396,15 +448,19 @@ def main(argv=None) -> int:
                 "laplacian_growth.detect_thresholds on the drivers of the "
                 "shipped lg configs, "
                 "explicit_leaves.phase_diagram and cli.write_csv of its "
-                "rows on the shipped grids, and "
-                "explicit_leaves.gamma_c_solve(1e-5); previous = moment "
+                "rows on the shipped grids, "
+                "explicit_leaves.gamma_c_solve(1e-5), and "
+                "branch_points.solve_characteristic on six leaves; "
+                "previous = moment "
                 "Newton on quadrature residuals with a finite-difference "
                 "Jacobian, margin sign from np.roots, every detection probe "
                 "certified afresh and the slice's moments integrated at "
                 "each, the phase grid cell "
                 "by cell with a scalar brentq per column, CSV values "
                 "rendered one by one, gamma_c by bisecting a bounded "
-                "interior minimum plus a Richardson limit toward b = 1",
+                "interior minimum plus a Richardson limit toward b = 1, "
+                "the characteristic system solved and classified point by "
+                "point in u = x lambda",
         "command": f"python3 scripts/bench_growth.py --repeats {args.repeats}",
         "machine": {"nproc": os.cpu_count(), "numpy": np.__version__,
                     "blas": _blas(),

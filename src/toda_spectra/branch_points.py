@@ -1,16 +1,19 @@
 """Characteristic points of the inverse-map equation and dominant-orbit data.
 
 With F(y, x) = y - 1 - sum_n zeta_n x^{s_n} y^{s_n}, the Taylor branch
-y = U(x) loses analyticity where F and dF/dy vanish simultaneously.  The
-substitution u = x*y collapses that two-equation system to one polynomial
+y = U(x) loses analyticity where F and dF/dy vanish simultaneously.  Every
+s_n is a multiple of the leaf's symmetry index s, and the substitution
+w = (x*y)^s collapses that two-equation system to one polynomial
 
-    P(u) = 1 + sum_n zeta_n (1 - s_n) u^{s_n},
+    Q(w) = 1 + sum_n zeta_n (1 - s_n) w^{s_n/s}
 
-each root of which yields a characteristic pair through lambda = 1 + Psi(u)
-and x_* = u / lambda, where Psi(u) = sum_n zeta_n u^{s_n}.  Roots with
-lambda = 0 correspond to solutions at infinity and are discarded.
+of degree at most s_N/s.  Each root yields one s-orbit of characteristic points
+through lambda = 1 + Psi(w) and z_* = x_*^s = w / lambda^s, where
+Psi(w) = sum_n zeta_n w^{s_n/s}; its s members share lambda and kappa.
+Roots with lambda = 0 correspond to solutions at infinity and are
+discarded.
 
-The module classifies the finite solutions (square-root coefficient kappa,
+The module classifies the finite orbits (square-root coefficient kappa,
 simple/fold flags) and identifies the dominant s-orbit, the one of least
 modulus on the Taylor branch itself: it continues F(y, t x_*) = 0 from
 (t, y) = (0, 1) toward each orbit in turn, in order of modulus, and takes
@@ -66,8 +69,10 @@ CRIT_XTOL = 1e-12
 
 @dataclass(frozen=True)
 class CharPoint:
-    """One finite solution of the characteristic system.
+    """One s-orbit of finite solutions of the characteristic system.
 
+    The orbit's s points x_* e^{2 pi i k/s} share lam and kappa;
+    ``x_star`` is its representative, the member with arg in [0, 2 pi/s).
     ``kappa`` is the square-root coefficient of the branch expansion,
     with the branch fixed by Re kappa >= 0 (ties broken by Im kappa >= 0).
     """
@@ -108,17 +113,18 @@ def _kappa_branch(k2: complex) -> complex:
     return k
 
 
-def _psi(p: ParamPoint, u: complex) -> complex:
-    return sum(zn * u**sn for zn, sn in zip(p.zeta, p.leaf.exponents))
-
-
 def solve_characteristic(p: ParamPoint) -> list[CharPoint]:
-    """All finite characteristic solutions (x_*, lambda) of the leaf.
+    """All finite characteristic orbits of the leaf, one CharPoint each.
 
-    Eliminates to the single polynomial P(u) = 1 + sum zeta_n (1-s_n) u^{s_n}
-    via u = x*lambda, polishes each root by one-dimensional Newton on P, and
-    maps back.  Roots mapping to infinity (lambda = 0) are dropped; the
-    remaining count is checked against the polynomial degree.
+    With u = x*lambda the system collapses to P(u) = 1 + sum zeta_n (1-s_n)
+    u^{s_n}; every s_n is a multiple of s, so P(u) = Q(w) in w = u^s, of
+    degree top/s.  Each root of Q is polished by Newton in w and gives one
+    orbit: lambda = 1 + Psi(w), with Psi(w) = sum zeta_n w^{s_n/s}, and
+    z_* = x_*^s = w / lambda^s.  x F_x and F_yy do not change under
+    x -> x e^{2 pi i/s}, so the members share lambda and kappa, and one
+    evaluation at the representative classifies the orbit.  Roots mapping
+    to infinity (lambda = 0) are dropped; the remaining count is checked
+    against the degree of Q.  Sorted by modulus, then by arg x_*.
 
     Raises
     ------
@@ -128,68 +134,63 @@ def solve_characteristic(p: ParamPoint) -> list[CharPoint]:
     """
     if p.is_zero():
         raise ValueError("characteristic system needs zeta != 0")
-    top = max(sn for zn, sn in zip(p.zeta, p.leaf.exponents) if zn != 0)
-    # P coefficients, highest power first, for np.roots
+    s = p.leaf.s
+    terms = [(zn, sn // s) for zn, sn in zip(p.zeta, p.leaf.exponents)
+             if zn != 0]
+    q = [(zn * (1 - m * s), m) for zn, m in terms]
+    top = max(m for _, m in q)
+    # Q coefficients, highest power first, for np.roots
     coeff = np.zeros(top + 1, dtype=np.complex128)
     coeff[-1] = 1.0
-    for zn, sn in zip(p.zeta, p.leaf.exponents):
-        if sn <= top:
-            coeff[top - sn] += zn * (1 - sn)
+    for c, m in q:
+        coeff[top - m] += c
     roots = np.roots(coeff)
 
-    def P_and_dP(u):
-        v = 1.0 + 0.0j
-        dv = 0.0 + 0.0j
-        for zn, sn in zip(p.zeta, p.leaf.exponents):
-            if zn == 0:
-                continue
-            c = zn * (1 - sn)
-            v += c * u**sn
-            dv += c * sn * u ** (sn - 1)
-        return v, dv
-
     polished = []
-    for u in roots:
+    for w in roots:
         for _ in range(40):
-            v, dv = P_and_dP(u)
+            v = sum((c * w**m for c, m in q), 1.0 + 0.0j)
+            dv = sum((c * m * w ** (m - 1) for c, m in q), 0.0j)
             if dv == 0:
                 break
             step = v / dv
-            u = u - step
-            if abs(step) < 1e-15 * (1.0 + abs(u)):
+            w = w - step
+            if abs(step) < 1e-15 * (1.0 + abs(w)):
                 break
-        polished.append(u)
+        polished.append(w)
 
-    # cluster duplicates (multiple roots split by rounding)
-    kept_u: list[complex] = []
-    u_scale = max(abs(u) for u in polished)
-    for u in sorted(polished, key=lambda v: (abs(v), v.real, v.imag)):
-        if all(abs(u - w) > CLUSTER_RADIUS * u_scale for w in kept_u):
-            kept_u.append(u)
+    # cluster duplicates (multiple roots split by rounding), relative to
+    # each root: with a tiny zeta_n the roots of Q span many decades
+    kept_w: list[complex] = []
+    for w in sorted(polished, key=lambda v: (abs(v), v.real, v.imag)):
+        if all(abs(w - v) > CLUSTER_RADIUS * abs(w) for v in kept_w):
+            kept_w.append(w)
 
     out = []
     at_infinity = 0
-    for u in kept_u:
-        lam = 1.0 + _psi(p, u)
-        lam_scale = 1.0 + sum(abs(zn) * abs(u) ** sn
-                              for zn, sn in zip(p.zeta, p.leaf.exponents))
+    for w in kept_w:
+        lam = 1.0 + sum(zn * w**m for zn, m in terms)
+        lam_scale = 1.0 + sum(abs(zn) * abs(w) ** m for zn, m in terms)
         if abs(lam) <= TOL_CHAR * lam_scale:
             at_infinity += 1
             continue
-        x = u / lam
+        # the representative, arg x_* = arg(z_*)/s in [0, 2 pi/s)
+        modulus = abs(w) ** (1.0 / s) / abs(lam)
+        z = w / lam**s
+        x = cmath.rect(modulus, (cmath.phase(z) % (2.0 * math.pi)) / s)
         F, Fy, Fx, Fyy, scale = _char_derivs(p, x, lam)
         tol = TOL_CHAR * (1.0 + abs(lam))
         if abs(F) > tol or abs(Fy) > tol:
             continue
         simple = abs(Fyy) > SIMPLE_TOL * scale
-        fold_ok = abs(Fx) > SIMPLE_TOL * scale / max(abs(x), 1e-300)
+        fold_ok = abs(Fx) > SIMPLE_TOL * scale / max(modulus, 1e-300)
         kappa = _kappa_branch(2.0 * x * Fx / Fyy) if simple else 0.0 + 0.0j
-        out.append(CharPoint(x_star=x, lam=lam, kappa=kappa, modulus=abs(x),
+        out.append(CharPoint(x_star=x, lam=lam, kappa=kappa, modulus=modulus,
                              simple=simple, fold_ok=fold_ok))
-    if len(out) + at_infinity < len(kept_u) or not out:
+    if len(out) + at_infinity < len(kept_w) or not out:
         raise NoConvergence(
-            f"characteristic solve kept {len(out)} of {len(kept_u)} clustered "
-            f"roots (degree {top}, {at_infinity} at infinity)"
+            f"characteristic solve kept {len(out)} of {len(kept_w)} clustered "
+            f"roots (degree {top} in w = u^{s}, {at_infinity} at infinity)"
         )
     out.sort(key=lambda c: (c.modulus, cmath.phase(c.x_star) % (2 * math.pi)))
     return out
@@ -200,10 +201,11 @@ class DominantData:
     """Dominant s-orbit of characteristic points with transfer amplitudes.
 
     The orbit is the least one whose square-root germ the continued
-    Taylor branch meets (``dominant_data``); ``rho_star`` is its exact
-    characteristic modulus, and ``phi`` = arg(x_*^s) is shared by the whole
-    orbit.  The same continuation gives kappa the sign the Taylor sheet
-    realizes (U = lam + kappa*sqrt(1 - x/x_*) + ...), so the amplitudes
+    Taylor branch meets (``dominant_data``); ``representative`` is its
+    CharPoint, ``rho_star`` its exact characteristic modulus, and ``phi``
+    = arg z_* (z_* = x_*^s) is shared by the whole orbit.  The same
+    continuation gives kappa the sign the Taylor sheet realizes
+    (U = lam + kappa*sqrt(1 - x/x_*) + ...), so the amplitudes
     A_p = -(s^{-1/2}/(2 sqrt(pi))) p kappa lam^{p-1} are asymptotically
     exact, not just up to phase; ``amplitude_A`` computes A_p from the
     representative's kappa and lam.  ``rank`` is the orbit's place among
@@ -214,7 +216,6 @@ class DominantData:
 
     rho_star: float
     representative: CharPoint
-    orbit: tuple[CharPoint, ...]
     separation: float
     phi: float
     s: int
@@ -225,20 +226,6 @@ class DominantData:
 def amplitude_A(s: int, kappa: complex, lam: complex, p: int) -> complex:
     """Transfer amplitude A_p = -(s^{-1/2} / (2 sqrt(pi))) p kappa lam^(p-1)."""
     return -(s**-0.5 / (2.0 * math.sqrt(math.pi))) * p * kappa * lam ** (p - 1)
-
-
-def _group_orbits(points: list[CharPoint], s: int) -> list[list[CharPoint]]:
-    """Group characteristic points into rotation orbits by their shared x^s."""
-    groups: list[tuple[complex, list[CharPoint]]] = []
-    for cp in points:
-        z = cp.x_star**s
-        for z0, members in groups:
-            if abs(z - z0) <= CLUSTER_RADIUS * max(abs(z0), 1.0):
-                members.append(cp)
-                break
-        else:
-            groups.append((z, [cp]))
-    return [members for _, members in groups]
 
 
 def _ray_value(p: ParamPoint, x_star: complex) -> complex:
@@ -282,39 +269,37 @@ def _ray_value(p: ParamPoint, x_star: complex) -> complex:
     return y
 
 
-def _sector(c: CharPoint) -> float:
-    # orbit arguments are spaced by 2*pi/s, so the member with the least
-    # sector is the (unique) one in [0, 2*pi/s): the representative
-    return cmath.phase(c.x_star) % (2.0 * math.pi)
-
-
-def _inherited(orbits: list[list[CharPoint]], near: DominantData):
+def _inherited(orbits: list[CharPoint], near: DominantData):
     """(rank, kappa sign) of the orbit that continues ``near``'s, or None
     where its certificate cannot be carried over (``dominant_data``)."""
     if len(orbits) != len(near.gaps) + 1:
         return None
-    ref = near.representative
-    # match on any member: the representative changes member when the
-    # orbit's phase wraps past the sector boundary
-    dist, rank = min(((abs(c.x_star - ref.x_star), i)
-                      for i, g in enumerate(orbits) for c in g),
-                     key=lambda m: m[0])
+    ref, s = near.representative, near.s
+    # match on z_* = x_*^s: unlike the representative, it does not change
+    # member when the orbit's phase passes the sector boundary
+    z_ref = ref.x_star**s
+    rank = min(range(len(orbits)),
+               key=lambda i: abs(orbits[i].x_star**s - z_ref))
     best = orbits[rank]
-    if (rank != near.rank or dist > JUMP_MAX * ref.modulus
-            or len(best) != near.s or not all(c.simple for c in best)
-            or not all(c.simple and c.fold_ok
-                       for g in orbits[:rank] for c in g)):
+    # |dz/z| = s |dx/x| to first order
+    if (rank != near.rank
+            or abs(best.x_star**s - z_ref) > s * JUMP_MAX * abs(z_ref)
+            or not best.simple
+            or not all(c.simple and c.fold_ok for c in orbits[:rank])):
         return None
-    rho = best[0].modulus
-    gaps = [(g[0].modulus - rho) / rho for g in orbits if g is not best]
+    rho = best.modulus
+    gaps = [(c.modulus - rho) / rho for c in orbits if c is not best]
     for new, old in zip(gaps, near.gaps):
-        if (new * old <= 0.0 or abs(new) <= SEP_MIN
-                or abs(new - old) >= 0.5 * min(abs(new), abs(old))):
+        if new * old <= 0.0 or abs(new) <= SEP_MIN:
             return None
-    # the members of an orbit share kappa (x Fx and Fyy are invariant
-    # under x -> x e^{2 pi i/s}), so the representative's canonical kappa
-    # against near's oriented one decides the sign, as its ray would
-    turn = min(best, key=_sector).kappa * ref.kappa.conjugate()
+        # on the bounded scale g/(1 + |g|) a near orbit must hold its gap,
+        # while a far one may race away, or through infinity
+        new, old = new / (1.0 + abs(new)), old / (1.0 + abs(old))
+        if abs(new - old) >= 0.5 * min(abs(new), abs(old)):
+            return None
+    # the representative's canonical kappa against near's oriented one
+    # decides the sign, as its ray would
+    turn = best.kappa * ref.kappa.conjugate()
     cos = turn.real / abs(turn)
     if abs(cos) < 0.5:  # more than 60 degrees from either sign
         return None
@@ -331,83 +316,91 @@ def dominant_data(p: ParamPoint, *, points: list[CharPoint] | None = None,
     w = (U - lam)/(kappa sqrt(CERT_H)) lies within CERT_TOL of +1 or -1 is
     dominant: the branch meets its germ lam +- kappa sqrt(1 - t), and every
     orbit of smaller modulus was shown to be off the sheet.  The sign of
-    Re w orients kappa.  The orbit must have s members and no other orbit
-    may share its modulus within SEP_MIN (relative); ``separation`` is the
-    relative gap to the next larger one.  A non-simple orbit has no germ
-    to compare: it is passed over where its ray ends far from its lam, and
-    refused otherwise.  ``points`` passes in ``solve_characteristic(p)``
-    when the caller already has it.
+    Re w orients kappa.  A non-simple orbit has no germ to compare: it is
+    passed over where its ray ends far from its lam, and refused
+    otherwise.  Another orbit within SEP_MIN (relative) of the dominant
+    modulus is a tie, refused unless its ray rules it out in the same
+    way; U is a series in x^s, so orbits at the same z_* = x_*^s share one
+    ray.  ``separation`` is the relative gap to the next larger orbit.
+    ``points`` passes in ``solve_characteristic(p)`` when the caller
+    already has it.
 
     ``near`` is the certified data of a nearby point on the same parameter
     path.  Its certificate is inherited, and no ray runs, when the orbit
-    nearest to ``near``'s representative (on any member) moved by at most
-    JUMP_MAX * |x_*|; it keeps its rank and the number of orbits is
-    unchanged; every other orbit's signed relative gap keeps its sign,
-    stays above SEP_MIN and changes by less than half its smaller size;
-    the orbit has s simple members and every orbit below it is simple and
-    fold_ok; and kappa lies within 60 degrees of +- ``near``'s kappa,
-    whose sheet sign it takes by continuity.  Otherwise the rays run as
-    without ``near``.  Inside its disc of convergence U is analytic, and
-    F_y U' + F_x = 0 bars it from a characteristic point with F_y = 0 and
-    F_x != 0, so dominance can pass to another orbit only where some
-    orbit's modulus crosses the tracked one's, which the gap rule sees.
+    whose z_* is nearest to ``near``'s moved by at most
+    s * JUMP_MAX * |z_*|; it keeps its rank and the number of orbits is
+    unchanged; every other orbit's signed relative gap g keeps its sign,
+    stays above SEP_MIN and, on the scale g/(1 + |g|), changes by less
+    than half its smaller size; the orbit is simple and every orbit below
+    it is simple and fold_ok; and kappa lies within 60 degrees of +-
+    ``near``'s kappa, whose sheet sign it takes by continuity.  Otherwise
+    the rays run as without ``near``.  Inside its disc of convergence U is
+    analytic, and F_y U' + F_x = 0 bars it from a characteristic point
+    with F_y = 0 and F_x != 0, so dominance can pass to another orbit only
+    where some orbit's modulus crosses the tracked one's, which the gap
+    rule sees.
 
     Raises
     ------
     NoDominantOrbit
         No orbit is met, a non-simple candidate before the dominant one
         is not ruled out by its ray, the dominant orbit ties with another
-        or has the wrong size, or a continuation stalls.
+        that the branch may meet, or a continuation stalls.
     """
     s = p.leaf.s
-    if points is None:
-        points = solve_characteristic(p)
-    orbits = _group_orbits(points, s)
-    orbits.sort(key=lambda g: g[0].modulus)
+    orbits = solve_characteristic(p) if points is None else points
+    rays: list[tuple[complex, complex]] = []  # (z_*, U) of each ray run
+
+    def meets(c: CharPoint) -> float | None:
+        # +-1: the branch meets the orbit, with that sign of kappa; 0.0: it
+        # does not; None: a non-simple orbit its ray cannot rule out
+        z = c.x_star**s
+        u = next((u for z_ray, u in rays
+                  if abs(z - z_ray) <= CLUSTER_RADIUS * abs(z_ray)), None)
+        if u is None:
+            u = _ray_value(p, complex(c.x_star))
+            rays.append((z, u))
+        if not c.simple:
+            # where the branch meets a point, U(t x_*) - lam shrinks like
+            # an m-th root of 1 - t (m = 2 at a simple point), so at
+            # 1 - t = CERT_H it is down to CERT_H^(1/m) of its way from
+            # U(0) = 1: 5% for a cube root, below half up to m = 13.  A
+            # ray ending more than half of |lam - 1| from lam missed it
+            return 0.0 if abs(u - c.lam) > 0.5 * abs(c.lam - 1.0) else None
+        w = (u - c.lam) / (c.kappa * math.sqrt(CERT_H))
+        sign = 1.0 if w.real >= 0 else -1.0
+        return sign if abs(w - sign) <= CERT_TOL else 0.0
+
     inherited = None if near is None else _inherited(orbits, near)
     if inherited is not None:
         rank, sign = inherited
-        best = orbits[rank]
     else:
-        for rank, best in enumerate(orbits):
-            rep = min(best, key=_sector)
-            u = _ray_value(p, complex(rep.x_star))
-            if not rep.simple:
-                # where the branch meets a point, U(t x_*) - lam shrinks
-                # like an m-th root of 1 - t (m = 2 at a simple point), so
-                # at 1 - t = CERT_H it is down to CERT_H^(1/m) of its way
-                # from U(0) = 1: 5% for a cube root, below half up to
-                # m = 13.  A ray ending more than half of |lam - 1| from
-                # lam did not meet the point, so it cannot be dominant
-                if abs(u - rep.lam) > 0.5 * abs(rep.lam - 1.0):
-                    continue
+        for rank, c in enumerate(orbits):
+            sign = meets(c)
+            if sign is None:
                 raise NoDominantOrbit(
-                    f"characteristic point x_*={rep.x_star:.6g} is not a "
+                    f"characteristic point x_*={c.x_star:.6g} is not a "
                     f"simple square-root point; its germ cannot be compared")
-            w = (u - rep.lam) / (rep.kappa * math.sqrt(CERT_H))
-            sign = 1.0 if w.real >= 0 else -1.0
-            if abs(w - sign) <= CERT_TOL:
+            if sign:
                 break
         else:
             raise NoDominantOrbit(
                 f"the Taylor branch meets no characteristic orbit (moduli: "
-                f"{[g[0].modulus for g in orbits]})")
-    rho = best[0].modulus
-    gaps = tuple((g[0].modulus - rho) / rho for g in orbits if g is not best)
-    if any(abs(gap) <= SEP_MIN for gap in gaps):
+                f"{[c.modulus for c in orbits]})")
+    best = orbits[rank]
+    rho = best.modulus
+    others = [c for c in orbits if c is not best]
+    gaps = tuple((c.modulus - rho) / rho for c in others)
+    if any(abs(gap) <= SEP_MIN and meets(c) != 0.0
+           for c, gap in zip(others, gaps)):
         raise NoDominantOrbit(
             f"two orbits share the dominant modulus {rho:.6g} within "
             f"SEP_MIN={SEP_MIN:g}")
-    if len(best) != s:
-        raise NoDominantOrbit(
-            f"dominant orbit has {len(best)} members, expected s = {s}")
-    best = [replace(c, kappa=sign * c.kappa) for c in best]
-    rep = min(best, key=_sector)
+    rep = replace(best, kappa=sign * best.kappa)
     separation = min((gap for gap in gaps if gap > 0.0), default=math.inf)
     return DominantData(
-        rho_star=rho, representative=rep, orbit=tuple(best),
-        separation=separation, phi=cmath.phase(rep.x_star**s), s=s,
-        rank=rank, gaps=gaps,
+        rho_star=rho, representative=rep, separation=separation,
+        phi=cmath.phase(rep.x_star**s), s=s, rank=rank, gaps=gaps,
     )
 
 

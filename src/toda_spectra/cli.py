@@ -18,6 +18,7 @@ naming the failure, and also exits 2.
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import functools
 import hashlib
@@ -516,10 +517,16 @@ def _run_char(rc: RunConfig, out: Path, threads):
     except TodaSpectraError as exc:
         cps = []
         failures.append(_failure("char", exc))
-    for i, cp in enumerate(cps):
-        rows.append((i, cp.x_star.real, cp.x_star.imag, cp.lam.real,
-                     cp.lam.imag, cp.kappa.real, cp.kappa.imag, cp.modulus,
-                     cp.simple, cp.fold_ok))
+    # one row per point: each orbit's s rotations of its representative
+    s = point.leaf.s
+    members = sorted(((cp.x_star * cmath.exp(2j * math.pi * k / s), cp)
+                      for cp in cps for k in range(s)),
+                     key=lambda m: (m[1].modulus,
+                                    cmath.phase(m[0]) % (2 * math.pi)))
+    for i, (x, cp) in enumerate(members):
+        rows.append((i, x.real, x.imag, cp.lam.real, cp.lam.imag,
+                     cp.kappa.real, cp.kappa.imag, cp.modulus, cp.simple,
+                     cp.fold_ok))
     if v["dominant"] and cps:
         try:
             dom = dominant_data(point, points=cps)
@@ -529,7 +536,7 @@ def _run_char(rc: RunConfig, out: Path, threads):
         except TodaSpectraError as exc:
             failures.append(_failure("dominant", exc))
     write_csv(out / "char_points.csv", CHAR_HEADER, rows)
-    return ["char_points.csv"], extra, failures, max(1, len(cps)), len(cps)
+    return ["char_points.csv"], extra, failures, max(1, len(rows)), len(rows)
 
 
 def _run_spectrum(rc: RunConfig, out: Path, threads):

@@ -17,7 +17,6 @@ import numpy as np
 
 from toda_spectra import (DegenerateSeries, NoConvergence, ParamPoint,
                           amplitude_A, solve_characteristic, taylor_branch)
-from toda_spectra.branch_points import _group_orbits
 
 
 def radius_estimate(u: np.ndarray, s: int) -> tuple[float, float]:
@@ -75,8 +74,8 @@ def ratio_orbit(p: ParamPoint, order: int = 250) -> tuple[float, int] | None:
         rho_hat, exponent = radius_estimate(series, s)
     except (DegenerateSeries, NoConvergence):
         return None
-    matched = [g[0] for g in _group_orbits(solve_characteristic(p), s)
-               if abs(g[0].modulus - rho_hat) <= 5e-3 * rho_hat]
+    matched = [cp for cp in solve_characteristic(p)
+               if abs(cp.modulus - rho_hat) <= 5e-3 * rho_hat]
     if len(matched) != 1 or abs(exponent + 1.5) > 0.3:
         return None
     cp = matched[0]

@@ -15,6 +15,7 @@ from toda_spectra import (DegenerateSeries, Leaf, NoDominantOrbit,
                           solve_characteristic, taylor_branch)
 from toda_spectra._brent import brentq
 
+from char_oracle import characteristic_points
 from radius_oracle import radius_estimate, ratio_orbit
 
 
@@ -27,23 +28,24 @@ def _one_mode(zeta, s=2):
 
 
 def test_one_mode_closed_form_solutions():
-    # s = 2, zeta = 0.2: x_* = +-1/(2 sqrt(zeta)), lambda = 2.
+    # s = 2, zeta = 0.2: x_* = +-1/(2 sqrt(zeta)), lambda = 2, one orbit
+    # whose representative is the positive point
     pts = solve_characteristic(_one_mode(0.2))
-    assert len(pts) == 2
+    assert len(pts) == 1
     want = 1.0 / (2.0 * math.sqrt(0.2))
     for cp in pts:
-        assert abs(abs(cp.x_star) - want) < 1e-12
+        assert abs(cp.x_star - want) < 1e-12
         assert abs(cp.lam - 2.0) < 1e-12
         assert cp.simple and cp.fold_ok
     moduli = [cp.modulus for cp in pts]
-    npt.assert_allclose(moduli, [want, want], rtol=1e-12)
+    npt.assert_allclose(moduli, [want], rtol=1e-12)
 
 
 def test_one_mode_lambda_is_parameter_free():
     for s in (2, 3, 4):
         for zeta in (0.03, 0.1):
             pts = solve_characteristic(_one_mode(zeta, s))
-            assert len(pts) == s
+            assert len(pts) == 1
             for cp in pts:
                 assert abs(cp.lam - s / (s - 1.0)) < 1e-10
 
@@ -56,8 +58,8 @@ def test_characteristic_sorted_by_modulus_then_phase():
 
 
 def test_characteristic_evaluates_each_root_once(monkeypatch):
-    # one _char_derivs evaluation per finite root: its values both filter
-    # the root by residual and classify it
+    # one _char_derivs evaluation per finite orbit, at its representative:
+    # its values both filter the root of Q by residual and classify it
     calls = []
     real = branch_points._char_derivs
 
@@ -67,7 +69,7 @@ def test_characteristic_evaluates_each_root_once(monkeypatch):
 
     monkeypatch.setattr(branch_points, "_char_derivs", counted)
     pts = solve_characteristic(ParamPoint(Leaf((3, 6)), (0.1, 0.01)))
-    assert len(pts) == 6 and len(calls) == 6
+    assert len(pts) == 2 and len(calls) == 2
 
 
 def test_characteristic_rejects_zero_point():
@@ -85,6 +87,40 @@ def test_z_star_is_not_exposed():
     cp = solve_characteristic(_one_mode(0.2))[0]
     with pytest.raises(AttributeError):
         cp.z_star
+
+
+def _close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       exps=st.sampled_from([(2,), (3,), (3, 6), (4, 8, 12), (2, 3), (2, 5)]),
+       phases=st.booleans())
+def test_orbits_expand_to_the_per_point_solve(data, exps, phases):
+    # each orbit's s rotations of its representative are, as a set, the
+    # points the per-point P(u) solve finds one by one, with the same lam,
+    # kappa and flags: the members of an orbit share them
+    leaf = Leaf(exps)
+    point = ParamPoint(leaf, data.draw(_zetas(leaf, 0.02, 0.5,
+                                              phases=phases)))
+    s = leaf.s
+    members = [(cp.x_star * cmath.exp(2j * math.pi * k / s), cp)
+               for cp in solve_characteristic(point) for k in range(s)]
+    want = characteristic_points(point)
+    assert len(members) == len(want)
+    for o in want:
+        # paired on x_* and lam both: two orbits may share x_*
+        x, cp = members.pop(min(
+            range(len(members)),
+            key=lambda i: abs(members[i][0] - o.x_star) / o.modulus
+            + abs(members[i][1].lam - o.lam) / abs(o.lam)))
+        assert _close(x, o.x_star) and _close(cp.lam, o.lam)
+        # Re kappa >= 0 fixes kappa's sign only where Re kappa is resolved
+        assert _close(cp.kappa, o.kappa) or (
+            _close(cp.kappa, -o.kappa)
+            and abs(o.kappa.real) <= 1e-12 * abs(o.kappa))
+        assert (cp.simple, cp.fold_ok) == (o.simple, o.fold_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +164,7 @@ def test_radius_estimate_flags_vanishing_coefficients():
 
 def test_dominant_data_one_mode():
     dom = dominant_data(_one_mode(0.2))
-    assert dom.s == 2 and len(dom.orbit) == 2
+    assert dom.s == 2 and len(solve_characteristic(_one_mode(0.2))) == 1
     npt.assert_allclose(dom.rho_star, 1.0 / (2.0 * math.sqrt(0.2)),
                         rtol=1e-12)
     # the Taylor coefficients are positive, so U rises to lam along the
@@ -142,8 +178,9 @@ def test_dominant_data_one_mode():
 
 
 def test_dominant_data_two_mode_orbit_size():
-    dom = dominant_data(ParamPoint(Leaf((3, 6)), (0.08, 0.01)))
-    assert len(dom.orbit) == 3 and dom.s == 3
+    point = ParamPoint(Leaf((3, 6)), (0.08, 0.01))
+    dom = dominant_data(point)
+    assert len(solve_characteristic(point)) == 2 and dom.s == 3
     assert dom.separation > 0.0
 
 
@@ -178,8 +215,9 @@ def test_dominant_data_decides_gcd_one_leaves():
     # on {2,3} the series in z = x has u_1 = 0 structurally; the
     # continuation needs no coefficients.  P(u) = 1 - 0.05 u^2 - 0.1 u^3
     # has the root u = 2, so lam = 1.6 and x_* = 1.25
-    dom = dominant_data(ParamPoint(Leaf((2, 3)), (0.05, 0.05)))
-    assert dom.s == 1 and len(dom.orbit) == 1
+    point = ParamPoint(Leaf((2, 3)), (0.05, 0.05))
+    dom = dominant_data(point)
+    assert dom.s == 1 and len(solve_characteristic(point)) == 3
     assert dom.rho_star == pytest.approx(1.25, rel=1e-12)
     assert dom.representative.lam == pytest.approx(1.6, rel=1e-12)
     assert dom.representative.kappa.real < 0
@@ -252,6 +290,25 @@ def test_dominant_data_always_decides_gcd_one_leaves(data, exps):
     dom = dominant_data(point)
     x = dom.representative.x_star
     assert abs(x.imag) <= 1e-12 * abs(x) and x.real > 0
+
+
+def test_dominant_data_splits_orbits_that_share_x_star(monkeypatch):
+    # along zeta_2 = zeta_1^2/20 on {3,6} two orbits share x_*, here with
+    # lam = 1.4833 and lam = -3.8833: one ray serves both, it meets the
+    # first and misses the second by |w| = 373, so the tie is no refusal
+    point = ParamPoint(Leaf((3, 6)), (0.2, 0.002))
+    orbits = solve_characteristic(point)
+    assert len(orbits) == 2
+    assert orbits[0].modulus == pytest.approx(orbits[1].modulus, rel=1e-15)
+    rays = []
+    ray_value = branch_points._ray_value
+    monkeypatch.setattr(branch_points, "_ray_value",
+                        lambda p, x: rays.append(x) or ray_value(p, x))
+    dom = dominant_data(point)
+    assert len(rays) == 1
+    assert dom.representative.lam == pytest.approx(1.48328, rel=1e-5)
+    want = 0.8976811208466182
+    assert abs(dom.rho_star - want) <= 4 * np.spacing(want)
 
 
 def _tracked_and_fresh(path, steps):
@@ -331,8 +388,8 @@ def test_dominant_data_near_recertifies_where_orbits_cross(monkeypatch):
     steps = list(_tracked_and_fresh(path, 41))
     assert all(tracked == fresh for fresh, tracked in steps)
     before, after = steps[14][0], steps[15][0]
-    assert min(abs(c.x_star - before.representative.x_star)
-               for c in after.orbit) > 0.1 * before.rho_star
+    z_before, z_after = (d.representative.x_star**3 for d in (before, after))
+    assert abs(z_after - z_before) > 3 * 0.1 * abs(z_before)
     rays = []
     ray_value = branch_points._ray_value
     monkeypatch.setattr(branch_points, "_ray_value",

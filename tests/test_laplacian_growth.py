@@ -322,6 +322,18 @@ def test_radius_excess_on_a_gcd_one_leaf():
     assert radius_excess(st) == pytest.approx(0.25, rel=1e-10)
 
 
+def test_dominant_at_decides_where_two_orbits_share_x_star():
+    # at T = 1.5 this {3,6} slice is at zeta = (0.2, 0.002), on the curve
+    # zeta_2 = zeta_1^2/20 where two orbits share x_*; the branch meets
+    # only the one with lam = 1.4833
+    st = SliceDriver(Leaf((3, 6)),
+                     lambda t: (0.05 + 0.1 * t, 0.002)).state(1.5)
+    dom = laplacian_growth.dominant_at(st)
+    assert dom is not None
+    assert dom.representative.lam == pytest.approx(1.48328, rel=1e-5)
+    assert dom.rho_star == pytest.approx(0.8976811208466182, rel=1e-12)
+
+
 def test_radius_excess_certifies_far_from_the_threshold():
     # the {4,8,12} point whose least orbit is off the Taylor sheet
     # (test_dominant_data_takes_the_orbit_on_the_taylor_sheet), with
