@@ -12,9 +12,9 @@ blocks q = 1 and 2, alpha = 2, beta = 1), this times
   eta^M, eta = rho_*^(-2s), falls below TAIL_TOL = 1e-12; then the same two
   blocks.  Grids past ``MAX_CIRCLE_GRID`` are recorded as refused, not
   timed.  The uniform table runs this code: the same seeded circle
-  evaluation and Gram assembly, but its 128-coefficient check is now a
-  weighted sum (about 10% of its time at 2**20 points) where it was one
-  FFT;
+  evaluation and Gram assembly, but its coefficient check is now a
+  weighted sum where it was one FFT (about 10% of its time at 2**20
+  points, when the check read 128 coefficients);
 * on the solved half of the graded table's final grid (nodes 0..n/2; the
   rest are their mirror images), the branch values: seeded, by
   ``series_engine._branch_values`` from the order-250 Taylor polynomial or

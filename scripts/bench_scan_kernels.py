@@ -1,14 +1,14 @@
 """Time the scan point kernels against the loops they replaced.
 
 On the {3,6} leaf with zeta_2 = 0.01, at delta = 5e-2, 5e-3 and 5e-4 below
-the critical zeta_1 (circle grids of 1024, 2048 and 8192 nodes), this
+the critical zeta_1 (circle grids of 1024, 1024 and 2048 nodes), this
 times three pieces of one scan point:
 
 * ``table``: ``CirclePowerTable(p, 0, dom, series=series)``, with the
   point's order-250 Taylor series as ``scan_path`` passes it; its Taylor
   seed is evaluated by Paterson-Stockmeyer
-  (``series_engine._taylor_values``) and its coefficient check sums by
-  baby and giant steps (``series_engine._power_sums``);
+  (``series_engine._taylor_values``) and its coefficient check sums as
+  row sums of ``_power_rows`` (``series_engine._power_sums``);
 * ``gram_block``: the q = 1 block at J = 70, whose rows come by doubling
   (``series_engine._power_rows``);
 * ``eigensolves``: the point's four solves (G and the deflated C of the

@@ -179,7 +179,11 @@ def solve_characteristic(p: ParamPoint) -> list[CharPoint]:
         z = w / lam**s
         x = cmath.rect(modulus, (cmath.phase(z) % (2.0 * math.pi)) / s)
         F, Fy, Fx, Fyy, scale = _char_derivs(p, x, lam)
-        tol = TOL_CHAR * (1.0 + abs(lam))
+        # relative to the size of F's and F_y's terms, which far orbits
+        # (lam -> 0, |x_*| large) leave much larger than 1 + |lam|
+        tol = TOL_CHAR * (1.0 + abs(lam) + sum(
+            sn * abs(zn) * modulus**sn * abs(lam) ** (sn - 1)
+            for zn, sn in zip(p.zeta, p.leaf.exponents)))
         if abs(F) > tol or abs(Fy) > tol:
             continue
         simple = abs(Fyy) > SIMPLE_TOL * scale

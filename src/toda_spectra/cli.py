@@ -343,10 +343,7 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
     elif command == "char":
         leaf = _leaf_from(conf)
         zeta = _zeta_from(conf, "char", leaf, nonzero=True)
-        values.update(
-            leaf=leaf, zeta=zeta,
-            dominant=conf.flag("char", "dominant", default=True),
-        )
+        values.update(leaf=leaf, zeta=zeta)
     elif command == "spectrum":
         leaf = _leaf_from(conf)
         zeta = _zeta_from(conf, "spectrum", leaf, nonzero=True)
@@ -527,7 +524,7 @@ def _run_char(rc: RunConfig, out: Path, threads):
         rows.append((i, x.real, x.imag, cp.lam.real, cp.lam.imag,
                      cp.kappa.real, cp.kappa.imag, cp.modulus, cp.simple,
                      cp.fold_ok))
-    if v["dominant"] and cps:
+    if cps:
         try:
             dom = dominant_data(point, points=cps)
             extra["dominant"] = {"rho_star": _jf(dom.rho_star),

@@ -41,6 +41,7 @@ from .series_engine import (
     CirclePowerTable,
     ParamPoint,
     _branch_values_on_circle,
+    _circle_nodes,
     _int_pow_values,
     _power_rows,
     branch_power_rows,  # noqa: F401  (looked up here by perfbench/tracer.py)
@@ -245,8 +246,9 @@ def check_alpha_admissible(p: ParamPoint, dom: "DominantData",
     than an error (the truncated numerics stay finite either way).
     """
     radius_z = ((1.0 + dom.rho_star) / 2.0) ** p.leaf.s
-    vals, _ = _branch_values_on_circle(p, np.arange(512), 512, series,
-                                       radius=radius_z)
+    k = np.arange(512)
+    vals, _ = _branch_values_on_circle(
+        p, k, 512, radius_z * _circle_nodes(k, 512)[0], series)
     m0 = float(np.abs(vals).max())
     if alpha <= m0:
         warnings.warn(

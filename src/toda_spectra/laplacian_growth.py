@@ -469,10 +469,6 @@ class MomentDriver:
         t_ref, t0_ref = self._ramp
         return np.array([t0_ref + (t - t_ref)] + self._tk)
 
-    def trajectory(self) -> list[TrajectoryState]:
-        """All states accepted so far, ascending in T."""
-        return list(self._states)
-
 
 class SliceDriver:
     """Prescribed parameter slice zeta(T) at conformal radius 1.

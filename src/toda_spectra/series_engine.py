@@ -251,7 +251,7 @@ def taylor_branch(p: ParamPoint, order: int) -> np.ndarray:
 # geometric family come by doubling (``_power_rows``), the order-250 Taylor
 # seed by Paterson-Stockmeyer (``_taylor_values``: 16 baby powers, one
 # matrix product with the coefficient blocks, Horner in z^16) and the
-# coefficient check's sums by baby and giant steps (``_power_sums``), each
+# coefficient check's sums as row sums of those rows (``_power_sums``), each
 # over chunks of NODE_CHUNK nodes, so that their temporaries stay at a few
 # dozen rows of one chunk whatever the grid size.
 # ---------------------------------------------------------------------------
@@ -261,35 +261,44 @@ def taylor_branch(p: ParamPoint, order: int) -> np.ndarray:
 # few hundred MB per scan thread
 MAX_CIRCLE_GRID = 2**21
 
-# nodes of a table's first grid.  Points with rho_*^s - 1 above ~0.005 pass
-# their checks on it.  The value was tuned for an evaluation with a fixed
-# cost per node set (a start at 512 saved shallow points ~2 ms and cost
-# every deeper one a doubling); it is kept so that every point's grid, and
-# with it every Gram block, stays as it was
+# nodes of a table's first grid.  Points with rho_*^s - 1 above ~1e-3 pass
+# their checks on it.  A start at 512 stops the 9 points of the shipped
+# {3,6} scan with delta >= 0.01 there and saves no time (0.115-0.136 s a
+# scan against 0.112-0.128 s at 1024, three runs each); 1024 leaves those
+# points' grids, and with them their Gram blocks, as they were
 N_START = 1024
 
 # grading depth d = GRADE * sqrt(2 e), at most 1 (uniform).  d = sqrt(2 e)
 # balances the two distances above, but then the coefficient check, whose
-# z^-m factors grow on the stretched far side, sets the node count: 16384
-# at delta = 5e-4 on the {3,6} scan, against 8192 with GRADE = 2.  A larger
-# GRADE eases that check and hurts the blocks: at 4 their aliasing contract
-# is the check that fails first
+# z^-m factors grow on the stretched far side, sets the node count; a larger
+# GRADE eases that check and hurts the blocks.  On the 26 points of the
+# {3,6} scan down to delta = 1e-6, GRADE 1, 1.5, 2, 3 and 4 take 395264,
+# 266240, 267264, 396288 and 529408 nodes in all: up to 1.5 the check
+# doubles six of the grids, from 2 on the blocks' aliasing contract alone
+# sizes every grid
 GRADE = 2.0
 
 # Newton step tolerance at the circle samples, relative to 1 + max|y|
 _NEWTON_TOL = 1e-13
-# leading coefficients of a circle table checked against the Taylor series
-_VALIDATE_ORDERS = 128
+# leading coefficients of a circle table checked against the Taylor series.
+# The check is there to catch samples off the Taylor sheet, and at this
+# order it passes on the grid the blocks need or a smaller one
+_VALIDATE_ORDERS = 16
+# order of the Taylor series that seeds a table's samples.  The check needs
+# only more than _VALIDATE_ORDERS terms, but away from z_* the polynomial is
+# the closer of the two seeds (``_branch_values``), so the order decides the
+# samples' last bits, and it is fixed
+SEED_ORDER = 250
 # a table graded on its dominant data is given up as off the Taylor sheet
 # when its failing coefficient check, already below STALL_LEVEL, shrinks by
 # less than STALL_FACTOR on STALL_DOUBLINGS doublings in a row.  An
-# undersized graded grid's error stays above ~0.15 until the grid resolves
-# z_*, then falls geometrically: from below 1e-2 it at least squares per
+# undersized graded grid's error stays above ~0.02 until the grid resolves
+# z_*, then falls geometrically: from below 1e-2 it passes on the next
 # doubling (the {3,6} scans down to delta = 1e-6).  A wrong-sheet sample's
-# error falls only like 1/n, and a wrong germ's not at all.  A uniform grid
-# gets no such stop: its aliasing error falls like n^(-3/2) until n ~ 1/e,
-# by as little as 2x per doubling (Leaf (2,), delta = 1e-5), as slowly as a
-# wrong sheet's
+# error only halves per doubling, and a wrong germ's stays at ~1.5e-4.  A
+# uniform grid gets no such stop: its aliasing error falls like n^(-3/2)
+# until n ~ 1/e, by as little as 3x per doubling (Leaf (2,), delta =
+# 1e-5), little faster than a wrong sheet's
 STALL_LEVEL = 1e-2
 STALL_FACTOR = 4.0
 STALL_DOUBLINGS = 2
@@ -315,8 +324,8 @@ def _int_pow_values(vals: np.ndarray, k: int) -> np.ndarray:
 # ``_power_sums``, ``hessian_blocks.gram_block``): their temporaries hold at
 # most a few dozen rows of this length
 NODE_CHUNK = 8192
-# baby steps of ``_taylor_values`` and ``_power_sums``: sqrt of the seed's
-# 251 coefficients, rounded to a power of two
+# baby steps of ``_taylor_values``: sqrt of the seed's 251 coefficients,
+# rounded to a power of two
 _BABY = 16
 
 
@@ -370,22 +379,13 @@ def _taylor_values(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _power_sums(t: np.ndarray, r: np.ndarray, count: int) -> np.ndarray:
-    """The sums sum_k t_k r_k^m for m < count, by baby and giant steps.
-
-    Per chunk of nodes, the baby rows t r^b (b < _BABY) and the giant rows
-    r^(_BABY a) (a < ceil(count/_BABY)) give every sum of the chunk in one
-    (giants x chunk) @ (chunk x _BABY) matrix product, entry (a, b) being
-    the sum for m = _BABY a + b.
-    """
-    giants = -(-count // _BABY)
-    sums = np.zeros((giants, _BABY), dtype=np.complex128)
+    """The sums sum_k t_k r_k^m for m < count, as sums of the rows t r^m
+    (``_power_rows``) over chunks of NODE_CHUNK nodes."""
+    sums = np.zeros(count, dtype=np.complex128)
     for lo in range(0, len(t), NODE_CHUNK):
-        rc = r[lo : lo + NODE_CHUNK]
-        baby = _power_rows(t[lo : lo + NODE_CHUNK], rc, _BABY)
-        giant = _power_rows(np.ones(len(rc)), _int_pow_values(rc, _BABY),
-                            giants)
-        sums += giant @ baby.T
-    return sums.ravel()[:count]
+        sums += _power_rows(t[lo : lo + NODE_CHUNK], r[lo : lo + NODE_CHUNK],
+                            count).sum(axis=1)
+    return sums
 
 
 def _circle_nodes(k: np.ndarray, n: int, depth: float = 1.0,
@@ -467,21 +467,19 @@ def _branch_values(p: ParamPoint, z: np.ndarray, series: np.ndarray,
 
 
 def _branch_values_on_circle(p: ParamPoint, k: np.ndarray, n: int,
-                             series: np.ndarray,
-                             dom: "DominantData | None" = None,
-                             depth: float = 1.0, rot: complex = 1.0,
-                             radius: float = 1.0) -> tuple[np.ndarray, int]:
-    """Branch values at ``radius`` times the nodes ``k`` (ascending, closed
-    under k -> n - k for k > 0) of the n-node grid of ``_circle_nodes``,
-    seeded from ``series`` and ``dom`` as in ``_branch_values``, and the
-    Newton iterations they took.  For real zeta only the nodes k <= n/2 are
-    solved and node k > n/2 is filled as the conjugate of node n - k."""
+                             z: np.ndarray, series: np.ndarray,
+                             dom: "DominantData | None" = None
+                             ) -> tuple[np.ndarray, int]:
+    """Branch values at the nodes ``z`` of indices ``k`` (ascending, closed
+    under k -> n - k for k > 0) of an n-node grid of ``_circle_nodes``, or
+    of such a grid scaled by a radius, seeded from ``series`` and ``dom`` as
+    in ``_branch_values``, and the Newton iterations they took.  For real
+    zeta only the nodes k <= n/2 are solved and node k > n/2 is filled as
+    the conjugate of node n - k."""
     if not p.is_real():
-        return _branch_values(p, radius * _circle_nodes(k, n, depth, rot)[0],
-                              series, dom)
+        return _branch_values(p, z, series, dom)
     low = k[k <= n // 2]
-    y, iters = _branch_values(p, radius * _circle_nodes(low, n, depth, rot)[0],
-                              series, dom)
+    y, iters = _branch_values(p, z[: len(low)], series, dom)
     return np.concatenate(
         (y, np.conj(y[np.searchsorted(low, n - k[len(low):])]))), iters
 
@@ -496,22 +494,24 @@ class CirclePowerTable:
     d = min(1, GRADE * sqrt(2 (|z_*| - 1))) (for real zeta on +1 or -1, by
     the sign of Re z_*, so that the grid stays closed under conjugation).
     Its germ and ``series``, the coefficient array of the point's Taylor
-    branch (``taylor_branch(p, _VALIDATE_ORDERS)`` in its place when it is
+    branch (``taylor_branch(p, SEED_ORDER)`` in its place when it is
     absent or has at most _VALIDATE_ORDERS entries), seed the samples
     (``_branch_values``); without ``dom`` the grid is uniform and the
     samples start from the Taylor polynomial alone.
 
     The first grid has N_START nodes, or the smallest power of two with at
     least 2*(order+1) if that is more.  The grid doubles, solving only the
-    new odd nodes, until two checks hold: the first _VALIDATE_ORDERS
-    coefficients of U, as weighted sums (1/n) sum_k |dz/dw|_k U(z_k) z_k^-m,
-    agree with the leading coefficients of the series to 1e-8 relative;
-    and ``accept(table)``, when given, returns without raising
-    TailNotConverged.  ``n_grid`` is the final node count, ``doublings``
-    the number of doublings, ``newton_iterations`` the most Newton
-    iterations any node took and ``check_error`` the coefficient check's
-    relative error on the final grid.  Requires the Taylor branch to be
-    analytic beyond |z| = 1, i.e. rho_*(zeta)**s > 1.
+    new odd nodes, until two checks hold: the coefficients m <=
+    _VALIDATE_ORDERS of U, as weighted sums (1/n) sum_k |dz/dw|_k U(z_k)
+    z_k^-m, agree with those of the series to 1e-8 relative, which catches
+    samples off the Taylor sheet; and ``accept(table)``, when given (the
+    scan's Gram blocks, whose aliasing contract then sizes the grid),
+    returns without raising TailNotConverged.  ``n_grid`` is the final
+    node count, ``doublings`` the number of doublings,
+    ``newton_iterations`` the most Newton iterations any node took and
+    ``check_error`` the coefficient check's relative error on the final
+    grid.  Requires the Taylor branch to be analytic beyond |z| = 1, i.e.
+    rho_*(zeta)**s > 1.
 
     Raises
     ------
@@ -541,7 +541,7 @@ class CirclePowerTable:
             self.rot = (math.copysign(1.0, z_star.real) if p.is_real()
                         else z_star / abs(z_star))
         if series is None or len(series) <= _VALIDATE_ORDERS:
-            series = taylor_branch(p, _VALIDATE_ORDERS)
+            series = taylor_branch(p, SEED_ORDER)
         self.series = series
         n = N_START
         while n < 2 * (order + 1):
@@ -586,8 +586,9 @@ class CirclePowerTable:
         even nodes of the doubled grid are the old grid, with the same
         weights, so only the new nodes' terms join the check's sums."""
         k = np.arange(n) if self.n_grid == 0 else np.arange(1, n, 2)
-        new, iters = _branch_values_on_circle(
-            self.param, k, n, self.series, self.dom, self.depth, self.rot)
+        z, weight = _circle_nodes(k, n, self.depth, self.rot)
+        new, iters = _branch_values_on_circle(self.param, k, n, z,
+                                              self.series, self.dom)
         if self.n_grid == 0:
             self.values = new
         else:
@@ -597,7 +598,6 @@ class CirclePowerTable:
             self.values = vals
         self.newton_iterations = max(self.newton_iterations, iters)
         self.n_grid = n
-        z, weight = _circle_nodes(k, n, self.depth, self.rot)
         self._sums += _power_sums(weight * new, np.conj(z),
                                   _VALIDATE_ORDERS + 1)
 

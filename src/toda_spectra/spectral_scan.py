@@ -30,7 +30,7 @@ from .hessian_blocks import (
     eigenvalues,
     gram_block,
 )
-from .series_engine import CirclePowerTable, taylor_branch
+from .series_engine import SEED_ORDER, CirclePowerTable, taylor_branch
 
 __all__ = [
     "BlockSpectrum",
@@ -44,10 +44,6 @@ __all__ = [
 
 K_MAX = 8
 BOUNDED_TOL = 0.10
-# order of the Taylor series that seeds a point's circle samples and checks
-# their first 128 coefficients (``CirclePowerTable``).  Any order above 128
-# would do; the seed decides the samples' last bits, so it is fixed
-SEED_ORDER = 250
 
 
 def log_scale(rho_star: float, s: int) -> tuple[float, float]:

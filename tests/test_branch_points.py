@@ -72,6 +72,18 @@ def test_characteristic_evaluates_each_root_once(monkeypatch):
     assert len(pts) == 2 and len(calls) == 2
 
 
+def test_characteristic_keeps_an_orbit_near_infinity():
+    # the second orbit sits at |x_*| ~ 1.2e5 (lam ~ -1.7e-5), where F_y is
+    # a difference of terms of size ~7e5: its residual is read against
+    # them, not against 1 + |lam|, and the clean dominant orbit is decided
+    point = ParamPoint(Leaf((3, 6)), (0.23991867954375964,
+                                      0.014389999008521547))
+    pts = solve_characteristic(point)
+    assert len(pts) == 2 and pts[1].modulus > 1e5
+    assert dominant_data(point).rho_star == pytest.approx(0.82344833,
+                                                          rel=1e-8)
+
+
 def test_characteristic_rejects_zero_point():
     with pytest.raises(ValueError):
         solve_characteristic(_one_mode(0.0))

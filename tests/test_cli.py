@@ -506,8 +506,10 @@ SPECTRUM_INI = "[leaf]\nexponents = 2\n\n[spectrum]\nzeta = 0.2\n"
     ("leaves", "log_phase", "leaves.gamma_c_tol", "1e-5"),
     # dominant_data continues the branch and reads no series
     ("char", None, "char.order", "250"),
+    # the dominant orbit is always certified
+    ("char", None, "char.dominant", "true"),
     ("lg", "lg_onemode", "lg.detect_order", "200"),
-    # a scan point seeds from spectral_scan.SEED_ORDER
+    # a scan point seeds from series_engine.SEED_ORDER
     ("spectrum", None, "spectrum.order", "250"),
     ("scan", "scan_near_critical", "scan.order", "250"),
 ])
@@ -566,7 +568,7 @@ def test_shipped_configs_parse(name):
 
 def test_scan_grid_over_ceiling_exits_two(tmp_path, monkeypatch):
     from toda_spectra import series_engine
-    # zeta = 0.24975 needs a 4096-node grid
+    # zeta = 0.24995 needs a 4096-node grid
     monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 2048)
     cfgfile = _write(tmp_path, "spectrum.ini", """\
 [leaf]
@@ -576,7 +578,7 @@ exponents = 2
 J = 12
 
 [spectrum]
-zeta = 0.24975
+zeta = 0.24995
 """)
     out = tmp_path / "out"
     assert cli.main(["spectrum", "--config", str(cfgfile),

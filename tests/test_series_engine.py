@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toda_spectra import (CirclePowerTable, GridTooLarge, Leaf, ParamPoint,
-                          TailNotConverged, branch_power_rows,
+                          RenormConfig, TailNotConverged, branch_power_rows,
                           check_alpha_admissible, critical_parameter,
-                          dominant_data, taylor_branch)
+                          dominant_data, gram_block, taylor_branch)
 from toda_spectra import series_engine
 from toda_spectra.series_engine import _branch_values_on_circle, _circle_nodes
 
@@ -235,7 +235,7 @@ def test_circle_values_match_one_mode_closed_form(zeta, n):
     assert point.is_real() == (np.imag(zeta) == 0)
     z = np.exp(2j * np.pi * np.arange(n) / n)
     want = (1.0 - np.sqrt(1.0 - 4.0 * zeta * z)) / (2.0 * zeta * z)
-    got, _ = _branch_values_on_circle(point, np.arange(n), n,
+    got, _ = _branch_values_on_circle(point, np.arange(n), n, z,
                                       taylor_branch(point, 250))
     npt.assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -258,9 +258,10 @@ def test_complex_circle_samples_mirror_exactly():
         representative=dataclasses.replace(
             rep, x_star=np.conj(rep.x_star), lam=np.conj(rep.lam),
             kappa=np.conj(rep.kappa)))
-    u, _ = _branch_values_on_circle(point, k, n, series, dom)
+    z = _circle_nodes(k, n)[0]
+    u, _ = _branch_values_on_circle(point, k, n, z, series, dom)
     v, _ = _branch_values_on_circle(
-        ParamPoint(leaf, (np.conj(zeta),)), k, n,
+        ParamPoint(leaf, (np.conj(zeta),)), k, n, z,
         np.conj(series), mirror)
     assert np.abs(u[(n - k) % n] - np.conj(v)).max() <= 1e-15
 
@@ -275,10 +276,11 @@ def test_circle_table_refuses_grid_over_ceiling(monkeypatch):
         CirclePowerTable(ParamPoint(Leaf((2,)), (0.2,)), 2048)
 
 
-# one-mode points 1e-3 below the critical |zeta| = 1/4; the singularity of
-# U = (1 - sqrt(1 - 4 zeta z))/(2 zeta z) is z_* = 1/(4 zeta), on the positive
-# axis, the negative axis, or rotated off both
-GRADED = [0.25 * (1.0 - 1e-3) * f for f in (1.0, -1.0, np.exp(0.3j))]
+# one-mode points 1e-4 below the critical |zeta| = 1/4, whose tables double
+# twice; the singularity of U = (1 - sqrt(1 - 4 zeta z))/(2 zeta z) is
+# z_* = 1/(4 zeta), on the positive axis, the negative axis, or rotated off
+# both
+GRADED = [0.25 * (1.0 - 1e-4) * f for f in (1.0, -1.0, np.exp(0.3j))]
 GRADED_IDS = ["real_plus", "real_minus", "complex"]
 
 
@@ -349,17 +351,30 @@ def test_seeded_graded_table_matches_ramp_oracle(zeta):
 @pytest.mark.parametrize("delta", [1e-1, 1e-3, 1e-4])
 def test_seeded_table_matches_ramp_oracle_on_leaf36(leaf36_critical, delta):
     point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - delta), 0.01))
-    # the scan's grid sizes: the coefficient check alone sets them
+    # the grids of the coefficient check alone, no more than the scan's
+    # blocks need (test_sheet_check_does_not_size_the_scan_grid)
     table = _seeded_table(point)
-    assert table.n_grid == {1e-1: 1024, 1e-3: 4096, 1e-4: 16384}[delta]
+    assert table.n_grid == {1e-1: 1024, 1e-3: 1024, 1e-4: 4096}[delta]
     _assert_matches_ramp(point, table)
+
+
+def test_sheet_check_does_not_size_the_scan_grid(leaf36_critical):
+    # on the shipped ray at delta = 1e-3 the coefficient check alone passes
+    # on a grid that the scan's blocks reject: their aliasing contract, not
+    # the sheet check, sets the node count
+    point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - 1e-3), 0.01))
+    blocks = [RenormConfig(q=q, s=3, J=70, alpha=2.0, beta=1.0)
+              for q in (1, 2)]
+    sheet = _seeded_table(point)
+    scan = _seeded_table(point, lambda t: [gram_block(t, c) for c in blocks])
+    assert (sheet.n_grid, scan.n_grid) == (1024, 2048)
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-4])
 @pytest.mark.parametrize("leaf", ["leaf2", "leaf36"])
 def test_uniform_table_matches_ramp_oracle_near_criticality(
         leaf36_critical, leaf, delta):
-    # without dominant data the samples start from the order-128 Taylor
+    # without dominant data the samples start from the order-250 Taylor
     # polynomial alone, which near z_* is further off than the two sheets
     # are apart; Newton must still land on the Taylor sheet.  The uniform
     # grid's check error falls only algebraically (8192 and 32768 nodes
@@ -384,13 +399,14 @@ def test_table_checks_the_dominant_series(zeta):
     series = taylor_branch(point, 250)
     table = CirclePowerTable(point, 0, dom, series=series)
     assert table.series is series
-    want = taylor_branch(point, 128)
-    npt.assert_array_equal(series[:129], want)
-    # a series that stops short of the check, or none, is recomputed to
-    # the check's order
-    for short in (taylor_branch(point, 100), None):
+    top = series_engine._VALIDATE_ORDERS
+    npt.assert_array_equal(series[:top + 1], taylor_branch(point, top))
+    # a series that stops short of the check, or none, is replaced by the
+    # seed's own order, not the check's
+    for short in (taylor_branch(point, top - 1), None):
         table = CirclePowerTable(point, 0, dom, series=short)
-        npt.assert_array_equal(table.series, want)
+        npt.assert_array_equal(table.series,
+                               taylor_branch(point, series_engine.SEED_ORDER))
 
 
 def test_admissibility_circle_taylor_seed_matches_ramp_oracle(leaf36_critical):
@@ -400,9 +416,9 @@ def test_admissibility_circle_taylor_seed_matches_ramp_oracle(leaf36_critical):
     dom = dominant_data(point)
     series = taylor_branch(point, 250)
     radius = ((1.0 + dom.rho_star) / 2.0) ** 3
-    got, _ = _branch_values_on_circle(point, np.arange(512), 512, series,
-                                      radius=radius)
-    want = ramp_branch_values(point, radius * _circle_nodes(np.arange(512), 512)[0])
+    z = radius * _circle_nodes(np.arange(512), 512)[0]
+    got, _ = _branch_values_on_circle(point, np.arange(512), 512, z, series)
+    want = ramp_branch_values(point, z)
     assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
     assert check_alpha_admissible(point, dom, series, 10.0) == np.abs(got).max()
 
@@ -441,12 +457,13 @@ def test_taylor_seed_matches_horner(leaf36_critical, monkeypatch, length):
 def test_check_sums_match_per_m_loop_on_doubled_table(leaf36_critical,
                                                      monkeypatch):
     monkeypatch.setattr(series_engine, "NODE_CHUNK", 1500)
-    point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - 1e-3), 0.01))
+    point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - 1e-4), 0.01))
     table = _seeded_table(point)
     assert table.doublings >= 1
     n = table.n_grid
     z, weight = _circle_nodes(np.arange(n), n, table.depth, table.rot)
-    want = power_sums_loop(weight * table.values, np.conj(z), 129)
+    want = power_sums_loop(weight * table.values, np.conj(z),
+                           series_engine._VALIDATE_ORDERS + 1)
     assert np.abs(table._sums - want).max() <= 1e-14 * np.abs(want).max()
     assert table.check_error < 1e-8
 

@@ -178,11 +178,11 @@ def test_scan_records_supercritical_points():
 
 def test_scan_records_undersized_grid_as_failed_cells(monkeypatch):
     # a 1024-node ceiling stops the doubling: the first grid is too coarse
-    # at delta = 3e-3 (it needs 2048 nodes) but enough at 3e-2
+    # at delta = 3e-4 (it needs 2048 nodes) but enough at 3e-2
     monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 1024)
-    scan = scan_path(_critical_path, [3e-3, 3e-2], SCAN_BLOCKS, threads=1)
+    scan = scan_path(_critical_path, [3e-4, 3e-2], SCAN_BLOCKS, threads=1)
     assert [(pt.delta, pt.q) for pt in scan] == [
-        (3e-3, 1), (3e-3, 2), (3e-2, 1), (3e-2, 2)]
+        (3e-4, 1), (3e-4, 2), (3e-2, 1), (3e-2, 2)]
     assert [pt.status for pt in scan] == [
         "GridTooLarge", "GridTooLarge", "ok", "ok"]
     # the detail names the check the last grid failed
@@ -193,9 +193,9 @@ def test_scan_records_undersized_grid_as_failed_cells(monkeypatch):
 
 
 def test_scan_records_grid_over_ceiling_as_failed_cells(monkeypatch):
-    # delta = 1e-3 needs a 4096-node grid; 3e-2 fits in 1024
+    # delta = 1e-4 needs a 4096-node grid; 3e-2 fits in 1024
     monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 2048)
-    scan = scan_path(_critical_path, [1e-3, 3e-2], SCAN_BLOCKS, threads=1)
+    scan = scan_path(_critical_path, [1e-4, 3e-2], SCAN_BLOCKS, threads=1)
     assert [pt.status for pt in scan] == [
         "GridTooLarge", "GridTooLarge", "ok", "ok"]
     assert "MAX_CIRCLE_GRID = 2048" in scan[0].detail
