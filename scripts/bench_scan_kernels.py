@@ -18,8 +18,9 @@ times three pieces of one scan point:
 ``previous`` is the same call with the loops of ``tests/loop_oracle.py``
 in place of the table's two kernels (a Horner step per coefficient, a sum
 and a product per checked coefficient), ``gram_block`` as it was (a
-product per row and per parity, each row scaled by c_j in the loop), and
-complex ``eigvalsh`` of the complex blocks.
+product per row and per parity, each row scaled by c_j in the loop, its
+lower triangle mirrored onto the upper), and complex ``eigvalsh`` of the
+complex blocks.
 
 Each figure is the median over ``--repeats`` runs of the mean time per call
 in a batch.  With them go the largest changes of the outputs (samples,
@@ -110,7 +111,12 @@ def _previous_gram_block(table, cfg):
     alias = norm * np.abs(D).max()
     if alias > math.sqrt(hessian_blocks.TAIL_TOL) * np.abs(G).max():
         raise TailNotConverged("half-grid Gram block differs")
-    return hessian_blocks._mirror_lower(G)
+    # the lower triangle mirrored onto the upper, the diagonal made real
+    a = np.array(G, dtype=np.complex128)
+    i, j = np.triu_indices(J + 1, k=1)
+    a[i, j] = np.conj(a[j, i])
+    a[np.diag_indices(J + 1)] = a.diagonal().real
+    return a
 
 
 @contextlib.contextmanager
@@ -224,7 +230,8 @@ def main(argv=None) -> int:
                 "block (J = 70) and the point's four eigensolves; previous = "
                 "the loops of tests/loop_oracle.py in place of "
                 "_taylor_values and _power_sums, gram_block with one product "
-                "per row and parity, and complex eigvalsh",
+                "per row and parity and its lower triangle mirrored, and "
+                "complex eigvalsh",
         "command": f"python3 scripts/bench_scan_kernels.py --repeats "
                    f"{args.repeats}",
         "machine": {"nproc": os.cpu_count(), "numpy": np.__version__,

@@ -146,11 +146,6 @@ class RunConfig:
 _MISSING = object()
 
 
-# keys main() reads itself: where and how parallel a run happens, kept out
-# of the echoed config
-_DELIVERY_KEYS = {("run", "out"), ("run", "threads")}
-
-
 def _raw(sections: dict, sec: str, key: str, default=_MISSING) -> str:
     """Value of ``[sec] key`` from key-folded ``sections``."""
     try:
@@ -275,7 +270,7 @@ class _Conf:
         read = {(sec, key.lower()) for sec, kv in self._out.items() for key in kv}
         given = {(sec, key) for sec, kv in self._in.items() for key in kv}
         return [f"[{sec}] {key}"
-                for sec, key in sorted(given - read - _DELIVERY_KEYS)]
+                for sec, key in sorted(given - read)]
 
     def canonical(self) -> dict:
         return {s: dict(sorted(kv.items())) for s, kv in sorted(self._out.items())}
@@ -370,15 +365,11 @@ def parse_run_config(command: str, sections: dict) -> RunConfig:
         )
         if values["delta_min"] >= values["delta_max"]:
             raise ConfigError("[scan] delta_min: must be below delta_max")
-        if conf.maybe("scan", "zeta_critical"):
-            values["zeta_critical"] = conf.flt("scan", "zeta_critical",
-                                               lo=0.0, lo_open=True)
-        else:
-            br = conf.floats("scan", "crit_bracket")
-            if len(br) != 2 or not 0 < br[0] < br[1]:
-                raise ConfigError(
-                    "[scan] crit_bracket: expected two increasing positive reals")
-            values["crit_bracket"] = br
+        br = conf.floats("scan", "crit_bracket")
+        if len(br) != 2 or not 0 < br[0] < br[1]:
+            raise ConfigError(
+                "[scan] crit_bracket: expected two increasing positive reals")
+        values["crit_bracket"] = br
     elif command == "lg":
         leaf = _leaf_from(conf)
         driver = conf.choice("lg", "driver", ("moments", "slice"),
@@ -551,18 +542,14 @@ def _run_scan(rc: RunConfig, out: Path, threads):
     v = rc.values
     leaf, fixed = v["leaf"], v["fixed"]
     extra: dict = {}
-    if "zeta_critical" in v:
-        zc = v["zeta_critical"]
-    else:
-        lo, hi = v["crit_bracket"]
-        ray = lambda t: ParamPoint(leaf, (t,) + tuple(fixed))
-        try:
-            zc = critical_parameter(ray, lo, hi)
-        except TodaSpectraError as exc:
-            write_csv(out / "spectra.csv", SPECTRA_HEADER, [])
-            return (["spectra.csv"], extra, [_failure("zeta_critical", exc)],
-                    1, 0)
-        extra["zeta_critical_solved"] = _jf(zc)
+    lo, hi = v["crit_bracket"]
+    ray = lambda t: ParamPoint(leaf, (t,) + tuple(fixed))
+    try:
+        zc = critical_parameter(ray, lo, hi)
+    except TodaSpectraError as exc:
+        write_csv(out / "spectra.csv", SPECTRA_HEADER, [])
+        return (["spectra.csv"], extra, [_failure("zeta_critical", exc)], 1, 0)
+    extra["zeta_critical_solved"] = _jf(zc)
 
     def path(delta):
         return ParamPoint(leaf, (zc * (1.0 - delta),) + tuple(fixed))
@@ -731,8 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Series, spectral-scan, Laplacian-growth, and explicit-leaf "
                     "computations serialized to CSV/JSON for external plotting.",
         epilog="Any config key can be overridden with --set SECTION.KEY=VALUE; "
-               "flags take precedence over the config file.  --threads falls "
-               "back to [run] threads, then to the CPU count (at most 4).")
+               "flags take precedence over the config file.  --threads "
+               "defaults to the CPU count (at most 4).")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in (
             ("series", "coefficient rows of powers of the Taylor branch"),
@@ -744,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", metavar="PATH",
                        help="INI config file (sections per command)")
-        p.add_argument("--out", metavar="DIR", default=None,
+        p.add_argument("--out", metavar="DIR", default=".",
                        help="output directory (default: '.')")
         p.add_argument("--threads", type=int, default=None, metavar="N",
                        help="worker threads for grid evaluations")
@@ -758,24 +745,20 @@ def main(argv=None) -> int:
     try:
         sections = _load_sections(args.config)
         _apply_overrides(sections, args.overrides)
-        out_dir = args.out or sections.get("run", {}).get("out", ".")
-        threads = args.threads
-        if threads is None and "threads" in sections.get("run", {}):
-            threads = _parse_int("run", "threads", sections["run"]["threads"])
-        if threads is not None and threads < 1:
-            raise ConfigError("[run] threads: expected a positive integer")
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError("--threads: expected a positive integer")
         rc = parse_run_config(args.command, sections)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    # out/threads are delivery knobs, not part of the experiment: keeping
-    # them out of the echoed config makes the summary (and its hash)
-    # independent of where and how parallel the run happened
-    out = Path(out_dir)
+    # --out and --threads are flags, not config keys, so the summary (and
+    # its hash) do not depend on where and how parallel the run happened
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    csvs, extra, failures, total, ok = _RUNNERS[rc.command](rc, out, threads)
+    csvs, extra, failures, total, ok = _RUNNERS[rc.command](rc, out,
+                                                            args.threads)
     summary = {
         "schema": 1,
         "command": rc.command,

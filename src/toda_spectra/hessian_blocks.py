@@ -19,14 +19,13 @@ weighted assembly works with V = U/alpha, so no alpha^{p_j} is ever
 materialized and the block stays finite far beyond the overflow point of
 the weights themselves.
 
-Blocks are plain complex128 arrays, made exactly Hermitian by mirroring
-their lower triangle; ``eigenvalues`` returns a block's spectrum in
-descending order.
+Blocks are plain complex128 arrays, exactly Hermitian as assembled (see
+``gram_block``); ``eigenvalues`` returns a block's spectrum in descending
+order.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import warnings
@@ -104,30 +103,6 @@ class RenormConfig:
         return self.q + self.s * np.arange(self.J + 1)
 
 
-@functools.lru_cache(maxsize=None)
-def _strict_upper(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict upper triangle of an n x n
-    matrix, built once per size and read-only."""
-    idx = np.triu_indices(n, k=1)
-    for a in idx:
-        a.flags.writeable = False
-    return idx
-
-
-def _mirror_lower(lower: np.ndarray) -> np.ndarray:
-    """Hermitian matrix from the lower triangle (diagonal included) of
-    ``lower``: the strict upper triangle is overwritten by the conjugate
-    mirror and the imaginary part of the diagonal is dropped, so
-    hermiticity holds exactly."""
-    a = np.array(lower, dtype=np.complex128)
-    n = a.shape[0]
-    i, j = _strict_upper(n)
-    a[i, j] = np.conj(a[j, i])
-    di = np.diag_indices(n)
-    a[di] = a[di].real
-    return a
-
-
 def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
     """Assemble one (J+1)x(J+1) symmetry block of the weighted Gram
     operator by Parseval quadrature on the circle nodes of ``table``.
@@ -152,6 +127,12 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
     the imaginary part vanishes and only nodes 0..N/2 are summed, with
     multiplicities 1, 2, ..., 2, 1.  The imaginary part is formed only for
     complex zeta, over all N nodes.
+
+    G is exactly Hermitian as assembled, with no repair: numpy takes each
+    product of a real array with its own transpose as a symmetric rank-k
+    update and mirrors it, the imaginary part is P - P^T, and the weights
+    c_j1 c_j2 are symmetric, so the real part is symmetric and the
+    imaginary part antisymmetric to the bit.
 
     Aliasing contract: the even nodes are the table's N/2-node grid and
     give its block in the same pass, and max|G_N - G_{N/2}| must not
@@ -213,7 +194,7 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
             f"(limit sqrt(TAIL_TOL) = {math.sqrt(TAIL_TOL):.1e}) "
             f"at n_grid={n}"
         )
-    return _mirror_lower(G)
+    return G.astype(np.complex128, copy=False)
 
 
 def eigenvalues(h: np.ndarray) -> np.ndarray:

@@ -75,8 +75,6 @@ def spike_vector(dom: DominantData, cfg: RenormConfig) -> tuple[np.ndarray, floa
     s = dom.s
     J = cfg.J
     d = np.zeros(J + 1, dtype=np.complex128)
-    if kap == 0:
-        return d, 0.0
     # t_j = conj(lam)^(p_j - 1) / alpha^(p_j), stepped by (conj(lam)/alpha)^s
     t = lam ** (cfg.q - 1) / cfg.alpha**cfg.q
     step = (lam / cfg.alpha) ** s

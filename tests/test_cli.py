@@ -321,6 +321,26 @@ def test_trajectory_rows_recertify_after_a_failed_row(tmp_path,
                                                  "ok": 3}
 
 
+def test_stalled_growth_march_is_recorded(tmp_path, monkeypatch):
+    # every moment Newton solve fails: the march halves its step below
+    # DT_MIN and raises TrajectoryStalled, at the first step and again in
+    # threshold detection; the T = 0 row is kept
+    monkeypatch.setattr(laplacian_growth, "_newton_moments",
+                        lambda leaf, targets, seed: None)
+    out = tmp_path / "out"
+    assert cli.main(["lg", "--config", str(CONFIGS / "lg_onemode.ini"),
+                     "--out", str(out), "--threads", "1"]) == 2
+    summary = read_summary(out, "lg")
+    failures = summary["failures"]
+    assert [(f["id"], f["status"]) for f in failures] == [
+        ("T=0.10000000000000001", "TrajectoryStalled"),
+        ("thresholds", "TrajectoryStalled")]
+    assert all("fell below" in f["detail"] for f in failures)
+    assert summary["points"] == {"total": 21, "failed": 20, "ok": 1}
+    assert "thresholds" not in summary
+    assert list(read_csv(out / "trajectory.csv")["T"]) == [0.0]
+
+
 def test_scan_unbracketed_critical_parameter_is_recorded(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["scan", "--config",
@@ -411,7 +431,7 @@ J = 12
 
 [scan]
 zeta_fixed = 0.01
-zeta_critical = 0.1
+crit_bracket = 0.05 0.2
 """
 
 
@@ -445,12 +465,13 @@ def test_stray_config_key_is_rejected(tmp_path):
         cli.parse_run_config("scan", sections)
 
 
-def test_delivery_keys_are_known(tmp_path):
-    text = SERIES_INI.replace("command = series",
-                              "command = series\nthreads = 1\nout = x")
-    sections = cli._load_sections(_write(tmp_path, "series.ini", text))
-    rc = cli.parse_run_config("series", sections)
-    assert "threads" not in rc.sections["run"]
+def test_threads_flag_must_be_positive(tmp_path, capsys):
+    cfgfile = _write(tmp_path, "series.ini", SERIES_INI)
+    out = tmp_path / "out"
+    assert cli.main(["series", "--config", str(cfgfile), "--out", str(out),
+                     "--threads", "0"]) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not (out / "series_summary.json").exists()
 
 
 @pytest.mark.parametrize("key,run_keys", [
@@ -512,11 +533,16 @@ SPECTRUM_INI = "[leaf]\nexponents = 2\n\n[spectrum]\nzeta = 0.2\n"
     # a scan point seeds from series_engine.SEED_ORDER
     ("spectrum", None, "spectrum.order", "250"),
     ("scan", "scan_near_critical", "scan.order", "250"),
+    # zeta_c always comes from the certified solve on crit_bracket
+    ("scan", "scan_near_critical", "scan.zeta_critical", "0.11836232650560907"),
+    # where and how parallel a run happens are the --out/--threads flags
+    ("series", None, "run.out", "."),
+    ("scan", "scan_near_critical", "run.threads", "1"),
 ])
 def test_removed_keys_are_config_errors(tmp_path, capsys, command, config,
                                         key, value):
     # constants of the program, not keys: even the value it uses is refused
-    inline = {"spectrum": SPECTRUM_INI, "char": CHAR_INI}
+    inline = {"spectrum": SPECTRUM_INI, "char": CHAR_INI, "series": SERIES_INI}
     cfgfile = (CONFIGS / f"{config}.ini" if config
                else _write(tmp_path, "run.ini", inline[command]))
     out = tmp_path / "out"

@@ -12,7 +12,6 @@ from toda_spectra import (CirclePowerTable, Leaf, NoConvergence, ParamPoint,
                           check_alpha_admissible, dominant_data, eigenvalues,
                           gram_block, taylor_branch)
 from toda_spectra import series_engine
-from toda_spectra.hessian_blocks import _mirror_lower
 
 from kernel_oracle import kernel_hessian_oracle, mode_gram_vectors
 from ramp_oracle import ramp_evaluation
@@ -44,20 +43,11 @@ def test_renorm_config_p_indices():
     npt.assert_array_equal(cfg.p_indices, [2, 5, 8, 11, 14])
 
 
-def test_hermitian_from_lower_mirrors():
-    lower = np.array([[1.0 + 2.0j, 7.0], [3.0 - 1.0j, 4.0]])
-    h = _mirror_lower(lower)
-    assert h.dtype == np.complex128 and h.shape == (2, 2)
-    assert h[0, 0] == 1.0                  # imaginary diagonal part dropped
-    assert h[0, 1] == 3.0 + 1.0j           # upper triangle overwritten
-    assert lower[0, 1] == 7.0              # input left alone
-    npt.assert_array_equal(h, h.conj().T)
-
-
 def test_eigensystem_descending_and_consistent():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    h = _mirror_lower(np.tril(a + a.conj().T))
+    h = a + a.conj().T  # Hermitian to the bit: addition commutes
+    npt.assert_array_equal(h, h.conj().T)
     vals = eigenvalues(h)
     assert list(vals) == sorted(vals, reverse=True)
     # the general (non-Hermitian) eigensolver as an independent check
@@ -191,9 +181,23 @@ def test_graded_gram_block_matches_uniform_oracle(phase, delta, monkeypatch):
 
 
 def test_gram_block_is_hermitian():
+    # Hermitian to the bit as assembled: a real point (half the nodes, a
+    # real product) and a complex one (all nodes, imaginary part P - P^T),
+    # the {3,6} blocks at the shipped scan's J on graded grids
     h = gram_block(CirclePowerTable(POINT2, 220), _cfg(J=6))
     assert h.dtype == np.complex128
     npt.assert_array_equal(h, h.conj().T)
+    leaf = Leaf((3, 6))
+    for zeta in [(0.11, 0.01), (0.1 * np.exp(0.3j), 0.01 * np.exp(-0.2j))]:
+        point = ParamPoint(leaf, zeta)
+        for q in (1, 2):
+            cfg = RenormConfig(q=q, s=3, J=70)
+            table = CirclePowerTable(point, 0, dominant_data(point),
+                                     lambda t: gram_block(t, cfg))
+            h = gram_block(table, cfg)
+            assert h.dtype == np.complex128
+            assert (np.abs(h.imag).max() > 0) == (not point.is_real())
+            npt.assert_array_equal(h, h.conj().T)
 
 
 def test_gram_block_checks_leaf_symmetry():

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toda_spectra import (CirclePowerTable, GridTooLarge, Leaf, ParamPoint,
-                          RenormConfig, TailNotConverged, branch_power_rows,
+from toda_spectra import (CirclePowerTable, GridTooLarge, Leaf, NoConvergence,
+                          ParamPoint, RenormConfig, TailNotConverged,
+                          WrongSheet, branch_power_rows,
                           check_alpha_admissible, critical_parameter,
                           dominant_data, gram_block, taylor_branch)
 from toda_spectra import series_engine
@@ -276,6 +277,17 @@ def test_circle_table_refuses_grid_over_ceiling(monkeypatch):
         CirclePowerTable(ParamPoint(Leaf((2,)), (0.2,)), 2048)
 
 
+@pytest.mark.parametrize("z", [1.3, 1.26])
+def test_circle_newton_stall_is_no_convergence(z):
+    # past z_* = 1/(4 zeta) = 1.25 the one-mode equation
+    # y = 1 + zeta z y^2 has no real root, so Newton from the real Taylor
+    # seed stays on the real axis and never settles
+    point = ParamPoint(Leaf((2,)), (0.2,))
+    with pytest.raises(NoConvergence, match="Newton stalled"):
+        series_engine._branch_values(point, np.array([complex(z)]),
+                                     taylor_branch(point, 250))
+
+
 # one-mode points 1e-4 below the critical |zeta| = 1/4, whose tables double
 # twice; the singularity of U = (1 - sqrt(1 - 4 zeta z))/(2 zeta z) is
 # z_* = 1/(4 zeta), on the positive axis, the negative axis, or rotated off
@@ -407,6 +419,37 @@ def test_table_checks_the_dominant_series(zeta):
         table = CirclePowerTable(point, 0, dom, series=short)
         npt.assert_array_equal(table.series,
                                taylor_branch(point, series_engine.SEED_ORDER))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=pytest.fail.Exception,
+    reason="a single sample off the Taylor sheet close to z_*, where the two "
+    "sheets nearly meet, passes the coefficient check: its weight*|dU|/n "
+    "falls like 1/n, so at delta = 1e-5 the table is accepted at 32768 "
+    "nodes with check error 9.4e-9 (at 1e-3 and 3e-2 the same sample ends "
+    "as WrongSheet); a continuity test along the circle would catch it",
+)
+def test_wrong_sheet_sample_near_the_singularity_is_refused(monkeypatch):
+    # the sample at node 5 of the first grid (1024 nodes, 513 solved)
+    # replaced by the other root 1/(zeta z U) of U = 1 + zeta z U^2, 1e-5
+    # below the critical zeta = 1/4, where the grid is graded deep into z_*
+    solve = series_engine._branch_values
+    calls = []
+
+    def one_wrong(p, z, *seeds):
+        u, iters = solve(p, z, *seeds)
+        if not calls:
+            assert len(z) == 513
+            u[5] = 1.0 / (p.zeta[0] * z[5] * u[5])
+        calls.append(len(z))
+        return u, iters
+
+    monkeypatch.setattr(series_engine, "_branch_values", one_wrong)
+    point = ParamPoint(Leaf((2,)), (0.25 * (1.0 - 1e-5),))
+    with pytest.raises(WrongSheet):
+        CirclePowerTable(point, 0, dominant_data(point),
+                         series=taylor_branch(point, 250))
 
 
 def test_admissibility_circle_taylor_seed_matches_ramp_oracle(leaf36_critical):
