@@ -15,8 +15,8 @@ blocks q = 1 and 2, alpha = 2, beta = 1), this times
   evaluation and Gram assembly, but its coefficient check is now a
   weighted sum where it was one FFT (about 10% of its time at 2**20
   points, when the check read 128 coefficients);
-* on the solved half of the graded table's final grid (nodes 0..n/2; the
-  rest are their mirror images), the branch values: seeded, by
+* on the nodes the graded table's final grid holds (the closed half
+  0..n/2, as zeta is real), the branch values: seeded, by
   ``series_engine._branch_values`` from the order-250 Taylor polynomial or
   the square-root germ of the point's ``DominantData``, against the 36-stage
   radius ramp it replaced, kept as the test oracle ``tests/ramp_oracle.py``.
@@ -95,10 +95,10 @@ def _uniform(p, order):
 
 
 def _seeded_row(p, dom, series, table, repeats):
-    """Seeded and ramp values on the solved nodes of ``table``'s grid."""
+    """Seeded and ramp values on the held nodes of ``table``'s grid."""
     n = table.n_grid
-    z = series_engine._circle_nodes(np.arange(n // 2 + 1), n, table.depth,
-                                    table.rot)[0]
+    z = series_engine._circle_nodes(np.arange(len(table.values)), n,
+                                    table.depth, table.rot)[0]
     (seeded, iters), t_seeded = _timed(
         lambda: series_engine._branch_values(p, z, series, dom), repeats)
     ramp, t_ramp = _timed(lambda: ramp_branch_values(p, z), repeats)

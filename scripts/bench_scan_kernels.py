@@ -73,11 +73,10 @@ BATCH = {"table": 5, "gram_block": 5, "eigensolves": 20}
 def _previous_gram_block(table, cfg):
     # gram_block as it was: per parity, J+1 rows by one product each, with
     # c_j applied row by row
-    p = table.param
     J, n = cfg.J, table.n_grid
     c = cfg.p_indices.astype(np.float64) ** -(1.0 + cfg.beta)
-    real = p.is_real()
-    n_sum, norm = (n // 2 + 1, 2.0 / n) if real else (n, 1.0 / n)
+    real = table.half
+    n_sum, norm = len(table.values), (2.0 / n if real else 1.0 / n)
     S = np.zeros((2, J + 1, J + 1))
     T = None if real else np.zeros((2, J + 1, J + 1))
     for lo in range(0, n_sum, series_engine.NODE_CHUNK):

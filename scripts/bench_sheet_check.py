@@ -6,11 +6,14 @@ point as the ``scan`` command does: ``scan_path`` with the config's blocks
 on one thread, BLAS on one thread.  It reports the point's final circle
 grid (``n_grid``), the median seconds of ``--repeats`` runs of the point
 and the process's peak RSS, import included.  The same runs on an earlier
-revision, extracted by ``git archive`` into a temporary directory, give
-``previous``.  The result, with the machine (nproc, numpy, BLAS), goes to
-BENCH_sheet_check.json at the repository root.  Run from anywhere:
+revision, extracted by ``git archive``, give ``previous``.  Both sides run
+from sibling copies in one temporary directory, ``cur/src`` (the working
+tree's ``src``) and ``old/src``, so that their paths, which the interpreter
+holds in memory, have the same length.  The result, with the machine
+(nproc, numpy, BLAS), goes to BENCH_sheet_check.json at the repository
+root.  Run from anywhere:
 
-    python3 scripts/bench_sheet_check.py --previous b5560cc --repeats 3
+    python3 scripts/bench_sheet_check.py --previous 5d84c7b --repeats 3
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import argparse
 import json
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -114,15 +118,20 @@ def main(argv=None) -> int:
         "configs": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
+        cur, old = Path(tmp) / "cur", Path(tmp) / "old"
+        shutil.copytree(ROOT / "src", cur / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        old.mkdir()
         archive = subprocess.run(["git", "-C", str(ROOT), "archive",
                                   args.previous, "src"],
                                  check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        subprocess.run(["tar", "-x", "-C", str(old)], input=archive,
+                       check=True)
         for config in CONFIGS:
             rows = []
             for i in range(_points(config)):
-                row = _run(ROOT / "src", config, i, args.repeats)
-                prev = _run(Path(tmp) / "src", config, i, args.repeats)
+                row = _run(cur / "src", config, i, args.repeats)
+                prev = _run(old / "src", config, i, args.repeats)
                 row["previous"] = {k: prev[k] for k in
                                    ("n_grid", "seconds", "peak_rss_mb")}
                 rows.append(row)

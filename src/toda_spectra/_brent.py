@@ -130,8 +130,10 @@ def first_zero(sample: Callable[[int], float], grid, fun_on, *,
     there is at most 0.  Otherwise it is the first grid[j] where the value
     is 0, or the root on the first step [grid[j-1], grid[j]] over which
     the value falls from above 0 to below, found by ``brentq`` on
-    ``fun_on(j)`` to ``xtol`` from the sampled values at the step's ends.
-    A non-finite value brackets nothing.  None if there is no zero.
+    ``fun_on(j)`` to ``xtol`` from the values at the step's ends.  A step
+    from +inf to a finite value below 0 is halved, through ``fun_on(j)``,
+    at whichever end keeps it so until the left end's value is finite.
+    Any other non-finite value brackets nothing.  None if there is no zero.
     """
     _check_xtol(xtol)
     prev = sample(0)
@@ -139,12 +141,21 @@ def first_zero(sample: Callable[[int], float], grid, fun_on, *,
         return float(grid[0])
     for j in range(1, len(grid)):
         val = sample(j)
-        if math.isfinite(prev) and math.isfinite(val):
+        if math.isfinite(val) and prev > -math.inf:  # prev finite or +inf
             if val == 0.0:
                 return float(grid[j])
             if prev > 0.0 > val:
-                return float(_solve(fun_on(j), _brent_steps(
-                    float(grid[j - 1]), float(grid[j]), prev, val, xtol)))
+                f, lo, hi = fun_on(j), float(grid[j - 1]), float(grid[j])
+                while prev == math.inf:
+                    if hi - lo <= xtol + RTOL * abs(hi):
+                        return hi
+                    mid = lo + (hi - lo) / 2
+                    fmid = _value(f, mid)
+                    if fmid > 0.0:
+                        lo, prev = mid, fmid
+                    else:
+                        hi, val = mid, fmid
+                return float(_solve(f, _brent_steps(lo, hi, prev, val, xtol)))
         prev = val
     return None
 

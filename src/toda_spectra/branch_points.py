@@ -418,11 +418,13 @@ def critical_parameter(path, t_lo: float, t_hi: float,
     certified at the points of a uniform grid of ``steps`` steps in turn,
     each with the previous point's data as ``near`` (``dominant_data``),
     up to the first step over which rho_* - 1 falls from above 0 to 0 or
-    below.  ``brentq`` solves it there to ``xtol``, each iterate certified
-    with the data at the step's left end as ``near``, so the result does
-    not depend on the order of the iterates.  Every rho_* read is a
-    certified one: where orbits cross along the path, the certificate
-    falls back to the rays and dominance may pass to another orbit.
+    below; a step from zeta = 0 is halved until rho_* - 1 is finite at its
+    left end (``first_zero``).  ``brentq`` solves it there to ``xtol``,
+    each iterate certified with the data at the step's first grid point as
+    ``near``, so the result does not depend on the order of the iterates.
+    Every rho_* read is a certified one: where orbits cross along the
+    path, the certificate falls back to the rays and dominance may pass to
+    another orbit.
 
     Raises
     ------

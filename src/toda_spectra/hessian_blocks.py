@@ -39,7 +39,7 @@ from .series_engine import (
     NODE_CHUNK,
     CirclePowerTable,
     ParamPoint,
-    _branch_values_on_circle,
+    _branch_values,
     _circle_nodes,
     _int_pow_values,
     _power_rows,
@@ -109,7 +109,7 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
 
     With V = U/alpha and p_j = q + s*j,
     (q + s z d/dz)(z^j V^{p_j}) = p_j z^j V^{p_j} (1 + s z U'/U), so the
-    block is G = (1/N) X^H X over the N nodes z_k of the table, with
+    block is G = (1/N) X^H X over the N nodes z_k of the table's grid, with
 
         X[k, j] = c_j sqrt(omega_k) |1 + s z_k U'_k/U_k| V_k^q (z_k V_k^s)^j,
 
@@ -122,11 +122,11 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
 
     The product is taken in real arithmetic.  Writing X = A + iB,
     G = (1/N) [(A^T A + B^T B) + i (A^T B - B^T A)]; the real part is one
-    real product of the interleaved (re, im) columns.  For real zeta,
-    the grid is closed under conjugation and X[N-k, j] = conj X[k, j], so
-    the imaginary part vanishes and only nodes 0..N/2 are summed, with
-    multiplicities 1, 2, ..., 2, 1.  The imaginary part is formed only for
-    complex zeta, over all N nodes.
+    real product of the interleaved (re, im) columns.  The sum runs over
+    the nodes the table holds: for real zeta (``CirclePowerTable.half``)
+    nodes 0..N/2, with multiplicities 1, 2, ..., 2, 1, as X[N-k, j] =
+    conj X[k, j] and the imaginary part vanishes; for complex zeta all N
+    nodes, and only then is the imaginary part formed.
 
     G is exactly Hermitian as assembled, with no repair: numpy takes each
     product of a real array with its own transpose as a symmetric rank-k
@@ -152,9 +152,8 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
         raise ValueError(f"config s={cfg.s} does not match leaf s={p.leaf.s}")
     J, n = cfg.J, table.n_grid
     c = cfg.p_indices.astype(np.float64) ** -(1.0 + cfg.beta)
-    real = p.is_real()
-    # samples summed, and the factor in front of their sum
-    n_sum, norm = (n // 2 + 1, 2.0 / n) if real else (n, 1.0 / n)
+    real = table.half
+    n_sum, norm = len(table.values), (2.0 / n if real else 1.0 / n)
     S = np.zeros((2, J + 1, J + 1))  # real part over even, odd samples
     T = None if real else np.zeros((2, J + 1, J + 1))  # imaginary part
     for lo in range(0, n_sum, NODE_CHUNK):
@@ -180,6 +179,7 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
             if T is not None:
                 P = Xp[:, 0::2] @ Xp[:, 1::2].T
                 T[parity] += P - P.T
+        del X, Xf, Xp  # else the next chunk's rows are built beside these
     cc = np.outer(c, c)
     G = norm * cc * (S[0] + S[1])
     D = cc * (S[1] - S[0])
@@ -218,18 +218,17 @@ def check_alpha_admissible(p: ParamPoint, dom: "DominantData",
     """Estimate the branch bound on the midpoint circle and warn if alpha
     does not clear it.
 
-    Samples |U| on |x| = (1 + rho_*)/2, with rho_* from ``dom``, and returns
-    the maximum; the samples lie inside the disk of convergence and start
-    from the Taylor polynomial of the point's ``series`` (its coefficient
-    array, ``taylor_branch``) alone.  The
+    Solves U (``series_engine._branch_values``) at 512 equally spaced
+    points of |x| = (1 + rho_*)/2, with rho_* from ``dom``, inside the
+    disk of convergence, from the Taylor polynomial of the point's
+    ``series`` (its coefficient array) alone, and returns max|U|.  The
     weighted renormalization is only guaranteed to tame the blocks when
     alpha exceeds this scale, so alpha <= max|U| triggers a warning rather
     than an error (the truncated numerics stay finite either way).
     """
     radius_z = ((1.0 + dom.rho_star) / 2.0) ** p.leaf.s
-    k = np.arange(512)
-    vals, _ = _branch_values_on_circle(
-        p, k, 512, radius_z * _circle_nodes(k, 512)[0], series)
+    z = radius_z * _circle_nodes(np.arange(512), 512)[0]
+    vals, _ = _branch_values(p, z, series)
     m0 = float(np.abs(vals).max())
     if alpha <= m0:
         warnings.warn(

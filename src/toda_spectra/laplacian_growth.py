@@ -179,8 +179,9 @@ def _refine_min(r: float, terms, theta: float, step: float) -> float:
     f'(e^{i theta}) = r + sum_n c_n e^{-i s_n theta} over ``terms`` =
     ((c_n, s_n), ...).  |f'| is V-shaped where it touches zero, but P is
     smooth, with P'' = 2 |d f'/d theta|^2 > 0 there, so Newton on P' = 0
-    converges quadratically right up to a cusp.  The bracket [theta - step, theta + step] shrinks on the sign of
-    P'; a step that would leave it, or meets P'' <= 0, is a bisection.
+    converges quadratically right up to a cusp.  The bracket
+    [theta - step, theta + step] shrinks on the sign of P'; a step that
+    would leave it, or meets P'' <= 0, is a bisection.
     Newton stops once its step is at the rounding level of theta or the
     decrease of P it predicts is at that of P.
     """

@@ -241,9 +241,9 @@ def taylor_branch(p: ParamPoint, order: int) -> np.ndarray:
 # the Taylor sheet, so one Newton solve of a few iterations replaces a
 # continuation from the centre of the disk; a sample that still lands on the
 # other sheet fails the table's coefficient check.  The cost is kept down
-# four ways.  For real zeta (phi = 0 or pi), U(conj z) = conj U(z) and node
-# n-k is the conjugate of node k: Newton runs on nodes 0..n/2 only and the
-# rest are their mirror images.  A sample leaves the Newton iteration once
+# four ways.  For real zeta (phi = 0 or pi), U(conj z) = conj U(z): node n-k
+# is the conjugate of node k, a table holds only the closed half k = 0..n/2,
+# and its sums count nodes 0 < k < n/2 twice.  A sample leaves Newton once
 # its own step is below the tolerance, so the slow samples near the dominant
 # singularity do not drag the converged ones along.  Integer powers are
 # formed by multiplication (``_int_pow_values``), not by complex ``**``.
@@ -256,9 +256,9 @@ def taylor_branch(p: ParamPoint, order: int) -> np.ndarray:
 # dozen rows of one chunk whatever the grid size.
 # ---------------------------------------------------------------------------
 
-# above this many nodes a table is refused before it is allocated: at 2**21
-# nodes the samples, the coefficient check and the Newton work arrays take a
-# few hundred MB per scan thread
+# above this many nodes a table is refused before it is allocated.  A {3,6}
+# table doubled to 2**21 nodes under the scan's blocks peaks at 117 MB for
+# real zeta (2**20 + 1 nodes held), 234 MB for complex zeta (tracemalloc)
 MAX_CIRCLE_GRID = 2**21
 
 # nodes of a table's first grid.  Points with rho_*^s - 1 above ~1e-3 pass
@@ -466,24 +466,6 @@ def _branch_values(p: ParamPoint, z: np.ndarray, series: np.ndarray,
     raise NoConvergence("circle evaluation: Newton stalled at the circle nodes")
 
 
-def _branch_values_on_circle(p: ParamPoint, k: np.ndarray, n: int,
-                             z: np.ndarray, series: np.ndarray,
-                             dom: "DominantData | None" = None
-                             ) -> tuple[np.ndarray, int]:
-    """Branch values at the nodes ``z`` of indices ``k`` (ascending, closed
-    under k -> n - k for k > 0) of an n-node grid of ``_circle_nodes``, or
-    of such a grid scaled by a radius, seeded from ``series`` and ``dom`` as
-    in ``_branch_values``, and the Newton iterations they took.  For real
-    zeta only the nodes k <= n/2 are solved and node k > n/2 is filled as
-    the conjugate of node n - k."""
-    if not p.is_real():
-        return _branch_values(p, z, series, dom)
-    low = k[k <= n // 2]
-    y, iters = _branch_values(p, z[: len(low)], series, dom)
-    return np.concatenate(
-        (y, np.conj(y[np.searchsorted(low, n - k[len(low):])]))), iters
-
-
 class CirclePowerTable:
     """Samples of U at the nodes of a graded grid on the unit circle in z,
     doubled until they pass their checks; coefficient rows of U**p on the
@@ -499,15 +481,19 @@ class CirclePowerTable:
     (``_branch_values``); without ``dom`` the grid is uniform and the
     samples start from the Taylor polynomial alone.
 
-    The first grid has N_START nodes, or the smallest power of two with at
-    least 2*(order+1) if that is more.  The grid doubles, solving only the
-    new odd nodes, until two checks hold: the coefficients m <=
-    _VALIDATE_ORDERS of U, as weighted sums (1/n) sum_k |dz/dw|_k U(z_k)
-    z_k^-m, agree with those of the series to 1e-8 relative, which catches
-    samples off the Taylor sheet; and ``accept(table)``, when given (the
-    scan's Gram blocks, whose aliasing contract then sizes the grid),
-    returns without raising TailNotConverged.  ``n_grid`` is the final
-    node count, ``doublings`` the number of doublings,
+    The table holds (``values``, ``samples``) all n nodes of its grid for
+    complex zeta; for real zeta (``half``) node n-k is the conjugate of
+    node k, and it holds the closed half k = 0..n/2.  The first grid has
+    N_START nodes, or the smallest power of two with at least 2*(order+1)
+    if that is more.  The grid doubles, solving only the new odd nodes it
+    holds, until two checks hold: the coefficients m <= _VALIDATE_ORDERS of
+    U, as weighted sums (1/n) sum_k |dz/dw|_k U(z_k) z_k^-m over the circle
+    (for real zeta the real part of the sum over the held half, nodes 0 < k
+    < n/2 counted twice), agree with those of the series to 1e-8 relative,
+    which catches samples off the Taylor sheet; and ``accept(table)``, when
+    given (the scan's Gram blocks, whose aliasing contract then sizes the
+    grid), returns without raising TailNotConverged.  ``n_grid`` is the
+    final node count, ``doublings`` the number of doublings,
     ``newton_iterations`` the most Newton iterations any node took and
     ``check_error`` the coefficient check's relative error on the final
     grid.  Requires the Taylor branch to be analytic beyond |z| = 1, i.e.
@@ -534,11 +520,12 @@ class CirclePowerTable:
         self.param = p
         self.order = order
         self.dom = dom
+        self.half = p.is_real()
         self.depth, self.rot = 1.0, 1.0
         if dom is not None:
             z_star = dom.rho_star**dom.s * cmath.exp(1j * dom.phi)
             self.depth = min(1.0, GRADE * math.sqrt(2.0 * (abs(z_star) - 1.0)))
-            self.rot = (math.copysign(1.0, z_star.real) if p.is_real()
+            self.rot = (math.copysign(1.0, z_star.real) if self.half
                         else z_star / abs(z_star))
         if series is None or len(series) <= _VALIDATE_ORDERS:
             series = taylor_branch(p, SEED_ORDER)
@@ -546,11 +533,8 @@ class CirclePowerTable:
         n = N_START
         while n < 2 * (order + 1):
             n *= 2
-        self.n_grid = 0
-        self.doublings = 0
-        self.newton_iterations = 0
+        self.n_grid = self.doublings = self.newton_iterations = 0
         self.check_error = math.inf
-        self.values = np.empty(0, dtype=np.complex128)
         self._sums = np.zeros(_VALIDATE_ORDERS + 1, dtype=np.complex128)
         why, last_err, stalls = "", math.inf, 0
         while True:
@@ -582,35 +566,40 @@ class CirclePowerTable:
             self.doublings += 1
 
     def _refine(self, n: int) -> None:
-        """Values at all n nodes: the first grid, or the doubled one.  The
-        even nodes of the doubled grid are the old grid, with the same
-        weights, so only the new nodes' terms join the check's sums."""
-        k = np.arange(n) if self.n_grid == 0 else np.arange(1, n, 2)
+        """Values at the held nodes of the n-node grid: all of the first
+        grid, or the new odd ones of the doubled grid.  Its even nodes are
+        the old grid, with the same weights, so only the new nodes' terms
+        join the check's sums."""
+        held = n // 2 + 1 if self.half else n
+        k = np.arange(held) if self.n_grid == 0 else np.arange(1, held, 2)
         z, weight = _circle_nodes(k, n, self.depth, self.rot)
-        new, iters = _branch_values_on_circle(self.param, k, n, z,
-                                              self.series, self.dom)
+        new, iters = _branch_values(self.param, z, self.series, self.dom)
         if self.n_grid == 0:
             self.values = new
         else:
-            vals = np.empty(n, dtype=np.complex128)
+            vals = np.empty(held, dtype=np.complex128)
             vals[0::2] = self.values
             vals[1::2] = new
             self.values = vals
         self.newton_iterations = max(self.newton_iterations, iters)
         self.n_grid = n
+        if self.half:  # node k, 0 < k < n/2, stands for itself and node n-k
+            weight[(k > 0) & (k < n // 2)] *= 2.0
         self._sums += _power_sums(weight * new, np.conj(z),
                                   _VALIDATE_ORDERS + 1)
 
     def _check_error(self) -> float:
         """Largest error of the first _VALIDATE_ORDERS + 1 coefficients of U,
-        (1/n) sum_k |dz/dw|_k U(z_k) z_k^-m, relative to the largest one."""
-        got = self._sums / self.n_grid
+        (1/n) sum_k |dz/dw|_k U(z_k) z_k^-m over the circle, relative to the
+        largest one."""
+        got = (self._sums.real if self.half else self._sums) / self.n_grid
         want = self.series[: _VALIDATE_ORDERS + 1]
         return float(np.abs(got - want).max() / np.abs(want).max())
 
     def samples(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray,
                                                  np.ndarray, np.ndarray]:
-        """Nodes lo..hi-1 as (z_k, U(z_k), z_k U'(z_k) / U(z_k), |dz/dw|_k).
+        """Held nodes lo..hi-1 as (z_k, U(z_k), z_k U'(z_k) / U(z_k),
+        |dz/dw|_k).
 
         Differentiating the branch equation gives
         z U' = sum_n sh_n zeta_n z^sh_n U^k_n
@@ -633,24 +622,23 @@ class CirclePowerTable:
         """Array of shape (len(p_list), order+1): row i holds R_{p_i}(m).
 
         Needs the uniform grid, whose samples the inverse FFT turns into
-        coefficients.
+        coefficients; for real zeta the full circle is rebuilt from the held
+        half by conjugation.
         """
         if self.depth < 1.0:
             raise ValueError("coefficient rows need the uniform grid")
         ps = [int(v) for v in p_list]
         if any(v < 1 for v in ps):
             raise ValueError("powers must be >= 1")
-        order_idx = np.argsort(ps, kind="stable")
+        vals = self.values
+        if self.half:
+            vals = np.concatenate((vals, np.conj(vals[-2:0:-1])))
         out = np.empty((len(ps), self.order + 1), dtype=np.complex128)
-        cur = None
-        cur_p = 0
-        for idx in order_idx:
-            target = ps[idx]
-            if cur is None:
-                cur = _int_pow_values(self.values, target)
-            elif target != cur_p:
-                cur = cur * _int_pow_values(self.values, target - cur_p)
-            cur_p = target
+        cur, cur_p = None, 0
+        for idx in np.argsort(ps, kind="stable"):
+            if ps[idx] != cur_p:
+                step = _int_pow_values(vals, ps[idx] - cur_p)
+                cur, cur_p = step if cur is None else cur * step, ps[idx]
             out[idx] = (np.fft.fft(cur) / self.n_grid)[: self.order + 1]
         return out
 
@@ -670,8 +658,7 @@ def branch_power_rows(p: ParamPoint, p_list: Sequence[int], order: int,
     wanted = {}
     for i, pv in enumerate(p_list):
         wanted.setdefault(pv, []).append(i)
-    cur = base.copy()
-    cur_p = 1
+    cur, cur_p = base, 1
     top = max(p_list)
     while True:
         if cur_p in wanted:

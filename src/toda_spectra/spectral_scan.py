@@ -144,11 +144,11 @@ def scan_path(path, delta_grid, blocks: list[RenormConfig],
     Grid points are independent jobs, run on ``threads`` threads (default:
     the CPU count, at most 4); with more than one thread they are submitted
     deepest (smallest delta) first, and output order follows the grid
-    either way, so results do not depend on scheduling.  A point or block that fails certification, convergence,
-    the sheet check or the grid ceiling is recorded with the error's name
-    and skipped.  For real zeta the blocks are real symmetric (the spike's
-    phases e^{-ij phi} are +-1 up to rounding), and their real parts are
-    solved.
+    either way, so results do not depend on scheduling.  A point or block
+    that fails certification, convergence, the sheet check or the grid
+    ceiling is recorded with the error's name and skipped.  For real zeta
+    the blocks are real symmetric (the spike's phases e^{-ij phi} are +-1
+    up to rounding), and their real parts are solved.
 
     Raises
     ------
@@ -195,13 +195,12 @@ def scan_path(path, delta_grid, blocks: list[RenormConfig],
         grid = dict(n_grid=table.n_grid, doublings=table.doublings,
                     newton_iterations=table.newton_iterations,
                     check_error=table.check_error)
-        real = param.is_real()
         out = []
         for c, G in zip(blocks, grams):
             try:
                 d, gamma = spike_vector(dom, c)
                 C = G - L * np.outer(d, d.conj())
-                if real:
+                if param.is_real():
                     G, C = G.real, C.real
                 mu = eigenvalues(G)[:K_MAX]
                 ev_C = eigenvalues(C)

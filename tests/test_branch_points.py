@@ -433,6 +433,13 @@ def test_critical_parameter_one_mode(s, zc):
     assert abs(got - zc) < 1e-10
 
 
+def test_critical_parameter_from_zeta_zero():
+    # rho_* - 1 = +inf at zeta = 0, and the crossing at 1/4 lies inside the
+    # first step of [0, 5]
+    path = lambda t: None if t == 0 else _one_mode(t)
+    assert abs(critical_parameter(path, 0.0, 5.0) - 0.25) < 1e-10
+
+
 def test_critical_parameter_needs_a_bracket():
     # rho_* - 1 > 0 all over the first interval and < 0 all over the
     # second: neither holds a downward crossing, and t_lo is not one

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from toda_spectra import NoConvergence
 from toda_spectra import _brent
-from toda_spectra._brent import brentq, brentq_many
+from toda_spectra._brent import brentq, brentq_many, first_zero
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -139,3 +139,74 @@ def test_brentq_many_reports_failures_as_nan(monkeypatch):
     step = lambda index, x: [math.copysign(1.0, xi - math.pi) for xi in x]
     assert np.isnan(brentq_many(step, np.array([0.0]), np.array([10.0]),
                                 [-1.0], [1.0], xtol=1e-12)).all()
+
+
+# ---------------------------------------------------------------------------
+# first_zero
+
+
+def _march(values, f=None):
+    """``first_zero`` on grid 0, 1, 2, ... with the sampled ``values`` and
+    ``f`` between them, recording the grid indices sampled and the steps
+    refined."""
+    sampled, steps = [], []
+
+    def sample(j):
+        sampled.append(j)
+        return values[j]
+
+    def fun_on(j):
+        steps.append(j)
+        return f
+
+    grid = np.arange(len(values), dtype=float)
+    return first_zero(sample, grid, fun_on, xtol=1e-12), sampled, steps
+
+
+def test_first_zero_at_the_first_grid_point():
+    for first in (0.0, -2.0):
+        assert _march([first, 1.0, -1.0]) == (0.0, [0], [])
+
+
+def test_first_zero_exact_at_a_grid_point():
+    assert _march([3.0, 1.0, 0.0, -1.0, 0.0]) == (2.0, [0, 1, 2], [])
+
+
+def test_first_zero_none_without_a_downward_crossing():
+    # rising through 0 is no zero, nor is a positive run
+    assert _march([2.0, 1.0, 0.5, 1.0]) == (None, [0, 1, 2, 3], [])
+
+
+def test_first_zero_samples_no_further_than_the_zero_step():
+    f = lambda x: 1.5 - x
+    got, sampled, steps = _march([f(x) for x in range(10)], f)
+    assert got == brentq(f, 1.0, 2.0, xtol=1e-12) == 1.5
+    assert sampled == [0, 1, 2] and steps == [2]
+
+
+def test_first_zero_nan_brackets_nothing():
+    # cos falls through 0 at pi/2, in the step [1, 2]; with a NaN sampled
+    # at 2 that crossing is lost, and the next one, 5 pi/2, is found
+    values = [math.cos(x) for x in range(10)]
+    values[2] = math.nan
+    got, sampled, steps = _march(values, math.cos)
+    assert got == pytest.approx(2.5 * math.pi, abs=1e-12)
+    assert sampled == list(range(9)) and steps == [8]
+
+
+def test_first_zero_halves_a_step_from_infinity():
+    # +inf at 0, as rho_* - 1 at zeta = 0, and a root at 0.25 inside the
+    # first step: the step is halved until its left end is finite
+    f = lambda x: math.inf if x == 0.0 else 1.0 / x - 4.0
+    got, sampled, steps = _march([f(x) for x in range(5)], f)
+    assert got == pytest.approx(0.25, abs=1e-12)
+    assert sampled == [0, 1] and steps == [1]
+    # a step that ends at 0 is that zero
+    assert _march([math.inf, 0.0, -1.0], f)[0] == 1.0
+    # infinite to the left of a jump down: the jump, to within xtol
+    jump = lambda x: math.inf if x < 0.3 else -1.0
+    got = _march([math.inf, -1.0], jump)[0]
+    assert 0.3 <= got <= 0.3 + 2e-12
+    # -inf and NaN still bracket nothing
+    assert _march([math.inf, -math.inf, -1.0], f)[0] is None
+    assert _march([math.inf, math.nan, -1.0], f)[0] is None

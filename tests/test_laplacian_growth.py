@@ -366,6 +366,15 @@ def test_detect_thresholds_on_declared_slice(monkeypatch):
     assert report.separated is True
 
 
+def test_detect_thresholds_from_zeta_zero():
+    # the slice starts at zeta = 0, and t_c = 1.25 lies inside the first
+    # of the 64 steps of [0, 100]
+    report = detect_thresholds(SliceDriver(LEAF2, lambda t: 0.2 * t), 100.0)
+    assert report.t_c == pytest.approx(1.25, abs=1e-6)
+    assert report.t_univ == pytest.approx(5.0, abs=1e-6)
+    assert report.separated is True
+
+
 def test_detect_thresholds_none_when_not_reached(monkeypatch):
     monkeypatch.setattr(laplacian_growth, "DETECT_STEPS", 6)
     # the second slice starts past the threshold: no downward crossing

@@ -16,7 +16,7 @@ from toda_spectra import (CirclePowerTable, GridTooLarge, Leaf, NoConvergence,
                           check_alpha_admissible, critical_parameter,
                           dominant_data, gram_block, taylor_branch)
 from toda_spectra import series_engine
-from toda_spectra.series_engine import _branch_values_on_circle, _circle_nodes
+from toda_spectra.series_engine import _branch_values, _circle_nodes
 
 from loop_oracle import horner_values, power_rows_loop, power_sums_loop
 from ramp_oracle import ramp_branch_values
@@ -236,9 +236,12 @@ def test_circle_values_match_one_mode_closed_form(zeta, n):
     assert point.is_real() == (np.imag(zeta) == 0)
     z = np.exp(2j * np.pi * np.arange(n) / n)
     want = (1.0 - np.sqrt(1.0 - 4.0 * zeta * z)) / (2.0 * zeta * z)
-    got, _ = _branch_values_on_circle(point, np.arange(n), n, z,
-                                      taylor_branch(point, 250))
+    got, _ = _branch_values(point, z, taylor_branch(point, 250))
     npt.assert_allclose(got, want, rtol=0, atol=1e-13)
+    if point.is_real():
+        # node n-k mirrors node k, which is why a real table holds only
+        # the closed half-circle
+        npt.assert_allclose(got[:0:-1], np.conj(got[1:]), rtol=0, atol=1e-13)
 
 
 def test_complex_circle_samples_mirror_exactly():
@@ -260,10 +263,9 @@ def test_complex_circle_samples_mirror_exactly():
             rep, x_star=np.conj(rep.x_star), lam=np.conj(rep.lam),
             kappa=np.conj(rep.kappa)))
     z = _circle_nodes(k, n)[0]
-    u, _ = _branch_values_on_circle(point, k, n, z, series, dom)
-    v, _ = _branch_values_on_circle(
-        ParamPoint(leaf, (np.conj(zeta),)), k, n, z,
-        np.conj(series), mirror)
+    u, _ = _branch_values(point, z, series, dom)
+    v, _ = _branch_values(ParamPoint(leaf, (np.conj(zeta),)), z,
+                          np.conj(series), mirror)
     assert np.abs(u[(n - k) % n] - np.conj(v)).max() <= 1e-15
 
 
@@ -303,16 +305,30 @@ def _seeded_table(point, accept=None):
                             series=taylor_branch(point, 250))
 
 
+def _held_samples(table):
+    # (z, U, z U'/U, |dz/dw|) at every node the table holds
+    return table.samples(0, len(table.values))
+
+
+def _full_circle(table, x):
+    # x at the table's held nodes, extended to all n_grid nodes: for real
+    # zeta node n-k is the conjugate of node k
+    return np.concatenate((x, np.conj(x[-2:0:-1]))) if table.half else x
+
+
 @pytest.mark.parametrize("zeta", GRADED, ids=GRADED_IDS)
 def test_graded_table_matches_one_mode_closed_form(zeta):
     point = ParamPoint(Leaf((2,)), (zeta,))
     table = _seeded_table(point)
     assert 0.0 < table.depth < 0.2 and table.n_grid > series_engine.N_START
-    z, u, _, weight = table.samples(0, table.n_grid)
+    z, u, _, weight = _held_samples(table)
     npt.assert_allclose(np.abs(z), 1.0, rtol=0, atol=1e-15)
     want = (1.0 - np.sqrt(1.0 - 4.0 * zeta * z)) / (2.0 * zeta * z)
     npt.assert_allclose(u, want, rtol=0, atol=1e-12)
     # the nodes crowd toward z_*, and the weights |dz/dw| average to one
+    # over the whole circle
+    z, weight = _full_circle(table, z), _full_circle(table, weight)
+    assert len(z) == table.n_grid
     near = np.abs(z - z[0]) < 0.1
     assert near.mean() > 0.3
     assert np.mean(weight) == pytest.approx(1.0, rel=1e-13)
@@ -347,7 +363,7 @@ LEAF36 = Leaf((3, 6))
 
 
 def _assert_matches_ramp(point, table):
-    z, u, _, _ = table.samples(0, table.n_grid)
+    z, u, _, _ = _held_samples(table)
     want = ramp_branch_values(point, z)
     assert np.abs(u - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
 
@@ -460,7 +476,7 @@ def test_admissibility_circle_taylor_seed_matches_ramp_oracle(leaf36_critical):
     series = taylor_branch(point, 250)
     radius = ((1.0 + dom.rho_star) / 2.0) ** 3
     z = radius * _circle_nodes(np.arange(512), 512)[0]
-    got, _ = _branch_values_on_circle(point, np.arange(512), 512, z, series)
+    got, _ = _branch_values(point, z, series)
     want = ramp_branch_values(point, z)
     assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
     assert check_alpha_admissible(point, dom, series, 10.0) == np.abs(got).max()
@@ -503,20 +519,27 @@ def test_check_sums_match_per_m_loop_on_doubled_table(leaf36_critical,
     point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - 1e-4), 0.01))
     table = _seeded_table(point)
     assert table.doublings >= 1
+    # the sums over the held half, folded, against the sums over the
+    # whole circle
+    assert table.half
     n = table.n_grid
     z, weight = _circle_nodes(np.arange(n), n, table.depth, table.rot)
-    want = power_sums_loop(weight * table.values, np.conj(z),
-                           series_engine._VALIDATE_ORDERS + 1)
-    assert np.abs(table._sums - want).max() <= 1e-14 * np.abs(want).max()
+    want = power_sums_loop(weight * _full_circle(table, table.values),
+                           np.conj(z), series_engine._VALIDATE_ORDERS + 1)
+    assert np.abs(table._sums.real - want).max() <= 1e-14 * np.abs(want).max()
     assert table.check_error < 1e-8
 
 
 def test_circle_table_agrees_with_convolution():
-    p = ParamPoint(Leaf((2,)), (0.1,))
-    direct = branch_power_rows(p, [1, 2, 5], 48)
-    table = CirclePowerTable(p, 48)
-    rows = table.rows([1, 2, 5])
-    npt.assert_allclose(rows, direct, rtol=0, atol=1e-12)
+    # a real table holds the closed half-circle, a complex one every node
+    for zeta, held in ((0.1, 513), (0.1 * np.exp(0.4j), 1024)):
+        p = ParamPoint(Leaf((2,)), (zeta,))
+        direct = branch_power_rows(p, [1, 2, 5], 48)
+        table = CirclePowerTable(p, 48)
+        assert table.n_grid == 1024 and table.half == p.is_real()
+        assert len(table.values) == held
+        rows = table.rows([1, 2, 5])
+        npt.assert_allclose(rows, direct, rtol=0, atol=1e-12)
 
 
 def test_circle_table_power_ordering_is_stable():
