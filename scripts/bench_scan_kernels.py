@@ -1,31 +1,29 @@
 """Time the scan point kernels against the loops they replaced.
 
 On the {3,6} leaf with zeta_2 = 0.01, at delta = 5e-2, 5e-3 and 5e-4 below
-the critical zeta_1 (circle grids of 1024, 1024 and 2048 nodes), this
-times three pieces of one scan point:
+the critical zeta_1, this times three pieces of one scan point:
 
 * ``table``: ``CirclePowerTable(p, 0, dom, series=series)``, with the
-  point's order-250 Taylor series as ``scan_path`` passes it; its Taylor
-  seed is evaluated by Paterson-Stockmeyer
-  (``series_engine._taylor_values``) and its coefficient check sums as
-  row sums of ``_power_rows`` (``series_engine._power_sums``);
+  point's order-250 Taylor series as ``scan_path`` passes it, on the grid
+  of its own checks (1024 nodes at each delta); its Taylor seed is
+  evaluated by Paterson-Stockmeyer (``series_engine._taylor_values``);
 * ``gram_block``: the q = 1 block at J = 70, whose rows come by doubling
-  (``series_engine._power_rows``);
+  (``series_engine._power_rows``), on the grid the scan's blocks need
+  (1024, 1024 and 2048 nodes);
 * ``eigensolves``: the point's four solves (G and the deflated C of the
   blocks q = 1, 2), on the real parts of the blocks, as ``scan_path`` does
   for real zeta.
 
-``previous`` is the same call with the loops of ``tests/loop_oracle.py``
-in place of the table's two kernels (a Horner step per coefficient, a sum
-and a product per checked coefficient), ``gram_block`` as it was (a
-product per row and per parity, each row scaled by c_j in the loop, its
-lower triangle mirrored onto the upper), and complex ``eigvalsh`` of the
-complex blocks.
+``previous`` is the same call with the loop of ``tests/loop_oracle.py``
+in place of the table's seed kernel (a Horner step per coefficient),
+``gram_block`` as it was (a product per row and per parity, each row
+scaled by c_j in the loop, its lower triangle mirrored onto the upper),
+and complex ``eigvalsh`` of the complex blocks.
 
 Each figure is the median over ``--repeats`` runs of the mean time per call
 in a batch.  With them go the largest changes of the outputs (samples,
-blocks, eigenvalues, c_norm, coefficient-check error), whether the grids
-agree, and the machine (nproc, numpy, BLAS).  The result goes to
+blocks, eigenvalues, c_norm), whether the grids agree, and the machine
+(nproc, numpy, BLAS).  The result goes to
 BENCH_scan_kernels.json at the repository root.  Run from anywhere:
 
     python3 scripts/bench_scan_kernels.py --repeats 7
@@ -55,7 +53,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "scripts")]
 import numpy as np
 
 from bench_graded import _blas
-from loop_oracle import horner_values, power_sums_loop
+from loop_oracle import horner_values
 from toda_spectra import (CirclePowerTable, Leaf, ParamPoint, RenormConfig,
                           critical_parameter, dominant_data, gram_block,
                           log_scale, spike_vector, taylor_branch)
@@ -120,16 +118,13 @@ def _previous_gram_block(table, cfg):
 
 @contextlib.contextmanager
 def _previous_code():
-    saved = (series_engine._taylor_values, series_engine._power_sums,
-             hessian_blocks.gram_block)
+    saved = series_engine._taylor_values, hessian_blocks.gram_block
     series_engine._taylor_values = horner_values
-    series_engine._power_sums = power_sums_loop
     hessian_blocks.gram_block = _previous_gram_block
     try:
         yield
     finally:
-        (series_engine._taylor_values, series_engine._power_sums,
-         hessian_blocks.gram_block) = saved
+        series_engine._taylor_values, hessian_blocks.gram_block = saved
 
 
 def _per_call(fn, batch, repeats):
@@ -160,10 +155,14 @@ def _side(p, dom, series, repeats):
     table, t_table = _per_call(
         lambda: CirclePowerTable(p, 0, dom, series=series), BATCH["table"],
         repeats)
-    gram, t_gram = _per_call(lambda: hessian_blocks.gram_block(table,
+    # the blocks on the scan's grid, which their aliasing contract sizes
+    scan_table = CirclePowerTable(
+        p, 0, dom, lambda t: [gram_block(t, c) for c in BLOCKS],
+        series=series)
+    gram, t_gram = _per_call(lambda: hessian_blocks.gram_block(scan_table,
                                                                BLOCKS[0]),
                              BATCH["gram_block"], repeats)
-    return table, gram, t_table, t_gram
+    return table, scan_table, gram, t_table, t_gram
 
 
 def _timing(now, before, batch):
@@ -174,10 +173,11 @@ def _timing(now, before, batch):
 def _point(zc, delta, repeats):
     p = ParamPoint(LEAF, (zc * (1.0 - delta), ZETA2))
     dom, series = dominant_data(p), taylor_branch(p, 250)
-    table, gram, t_table, t_gram = _side(p, dom, series, repeats)
+    table, scan_table, gram, t_table, t_gram = _side(p, dom, series, repeats)
     with _previous_code():
-        table0, gram0, t_table0, t_gram0 = _side(p, dom, series, repeats)
-    grams = [gram_block(table, cfg) for cfg in BLOCKS]
+        table0, scan_table0, gram0, t_table0, t_gram0 = _side(p, dom, series,
+                                                              repeats)
+    grams = [gram_block(scan_table, cfg) for cfg in BLOCKS]
     spectra, t_eig = _per_call(lambda: _eigensolves(grams, dom, True),
                                BATCH["eigensolves"], repeats)
     spectra0, t_eig0 = _per_call(lambda: _eigensolves(grams, dom, False),
@@ -185,17 +185,15 @@ def _point(zc, delta, repeats):
     mu1 = max(mu[0] for mu, _ in spectra0)
     return {
         "delta": delta, "epsilon": dom.rho_star - 1.0,
-        "n_grid": table.n_grid,
+        "n_grid": {"table": table.n_grid, "scan": scan_table.n_grid},
         "calls": {"table": _timing(t_table, t_table0, BATCH["table"]),
                   "gram_block": _timing(t_gram, t_gram0, BATCH["gram_block"]),
                   "eigensolves": _timing(t_eig, t_eig0,
                                          BATCH["eigensolves"])},
-        "grid_identical": ((table.n_grid, table.doublings,
-                            table.newton_iterations)
-                           == (table0.n_grid, table0.doublings,
-                               table0.newton_iterations)),
-        "check_error": {"now": table.check_error,
-                        "previous": table0.check_error},
+        "grid_identical": all(
+            (t.n_grid, t.doublings, t.newton_iterations)
+            == (t0.n_grid, t0.doublings, t0.newton_iterations)
+            for t, t0 in ((table, table0), (scan_table, scan_table0))),
         "max_rel_diff": {
             "samples": float(np.abs(table.values - table0.values).max()
                              / np.abs(table0.values).max()),
@@ -227,10 +225,10 @@ def main(argv=None) -> int:
                 "of CirclePowerTable(p, 0, dom, series=taylor_branch(p, 250)), "
                 "gram_block of the q = 1 "
                 "block (J = 70) and the point's four eigensolves; previous = "
-                "the loops of tests/loop_oracle.py in place of "
-                "_taylor_values and _power_sums, gram_block with one product "
-                "per row and parity and its lower triangle mirrored, and "
-                "complex eigvalsh",
+                "the Horner loop of tests/loop_oracle.py in place of "
+                "_taylor_values, gram_block with one product per row and "
+                "parity and its lower triangle mirrored, and complex "
+                "eigvalsh",
         "command": f"python3 scripts/bench_scan_kernels.py --repeats "
                    f"{args.repeats}",
         "machine": {"nproc": os.cpu_count(), "numpy": np.__version__,

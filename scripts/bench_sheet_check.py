@@ -1,19 +1,23 @@
 """Per-delta node count, time and peak memory of the two shipped scan configs.
 
 For each delta of ``configs/scan_near_critical.ini`` and
-``configs/scan_deep_diagnostic.ini``, a fresh interpreter runs that one
+``configs/scan_deep_diagnostic.ini``, fresh interpreters run that one
 point as the ``scan`` command does: ``scan_path`` with the config's blocks
-on one thread, BLAS on one thread.  It reports the point's final circle
-grid (``n_grid``), the median seconds of ``--repeats`` runs of the point
-and the process's peak RSS, import included.  The same runs on an earlier
-revision, extracted by ``git archive``, give ``previous``.  Both sides run
-from sibling copies in one temporary directory, ``cur/src`` (the working
-tree's ``src``) and ``old/src``, so that their paths, which the interpreter
-holds in memory, have the same length.  The result, with the machine
-(nproc, numpy, BLAS), goes to BENCH_sheet_check.json at the repository
-root.  Run from anywhere:
+on one thread, BLAS on one thread.  Each runs the point ``--repeats``
+times and reports the point's final circle grid (``n_grid``), the median
+seconds of its runs and the process's peak RSS, import included.  The
+process layout alone moves that peak by a few tenths of a MB, so
+``--repeats`` processes run per delta, each with the environment padded by
+a different length from 0 to 1.6 kB, and the figures are their medians.
+The same runs on an earlier revision, extracted by ``git archive``, give
+``previous``, the two sides alternating.  Both sides run from sibling
+copies in one temporary directory, ``cur/src`` (the working tree's
+``src``) and ``old/src``, so that their paths, which the interpreter holds
+in memory, have the same length.  The result, with the machine (nproc,
+numpy, BLAS), goes to BENCH_sheet_check.json at the repository root.  Run
+from anywhere:
 
-    python3 scripts/bench_sheet_check.py --previous 5d84c7b --repeats 3
+    python3 scripts/bench_sheet_check.py --previous 0448e29 --repeats 3
 """
 
 from __future__ import annotations
@@ -78,11 +82,22 @@ def _points(config: str) -> int:
                 if line.replace(" ", "").startswith("points="))
 
 
-def _run(src: Path, config: str, index: int, repeats: int) -> dict:
+# the largest environment padding, in bytes
+PAD_MAX = 1600
+
+
+def _run(src: Path, config: str, index: int, repeats: int, pad: int) -> dict:
+    env = dict(os.environ, BENCH_LAYOUT_PAD="x" * pad)
     out = subprocess.run(
         [sys.executable, __file__, "--worker", str(src), config, str(index),
-         str(repeats)], check=True, capture_output=True, text=True)
+         str(repeats)], check=True, capture_output=True, text=True, env=env)
     return json.loads(out.stdout)
+
+
+def _median_runs(runs: list[dict]) -> dict:
+    return {"n_grid": runs[0]["n_grid"],
+            "seconds": statistics.median(r["seconds"] for r in runs),
+            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs)}
 
 
 def main(argv=None) -> int:
@@ -105,8 +120,10 @@ def main(argv=None) -> int:
 
     result = {
         "benchmark": "sheet_check",
-        "what": "one scan point per fresh process: final circle grid, median "
-                "seconds of scan_path on the point, peak RSS of the process",
+        "what": "one scan point per fresh process, --repeats processes per "
+                "delta and side with the environment padded by 0 to "
+                f"{PAD_MAX} bytes: final circle grid, median seconds of "
+                "scan_path on the point and median peak RSS of the processes",
         "command": f"python3 scripts/bench_sheet_check.py --previous "
                    f"{args.previous} --repeats {args.repeats}",
         "previous_revision": args.previous,
@@ -130,10 +147,15 @@ def main(argv=None) -> int:
         for config in CONFIGS:
             rows = []
             for i in range(_points(config)):
-                row = _run(cur / "src", config, i, args.repeats)
-                prev = _run(old / "src", config, i, args.repeats)
-                row["previous"] = {k: prev[k] for k in
-                                   ("n_grid", "seconds", "peak_rss_mb")}
+                runs, prevs = [], []
+                for j in range(args.repeats):
+                    pad = PAD_MAX * j // max(1, args.repeats - 1)
+                    runs.append(_run(cur / "src", config, i, args.repeats,
+                                     pad))
+                    prevs.append(_run(old / "src", config, i, args.repeats,
+                                      pad))
+                row = {"delta": runs[0]["delta"], **_median_runs(runs),
+                       "previous": _median_runs(prevs)}
                 rows.append(row)
                 print(json.dumps(row), file=sys.stderr)
 

@@ -468,9 +468,9 @@ def _spectra_rows(points) -> tuple[list, list]:
 
 def _grid_facts(points) -> list[dict]:
     """Final node count, doublings, largest Newton iteration count and
-    coefficient-check error of each point's circle table, in grid order
-    (one entry per delta; 0, or null for the error, where no table was
-    completed)."""
+    circle-mean error |mean - 1| of each point's circle table, in grid
+    order (one entry per delta; 0, or null for the error, where no table
+    was completed)."""
     facts = {}
     for pt in points:
         facts.setdefault(pt.delta, {"delta": _jf(pt.delta), "n_grid": pt.n_grid,

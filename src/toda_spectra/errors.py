@@ -36,8 +36,8 @@ class GridTooLarge(TodaSpectraError):
 
 
 class WrongSheet(TodaSpectraError):
-    """Samples left the Taylor sheet: their check against the Taylor series
-    coefficients stopped improving as the sample grid was refined."""
+    """Samples left the Taylor sheet: adjacent samples on the circle jump
+    further apart than the branch's derivative allows."""
 
 
 class InsufficientData(TodaSpectraError):

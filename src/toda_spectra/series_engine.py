@@ -239,21 +239,32 @@ def taylor_branch(p: ParamPoint, order: int) -> np.ndarray:
 # z_*, or the square-root germ U ~ lam + kappa sqrt(1 - x/x_*) of the
 # dominant representative (``DominantData``), accurate near it.  Both lie on
 # the Taylor sheet, so one Newton solve of a few iterations replaces a
-# continuation from the centre of the disk; a sample that still lands on the
-# other sheet fails the table's coefficient check.  The cost is kept down
-# four ways.  For real zeta (phi = 0 or pi), U(conj z) = conj U(z): node n-k
-# is the conjugate of node k, a table holds only the closed half k = 0..n/2,
-# and its sums count nodes 0 < k < n/2 twice.  A sample leaves Newton once
-# its own step is below the tolerance, so the slow samples near the dominant
-# singularity do not drag the converged ones along.  Integer powers are
+# continuation from the centre of the disk.
+#
+# A sample that still lands on the other sheet breaks the table's
+# continuity.  Along the Taylor sheet |U_{k+1} - U_k| stays within
+# |z_{k+1} - z_k| max(|U'_k|, |U'_{k+1}|) (at most sqrt 2 times it with a
+# square-root singularity midway between the two nodes), while the two
+# sheets are about 2 |kappa| sqrt|1 - z/z_*| apart; so the jump to a wrong
+# sample, against that bound, grows as the grid refines and no doubling
+# hides it.  A table refuses a jump above SHEET_JUMP times the bound.  A
+# table wholly on the other sheet is continuous; its circle mean, the value
+# at z = 0, is not U(0) = 1 (-1 on the one-mode leaf), and the table checks
+# that mean too.
+#
+# The cost is kept down four ways.  For real zeta (phi = 0 or pi),
+# U(conj z) = conj U(z): node n-k is the conjugate of node k, a table holds
+# only the closed half k = 0..n/2, and its sums count nodes 0 < k < n/2
+# twice.  A sample leaves Newton once its own step is below the tolerance,
+# so the slow samples near the dominant singularity do not drag the
+# converged ones along.  Integer powers are
 # formed by multiplication (``_int_pow_values``), not by complex ``**``.
 # And no kernel issues one numpy call per power: the rows a * r^i of a
 # geometric family come by doubling (``_power_rows``), the order-250 Taylor
 # seed by Paterson-Stockmeyer (``_taylor_values``: 16 baby powers, one
-# matrix product with the coefficient blocks, Horner in z^16) and the
-# coefficient check's sums as row sums of those rows (``_power_sums``), each
-# over chunks of NODE_CHUNK nodes, so that their temporaries stay at a few
-# dozen rows of one chunk whatever the grid size.
+# matrix product with the coefficient blocks, Horner in z^16), each over
+# chunks of NODE_CHUNK nodes, so that their temporaries stay at a few dozen
+# rows of one chunk whatever the grid size.
 # ---------------------------------------------------------------------------
 
 # above this many nodes a table is refused before it is allocated.  A {3,6}
@@ -269,39 +280,27 @@ MAX_CIRCLE_GRID = 2**21
 N_START = 1024
 
 # grading depth d = GRADE * sqrt(2 e), at most 1 (uniform).  d = sqrt(2 e)
-# balances the two distances above, but then the coefficient check, whose
-# z^-m factors grow on the stretched far side, sets the node count; a larger
-# GRADE eases that check and hurts the blocks.  On the 26 points of the
-# {3,6} scan down to delta = 1e-6, GRADE 1, 1.5, 2, 3 and 4 take 395264,
-# 266240, 267264, 396288 and 529408 nodes in all: up to 1.5 the check
-# doubles six of the grids, from 2 on the blocks' aliasing contract alone
-# sizes every grid
+# balances the two distances above.  The blocks' aliasing contract sizes
+# the scan's grids: on the 26 points of the {3,6} scan down to delta =
+# 1e-6, GRADE 1, 1.5, 2 and 3 take 153600, 201728, 267264 and 396288 nodes
+# in all.  Any change of GRADE moves every graded Gram block within its
+# quadrature error, and the shipped outputs with it
 GRADE = 2.0
 
 # Newton step tolerance at the circle samples, relative to 1 + max|y|
 _NEWTON_TOL = 1e-13
-# leading coefficients of a circle table checked against the Taylor series.
-# The check is there to catch samples off the Taylor sheet, and at this
-# order it passes on the grid the blocks need or a smaller one
-_VALIDATE_ORDERS = 16
-# order of the Taylor series that seeds a table's samples.  The check needs
-# only more than _VALIDATE_ORDERS terms, but away from z_* the polynomial is
-# the closer of the two seeds (``_branch_values``), so the order decides the
-# samples' last bits, and it is fixed
+# order of the Taylor series that seeds a table's samples.  Away from z_*
+# the polynomial is the closer of the two seeds (``_branch_values``), so the
+# order decides the samples' last bits, and it is fixed
 SEED_ORDER = 250
-# a table graded on its dominant data is given up as off the Taylor sheet
-# when its failing coefficient check, already below STALL_LEVEL, shrinks by
-# less than STALL_FACTOR on STALL_DOUBLINGS doublings in a row.  An
-# undersized graded grid's error stays above ~0.02 until the grid resolves
-# z_*, then falls geometrically: from below 1e-2 it passes on the next
-# doubling (the {3,6} scans down to delta = 1e-6).  A wrong-sheet sample's
-# error only halves per doubling, and a wrong germ's stays at ~1.5e-4.  A
-# uniform grid gets no such stop: its aliasing error falls like n^(-3/2)
-# until n ~ 1/e, by as little as 3x per doubling (Leaf (2,), delta =
-# 1e-5), little faster than a wrong sheet's
-STALL_LEVEL = 1e-2
-STALL_FACTOR = 4.0
-STALL_DOUBLINGS = 2
+# largest jump between adjacent samples of a table, in units of
+# |z_{k+1} - z_k| max(|U'_k|, |U'_{k+1}|).  Honest tables read at most 1.0
+# when a node lies on the ray of z_* (every graded table, and uniform ones
+# for real zeta: {3,6} and Leaf (2,) down to delta = 1e-7), up to 1.3 on
+# uniform complex ones (sqrt 2 with z_* on the circle midway between two
+# nodes); a single wrong-sheet sample reads 20 or more on the first grid,
+# more on each doubling
+SHEET_JUMP = 2.0
 
 
 def _int_pow_values(vals: np.ndarray, k: int) -> np.ndarray:
@@ -320,8 +319,8 @@ def _int_pow_values(vals: np.ndarray, k: int) -> np.ndarray:
     return np.ones_like(vals) if out is None else out
 
 
-# nodes per step of the per-node kernels (``_taylor_values``,
-# ``_power_sums``, ``hessian_blocks.gram_block``): their temporaries hold at
+# nodes per step of the per-node kernels (``_taylor_values``, the
+# continuity test, ``hessian_blocks.gram_block``): their temporaries hold at
 # most a few dozen rows of this length
 NODE_CHUNK = 8192
 # baby steps of ``_taylor_values``: sqrt of the seed's 251 coefficients,
@@ -376,16 +375,6 @@ def _taylor_values(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
             y += row
         out[lo : lo + NODE_CHUNK] = y
     return out
-
-
-def _power_sums(t: np.ndarray, r: np.ndarray, count: int) -> np.ndarray:
-    """The sums sum_k t_k r_k^m for m < count, as sums of the rows t r^m
-    (``_power_rows``) over chunks of NODE_CHUNK nodes."""
-    sums = np.zeros(count, dtype=np.complex128)
-    for lo in range(0, len(t), NODE_CHUNK):
-        sums += _power_rows(t[lo : lo + NODE_CHUNK], r[lo : lo + NODE_CHUNK],
-                            count).sum(axis=1)
-    return sums
 
 
 def _circle_nodes(k: np.ndarray, n: int, depth: float = 1.0,
@@ -477,38 +466,37 @@ class CirclePowerTable:
     the sign of Re z_*, so that the grid stays closed under conjugation).
     Its germ and ``series``, the coefficient array of the point's Taylor
     branch (``taylor_branch(p, SEED_ORDER)`` in its place when it is
-    absent or has at most _VALIDATE_ORDERS entries), seed the samples
-    (``_branch_values``); without ``dom`` the grid is uniform and the
-    samples start from the Taylor polynomial alone.
+    absent), seed the samples (``_branch_values``); without ``dom`` the
+    grid is uniform and the samples start from the Taylor polynomial alone.
 
     The table holds (``values``, ``samples``) all n nodes of its grid for
     complex zeta; for real zeta (``half``) node n-k is the conjugate of
     node k, and it holds the closed half k = 0..n/2.  The first grid has
     N_START nodes, or the smallest power of two with at least 2*(order+1)
-    if that is more.  The grid doubles, solving only the new odd nodes it
-    holds, until two checks hold: the coefficients m <= _VALIDATE_ORDERS of
-    U, as weighted sums (1/n) sum_k |dz/dw|_k U(z_k) z_k^-m over the circle
-    (for real zeta the real part of the sum over the held half, nodes 0 < k
-    < n/2 counted twice), agree with those of the series to 1e-8 relative,
-    which catches samples off the Taylor sheet; and ``accept(table)``, when
-    given (the scan's Gram blocks, whose aliasing contract then sizes the
-    grid), returns without raising TailNotConverged.  ``n_grid`` is the
-    final node count, ``doublings`` the number of doublings,
-    ``newton_iterations`` the most Newton iterations any node took and
-    ``check_error`` the coefficient check's relative error on the final
-    grid.  Requires the Taylor branch to be analytic beyond |z| = 1, i.e.
-    rho_*(zeta)**s > 1.
+    if that is more.  Each grid's samples must be continuous along the
+    circle: held nodes k, k+1 in circular order (and n-1, 0 for complex
+    zeta) have |U_{k+1} - U_k| <= SHEET_JUMP |z_{k+1} - z_k|
+    max(|U'_k|, |U'_{k+1}|).  The grid doubles, solving only the new odd
+    nodes it holds, until two more checks hold: the circle mean
+    (1/n) sum_k |dz/dw|_k U(z_k) (for real zeta the real part of the sum
+    over the held half, nodes 0 < k < n/2 counted twice) is U(0) = 1 to
+    1e-8; and ``accept(table)``, when given (the scan's Gram blocks, whose
+    aliasing contract then sizes the grid), returns without raising
+    TailNotConverged.  ``n_grid`` is the final node count, ``doublings``
+    the number of doublings, ``newton_iterations`` the most Newton
+    iterations any node took and ``check_error`` the circle mean's error
+    |mean - 1| on the final grid.  Requires the Taylor branch to be
+    analytic beyond |z| = 1, i.e. rho_*(zeta)**s > 1.
 
     Raises
     ------
     GridTooLarge
         If the next grid would exceed MAX_CIRCLE_GRID nodes; it is refused
         before it is allocated, with the reason of the last failed check.
+        A table wholly on the other sheet ends so: its circle mean stays
+        off 1.
     WrongSheet
-        If, with ``dom``, the coefficient check fails, and its error,
-        already below STALL_LEVEL, shrinks by less than STALL_FACTOR on
-        STALL_DOUBLINGS doublings in a row.  A uniform table off the sheet
-        doubles until GridTooLarge.
+        If some grid's samples jump between adjacent nodes.
     NoConvergence
         If Newton stalls at some node.
     """
@@ -527,41 +515,32 @@ class CirclePowerTable:
             self.depth = min(1.0, GRADE * math.sqrt(2.0 * (abs(z_star) - 1.0)))
             self.rot = (math.copysign(1.0, z_star.real) if self.half
                         else z_star / abs(z_star))
-        if series is None or len(series) <= _VALIDATE_ORDERS:
-            series = taylor_branch(p, SEED_ORDER)
-        self.series = series
+        self.series = taylor_branch(p, SEED_ORDER) if series is None else series
         n = N_START
         while n < 2 * (order + 1):
             n *= 2
         self.n_grid = self.doublings = self.newton_iterations = 0
-        self.check_error = math.inf
-        self._sums = np.zeros(_VALIDATE_ORDERS + 1, dtype=np.complex128)
-        why, last_err, stalls = "", math.inf, 0
+        self._total = 0j  # sum_k |dz/dw|_k U(z_k) over the circle
+        why = ""
         while True:
             if n > MAX_CIRCLE_GRID:
                 raise GridTooLarge(
                     f"circle grid of {n} points exceeds MAX_CIRCLE_GRID = "
                     f"{MAX_CIRCLE_GRID}" + (f" ({why})" if why else ""))
             self._refine(n)
-            err = self.check_error = self._check_error()
+            self._check_continuity()
+            total = self._total.real if self.half else self._total
+            err = self.check_error = abs(total / n - 1.0)
             if err < 1e-8:
                 try:
                     if accept is not None:
                         accept(self)
                     return
                 except TailNotConverged as exc:
-                    why, stalls = str(exc), 0
+                    why = str(exc)
             else:
-                why = (f"circle samples disagree with the Taylor series "
-                       f"(relative error {err:.2e}); wrong sheet or "
-                       f"insufficient grid")
-                stalled = (dom is not None and last_err < STALL_LEVEL
-                           and err * STALL_FACTOR > last_err)
-                stalls = stalls + 1 if stalled else 0
-                if stalls == STALL_DOUBLINGS:
-                    raise WrongSheet(
-                        f"coefficient check stalled at {n} nodes ({why})")
-            last_err = err
+                why = (f"circle mean of U is off U(0) = 1 by {err:.2e}; "
+                       f"wrong sheet or insufficient grid")
             n *= 2
             self.doublings += 1
 
@@ -569,7 +548,7 @@ class CirclePowerTable:
         """Values at the held nodes of the n-node grid: all of the first
         grid, or the new odd ones of the doubled grid.  Its even nodes are
         the old grid, with the same weights, so only the new nodes' terms
-        join the check's sums."""
+        join the circle mean's sum."""
         held = n // 2 + 1 if self.half else n
         k = np.arange(held) if self.n_grid == 0 else np.arange(1, held, 2)
         z, weight = _circle_nodes(k, n, self.depth, self.rot)
@@ -585,21 +564,35 @@ class CirclePowerTable:
         self.n_grid = n
         if self.half:  # node k, 0 < k < n/2, stands for itself and node n-k
             weight[(k > 0) & (k < n // 2)] *= 2.0
-        self._sums += _power_sums(weight * new, np.conj(z),
-                                  _VALIDATE_ORDERS + 1)
+        self._total += complex((weight * new).sum())
 
-    def _check_error(self) -> float:
-        """Largest error of the first _VALIDATE_ORDERS + 1 coefficients of U,
-        (1/n) sum_k |dz/dw|_k U(z_k) z_k^-m over the circle, relative to the
-        largest one."""
-        got = (self._sums.real if self.half else self._sums) / self.n_grid
-        want = self.series[: _VALIDATE_ORDERS + 1]
-        return float(np.abs(got - want).max() / np.abs(want).max())
+    def _check_continuity(self) -> None:
+        """Refuse the grid if adjacent held samples jump by more than
+        SHEET_JUMP |z_{k+1} - z_k| max(|U'_k|, |U'_{k+1}|), over chunks of
+        NODE_CHUNK nodes that share their end nodes.  For real zeta the
+        pairs of the held half stand for their conjugates too; for complex
+        zeta the last pair is (n-1, 0)."""
+        n = self.n_grid
+        stop = len(self.values) + (0 if self.half else 1)
+        for lo in range(0, stop - 1, NODE_CHUNK):
+            z, u, zdlog, _ = self.samples(lo, min(lo + NODE_CHUNK + 1, stop))
+            slope = np.abs(zdlog * u)  # |U'|, as |z| = 1
+            jump = np.abs(np.diff(u))
+            limit = np.abs(np.diff(z)) * np.maximum(slope[:-1], slope[1:])
+            bad = np.flatnonzero(jump > SHEET_JUMP * limit)
+            if bad.size:
+                i = bad[0]
+                ratio = jump[i] / limit[i] if limit[i] else math.inf
+                raise WrongSheet(
+                    f"circle samples jump between nodes {lo + i} and "
+                    f"{(lo + i + 1) % n} of {n}: |dU| is {ratio:.3g} times "
+                    f"|dz| max|U'| (limit SHEET_JUMP = {SHEET_JUMP:g}); "
+                    f"wrong sheet")
 
     def samples(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray,
                                                  np.ndarray, np.ndarray]:
         """Held nodes lo..hi-1 as (z_k, U(z_k), z_k U'(z_k) / U(z_k),
-        |dz/dw|_k).
+        |dz/dw|_k); for complex zeta hi may be n + 1, node n being node 0.
 
         Differentiating the branch equation gives
         z U' = sum_n sh_n zeta_n z^sh_n U^k_n
@@ -608,7 +601,8 @@ class CirclePowerTable:
         """
         z, weight = _circle_nodes(np.arange(lo, hi), self.n_grid, self.depth,
                                   self.rot)
-        u = self.values[lo:hi]
+        u = self.values[lo:hi] if hi <= len(self.values) else np.take(
+            self.values, np.arange(lo, hi), mode="wrap")
         num = np.zeros_like(u)
         den = np.ones_like(u)
         for zn, sh, k in zip(self.param.zeta, self.param.leaf.collapsed_shifts,

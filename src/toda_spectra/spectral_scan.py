@@ -108,8 +108,9 @@ class ScanPoint:
     ``n_grid``, ``doublings`` and ``newton_iterations`` are the final node
     count of the point's circle table, the doublings that reached it and the
     most Newton iterations any of its nodes took (0 when no table was
-    completed); ``check_error`` is the relative error of the table's
-    coefficient check on that grid (None when no table was completed).
+    completed); ``check_error`` is the error |mean - 1| of the table's
+    circle mean of U against U(0) = 1 on that grid (None when no table was
+    completed).
     """
 
     delta: float
@@ -139,16 +140,17 @@ def scan_path(path, delta_grid, blocks: list[RenormConfig],
     singularity z_* = rho_*^s e^{i phi} (``dominant_data``) and seeded from
     that point's germ and its Taylor series to order ``SEED_ORDER``
     (``CirclePowerTable``), and shares it across the blocks: the grid
-    doubles until its coefficient check and every block's aliasing
-    contract (``gram_block``) hold.  Its node count grows like eps^(-1/2).
-    Grid points are independent jobs, run on ``threads`` threads (default:
-    the CPU count, at most 4); with more than one thread they are submitted
-    deepest (smallest delta) first, and output order follows the grid
-    either way, so results do not depend on scheduling.  A point or block
-    that fails certification, convergence, the sheet check or the grid
-    ceiling is recorded with the error's name and skipped.  For real zeta
-    the blocks are real symmetric (the spike's phases e^{-ij phi} are +-1
-    up to rounding), and their real parts are solved.
+    doubles until its circle mean and every block's aliasing contract
+    (``gram_block``) hold, each grid's samples continuous along the
+    circle.  Its node count grows like eps^(-1/2).  Grid points are
+    independent jobs, run on ``threads`` threads (default: the CPU count,
+    at most 4); with more than one thread they are submitted deepest
+    (smallest delta) first, and output order follows the grid either way,
+    so results do not depend on scheduling.  A point or block that fails
+    certification, convergence, the sheet check or the grid ceiling is
+    recorded with the error's name and skipped.  For real zeta the blocks
+    are real symmetric (the spike's phases e^{-ij phi} are +-1 up to
+    rounding), and their real parts are solved.
 
     Raises
     ------

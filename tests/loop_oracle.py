@@ -1,8 +1,8 @@
 """Loop forms of the circle kernels of ``series_engine``.
 
-``_power_rows``, ``_taylor_values`` and ``_power_sums`` reorganize three
-loops that issued one numpy call per power; these are those loops, kept as
-the references the kernels are compared against.
+``_power_rows`` and ``_taylor_values`` reorganize two loops that issued one
+numpy call per power; these are those loops, kept as the references the
+kernels are compared against.
 """
 
 from __future__ import annotations
@@ -29,12 +29,3 @@ def horner_values(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
         y += a
     return y
 
-
-def power_sums_loop(t: np.ndarray, r: np.ndarray, count: int) -> np.ndarray:
-    """sum_k t_k r_k^m for m < count, one sum and one product per m."""
-    sums = np.empty(count, dtype=np.complex128)
-    term = np.array(t, dtype=np.complex128)
-    for m in range(count):
-        sums[m] = term.sum()
-        term *= r
-    return sums

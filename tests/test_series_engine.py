@@ -18,7 +18,7 @@ from toda_spectra import (CirclePowerTable, GridTooLarge, Leaf, NoConvergence,
 from toda_spectra import series_engine
 from toda_spectra.series_engine import _branch_values, _circle_nodes
 
-from loop_oracle import horner_values, power_rows_loop, power_sums_loop
+from loop_oracle import horner_values, power_rows_loop
 from ramp_oracle import ramp_branch_values
 from recursion_oracle import (functional_residual, raney_oracle,
                               recursion_branch, taylor_branch_x_grid)
@@ -290,17 +290,17 @@ def test_circle_newton_stall_is_no_convergence(z):
                                      taylor_branch(point, 250))
 
 
-# one-mode points 1e-4 below the critical |zeta| = 1/4, whose tables double
-# twice; the singularity of U = (1 - sqrt(1 - 4 zeta z))/(2 zeta z) is
+# one-mode points 1e-5 below the critical |zeta| = 1/4, whose tables double
+# at least once; the singularity of U = (1 - sqrt(1 - 4 zeta z))/(2 zeta z) is
 # z_* = 1/(4 zeta), on the positive axis, the negative axis, or rotated off
 # both
-GRADED = [0.25 * (1.0 - 1e-4) * f for f in (1.0, -1.0, np.exp(0.3j))]
+GRADED = [0.25 * (1.0 - 1e-5) * f for f in (1.0, -1.0, np.exp(0.3j))]
 GRADED_IDS = ["real_plus", "real_minus", "complex"]
 
 
 def _seeded_table(point, accept=None):
-    # the scan's table: graded on the dominant point and seeded and
-    # checked by the order-250 Taylor series
+    # the scan's table: graded on the dominant point and seeded by the
+    # order-250 Taylor series
     return CirclePowerTable(point, 0, dominant_data(point), accept,
                             series=taylor_branch(point, 250))
 
@@ -379,17 +379,17 @@ def test_seeded_graded_table_matches_ramp_oracle(zeta):
 @pytest.mark.parametrize("delta", [1e-1, 1e-3, 1e-4])
 def test_seeded_table_matches_ramp_oracle_on_leaf36(leaf36_critical, delta):
     point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - delta), 0.01))
-    # the grids of the coefficient check alone, no more than the scan's
-    # blocks need (test_sheet_check_does_not_size_the_scan_grid)
+    # the grids of the table's own checks, no more than the scan's blocks
+    # need (test_sheet_check_does_not_size_the_scan_grid)
     table = _seeded_table(point)
-    assert table.n_grid == {1e-1: 1024, 1e-3: 1024, 1e-4: 4096}[delta]
+    assert table.n_grid == {1e-1: 1024, 1e-3: 1024, 1e-4: 1024}[delta]
     _assert_matches_ramp(point, table)
 
 
 def test_sheet_check_does_not_size_the_scan_grid(leaf36_critical):
-    # on the shipped ray at delta = 1e-3 the coefficient check alone passes
-    # on a grid that the scan's blocks reject: their aliasing contract, not
-    # the sheet check, sets the node count
+    # on the shipped ray at delta = 1e-3 the table's own checks pass on a
+    # grid that the scan's blocks reject: their aliasing contract, not the
+    # sheet checks, sets the node count
     point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - 1e-3), 0.01))
     blocks = [RenormConfig(q=q, s=3, J=70, alpha=2.0, beta=1.0)
               for q in (1, 2)]
@@ -399,16 +399,22 @@ def test_sheet_check_does_not_size_the_scan_grid(leaf36_critical):
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-4])
-@pytest.mark.parametrize("leaf", ["leaf2", "leaf36"])
+@pytest.mark.parametrize("leaf", ["leaf2", "leaf36", "leaf2_complex"])
 def test_uniform_table_matches_ramp_oracle_near_criticality(
         leaf36_critical, leaf, delta):
     # without dominant data the samples start from the order-250 Taylor
     # polynomial alone, which near z_* is further off than the two sheets
     # are apart; Newton must still land on the Taylor sheet.  The uniform
-    # grid's check error falls only algebraically (8192 and 32768 nodes
-    # here), which must not read as a stall
-    point = (ParamPoint(Leaf((2,)), (0.25 * (1.0 - delta),)) if leaf == "leaf2"
-             else ParamPoint(LEAF36, (leaf36_critical * (1.0 - delta), 0.01)))
+    # grid's circle mean converges only algebraically (8192 and 32768
+    # nodes here).  For complex zeta z_* falls between two nodes, where the
+    # steps around it come closest to the continuity limit (1.23 of the
+    # SHEET_JUMP = 2 allowed, on the 4096-node grid at delta = 1e-4)
+    point = {
+        "leaf2": ParamPoint(Leaf((2,)), (0.25 * (1.0 - delta),)),
+        "leaf36": ParamPoint(LEAF36, (leaf36_critical * (1.0 - delta), 0.01)),
+        "leaf2_complex": ParamPoint(Leaf((2,)), (
+            0.25 * (1.0 - delta) * np.exp(0.3j),)),
+    }[leaf]
     table = CirclePowerTable(point, 0)
     assert table.depth == 1.0
     assert table.n_grid == {1e-3: 8192, 1e-4: 32768}[delta]
@@ -418,38 +424,37 @@ def test_uniform_table_matches_ramp_oracle_near_criticality(
 @pytest.mark.parametrize("zeta", [
     (0.11, 0.01), (0.11 * np.exp(0.4j), 0.01 * np.exp(-0.2j)), (0.2,)],
     ids=["leaf36_real", "leaf36_complex", "leaf2"])
-def test_table_checks_the_dominant_series(zeta):
-    # the coefficient check reads the leading coefficients of the series
-    # the scan passes in; the recursion is order by order, so they are
-    # those of a recursion stopped at the check's order, to the bit
+def test_table_seeds_from_the_given_series(zeta, monkeypatch):
+    # the samples start from the series the scan passes in, kept as given;
+    # with none the table runs the recursion to SEED_ORDER itself
     point = ParamPoint(Leaf((3, 6)) if len(zeta) == 2 else Leaf((2,)), zeta)
     dom = dominant_data(point)
+    solve = series_engine._branch_values
+    seeds = []
+
+    def recorded(p, z, series, *rest):
+        seeds.append(series)
+        return solve(p, z, series, *rest)
+
+    monkeypatch.setattr(series_engine, "_branch_values", recorded)
     series = taylor_branch(point, 250)
     table = CirclePowerTable(point, 0, dom, series=series)
     assert table.series is series
-    top = series_engine._VALIDATE_ORDERS
-    npt.assert_array_equal(series[:top + 1], taylor_branch(point, top))
-    # a series that stops short of the check, or none, is replaced by the
-    # seed's own order, not the check's
-    for short in (taylor_branch(point, top - 1), None):
-        table = CirclePowerTable(point, 0, dom, series=short)
-        npt.assert_array_equal(table.series,
-                               taylor_branch(point, series_engine.SEED_ORDER))
+    assert seeds and all(s is series for s in seeds)
+    own = CirclePowerTable(point, 0, dom)
+    npt.assert_array_equal(own.series,
+                           taylor_branch(point, series_engine.SEED_ORDER))
+    npt.assert_array_equal(own.values, table.values)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=pytest.fail.Exception,
-    reason="a single sample off the Taylor sheet close to z_*, where the two "
-    "sheets nearly meet, passes the coefficient check: its weight*|dU|/n "
-    "falls like 1/n, so at delta = 1e-5 the table is accepted at 32768 "
-    "nodes with check error 9.4e-9 (at 1e-3 and 3e-2 the same sample ends "
-    "as WrongSheet); a continuity test along the circle would catch it",
-)
-def test_wrong_sheet_sample_near_the_singularity_is_refused(monkeypatch):
+@pytest.mark.parametrize("delta", [3e-2, 1e-3, 1e-5])
+def test_wrong_sheet_sample_near_the_singularity_is_refused(monkeypatch,
+                                                           delta):
     # the sample at node 5 of the first grid (1024 nodes, 513 solved)
-    # replaced by the other root 1/(zeta z U) of U = 1 + zeta z U^2, 1e-5
-    # below the critical zeta = 1/4, where the grid is graded deep into z_*
+    # replaced by the other root 1/(zeta z U) of U = 1 + zeta z U^2, below
+    # the critical zeta = 1/4, where the grid is graded toward z_*.  The two
+    # sheets nearly meet there, yet the jump to that sample is 20 or more
+    # times the steps around it: the first grid is refused
     solve = series_engine._branch_values
     calls = []
 
@@ -462,8 +467,46 @@ def test_wrong_sheet_sample_near_the_singularity_is_refused(monkeypatch):
         return u, iters
 
     monkeypatch.setattr(series_engine, "_branch_values", one_wrong)
-    point = ParamPoint(Leaf((2,)), (0.25 * (1.0 - 1e-5),))
-    with pytest.raises(WrongSheet):
+    point = ParamPoint(Leaf((2,)), (0.25 * (1.0 - delta),))
+    with pytest.raises(WrongSheet, match="between nodes 4 and 5"):
+        CirclePowerTable(point, 0, dominant_data(point),
+                         series=taylor_branch(point, 250))
+    assert calls == [513]
+
+
+def test_table_wholly_on_the_other_sheet_is_refused(monkeypatch):
+    # every sample on the other root 1/(zeta z U): continuous along the
+    # circle, so only the circle mean, -1 in place of U(0) = 1, shows it;
+    # the uniform table doubles until the ceiling
+    solve = series_engine._branch_values
+
+    def all_wrong(p, z, *seeds):
+        u, iters = solve(p, z, *seeds)
+        return 1.0 / (p.zeta[0] * z * u), iters
+
+    monkeypatch.setattr(series_engine, "_branch_values", all_wrong)
+    monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 4096)
+    point = ParamPoint(Leaf((2,)), (0.25 * (1.0 - 0.1),))
+    with pytest.raises(GridTooLarge, match="circle mean of U is off U.0. = 1 "
+                       "by 2.00e.00"):
+        CirclePowerTable(point, 0)
+
+
+def test_continuity_test_spans_chunk_ends(monkeypatch):
+    # samples 100..512 of the first grid on the other root leave a single
+    # jump, between nodes 99 and 100; with chunks of 100 nodes only the
+    # node the chunks share puts that pair in one of them
+    monkeypatch.setattr(series_engine, "NODE_CHUNK", 100)
+    solve = series_engine._branch_values
+
+    def tail_wrong(p, z, *seeds):
+        u, iters = solve(p, z, *seeds)
+        u[100:] = 1.0 / (p.zeta[0] * z[100:] * u[100:])
+        return u, iters
+
+    monkeypatch.setattr(series_engine, "_branch_values", tail_wrong)
+    point = ParamPoint(Leaf((2,)), (0.25 * (1.0 - 3e-2),))
+    with pytest.raises(WrongSheet, match="between nodes 99 and 100 of 1024"):
         CirclePowerTable(point, 0, dominant_data(point),
                          series=taylor_branch(point, 250))
 
@@ -513,20 +556,26 @@ def test_taylor_seed_matches_horner(leaf36_critical, monkeypatch, length):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def test_check_sums_match_per_m_loop_on_doubled_table(leaf36_critical,
+def test_folded_half_circle_mean_matches_full_circle(leaf36_critical,
                                                      monkeypatch):
     monkeypatch.setattr(series_engine, "NODE_CHUNK", 1500)
     point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - 1e-4), 0.01))
-    table = _seeded_table(point)
-    assert table.doublings >= 1
-    # the sums over the held half, folded, against the sums over the
-    # whole circle
-    assert table.half
+    first = []
+
+    def reject_first(table):
+        if not first:
+            first.append(table.n_grid)
+            raise TailNotConverged("one more doubling")
+
+    table = _seeded_table(point, reject_first)
+    assert table.half and table.doublings >= 1
+    # the running sum over the held half, folded, against the sum over the
+    # whole circle rebuilt by conjugation
     n = table.n_grid
     z, weight = _circle_nodes(np.arange(n), n, table.depth, table.rot)
-    want = power_sums_loop(weight * _full_circle(table, table.values),
-                           np.conj(z), series_engine._VALIDATE_ORDERS + 1)
-    assert np.abs(table._sums.real - want).max() <= 1e-14 * np.abs(want).max()
+    full = np.sum(weight * _full_circle(table, table.values)) / n
+    assert abs(full.imag) <= 1e-14
+    assert table.check_error == pytest.approx(abs(full.real - 1.0), abs=1e-14)
     assert table.check_error < 1e-8
 
 

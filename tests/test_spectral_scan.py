@@ -185,9 +185,10 @@ def test_scan_records_undersized_grid_as_failed_cells(monkeypatch):
         (3e-4, 1), (3e-4, 2), (3e-2, 1), (3e-2, 2)]
     assert [pt.status for pt in scan] == [
         "GridTooLarge", "GridTooLarge", "ok", "ok"]
-    # the detail names the check the last grid failed
+    # the detail names the check the last grid failed: the blocks'
+    # aliasing contract
     assert "circle grid of 2048 points" in scan[0].detail
-    assert "Taylor series" in scan[0].detail
+    assert "half-grid Gram block" in scan[0].detail
     assert [(pt.n_grid, pt.doublings) for pt in scan] == [
         (0, 0), (0, 0), (1024, 0), (1024, 0)]
 
@@ -203,9 +204,9 @@ def test_scan_records_grid_over_ceiling_as_failed_cells(monkeypatch):
 
 def test_scan_records_wrong_sheet_sample_as_failed_cells(monkeypatch):
     # one sample of the first grid (1024 nodes, 513 solved) replaced by the
-    # other root of U = 1 + zeta z U^2 stays in every doubled grid; its
-    # coefficient-check error only halves per doubling, so the point is
-    # given up as off the sheet long before the ceiling
+    # other root of U = 1 + zeta z U^2 breaks the samples' continuity, so
+    # the point is given up as off the sheet on that grid, long before the
+    # ceiling
     solve = series_engine._branch_values
     calls = []
 
@@ -220,21 +221,21 @@ def test_scan_records_wrong_sheet_sample_as_failed_cells(monkeypatch):
     monkeypatch.setattr(series_engine, "MAX_CIRCLE_GRID", 8192)
     scan = scan_path(_critical_path, [3e-2], SCAN_BLOCKS, threads=1)
     assert [pt.status for pt in scan] == ["WrongSheet", "WrongSheet"]
-    assert "stalled at 4096 nodes" in scan[0].detail
-    assert "Taylor series" in scan[0].detail
-    # the grids of 1024, 2048 and 4096 nodes (the 513 held of the first,
-    # then each doubling's new odd nodes among the held half), all
-    # rejected; the admissibility circle solves by hessian_blocks' own
-    # import of _branch_values, which the patch does not reach
-    assert calls == [513, 512, 1024]
+    assert "jump between nodes 4 and 5 of 1024" in scan[0].detail
+    assert "SHEET_JUMP" in scan[0].detail
+    # the 513 held nodes of the first grid, rejected with no doubling; the
+    # admissibility circle solves by hessian_blocks' own import of
+    # _branch_values, which the patch does not reach
+    assert calls == [513]
     assert [(pt.n_grid, pt.doublings) for pt in scan] == [(0, 0), (0, 0)]
 
 
 def test_scan_records_flipped_germ_seed_as_wrong_sheet(monkeypatch):
     # kappa of the opposite sign makes the germ a seed on the other sheet;
     # near z_* it beats the Taylor polynomial, so those samples converge to
-    # the wrong root: every check of the point fails and it is recorded,
-    # with no spectrum, instead of ending in a crash or a stale value
+    # the wrong root: the samples jump where the seeds change over, and the
+    # point is recorded, with no spectrum, instead of ending in a crash or a
+    # stale value
     real = spectral_scan.dominant_data
 
     def flipped(p):
@@ -247,7 +248,8 @@ def test_scan_records_flipped_germ_seed_as_wrong_sheet(monkeypatch):
     scan = scan_path(_critical_path, [1e-3, 1e-1], SCAN_BLOCKS, threads=1)
     assert [pt.status for pt in scan] == ["WrongSheet"] * 2 + ["ok"] * 2
     assert all(pt.spectrum is None for pt in scan[:2])
-    assert "stalled" in scan[0].detail
+    assert "jump between nodes" in scan[0].detail
+    assert "of 1024:" in scan[0].detail  # the first grid
     # far from criticality the germ never wins and the samples, hence the
     # blocks, are those of the true seeds (the spike only changes sign)
     monkeypatch.undo()
