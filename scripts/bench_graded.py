@@ -96,9 +96,7 @@ def _uniform(p, order):
 
 def _seeded_row(p, dom, series, table, repeats):
     """Seeded and ramp values on the held nodes of ``table``'s grid."""
-    n = table.n_grid
-    z = series_engine._circle_nodes(np.arange(len(table.values)), n,
-                                    table.depth, table.rot)[0]
+    n, z = table.n_grid, table.z
     (seeded, iters), t_seeded = _timed(
         lambda: series_engine._branch_values(p, z, series, dom), repeats)
     ramp, t_ramp = _timed(lambda: ramp_branch_values(p, z), repeats)

@@ -13,11 +13,11 @@ whose direct expansion is the test oracle ``tests/kernel_oracle.py``.
 With f_j = z^j U^{p_j}, the sum is the coefficient inner product of
 (q + s z d/dz) f_{j1} and (q + s z d/dz) f_{j2}, so on a subcritical point
 (U analytic on the closed unit circle in z) Parseval turns it into an
-integral over that circle, which ``gram_block`` takes as a weighted
-trapezoid sum over the graded nodes of a ``CirclePowerTable``.  The
-weighted assembly works with V = U/alpha, so no alpha^{p_j} is ever
-materialized and the block stays finite far beyond the overflow point of
-the weights themselves.
+integral over that circle, which ``gram_block`` takes by the quadrature
+rule of a ``CirclePowerTable``: a sum over the nodes it holds, with their
+weights.  The weighted assembly works with V = U/alpha, so no alpha^{p_j}
+is ever materialized and the block stays finite far beyond the overflow
+point of the weights themselves.
 
 Blocks are plain complex128 arrays, exactly Hermitian as assembled (see
 ``gram_block``); ``eigenvalues`` returns a block's spectrum in descending
@@ -105,28 +105,28 @@ class RenormConfig:
 
 def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
     """Assemble one (J+1)x(J+1) symmetry block of the weighted Gram
-    operator by Parseval quadrature on the circle nodes of ``table``.
+    operator by Parseval quadrature with the rule of ``table``.
 
     With V = U/alpha and p_j = q + s*j,
     (q + s z d/dz)(z^j V^{p_j}) = p_j z^j V^{p_j} (1 + s z U'/U), so the
-    block is G = (1/N) X^H X over the N nodes z_k of the table's grid, with
+    block is G = X^H X over the nodes z_k the table holds, with
 
-        X[k, j] = c_j sqrt(omega_k) |1 + s z_k U'_k/U_k| V_k^q (z_k V_k^s)^j,
+        X[k, j] = c_j sqrt(weight_k) |1 + s z_k U'_k/U_k| V_k^q (z_k V_k^s)^j,
 
-    where omega_k = |dz/dw|_k is the node weight of the graded grid (1 on
-    the uniform grid), alpha = cfg.alpha and c_j = p_j^-(1+beta), so the
-    entries are G~_{j1j2} = G_{j1j2}/(w_{j1} w_{j2}).  Per chunk of
-    NODE_CHUNK samples the J+1 rows without c_j come by doubling
-    (``series_engine._power_rows``: about 2 log2(J+1) numpy calls), and
-    the factors c_j1 c_j2 are applied to the summed (J+1)x(J+1) blocks.
+    where weight_k, U_k and z_k U'_k/U_k are the table's arrays
+    (``weight``, ``values``, ``zdlog``), alpha = cfg.alpha and
+    c_j = p_j^-(1+beta), so the entries are G~_{j1j2} = G_{j1j2}/(w_{j1}
+    w_{j2}).  Per chunk of NODE_CHUNK nodes the J+1 rows without c_j come
+    by doubling (``series_engine._power_rows``: about 2 log2(J+1) numpy
+    calls), and the factors c_j1 c_j2 are applied to the summed
+    (J+1)x(J+1) blocks.
 
     The product is taken in real arithmetic.  Writing X = A + iB,
-    G = (1/N) [(A^T A + B^T B) + i (A^T B - B^T A)]; the real part is one
-    real product of the interleaved (re, im) columns.  The sum runs over
-    the nodes the table holds: for real zeta (``CirclePowerTable.half``)
-    nodes 0..N/2, with multiplicities 1, 2, ..., 2, 1, as X[N-k, j] =
-    conj X[k, j] and the imaginary part vanishes; for complex zeta all N
-    nodes, and only then is the imaginary part formed.
+    G = (A^T A + B^T B) + i (A^T B - B^T A); the real part is one real
+    product of the interleaved (re, im) columns.  The imaginary part is
+    formed only for complex zeta: for real zeta (``CirclePowerTable.half``)
+    the table's weights already count each node's conjugate, where
+    X[n-k, j] = conj X[k, j], and the imaginary part vanishes.
 
     G is exactly Hermitian as assembled, with no repair: numpy takes each
     product of a real array with its own transpose as a symmetric rank-k
@@ -134,13 +134,12 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
     c_j1 c_j2 are symmetric, so the real part is symmetric and the
     imaginary part antisymmetric to the bit.
 
-    Aliasing contract: the even nodes are the table's N/2-node grid and
-    give its block in the same pass, and max|G_N - G_{N/2}| must not
-    exceed sqrt(TAIL_TOL) * max|G_N|.  The trapezoid error decays
-    geometrically in N, so the error of G_N is then about the square of
-    that relative difference, at most TAIL_TOL * max|G_N|.  Samples k and
-    N-k have the same parity, so the half-sum keeps the even/odd split
-    exact.
+    Aliasing contract: the even nodes, with twice their weights, are the
+    table's N/2-node rule and give its block in the same pass, and
+    max|G_N - G_{N/2}| must not exceed sqrt(TAIL_TOL) * max|G_N|.  The
+    trapezoid error decays geometrically in N, so the error of G_N is then
+    about the square of that relative difference, at most
+    TAIL_TOL * max|G_N|.
 
     Raises
     ------
@@ -150,30 +149,22 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
     p = table.param
     if cfg.s != p.leaf.s:
         raise ValueError(f"config s={cfg.s} does not match leaf s={p.leaf.s}")
-    J, n = cfg.J, table.n_grid
+    J = cfg.J
     c = cfg.p_indices.astype(np.float64) ** -(1.0 + cfg.beta)
-    real = table.half
-    n_sum, norm = len(table.values), (2.0 / n if real else 1.0 / n)
-    S = np.zeros((2, J + 1, J + 1))  # real part over even, odd samples
-    T = None if real else np.zeros((2, J + 1, J + 1))  # imaginary part
-    for lo in range(0, n_sum, NODE_CHUNK):
-        hi = min(lo + NODE_CHUNK, n_sum)
-        z, u, zdlog, weight = table.samples(lo, hi)
-        v = u / cfg.alpha
-        row = (np.sqrt(weight) * np.abs(1.0 + cfg.s * zdlog)
+    S = np.zeros((2, J + 1, J + 1))  # real part over even, odd nodes
+    T = None if table.half else np.zeros((2, J + 1, J + 1))  # imaginary part
+    for lo in range(0, len(table.values), NODE_CHUNK):
+        at = slice(lo, lo + NODE_CHUNK)
+        v = table.values[at] / cfg.alpha
+        row = (np.sqrt(table.weight[at]) * np.abs(1.0 + cfg.s * table.zdlog[at])
                * _int_pow_values(v, cfg.q))
-        step = z * _int_pow_values(v, cfg.s)
-        if real:  # weight 1 at z = 1 and z = -1, against 2 in norm
-            if lo == 0:
-                row[0] *= math.sqrt(0.5)
-            if hi == n_sum:
-                row[-1] *= math.sqrt(0.5)
-        # even samples first, then odd (lo is even: local parity is global
+        step = table.z[at] * _int_pow_values(v, cfg.s)
+        # even nodes first, then odd (lo is even: local parity is global
         # parity), in one array of rows
         X = _power_rows(np.concatenate((row[0::2], row[1::2])),
                         np.concatenate((step[0::2], step[1::2])), J + 1)
         Xf = X.view(np.float64)  # columns re, im interleaved
-        n_even = 2 * ((hi - lo + 1) // 2)
+        n_even = 2 * ((len(row) + 1) // 2)
         for parity, Xp in enumerate((Xf[:, :n_even], Xf[:, n_even:])):
             S[parity] += Xp @ Xp.T
             if T is not None:
@@ -181,18 +172,18 @@ def gram_block(table: CirclePowerTable, cfg: RenormConfig) -> np.ndarray:
                 T[parity] += P - P.T
         del X, Xf, Xp  # else the next chunk's rows are built beside these
     cc = np.outer(c, c)
-    G = norm * cc * (S[0] + S[1])
+    G = cc * (S[0] + S[1])
     D = cc * (S[1] - S[0])
     if T is not None:
-        G = G + 1j * (norm * cc * (T[0] + T[1]))
+        G = G + 1j * (cc * (T[0] + T[1]))
         D = D + 1j * (cc * (T[1] - T[0]))
-    alias = norm * np.abs(D).max()
+    alias = np.abs(D).max()
     scale = np.abs(G).max()
     if alias > math.sqrt(TAIL_TOL) * scale:
         raise TailNotConverged(
             f"half-grid Gram block differs by {alias / scale:.2e} of max|G| "
             f"(limit sqrt(TAIL_TOL) = {math.sqrt(TAIL_TOL):.1e}) "
-            f"at n_grid={n}"
+            f"at n_grid={table.n_grid}"
         )
     return G.astype(np.complex128, copy=False)
 

@@ -252,12 +252,14 @@ def taylor_branch(p: ParamPoint, order: int) -> np.ndarray:
 # at z = 0, is not U(0) = 1 (-1 on the one-mode leaf), and the table checks
 # that mean too.
 #
-# The cost is kept down four ways.  For real zeta (phi = 0 or pi),
+# The cost is kept down five ways.  For real zeta (phi = 0 or pi),
 # U(conj z) = conj U(z): node n-k is the conjugate of node k, a table holds
-# only the closed half k = 0..n/2, and its sums count nodes 0 < k < n/2
-# twice.  A sample leaves Newton once its own step is below the tolerance,
-# so the slow samples near the dominant singularity do not drag the
-# converged ones along.  Integer powers are
+# only the closed half k = 0..n/2, its weights counting nodes 0 < k < n/2
+# twice.  Each node's z, weight, U and z U'/U are computed once, when it
+# joins the table (40 B a node beyond U).  A sample leaves Newton once its
+# own step is below the tolerance or its rounding floor, so the slow
+# samples near the dominant singularity do not drag the converged ones
+# along.  Integer powers are
 # formed by multiplication (``_int_pow_values``), not by complex ``**``.
 # And no kernel issues one numpy call per power: the rows a * r^i of a
 # geometric family come by doubling (``_power_rows``), the order-250 Taylor
@@ -268,8 +270,9 @@ def taylor_branch(p: ParamPoint, order: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # above this many nodes a table is refused before it is allocated.  A {3,6}
-# table doubled to 2**21 nodes under the scan's blocks peaks at 117 MB for
-# real zeta (2**20 + 1 nodes held), 234 MB for complex zeta (tracemalloc)
+# table doubled to 2**21 nodes under the scan's blocks peaks at 177 MB for
+# real zeta (2**20 + 1 nodes held), 329 MB for complex zeta (tracemalloc),
+# of which its rule, at 56 B a held node, is 59 MB and 117 MB
 MAX_CIRCLE_GRID = 2**21
 
 # nodes of a table's first grid.  Points with rho_*^s - 1 above ~1e-3 pass
@@ -405,7 +408,9 @@ def _branch_values(p: ParamPoint, z: np.ndarray, series: np.ndarray,
     y^k_n.  Newton's method on that equation then runs at the points
     themselves.  The first iteration runs on every sample and fixes the
     tolerance _NEWTON_TOL * (1 + max|y|); after each iteration the samples
-    whose step is below it keep their value and drop out.
+    whose step is below it keep their value and drop out, as does a sample
+    whose step is below its rounding floor 16 ulp (1 + |y|) / |F_y|, which
+    near z_* exceeds the tolerance, |F_y| shrinking like sqrt|1 - z/z_*|.
 
     Raises
     ------
@@ -430,6 +435,7 @@ def _branch_values(p: ParamPoint, z: np.ndarray, series: np.ndarray,
         better = residual(germ) < residual(y)
         y[better] = germ[better]
 
+    floor = 16.0 * np.finfo(np.float64).eps
     live = None  # indices of the samples still moving; None: all
     ya = y
     for it in range(1, 61):
@@ -446,7 +452,9 @@ def _branch_values(p: ParamPoint, z: np.ndarray, series: np.ndarray,
             y, live = ya, np.arange(len(ya))
         else:
             y[live] = ya
-        moving = ~(np.abs(step) < thr)
+        size = np.abs(step)
+        moving = ~((size < thr)
+                   | (size * np.abs(fy) < floor * (1.0 + np.abs(ya))))
         if not moving.any():
             return y, it
         if not moving.all():
@@ -456,9 +464,9 @@ def _branch_values(p: ParamPoint, z: np.ndarray, series: np.ndarray,
 
 
 class CirclePowerTable:
-    """Samples of U at the nodes of a graded grid on the unit circle in z,
-    doubled until they pass their checks; coefficient rows of U**p on the
-    uniform grid.
+    """A quadrature rule on the unit circle in z, on nodes graded toward the
+    dominant singularity and doubled until U's samples pass their checks;
+    coefficient rows of U**p on the uniform grid.
 
     ``dom``, the point's ``DominantData``, places the dominant singularity
     z_* = rho_*^s e^{i phi}: the grid is centred on e^{i phi} with depth
@@ -469,24 +477,24 @@ class CirclePowerTable:
     absent), seed the samples (``_branch_values``); without ``dom`` the
     grid is uniform and the samples start from the Taylor polynomial alone.
 
-    The table holds (``values``, ``samples``) all n nodes of its grid for
-    complex zeta; for real zeta (``half``) node n-k is the conjugate of
-    node k, and it holds the closed half k = 0..n/2.  The first grid has
-    N_START nodes, or the smallest power of two with at least 2*(order+1)
-    if that is more.  Each grid's samples must be continuous along the
-    circle: held nodes k, k+1 in circular order (and n-1, 0 for complex
-    zeta) have |U_{k+1} - U_k| <= SHEET_JUMP |z_{k+1} - z_k|
-    max(|U'_k|, |U'_{k+1}|).  The grid doubles, solving only the new odd
-    nodes it holds, until two more checks hold: the circle mean
-    (1/n) sum_k |dz/dw|_k U(z_k) (for real zeta the real part of the sum
-    over the held half, nodes 0 < k < n/2 counted twice) is U(0) = 1 to
-    1e-8; and ``accept(table)``, when given (the scan's Gram blocks, whose
-    aliasing contract then sizes the grid), returns without raising
-    TailNotConverged.  ``n_grid`` is the final node count, ``doublings``
-    the number of doublings, ``newton_iterations`` the most Newton
-    iterations any node took and ``check_error`` the circle mean's error
-    |mean - 1| on the final grid.  Requires the Taylor branch to be
-    analytic beyond |z| = 1, i.e. rho_*(zeta)**s > 1.
+    The table holds, in circular order, the nodes ``z``, their ``weight``
+    m_k |dz/dw|_k / n (summing to 1), ``values`` U(z_k) and ``zdlog``
+    z_k U'(z_k) / U(z_k): all n nodes for complex zeta (m_k = 1); for real zeta
+    (``half``), where node n-k is the conjugate of node k, the closed half
+    k = 0..n/2 (m_k = 2 but at the ends).  The first grid has N_START
+    nodes, or the smallest power of two with at least 2*(order+1) if that
+    is more.  Each grid's samples must be continuous along the circle: held
+    nodes k, k+1 in circular order (and n-1, 0 for complex zeta) have
+    |U_{k+1} - U_k| <= SHEET_JUMP |z_{k+1} - z_k| max(|U'_k|, |U'_{k+1}|).
+    The grid doubles, solving only the new odd nodes it holds, until two
+    more checks hold: the circle mean sum_k weight_k U(z_k) (its real part
+    for real zeta) is U(0) = 1 to 1e-8; and ``accept(table)``, when given
+    (the scan's Gram blocks, whose aliasing contract then sizes the grid),
+    returns without raising TailNotConverged.  ``n_grid`` is the final node
+    count, ``doublings`` the number of doublings, ``newton_iterations`` the
+    most Newton iterations any node took and ``check_error`` the circle
+    mean's error |mean - 1| on the final grid.  Requires the Taylor branch
+    to be analytic beyond |z| = 1, i.e. rho_*(zeta)**s > 1.
 
     Raises
     ------
@@ -520,7 +528,6 @@ class CirclePowerTable:
         while n < 2 * (order + 1):
             n *= 2
         self.n_grid = self.doublings = self.newton_iterations = 0
-        self._total = 0j  # sum_k |dz/dw|_k U(z_k) over the circle
         why = ""
         while True:
             if n > MAX_CIRCLE_GRID:
@@ -529,8 +536,9 @@ class CirclePowerTable:
                     f"{MAX_CIRCLE_GRID}" + (f" ({why})" if why else ""))
             self._refine(n)
             self._check_continuity()
-            total = self._total.real if self.half else self._total
-            err = self.check_error = abs(total / n - 1.0)
+            mean = (self.weight * self.values).sum()
+            err = self.check_error = abs((mean.real if self.half else mean)
+                                         - 1.0)
             if err < 1e-8:
                 try:
                     if accept is not None:
@@ -545,26 +553,41 @@ class CirclePowerTable:
             self.doublings += 1
 
     def _refine(self, n: int) -> None:
-        """Values at the held nodes of the n-node grid: all of the first
-        grid, or the new odd ones of the doubled grid.  Its even nodes are
-        the old grid, with the same weights, so only the new nodes' terms
-        join the circle mean's sum."""
+        """The rule at the held nodes of the n-node grid: all of the first
+        grid, or the new odd nodes of a doubled grid between the old ones,
+        whose weights halve.  z U' = sum_n sh_n zeta_n z^sh_n U^k_n / F_y,
+        by differentiating the branch equation, with its Newton derivative
+        F_y = 1 - sum_n k_n zeta_n z^sh_n U^(k_n - 1).
+        """
         held = n // 2 + 1 if self.half else n
         k = np.arange(held) if self.n_grid == 0 else np.arange(1, held, 2)
+        # the rule is allocated first, so that the space the solve's
+        # temporaries free stays in one piece for the Gram rows; the old
+        # rule moves to the even nodes and is freed before the solve
+        rule = [np.empty(held, dtype=t) for t in (complex, float, complex,
+                                                  complex)]
+        if self.n_grid:
+            rule[0][0::2], rule[2][0::2] = self.z, self.values
+            rule[3][0::2] = self.zdlog
+            np.multiply(self.weight, 0.5, out=rule[1][0::2])
+            del self.z, self.weight, self.values, self.zdlog
         z, weight = _circle_nodes(k, n, self.depth, self.rot)
-        new, iters = _branch_values(self.param, z, self.series, self.dom)
-        if self.n_grid == 0:
-            self.values = new
-        else:
-            vals = np.empty(held, dtype=np.complex128)
-            vals[0::2] = self.values
-            vals[1::2] = new
-            self.values = vals
-        self.newton_iterations = max(self.newton_iterations, iters)
-        self.n_grid = n
         if self.half:  # node k, 0 < k < n/2, stands for itself and node n-k
             weight[(k > 0) & (k < n // 2)] *= 2.0
-        self._total += complex((weight * new).sum())
+        u, iters = _branch_values(self.param, z, self.series, self.dom)
+        num = np.zeros_like(u)
+        den = np.ones_like(u)
+        for zn, sh, kn in zip(self.param.zeta, self.param.leaf.collapsed_shifts,
+                              self.param.leaf.exponents):
+            t = zn * _int_pow_values(z, sh) * _int_pow_values(u, kn - 1)
+            num += sh * t * u
+            den -= kn * t
+        at = slice(1, None, 2) if self.n_grid else slice(None)
+        for a, b in zip(rule, (z, weight / n, u, num / (den * u))):
+            a[at] = b
+        self.z, self.weight, self.values, self.zdlog = rule
+        self.newton_iterations = max(self.newton_iterations, iters)
+        self.n_grid = n
 
     def _check_continuity(self) -> None:
         """Refuse the grid if adjacent held samples jump by more than
@@ -572,11 +595,14 @@ class CirclePowerTable:
         NODE_CHUNK nodes that share their end nodes.  For real zeta the
         pairs of the held half stand for their conjugates too; for complex
         zeta the last pair is (n-1, 0)."""
-        n = self.n_grid
-        stop = len(self.values) + (0 if self.half else 1)
-        for lo in range(0, stop - 1, NODE_CHUNK):
-            z, u, zdlog, _ = self.samples(lo, min(lo + NODE_CHUNK + 1, stop))
-            slope = np.abs(zdlog * u)  # |U'|, as |z| = 1
+        held, n = len(self.values), self.n_grid
+        chunks = [(lo, slice(lo, lo + NODE_CHUNK + 1))
+                  for lo in range(0, held - 1, NODE_CHUNK)]
+        if not self.half:
+            chunks.append((held - 1, [-1, 0]))
+        for lo, at in chunks:
+            z, u = self.z[at], self.values[at]
+            slope = np.abs(self.zdlog[at] * u)  # |U'|, as |z| = 1
             jump = np.abs(np.diff(u))
             limit = np.abs(np.diff(z)) * np.maximum(slope[:-1], slope[1:])
             bad = np.flatnonzero(jump > SHEET_JUMP * limit)
@@ -588,29 +614,6 @@ class CirclePowerTable:
                     f"{(lo + i + 1) % n} of {n}: |dU| is {ratio:.3g} times "
                     f"|dz| max|U'| (limit SHEET_JUMP = {SHEET_JUMP:g}); "
                     f"wrong sheet")
-
-    def samples(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray, np.ndarray]:
-        """Held nodes lo..hi-1 as (z_k, U(z_k), z_k U'(z_k) / U(z_k),
-        |dz/dw|_k); for complex zeta hi may be n + 1, node n being node 0.
-
-        Differentiating the branch equation gives
-        z U' = sum_n sh_n zeta_n z^sh_n U^k_n
-               / (1 - sum_n k_n zeta_n z^sh_n U^(k_n - 1)),
-        whose denominator is the Newton derivative of the branch equation.
-        """
-        z, weight = _circle_nodes(np.arange(lo, hi), self.n_grid, self.depth,
-                                  self.rot)
-        u = self.values[lo:hi] if hi <= len(self.values) else np.take(
-            self.values, np.arange(lo, hi), mode="wrap")
-        num = np.zeros_like(u)
-        den = np.ones_like(u)
-        for zn, sh, k in zip(self.param.zeta, self.param.leaf.collapsed_shifts,
-                             self.param.leaf.exponents):
-            t = zn * _int_pow_values(z, sh) * _int_pow_values(u, k - 1)
-            num += sh * t * u
-            den -= k * t
-        return z, u, num / (den * u), weight
 
     def rows(self, p_list: Iterable[int]) -> np.ndarray:
         """Array of shape (len(p_list), order+1): row i holds R_{p_i}(m).

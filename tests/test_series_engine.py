@@ -1,5 +1,6 @@
 """Unit tests for the truncated-series engine."""
 
+import copy
 import dataclasses
 import math
 from fractions import Fraction
@@ -305,15 +306,23 @@ def _seeded_table(point, accept=None):
                             series=taylor_branch(point, 250))
 
 
-def _held_samples(table):
-    # (z, U, z U'/U, |dz/dw|) at every node the table holds
-    return table.samples(0, len(table.values))
-
-
 def _full_circle(table, x):
     # x at the table's held nodes, extended to all n_grid nodes: for real
     # zeta node n-k is the conjugate of node k
     return np.concatenate((x, np.conj(x[-2:0:-1]))) if table.half else x
+
+
+def _full_circle_table(table):
+    # a real-zeta table's rule over all n_grid nodes: nodes and weights
+    # |dz/dw|/n of the whole grid, values and z U'/U rebuilt by conjugation
+    n = table.n_grid
+    full = copy.copy(table)
+    full.half = False
+    full.z, weight = _circle_nodes(np.arange(n), n, table.depth, table.rot)
+    full.weight = weight / n
+    full.values = _full_circle(table, table.values)
+    full.zdlog = _full_circle(table, table.zdlog)
+    return full
 
 
 @pytest.mark.parametrize("zeta", GRADED, ids=GRADED_IDS)
@@ -321,17 +330,53 @@ def test_graded_table_matches_one_mode_closed_form(zeta):
     point = ParamPoint(Leaf((2,)), (zeta,))
     table = _seeded_table(point)
     assert 0.0 < table.depth < 0.2 and table.n_grid > series_engine.N_START
-    z, u, _, weight = _held_samples(table)
+    z = table.z
     npt.assert_allclose(np.abs(z), 1.0, rtol=0, atol=1e-15)
     want = (1.0 - np.sqrt(1.0 - 4.0 * zeta * z)) / (2.0 * zeta * z)
-    npt.assert_allclose(u, want, rtol=0, atol=1e-12)
-    # the nodes crowd toward z_*, and the weights |dz/dw| average to one
-    # over the whole circle
-    z, weight = _full_circle(table, z), _full_circle(table, weight)
+    npt.assert_allclose(table.values, want, rtol=0, atol=1e-12)
+    # z U'/U of the closed form, U' = zeta U^2 / (1 - 2 zeta z U)
+    zu = zeta * z * want
+    npt.assert_allclose(table.zdlog, zu / (1.0 - 2.0 * zu), rtol=1e-10)
+    # the nodes crowd toward z_*, and the weights sum to one
+    z = _full_circle(table, z)
     assert len(z) == table.n_grid
     near = np.abs(z - z[0]) < 0.1
     assert near.mean() > 0.3
-    assert np.mean(weight) == pytest.approx(1.0, rel=1e-13)
+    assert table.weight.sum() == pytest.approx(1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("zeta, graded", [
+    (GRADED[0], True), (GRADED[2], True), (0.1, False),
+    (0.1 * np.exp(0.4j), False)],
+    ids=["graded_real", "graded_complex", "uniform_real", "uniform_complex"])
+def test_table_is_the_trapezoid_rule_in_w(zeta, graded):
+    # the held nodes and weights are the n-point trapezoid rule in w,
+    # pulled back by the grading map z = rot (w + c)/(1 + c w), c = 1 - d
+    # (w = z/rot on a uniform table): sum_k weight_k |dw/dz|_k w_k^m is 1
+    # for m = 0 and 0 for 0 < |m| < n/2 (the real part on a half table).
+    # On a uniform table that is sum_k weight_k z_k^m.  On a graded one
+    # z^m itself spans about 2m/d powers of w, and its sum is off by the
+    # rule's quadrature error
+    point = ParamPoint(Leaf((2,)), (zeta,))
+    if graded:
+        table = _seeded_table(point)
+        assert table.depth < 1.0
+    else:
+        table = CirclePowerTable(point, 0)
+        assert table.depth == 1.0
+    n, c = table.n_grid, 1.0 - table.depth
+    assert len(table.z) == (n // 2 + 1 if table.half else n)
+    assert table.weight.sum() == pytest.approx(1.0, rel=1e-13)
+    x = table.z / table.rot
+    w = (x - c) / (1.0 - c * x)
+    dwdz = (1.0 - c * c) / np.abs(1.0 - c * x) ** 2
+    m = np.arange(1, n // 2)
+    sums = np.exp(1j * np.outer(m, np.angle(w))) @ (table.weight * dwdz)
+    if table.half:
+        sums = sums.real
+    assert np.abs(sums).max() <= 1e-12
+    if not graded:
+        npt.assert_allclose(w, table.z, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("zeta", GRADED, ids=GRADED_IDS)
@@ -363,9 +408,9 @@ LEAF36 = Leaf((3, 6))
 
 
 def _assert_matches_ramp(point, table):
-    z, u, _, _ = _held_samples(table)
-    want = ramp_branch_values(point, z)
-    assert np.abs(u - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+    want = ramp_branch_values(point, table.z)
+    assert (np.abs(table.values - want).max()
+            <= 1e-13 * (1.0 + np.abs(want).max()))
 
 
 @pytest.mark.parametrize("zeta", GRADED, ids=GRADED_IDS)
@@ -539,9 +584,14 @@ def test_power_rows_match_sequential_products(count):
 
 
 def _graded_nodes(point, n):
-    # the n-node grid graded on the point's dominant singularity
-    table = _seeded_table(point)
-    return _circle_nodes(np.arange(n), n, table.depth, table.rot)
+    # every node of the point's graded table, doubled to n nodes
+    def grow(table):
+        if table.n_grid < n:
+            raise TailNotConverged("one more doubling")
+
+    table = _seeded_table(point, grow)
+    assert table.n_grid == n
+    return _full_circle(table, table.z)
 
 
 @pytest.mark.parametrize("length", [129, 251, 100])
@@ -549,34 +599,33 @@ def test_taylor_seed_matches_horner(leaf36_critical, monkeypatch, length):
     # chunks that do not divide the node count
     monkeypatch.setattr(series_engine, "NODE_CHUNK", 1500)
     point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - 1e-4), 0.01))
-    z, _ = _graded_nodes(point, 4096)
+    z = _graded_nodes(point, 4096)
     coeffs = taylor_branch(point, 250)[:length]
     want = horner_values(coeffs, z)
     got = series_engine._taylor_values(coeffs, z)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def test_folded_half_circle_mean_matches_full_circle(leaf36_critical,
-                                                     monkeypatch):
+def test_folded_half_circle_sums_match_full_circle(leaf36_critical,
+                                                   monkeypatch):
     monkeypatch.setattr(series_engine, "NODE_CHUNK", 1500)
     point = ParamPoint(LEAF36, (leaf36_critical * (1.0 - 1e-4), 0.01))
-    first = []
-
-    def reject_first(table):
-        if not first:
-            first.append(table.n_grid)
-            raise TailNotConverged("one more doubling")
-
-    table = _seeded_table(point, reject_first)
+    blocks = [RenormConfig(q=q, s=3, J=70, alpha=2.0, beta=1.0)
+              for q in (1, 2)]
+    table = _seeded_table(point, lambda t: [gram_block(t, c) for c in blocks])
     assert table.half and table.doublings >= 1
-    # the running sum over the held half, folded, against the sum over the
-    # whole circle rebuilt by conjugation
-    n = table.n_grid
-    z, weight = _circle_nodes(np.arange(n), n, table.depth, table.rot)
-    full = np.sum(weight * _full_circle(table, table.values)) / n
-    assert abs(full.imag) <= 1e-14
-    assert table.check_error == pytest.approx(abs(full.real - 1.0), abs=1e-14)
+    # the circle mean and the Gram blocks over the held half, folded,
+    # against the sums over the whole circle rebuilt by conjugation
+    full = _full_circle_table(table)
+    mean = (full.weight * full.values).sum()
+    assert abs(mean.imag) <= 1e-14
+    assert table.check_error == pytest.approx(abs(mean.real - 1.0), abs=1e-14)
     assert table.check_error < 1e-8
+    for cfg in blocks:
+        want = gram_block(full, cfg)
+        assert np.abs(want.imag).max() <= 1e-14 * np.abs(want).max()
+        got = gram_block(table, cfg)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_circle_table_agrees_with_convolution():

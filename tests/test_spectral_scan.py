@@ -9,8 +9,9 @@ import numpy.testing as npt
 import pytest
 
 from toda_spectra import (BlockSpectrum, InsufficientData, Leaf, ParamPoint,
-                          RenormConfig, ScanPoint, dominant_data,
-                          fit_log_scaling, log_scale, scan_path, spike_vector)
+                          RenormConfig, ScanPoint, critical_parameter,
+                          dominant_data, fit_log_scaling, log_scale,
+                          scan_path, spike_vector)
 from toda_spectra import branch_points, series_engine, spectral_scan
 from toda_spectra.spectral_scan import BOUNDED_TOL
 
@@ -359,6 +360,30 @@ def test_real_zeta_scan_point_real_solves_match_complex_eigvalsh(monkeypatch):
         tol = 1e-14 * mu[0]
         assert np.abs(pt.spectrum.mu - mu).max() <= tol
         assert abs(pt.spectrum.c_norm - c_norm) <= tol
+
+
+def test_scan_point_past_the_deep_diagnostic_range_converges():
+    # the {3,6} path of scan_deep_diagnostic.ini two decades below its
+    # delta_min: next to z_* the derivative F_y of the branch equation is
+    # about sqrt(|z_*| - 1) ~ 1e-4, so a Newton step there cannot fall
+    # below ulp (1 + |U|) / |F_y|, above the step tolerance; the samples of
+    # the admissibility circle and of the table stop at that floor instead
+    # of stalling
+    leaf = Leaf((3, 6))
+    zc = critical_parameter(lambda t: ParamPoint(leaf, (t, 0.01)), 0.05, 0.2)
+    blocks = [RenormConfig(q=q, s=3, J=70, alpha=2.0, beta=1.0)
+              for q in (1, 2)]
+    scan = scan_path(lambda d: ParamPoint(leaf, (zc * (1.0 - d), 0.01)),
+                     [1e-8], blocks, threads=1)
+    assert [pt.status for pt in scan] == ["ok", "ok"]
+    assert {pt.n_grid for pt in scan} == {524288}
+    assert scan[0].check_error < 1e-12
+    for pt in scan:
+        b = pt.spectrum
+        assert 0.0 < b.epsilon < 1e-8
+        lg = b.L * b.gamma
+        assert lg - b.c_norm <= b.mu[0] <= lg + b.c_norm
+        assert np.all(b.mu[1:] <= b.c_norm)
 
 
 # ---------------------------------------------------------------------------
