@@ -188,7 +188,10 @@ def solve_characteristic(p: ParamPoint) -> list[CharPoint]:
             continue
         simple = abs(Fyy) > SIMPLE_TOL * scale
         fold_ok = abs(Fx) > SIMPLE_TOL * scale / max(modulus, 1e-300)
-        kappa = _kappa_branch(2.0 * x * Fx / Fyy) if simple else 0.0 + 0.0j
+        # kappa^2 = 2 x F_x / F_yy, with x F_x = -lam read off F_y = 0:
+        # summed, x F_x cancels to |lam| from terms of size ~1, which far
+        # orbits (lam -> 0) would pass on to kappa as a relative error ~1/|lam|
+        kappa = _kappa_branch(-2.0 * lam / Fyy) if simple else 0.0 + 0.0j
         out.append(CharPoint(x_star=x, lam=lam, kappa=kappa, modulus=modulus,
                              simple=simple, fold_ok=fold_ok))
     if len(out) + at_infinity < len(kept_w) or not out:

@@ -86,7 +86,9 @@ def characteristic_points(p: ParamPoint) -> list[CharPoint]:
             continue
         simple = abs(Fyy) > SIMPLE_TOL * scale
         fold_ok = abs(Fx) > SIMPLE_TOL * scale / max(abs(x), 1e-300)
-        kappa = _kappa_branch(2.0 * x * Fx / Fyy) if simple else 0.0 + 0.0j
+        # x F_x = -lam on F_y = 0; the summed x F_x loses ~1/|lam| to
+        # cancellation on far orbits
+        kappa = _kappa_branch(-2.0 * lam / Fyy) if simple else 0.0 + 0.0j
         out.append(CharPoint(x_star=x, lam=lam, kappa=kappa, modulus=abs(x),
                              simple=simple, fold_ok=fold_ok))
     if len(out) + at_infinity < len(kept_u) or not out:

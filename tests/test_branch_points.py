@@ -135,6 +135,21 @@ def test_orbits_expand_to_the_per_point_solve(data, exps, phases):
         assert (cp.simple, cp.fold_ok) == (o.simple, o.fold_ok)
 
 
+def test_far_orbit_kappa_is_as_accurate_as_lam():
+    # an orbit at |x_*| ~ 565 with |lam| ~ 2.5e-3: summed, x F_x cancels
+    # to lam from terms of size ~1 and put ~5e-12 into kappa; lam itself
+    # and x_* agree to ~5e-14 between the orbit and per-point solves
+    exps = (4, 8, 12)
+    rot = cmath.exp(1.5j)
+    point = ParamPoint(Leaf(exps), (0.25 * rot, 0.0625, 0.015625 * rot))
+    far = solve_characteristic(point)[-1]
+    assert far.modulus > 500 and abs(far.lam) < 3e-3
+    for o in characteristic_points(point):
+        if abs(o.modulus - far.modulus) < 1e-9 * far.modulus:
+            assert _close(far.lam, o.lam, rel=1e-13)
+            assert _close(far.kappa, o.kappa, rel=2e-13)
+
+
 # ---------------------------------------------------------------------------
 # radius from coefficients
 
